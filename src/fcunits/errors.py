@@ -87,16 +87,8 @@ class CharacteristicDividesOrder(FcunitsError):
     """|H| is not invertible in K, so the averaging idempotent fails."""
 
 
-class NotAGroupSection(FcunitsError):
-    """The twisted section is not closed under multiplication."""
-
-
 class NotUnitError(FcunitsError):
     """A certified non-unit where a unit was required."""
-
-
-class MissingRootOfUnity(FcunitsError):
-    """The coefficient field lacks a needed primitive root of unity."""
 
 
 class CharacteristicEqualsQ(FcunitsError):
@@ -127,6 +119,10 @@ class TooLargeToCount(FcunitsError):
 
 class IdealNotNilpotent(FcunitsError):
     """Idempotent lifting requires a nilpotent ideal."""
+
+
+class CertificateFailed(FcunitsError):
+    """A structural result failed the check that certifies it."""
 
 
 # --- fc analysis -------------------------------------------------------------

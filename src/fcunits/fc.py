@@ -54,6 +54,7 @@ from .errors import (
     InapplicableTorsion,
     InfiniteOrder,
     InstanceFormatError,
+    InvalidCocycle,
     NoSquareRoot,
     NotUnitError,
     SubgroupTooLarge,
@@ -127,7 +128,8 @@ class Instance:
     """A bound triple (K, G, lambda) plus analysis caps.
 
     Construction only binds the parts; the cocycle identity is checked
-    when the algebra is first built (or explicitly via ``validate``).
+    once, on the generator box of radius ``caps.box_radius``, by
+    ``validate`` or when the algebra is first built, whichever comes first.
     """
 
     def __init__(self, field, group, cocycle, caps=None, name=None):
@@ -137,16 +139,24 @@ class Instance:
         self.caps = caps or Caps()
         self.name = name
         self._algebra = None
+        self._validation = None
 
     def algebra(self):
         if self._algebra is None:
-            self._algebra = TwistedGroupAlgebra(
-                self.group, self.field, self.cocycle)
+            algebra = TwistedGroupAlgebra(
+                self.group, self.field, self.cocycle, validate=False)
+            res = self.validate()
+            if not res.valid:
+                raise InvalidCocycle(res.counterexample.describe(),
+                                     res.counterexample)
+            self._algebra = algebra
         return self._algebra
 
     def validate(self):
-        return validate_cocycle(self.group, self.cocycle,
-                                box_radius=self.caps.box_radius)
+        if self._validation is None:
+            self._validation = validate_cocycle(
+                self.group, self.cocycle, box_radius=self.caps.box_radius)
+        return self._validation
 
     def canonical(self):
         return {"field": field_to_json(self.field),
@@ -661,7 +671,7 @@ def build_quotient_algebra(inst, a=None, seed=0,
             "the induced quotient cocycle fails the cocycle identity: "
             + validation.counterexample.describe())
 
-    quotient_algebra = TwistedGroupAlgebra(H, field, mu_hat)
+    quotient_algebra = TwistedGroupAlgebra(H, field, mu_hat, validate=False)
     ideal_generator = algebra.basis_unit(a) - algebra.scalar(mu_root)
     square = ideal_generator * ideal_generator
     if square:
@@ -1235,7 +1245,7 @@ def verdict(inst, seed=0):
 def structure_report(inst, level=None, seed=0):
     """Radical, idempotent counts, and decomposition of the torsion
     subalgebra (truncated for Pruefer components)."""
-    from .errors import (DimensionTooLarge, NotCommutative, TooLargeToCount)
+    from .errors import DimensionTooLarge, TooLargeToCount
     from .structure import count_idempotents, jacobson_radical
 
     group = inst.group
@@ -1257,8 +1267,6 @@ def structure_report(inst, level=None, seed=0):
     try:
         out["idempotent_count"] = count_idempotents(fd, seed=seed)
     except TooLargeToCount:
-        out["idempotent_count"] = "above-cap"
-    except NotCommutative:
         out["idempotent_count"] = "above-cap"
     commutative, _ = fd.is_commutative()
     if commutative:

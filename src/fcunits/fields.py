@@ -2,15 +2,28 @@
 
 Scalars are small immutable wrappers around a canonical raw value (int mod p,
 coefficient tuple, or Fraction).  All arithmetic is exact; there are no floats
-anywhere in this package.  Finite fields are capped at 2^16 elements and
-extension degree 8, which keeps every exhaustive search (root finding,
-discrete logs, unit scans) cheap and predictable.
+anywhere in this package.
+
+Every field also exposes its arithmetic on raw values, for kernels that
+would otherwise spend their time wrapping and unwrapping Scalars:
+`raw_add`, `raw_sub`, `raw_mul`, `raw_neg`, `raw_inv`, `raw_zero`,
+`raw_one` and `reduce`.  A kernel combines raw values with the first four
+and applies `reduce` once to each value it hands back, which makes that
+value canonical again.  Over GF(p) the four are plain int operations and
+`reduce` is the one `% p`, so a long sum of products is reduced once;
+over GF(p^k) and Q they are exact and `reduce` is the identity.
+`raw_inv`, and any test against `raw_zero`, take canonical values.
+
+Finite fields are capped at 2^16 elements and extension degree 8, which
+keeps every exhaustive search (root finding, discrete logs, unit scans)
+cheap and predictable.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -231,8 +244,16 @@ class Field:
     def __init__(self):
         self._key = self._spec_key()
         self._hash = hash(self._key)
-        self.zero = Scalar(self, self._zero_value())
-        self.one = Scalar(self, self._one_value())
+        self.raw_zero = self._zero_value()
+        self.raw_one = self._one_value()
+        self.zero = Scalar(self, self.raw_zero)
+        self.one = Scalar(self, self.raw_one)
+
+    def raw_inv(self, a):
+        return self._inv(a)
+
+    def reduce(self, a):
+        return a
 
     def __eq__(self, other):
         return isinstance(other, Field) and self._key == other._key
@@ -264,6 +285,12 @@ class Field:
 class PrimeField(Field):
     kind = "prime"
 
+    # raw values may leave [0, p) until `reduce` brings them back
+    raw_add = staticmethod(operator.add)
+    raw_sub = staticmethod(operator.sub)
+    raw_mul = staticmethod(operator.mul)
+    raw_neg = staticmethod(operator.neg)
+
     def __init__(self, p):
         if not is_prime(p):
             raise NonPrimeCharacteristic(f"{p} is not prime")
@@ -277,6 +304,9 @@ class PrimeField(Field):
 
     def _spec_key(self):
         return ("prime", self.p)
+
+    def reduce(self, a):
+        return a % self.p
 
     def shortname(self):
         return f"GF({self.p})"
@@ -395,6 +425,9 @@ class ExtensionField(Field):
     def _add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
+    def _sub(self, a, b):
+        return tuple((x - y) % self.p for x, y in zip(a, b))
+
     def _neg(self, a):
         return tuple((-x) % self.p for x in a)
 
@@ -413,6 +446,8 @@ class ExtensionField(Field):
         res = tuple((c * c_inv) % self.p for c in s)
         _, rem = _pdivmod(res, self.modulus, self.p)
         return rem + (0,) * (self.k - len(rem))
+
+    raw_add, raw_sub, raw_mul, raw_neg = _add, _sub, _mul, _neg
 
     def elements(self):
         for coeffs in itertools.product(range(self.p), repeat=self.k):
@@ -437,6 +472,11 @@ class ExtensionField(Field):
 
 class RationalField(Field):
     kind = "rationals"
+
+    raw_add = staticmethod(operator.add)
+    raw_sub = staticmethod(operator.sub)
+    raw_mul = staticmethod(operator.mul)
+    raw_neg = staticmethod(operator.neg)
 
     def __init__(self):
         self.characteristic = 0

@@ -33,6 +33,25 @@ from .snf import smith_normal_form
 MAX_TORSION = 64
 
 
+def _int_entries(values, what):
+    """values as a tuple of ints.  Anything else, bool included, is
+    rejected rather than truncated by int()."""
+    if not isinstance(values, (list, tuple)):
+        raise InstanceFormatError(f"{what} must be a list of ints, "
+                                  f"got {values!r}")
+    for x in values:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise InstanceFormatError(f"{what} must be ints, got {x!r}")
+    return tuple(values)
+
+
+def _int_matrix(rows, what):
+    if not isinstance(rows, (list, tuple)):
+        raise InstanceFormatError(f"{what} must be a list of rows, "
+                                  f"got {rows!r}")
+    return tuple(_int_entries(row, f"{what} entries") for row in rows)
+
+
 def _lcm(a, b):
     return a * b // math.gcd(a, b)
 
@@ -86,7 +105,7 @@ class InvariantsTorsion:
     kind = "invariants"
 
     def __init__(self, invariants):
-        invariants = tuple(int(d) for d in invariants)
+        invariants = _int_entries(invariants, "torsion invariants")
         if any(d < 2 for d in invariants):
             raise GroupValidationError(
                 f"torsion invariants must all be >= 2, got {list(invariants)}")
@@ -161,11 +180,11 @@ class TableTorsion:
     kind = "table"
 
     def __init__(self, table):
+        table = _int_matrix(table, "Cayley table")
         n = len(table)
         if n == 0 or n > MAX_TORSION:
             raise GroupValidationError(
                 f"Cayley table size must be 1..{MAX_TORSION}, got {n}")
-        table = tuple(tuple(int(x) for x in row) for row in table)
         if any(len(row) != n for row in table):
             raise GroupValidationError("Cayley table is not square")
         if any(x < 0 or x >= n for row in table for x in row):
@@ -312,7 +331,7 @@ class Group:
             if torsion.kind != "invariants":
                 raise GroupValidationError(
                     "a central pairing requires abelian invariants torsion")
-            M = tuple(tuple(int(x) for x in row) for row in pairing_matrix)
+            M = _int_matrix(pairing_matrix, "pairing matrix")
             if len(M) != rank or any(len(row) != rank for row in M):
                 raise GroupValidationError("pairing matrix must be rank x rank")
             for i in range(rank):

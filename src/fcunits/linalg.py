@@ -3,9 +3,20 @@
 Matrices are lists of rows of Scalars from a single field.  Dimensions are
 capped upstream (subalgebras stay at 64 basis elements or fewer), so plain
 Gaussian elimination with first-nonzero pivoting is all we need.
+
+`SpanBasis`, the incremental elimination every structure computation runs
+through, takes and returns Scalar vectors too, but keeps its echelon rows
+and coordinate combinations as raw field values and eliminates with the
+field's raw operations (see `fields`), reducing each coordinate once per
+elimination.  The whole-matrix routines (`rref`, `kernel_basis`, ...) stay
+on Scalars.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
+
+from .fields import Scalar
 
 
 def identity_matrix(field, n):
@@ -114,77 +125,91 @@ def invert(field, rows):
     return [row[n:] for row in R[:n]]
 
 
+def _minus_multiple(field, x, c, y):
+    """x - c*y on raw values, unreduced."""
+    return list(map(field.raw_sub, x, map(field.raw_mul, repeat(c), y)))
+
+
 class SpanBasis:
     """Incremental echelon basis of a subspace, with coordinate tracking.
 
     `add` inserts a vector and reports whether the span grew; `coordinates`
     expresses a vector as a combination of the *inserted* vectors (the ones
     for which add returned True), or returns None when it lies outside.
+    Vectors are lists of Scalars; the rows and combinations kept inside are
+    raw field values.
     """
 
     def __init__(self, field, ambient_dim):
         self.field = field
         self.ambient_dim = ambient_dim
-        self._rows = []          # echelon rows, leading entry 1
+        self._rows = []          # raw echelon rows, leading entry 1
         self._leads = []         # leading column per row
-        self._combos = []        # each row as a combination of inserted vecs
-        self.inserted = []       # the raw vectors whose insertion grew the span
+        self._combos = []        # each row as a raw combination of inserted
+        self.inserted = []       # the vectors whose insertion grew the span
 
     @property
     def dim(self):
         return len(self._rows)
 
     def _reduce(self, vec):
-        v = list(vec)
-        coeffs = [self.field.zero] * len(self._rows)
-        for i, (row, lead) in enumerate(zip(self._rows, self._leads)):
-            c = v[lead]
-            if c:
-                coeffs[i] = c
-                v = [x - c * y for x, y in zip(v, row)]
-        return v, coeffs
+        """The raw remainder of vec against the rows, and the coefficient
+        of each row.  Every row is zero in the other rows' leading columns,
+        so the coefficients can all be read off vec before eliminating."""
+        field = self.field
+        zero = field.raw_zero
+        v = [c.value for c in vec]
+        coeffs = [v[lead] for lead in self._leads]
+        for c, row in zip(coeffs, self._rows):
+            if c != zero:
+                v = _minus_multiple(field, v, c, row)
+        return list(map(field.reduce, v)), coeffs
 
     def coordinates(self, vec):
+        field = self.field
+        zero = field.raw_zero
         v, coeffs = self._reduce(vec)
-        if any(v):
+        if any(x != zero for x in v):
             return None
-        out = [self.field.zero] * len(self.inserted)
+        out = [zero] * len(self.inserted)
         for c, combo in zip(coeffs, self._combos):
-            if c:
-                for j, w in enumerate(combo):
-                    out[j] = out[j] + c * w
-        return out
+            if c != zero:
+                out = list(map(field.raw_add, out,
+                               map(field.raw_mul, repeat(c), combo)))
+        return [Scalar(field, x) for x in map(field.reduce, out)]
 
     def contains(self, vec):
+        zero = self.field.raw_zero
         v, _ = self._reduce(vec)
-        return not any(v)
+        return all(x == zero for x in v)
 
     def add(self, vec):
+        field = self.field
+        zero, mul, reduce = field.raw_zero, field.raw_mul, field.reduce
         v, coeffs = self._reduce(vec)
-        lead = next((i for i, x in enumerate(v) if x), None)
+        lead = next((i for i, x in enumerate(v) if x != zero), None)
         if lead is None:
             return False
-        combo = [-c for c in coeffs] + [self.field.one]
-        inv = v[lead].inv()
-        v = [x * inv for x in v]
-        combo_full = [self.field.zero] * (len(self.inserted) + 1)
-        for c, prev in zip(combo[:-1], self._combos):
-            if c:
-                for j, w in enumerate(prev):
-                    combo_full[j] = combo_full[j] + c * w
-        combo_full[len(self.inserted)] = self.field.one
-        combo_full = [c * inv for c in combo_full]
+        inv = field.raw_inv(v[lead])
+        v = [reduce(mul(x, inv)) for x in v]
+        combo = [zero] * len(self.inserted)
+        for c, prev in zip(coeffs, self._combos):
+            if c != zero:
+                combo = _minus_multiple(field, combo, c, prev)
+        combo.append(field.raw_one)
+        combo = [reduce(mul(x, inv)) for x in combo]
         self.inserted.append(list(vec))
         for existing in self._combos:
-            existing.append(self.field.zero)
+            existing.append(zero)
         # keep all rows fully reduced so _reduce stays a single pass
         for i, row in enumerate(self._rows):
             c = row[lead]
-            if c:
-                self._rows[i] = [x - c * y for x, y in zip(row, v)]
-                self._combos[i] = [x - c * y
-                                   for x, y in zip(self._combos[i], combo_full)]
+            if c != zero:
+                self._rows[i] = list(map(
+                    reduce, _minus_multiple(field, row, c, v)))
+                self._combos[i] = list(map(
+                    reduce, _minus_multiple(field, self._combos[i], c, combo)))
         self._rows.append(v)
         self._leads.append(lead)
-        self._combos.append(combo_full)
+        self._combos.append(combo)
         return True

@@ -22,7 +22,9 @@ Radical computation picks its method by field and shape:
 Whatever the method, the result is certified before being returned: the
 span is checked to be a two-sided ideal, nilpotent by explicit powering,
 missing the identity, and the quotient algebra is checked to have zero
-radical by a rerun on the quotient.
+radical by a rerun on the quotient.  Certificates are checked by `certify`,
+which raises CertificateFailed and, unlike `assert`, also runs under
+`python -O`.
 """
 
 from __future__ import annotations
@@ -33,17 +35,27 @@ from dataclasses import dataclass, field as dc_field
 
 from . import linalg
 from .errors import (
+    CertificateFailed,
     ConditionsNotMet,
     DimensionTooLarge,
     IdealNotNilpotent,
     NotCommutative,
     TooLargeToCount,
 )
-from .fields import is_prime
+from .fields import Scalar, is_prime
 
 RADICAL_NONCOMMUTATIVE_DIM_CAP = 32
 IDEMPOTENT_COUNT_CAP = 100_000
 SPLITTER_ATTEMPTS = 500
+
+
+def certify(cond, what):
+    """Raise CertificateFailed(what) unless cond holds.
+
+    Certificates are checks the results rest on, so unlike `assert` they
+    also run under `python -O`."""
+    if not cond:
+        raise CertificateFailed(what)
 
 
 class FDAlgebra:
@@ -52,6 +64,11 @@ class FDAlgebra:
     `table[(i, j)]` maps basis index pairs to {k: scalar} dictionaries with
     e_i e_j = sum_k scalar * e_k; absent pairs multiply to zero.  `labels`
     name the basis vectors in diagnostics.
+
+    Vectors are lists of Scalars wherever they cross the public methods,
+    but products are computed on raw field values (see `fields`): the table
+    is compiled into raw form on first use, so it must not be mutated after
+    construction.
     """
 
     def __init__(self, field, dim, table, one, labels=None):
@@ -61,6 +78,41 @@ class FDAlgebra:
         self.one = list(one)
         self.labels = labels or [f"b{i}" for i in range(dim)]
         self._trace_vector = None
+        self._rows = None
+
+    def _compiled(self):
+        """The table as, per left index i, a list of (j, [(k, raw), ...])."""
+        if self._rows is None:
+            zero = self.field.raw_zero
+            rows = [[] for _ in range(self.dim)]
+            for (i, j), cell in self.table.items():
+                terms = [(k, s.value) for k, s in cell.items()
+                         if s.value != zero]
+                if terms:
+                    rows[i].append((j, terms))
+            self._rows = rows
+        return self._rows
+
+    def _scalars(self, raw):
+        field = self.field
+        return [Scalar(field, v) for v in raw]
+
+    def _mul_raw(self, x, y):
+        """The product of two canonical raw vectors, canonical."""
+        field = self.field
+        add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
+        out = [zero] * self.dim
+        for xi, row in zip(x, self._compiled()):
+            if xi == zero:
+                continue
+            for j, terms in row:
+                yj = y[j]
+                if yj == zero:
+                    continue
+                c = mul(xi, yj)
+                for k, s in terms:
+                    out[k] = add(out[k], mul(c, s))
+        return list(map(field.reduce, out))
 
     def zero_vec(self):
         return [self.field.zero] * self.dim
@@ -80,69 +132,68 @@ class FDAlgebra:
         return [a * c for a in x]
 
     def mul(self, x, y):
-        out = self.zero_vec()
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                cell = self.table.get((i, j))
-                if not cell:
-                    continue
-                c = xi * yj
-                for k, s in cell.items():
-                    out[k] = out[k] + c * s
-        return out
+        return self._scalars(self._mul_raw([c.value for c in x],
+                                           [c.value for c in y]))
 
     def power(self, x, n):
-        result = list(self.one)
-        base = x
+        result = [c.value for c in self.one]
+        base = [c.value for c in x]
         while n:
             if n & 1:
-                result = self.mul(result, base)
+                result = self._mul_raw(result, base)
             n >>= 1
             if n:
-                base = self.mul(base, base)
-        return result
+                base = self._mul_raw(base, base)
+        return self._scalars(result)
 
     def is_zero(self, x):
         return not any(x)
 
     def is_idempotent(self, x):
-        return self.mul(x, x) == x
+        v = [c.value for c in x]
+        return self._mul_raw(v, v) == v
 
     def left_mult_matrix(self, x):
-        cols = [self.mul(x, self.basis_vec(j)) for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        field = self.field
+        add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
+        # column j is x e_j, so entry (k, j) collects x_i * table[(i, j)][k]
+        M = [[zero] * self.dim for _ in range(self.dim)]
+        for c, row in zip(x, self._compiled()):
+            xi = c.value
+            if xi == zero:
+                continue
+            for j, terms in row:
+                for k, s in terms:
+                    M[k][j] = add(M[k][j], mul(xi, s))
+        return [self._scalars(map(field.reduce, r)) for r in M]
 
     def trace_vector(self):
         """tr[i] = trace of left multiplication by basis vector i."""
         if self._trace_vector is None:
-            tr = []
-            for i in range(self.dim):
-                acc = self.field.zero
-                for j in range(self.dim):
-                    cell = self.table.get((i, j))
-                    if cell and j in cell:
-                        acc = acc + cell[j]
-                tr.append(acc)
-            self._trace_vector = tr
+            field = self.field
+            tr = [field.raw_zero] * self.dim
+            for i, row in enumerate(self._compiled()):
+                for j, terms in row:
+                    for k, s in terms:
+                        if k == j:
+                            tr[i] = field.raw_add(tr[i], s)
+            self._trace_vector = self._scalars(map(field.reduce, tr))
         return self._trace_vector
 
     def trace_of_left_mult(self, x):
-        acc = self.field.zero
-        for xi, t in zip(x, self.trace_vector()):
-            if xi and t:
-                acc = acc + xi * t
-        return acc
+        field = self.field
+        acc = field.raw_zero
+        for c, t in zip(x, self.trace_vector()):
+            acc = field.raw_add(acc, field.raw_mul(c.value, t.value))
+        return Scalar(field, field.reduce(acc))
 
     def is_commutative(self):
+        zero, one = self.field.raw_zero, self.field.raw_one
+        e = [[one if k == i else zero for k in range(self.dim)]
+             for i in range(self.dim)]
         for i in range(self.dim):
-            bi = self.basis_vec(i)
             for j in range(i + 1, self.dim):
-                bj = self.basis_vec(j)
-                if self.mul(bi, bj) != self.mul(bj, bi):
+                if self._mul_raw(e[i], e[j]) != self._mul_raw(e[j], e[i]):
                     return False, (self.labels[i], self.labels[j])
         return True, None
 
@@ -250,7 +301,7 @@ class QuotientAlgebra:
 
     def project(self, vec):
         coords = self._span.coordinates(vec)
-        assert coords is not None, "ideal plus representatives must span"
+        certify(coords is not None, "ideal plus representatives must span")
         return coords[len(self.ideal_basis):]
 
     def lift(self, qvec):
@@ -292,7 +343,7 @@ class CornerAlgebra:
         for c, b in zip(cvec, self.basis):
             term = [c * x for x in b]
             out = term if out is None else [a + t for a, t in zip(out, term)]
-        assert out is not None
+        certify(out is not None, "the corner has an empty basis")
         return out
 
     def restrict(self, vec):
@@ -312,12 +363,12 @@ def corner_algebra(fd, e):
     for i, bi in enumerate(basis):
         for j, bj in enumerate(basis):
             coords = S.coordinates(fd.mul(bi, bj))
-            assert coords is not None, "corner must be closed under products"
+            certify(coords is not None, "corner must be closed under products")
             cell = {k: c for k, c in enumerate(coords) if c}
             if cell:
                 table[(i, j)] = cell
     one = S.coordinates(e)
-    assert one is not None
+    certify(one is not None, "the corner must contain its idempotent")
     corner.fd = FDAlgebra(fd.field, len(basis), table, one)
     return corner
 
@@ -503,13 +554,14 @@ def jacobson_radical(fd):
     raw, method = _radical_raw(fd)
     S = span_of(fd, raw)
     basis = [list(r) for r in S.inserted]
-    assert _is_ideal(fd, basis), "radical candidate is not an ideal"
+    certify(_is_ideal(fd, basis), "radical candidate is not an ideal")
     index = ideal_nilpotency_index(fd, basis)
-    assert not S.contains(fd.one), "radical candidate contains the identity"
+    certify(not S.contains(fd.one),
+            "radical candidate contains the identity")
     if basis:
         Q = quotient_algebra(fd, basis)
         qraw, _ = _radical_raw(Q.fd)
-        assert not qraw, "quotient still has a radical; candidate too small"
+        certify(not qraw, "quotient still has a radical; candidate too small")
     certificate = {
         "two_sided_ideal": True,
         "nilpotency_index": index,
@@ -569,7 +621,7 @@ def _primitive_idempotents_finite(fd):
         return [list(fd.one)]
     m = minimal_polynomial(fd, b)
     roots = _roots_in_field(fd.field, m)
-    assert len(roots) == len(m) - 1, "a q-fixed element splits over GF(q)"
+    certify(len(roots) == len(m) - 1, "a q-fixed element splits over GF(q)")
     prims = []
     for e in _lagrange_idempotents(fd, b, roots):
         corner = corner_algebra(fd, e)
@@ -631,10 +683,10 @@ def _primitive_idempotents_rational(fd, rng):
         h = sympy.Poly(sympy.prod(f ** e for f, e in factors[1:]),
                        t, domain="QQ")
         a, b, gcd = sympy.gcdex(g.as_expr(), h.as_expr(), t)
-        assert sympy.simplify(gcd - 1) == 0, "factor powers must be coprime"
+        certify(sympy.simplify(gcd - 1) == 0, "factor powers must be coprime")
         bh = sympy.Poly(sympy.expand(b * h.as_expr()), t, domain="QQ")
         e1 = poly_eval_fd(fd, _poly_from_sympy(fd.field, bh), cand)
-        assert fd.is_idempotent(e1), "Bezout idempotent failed"
+        certify(fd.is_idempotent(e1), "Bezout idempotent failed")
         prims = []
         for e in (e1, fd.sub(fd.one, e1)):
             if fd.is_zero(e):
@@ -668,12 +720,13 @@ def primitive_idempotents(fd, seed=0):
         prims = _primitive_idempotents_rational(fd, random.Random(seed))
     total = fd.zero_vec()
     for i, e in enumerate(prims):
-        assert fd.is_idempotent(e)
+        certify(fd.is_idempotent(e), "primitive idempotent is not idempotent")
         total = fd.add(total, e)
         for j, f in enumerate(prims):
             if i != j:
-                assert fd.is_zero(fd.mul(e, f))
-    assert total == list(fd.one)
+                certify(fd.is_zero(fd.mul(e, f)),
+                        "primitive idempotents are not orthogonal")
+    certify(total == list(fd.one), "primitive idempotents do not sum to 1")
     return prims
 
 
@@ -687,10 +740,11 @@ def count_idempotents(fd, cap=IDEMPOTENT_COUNT_CAP, seed=0):
         raise TooLargeToCount(
             "exhaustive idempotent count works only for small finite "
             "noncommutative algebras")
+    values = [x.value for x in fd.field.elements()]
     count = 0
-    for combo in itertools.product(fd.field.elements(), repeat=fd.dim):
+    for combo in itertools.product(values, repeat=fd.dim):
         vec = list(combo)
-        if fd.is_idempotent(vec):
+        if fd._mul_raw(vec, vec) == vec:
             count += 1
     return count
 
@@ -873,6 +927,6 @@ def lift_idempotent(fd, ideal_span, x):
             e2 = fd.mul(e, e)
             e = fd.sub(fd.scale(e2, three), fd.scale(fd.mul(e2, e), two))
         steps += 1
-        assert steps <= bound, "idempotent lifting failed to converge"
-    assert S.contains(fd.sub(e, x)), "lift drifted from x modulo the ideal"
+        certify(steps <= bound, "idempotent lifting failed to converge")
+    certify(S.contains(fd.sub(e, x)), "lift drifted from x modulo the ideal")
     return e

@@ -196,3 +196,50 @@ def test_console_entry_point_runs():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "cross-check agrees" in proc.stdout
+
+
+@pytest.mark.parametrize("bad", [2.5, "2", True])
+def test_analyze_rejects_non_integer_group_data(bad, tmp_path, capsys):
+    raw = cli.bundled_instance("gf3_c2_twisted")
+    cases = {"invariants": {"kind": "central-extension", "rank": 0,
+                            "torsion": {"invariants": [bad]}},
+             "cayley": {"kind": "cayley", "table": [[0, 1], [1, bad]]},
+             "pairing": {"kind": "central-extension", "rank": 2,
+                         "torsion": {"invariants": [2]},
+                         "pairing": {"target_index": 0,
+                                     "matrix": [[0, bad], [0, 0]]}}}
+    for what, group in cases.items():
+        path = tmp_path / f"{what}.json"
+        path.write_text(json.dumps({**raw, "group": group,
+                                    "cocycle": {}}),
+                        encoding="utf-8")
+        rc, out, err = run(["analyze", str(path), "--verdict"], capsys)
+        assert rc == 2, what
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_analyze_validates_the_cocycle_once(monkeypatch, capsys):
+    from fcunits import algebra, fc
+
+    calls = []
+    loaded = []
+
+    def counting(group, cocycle, box_radius=3):
+        calls.append((group, box_radius))
+        return original(group, cocycle, box_radius=box_radius)
+
+    def loading(obj):
+        loaded.append(load(obj))
+        return loaded[-1]
+
+    original, load = fc.validate_cocycle, cli.instance_from_json
+    monkeypatch.setattr(fc, "validate_cocycle", counting)
+    monkeypatch.setattr(algebra, "validate_cocycle", counting)
+    monkeypatch.setattr(cli, "instance_from_json", loading)
+    rc, _, _ = run(["analyze", path_of("heisenberg_gf2"), "--verdict",
+                    "--structure", "--orbits", "f1"], capsys)
+    assert rc == 0
+    inst, = loaded
+    assert [(g, r) for g, r in calls if g is inst.group] == \
+        [(inst.group, inst.caps.box_radius)]

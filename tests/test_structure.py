@@ -1,6 +1,11 @@
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +15,7 @@ from fcunits import structure
 from fcunits.algebra import TwistedGroupAlgebra
 from fcunits.cocycles import Cocycle, trivial_cocycle
 from fcunits.errors import (
+    CertificateFailed,
     ConditionsNotMet,
     DimensionTooLarge,
     IdealNotNilpotent,
@@ -532,3 +538,55 @@ def test_commutativity_witness_names_basis_units():
     commutative, witness = sub.fd.is_commutative()
     assert not commutative
     assert all(label.startswith("u[") for label in witness)
+
+
+def _undersized_radical(monkeypatch):
+    """Make the first radical candidate rad^2 instead of rad."""
+    original = structure._radical_raw
+    calls = []
+
+    def undersized(fd):
+        basis, method = original(fd)
+        calls.append(fd)
+        if len(calls) == 1:
+            basis = [p for p in (fd.mul(a, b) for a in basis for b in basis)
+                     if any(p)]
+        return basis, method
+
+    monkeypatch.setattr(structure, "_radical_raw", undersized)
+
+
+def test_undersized_radical_candidate_fails_its_certificate(monkeypatch):
+    fd = group_algebra_fd(cayley(cyclic_table(3)), gf(3)).fd
+    assert len(jacobson_radical(fd).basis) == 2
+    _undersized_radical(monkeypatch)
+    with pytest.raises(CertificateFailed, match="candidate too small"):
+        jacobson_radical(fd)
+
+
+def test_certificates_survive_optimized_python(tmp_path):
+    script = tmp_path / "undersized.py"
+    script.write_text(
+        "import sys\n"
+        "from fcunits import cli, structure\n"
+        "original = structure._radical_raw\n"
+        "calls = []\n"
+        "def undersized(fd):\n"
+        "    basis, method = original(fd)\n"
+        "    calls.append(fd)\n"
+        "    if len(calls) == 1:\n"
+        "        basis = [p for p in (fd.mul(a, b) for a in basis\n"
+        "                             for b in basis) if any(p)]\n"
+        "    return basis, method\n"
+        "structure._radical_raw = undersized\n"
+        "sys.exit(cli.main(['analyze', sys.argv[1], '--structure']))\n",
+        encoding="utf-8")
+    instance = resources.files("fcunits") / "instances" \
+        / "z3_commutator_gf3.json"
+    src = str(pathlib.Path(structure.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", str(script), str(instance)],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+    assert proc.returncode == 1, proc.stderr
+    assert "candidate too small" in proc.stderr
