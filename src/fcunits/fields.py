@@ -241,6 +241,13 @@ class Field:
 
     kind = None
 
+    # plain operators serve ints (GF(p), where values may leave [0, p)
+    # until `reduce`) and Fractions; extension fields override them
+    raw_add = staticmethod(operator.add)
+    raw_sub = staticmethod(operator.sub)
+    raw_mul = staticmethod(operator.mul)
+    raw_neg = staticmethod(operator.neg)
+
     def __init__(self):
         self._key = self._spec_key()
         self._hash = hash(self._key)
@@ -284,12 +291,6 @@ class Field:
 
 class PrimeField(Field):
     kind = "prime"
-
-    # raw values may leave [0, p) until `reduce` brings them back
-    raw_add = staticmethod(operator.add)
-    raw_sub = staticmethod(operator.sub)
-    raw_mul = staticmethod(operator.mul)
-    raw_neg = staticmethod(operator.neg)
 
     def __init__(self, p):
         if not is_prime(p):
@@ -472,11 +473,6 @@ class ExtensionField(Field):
 
 class RationalField(Field):
     kind = "rationals"
-
-    raw_add = staticmethod(operator.add)
-    raw_sub = staticmethod(operator.sub)
-    raw_mul = staticmethod(operator.mul)
-    raw_neg = staticmethod(operator.neg)
 
     def __init__(self):
         self.characteristic = 0
