@@ -1,4 +1,5 @@
-"""Exact coefficient arithmetic: GF(p), GF(p^k) with explicit modulus, and Q.
+"""Exact coefficient arithmetic: GF(p), GF(p^k) with explicit modulus, and Q,
+and polynomials over them.
 
 Scalars are small immutable wrappers around a canonical raw value (int mod p,
 coefficient tuple, or Fraction).  All arithmetic is exact; there are no floats
@@ -13,6 +14,13 @@ value canonical again.  Over GF(p) the four are plain int operations and
 `reduce` is the one `% p`, so a long sum of products is reduced once;
 over GF(p^k) and Q they are exact and `reduce` is the identity.
 `raw_inv`, and any test against `raw_zero`, take canonical values.
+
+Polynomials over a field are tuples of its canonical raw values, constant
+coefficient first, trailing zeros stripped.  The `poly_*` routines compute
+on them with the raw ops and one `reduce` per output coefficient, for every
+field alike.  GF(p^k) is built on them over GF(p): an element is the
+zero-padded k-tuple of its residue modulo a monic modulus, which
+`poly_irreducible` (Rabin's test) checks.
 
 Finite fields are capped at 2^16 elements and extension degree 8, which
 keeps every exhaustive search (root finding, discrete logs, unit scans)
@@ -52,79 +60,132 @@ def is_prime(n):
     return True
 
 
-# --- dense polynomial helpers over GF(p) ------------------------------------
-# Polynomials are tuples of ints in [0, p), constant coefficient first,
-# trailing zeros stripped.  The zero polynomial is the empty tuple.
-
-def _ptrim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] = (out[i] + x) % p
-    return _ptrim(out)
+# --- polynomials on raw values ------------------------------------------------
+# A polynomial over F is a tuple of canonical raw values of F, constant
+# coefficient first, trailing zeros stripped; zero is ().  The routines use
+# only F's raw ops and `reduce`, so one loop body serves GF(p), GF(p^k) and
+# Q, and they reduce once per output coefficient: over GF(p) a product
+# coefficient is one `% p` of a plain int sum, and a division reduces its
+# leading coefficient once per step and each remainder coefficient once at
+# the end.
 
 
-def _pmul(a, b, p):
+def poly_trim(F, a):
+    n = len(a)
+    while n and a[n - 1] == F.raw_zero:
+        n -= 1
+    return tuple(a[:n])
+
+
+def poly_sub(F, a, b):
+    pairs = itertools.zip_longest(a, b, fillvalue=F.raw_zero)
+    return poly_trim(F, [F.reduce(F.raw_sub(x, y)) for x, y in pairs])
+
+
+def poly_mul(F, a, b):
     if not a or not b:
         return ()
-    out = [0] * (len(a) + len(b) - 1)
+    add, mul, zero = F.raw_add, F.raw_mul, F.raw_zero
+    out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
+        if x != zero:
+            for j, y in enumerate(b, i):
+                out[j] = add(out[j], mul(x, y))
+    return poly_trim(F, list(map(F.reduce, out)))
 
 
-def _pdivmod(a, b, p):
-    """Quotient and remainder of a by b over GF(p); b must be nonzero."""
+def poly_divmod(F, a, b):
+    """Quotient and remainder of a by a nonzero b."""
     if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [0] * max(1, len(a) - len(b) + 1)
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(_ptrim(a)) >= len(b):
-        a = list(_ptrim(a))
-        shift = len(a) - len(b)
-        coef = (a[-1] * inv_lead) % p
-        q[shift] = coef
-        for i, x in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * x) % p
-    return _ptrim(q), _ptrim(a)
+        raise DivisionByZero("polynomial division by zero")
+    db = len(b) - 1
+    if len(a) <= db:
+        return (), tuple(a)
+    sub, mul, reduce, zero = F.raw_sub, F.raw_mul, F.reduce, F.raw_zero
+    inv_lead = F.raw_inv(b[-1])
+    r = list(a)
+    q = [zero] * (len(r) - db)
+    for top in range(len(r) - 1, db - 1, -1):
+        c = reduce(mul(r[top], inv_lead))
+        if c != zero:
+            shift = top - db
+            q[shift] = c
+            for i in range(db):
+                r[shift + i] = sub(r[shift + i], mul(c, b[i]))
+    return tuple(q), poly_trim(F, list(map(reduce, r[:db])))
 
 
-def _pxgcd(a, b, p):
-    """Extended Euclid over GF(p)[x]: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = _ptrim(a), _ptrim(b)
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
+def poly_inv_mod(F, a, m):
+    """The inverse of a modulo m, of degree below deg m.
+
+    Half of the extended Euclidean algorithm: only the cofactor of a is
+    carried, since s * a = r (mod m) is all an inverse needs."""
+    r0, r1 = m, poly_divmod(F, a, m)[1]
+    s0, s1 = (), (F.raw_one,)
+    while len(r1) > 1:
+        q, r = poly_divmod(F, r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, _padd(s0, _pmul(tuple((-c) % p for c in q), s1, p), p)
-        t0, t1 = t1, _padd(t0, _pmul(tuple((-c) % p for c in q), t1, p), p)
-    return r0, s0, t0
+        s0, s1 = s1, poly_sub(F, s0, poly_mul(F, q, s1))
+    if not r1:
+        raise DivisionByZero("polynomial shares a factor with the modulus")
+    c = F.raw_inv(r1[0])
+    return tuple(F.reduce(F.raw_mul(x, c)) for x in s1)
 
 
-def _is_irreducible(m, p):
-    """Trial factorization: no monic divisor of degree 1..deg/2."""
-    k = len(m) - 1
-    for d in range(1, k // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            div = tuple(tail) + (1,)
-            _, rem = _pdivmod(m, div, p)
-            if not rem:
-                return False
-    return True
+def poly_powmod(F, a, n, m):
+    """a^n modulo m, for n >= 0 and m of positive degree."""
+    result = (F.raw_one,)
+    base = poly_divmod(F, a, m)[1]
+    while n:
+        if n & 1:
+            result = poly_divmod(F, poly_mul(F, result, base), m)[1]
+        n >>= 1
+        if n:
+            base = poly_divmod(F, poly_mul(F, base, base), m)[1]
+    return result
+
+
+def poly_gcd(F, a, b):
+    """The monic greatest common divisor of a and b, not both zero."""
+    while b:
+        a, b = b, poly_divmod(F, a, b)[1]
+    c = F.raw_inv(a[-1])
+    return tuple(F.reduce(F.raw_mul(x, c)) for x in a)
+
+
+def poly_irreducible(F, m):
+    """Rabin's irreducibility test over a finite field F of size q.
+
+    m of degree n >= 1 is irreducible exactly when x^(q^n) = x (mod m) and
+    gcd(x^(q^(n/r)) - x, m) = 1 for every prime r dividing n.  M. O. Rabin,
+    "Probabilistic algorithms in finite fields", SIAM J. Comput. 9 (1980).
+    """
+    n = len(m) - 1
+    if n < 2:
+        return n == 1
+    x = (F.raw_zero, F.raw_one)
+    frobenius = [x]                     # frobenius[i] = x^(q^i) mod m
+    for _ in range(n):
+        frobenius.append(poly_powmod(F, frobenius[-1], F.size(), m))
+    if frobenius[n] != x:
+        return False
+    return all(len(poly_gcd(F, poly_sub(F, frobenius[n // r], x), m)) == 1
+               for r in range(2, n + 1) if n % r == 0 and is_prime(r))
+
+
+def poly_roots(F, a):
+    """The roots of a nonzero polynomial in a finite field F, in the order
+    of F.elements(), found by evaluating at every element."""
+    add, mul, reduce, zero = F.raw_add, F.raw_mul, F.reduce, F.raw_zero
+    roots = []
+    for s in F.elements():
+        x = s.value
+        acc = zero
+        for c in reversed(a):
+            acc = reduce(add(mul(acc, x), c))
+        if acc == zero:
+            roots.append(x)
+    return roots
 
 
 # --- scalar wrapper -----------------------------------------------------------
@@ -365,8 +426,7 @@ class ExtensionField(Field):
     kind = "extension"
 
     def __init__(self, p, k, modulus):
-        if not is_prime(p):
-            raise NonPrimeCharacteristic(f"{p} is not prime")
+        base = PrimeField(p)
         if k < 2:
             raise InstanceFormatError("extension degree must be at least 2")
         if k > MAX_EXTENSION_DEGREE:
@@ -382,12 +442,12 @@ class ExtensionField(Field):
                 f"(constant first), got {len(modulus)}")
         if modulus[-1] == 0:
             raise InstanceFormatError("modulus leading coefficient vanishes")
-        if modulus[-1] != 1:
-            lead_inv = pow(modulus[-1], p - 2, p)
-            modulus = tuple((c * lead_inv) % p for c in modulus)
-        if not _is_irreducible(modulus, p):
+        lead_inv = base.raw_inv(modulus[-1])
+        modulus = tuple(c * lead_inv % p for c in modulus)
+        if not poly_irreducible(base, modulus):
             raise ReducibleModulus(
                 f"modulus {list(modulus)} is reducible over GF({p})")
+        self.base = base
         self.p = p
         self.k = k
         self.degree = k
@@ -413,11 +473,10 @@ class ExtensionField(Field):
     def _canonical(self, raw):
         if isinstance(raw, int):
             return (raw % self.p,) + (0,) * (self.k - 1)
-        raw = tuple(int(c) for c in raw)
+        base = self.base
+        raw = poly_trim(base, [int(c) % self.p for c in raw])
         if len(raw) > self.k:
-            _, raw = _pdivmod(tuple(c % self.p for c in raw),
-                              self.modulus, self.p)
-        raw = tuple(c % self.p for c in raw)
+            raw = poly_divmod(base, raw, self.modulus)[1]
         return raw + (0,) * (self.k - len(raw))
 
     def from_int(self, n):
@@ -433,20 +492,18 @@ class ExtensionField(Field):
         return tuple((-x) % self.p for x in a)
 
     def _mul(self, a, b):
-        prod = _pmul(_ptrim(a), _ptrim(b), self.p)
-        _, rem = _pdivmod(prod, self.modulus, self.p)
+        base = self.base
+        _, rem = poly_divmod(base, poly_mul(base, poly_trim(base, a),
+                                            poly_trim(base, b)),
+                             self.modulus)
         return rem + (0,) * (self.k - len(rem))
 
     def _inv(self, a):
-        at = _ptrim(a)
-        if not at:
+        a = poly_trim(self.base, a)
+        if not a:
             raise DivisionByZero(f"0 has no inverse in {self.shortname()}")
-        g, s, _ = _pxgcd(at, self.modulus, self.p)
-        # gcd with an irreducible modulus is a nonzero constant
-        c_inv = pow(g[0], self.p - 2, self.p)
-        res = tuple((c * c_inv) % self.p for c in s)
-        _, rem = _pdivmod(res, self.modulus, self.p)
-        return rem + (0,) * (self.k - len(rem))
+        inv = poly_inv_mod(self.base, a, self.modulus)
+        return inv + (0,) * (self.k - len(inv))
 
     raw_add, raw_sub, raw_mul, raw_neg = _add, _sub, _mul, _neg
 

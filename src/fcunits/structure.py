@@ -42,7 +42,7 @@ from .errors import (
     NotCommutative,
     TooLargeToCount,
 )
-from .fields import Scalar, is_prime
+from .fields import Scalar, poly_irreducible, poly_roots
 
 RADICAL_NONCOMMUTATIVE_DIM_CAP = 32
 IDEMPOTENT_COUNT_CAP = 100_000
@@ -587,17 +587,6 @@ def _nonscalar_vector(fd, vectors):
     return None
 
 
-def _roots_in_field(field, coeffs):
-    roots = []
-    for cand in field.elements():
-        acc = field.zero
-        for c in reversed(coeffs):
-            acc = acc * cand + c
-        if not acc:
-            roots.append(cand)
-    return roots
-
-
 def _lagrange_idempotents(fd, b, roots):
     out = []
     for ci in roots:
@@ -620,7 +609,8 @@ def _primitive_idempotents_finite(fd):
     if b is None:
         return [list(fd.one)]
     m = minimal_polynomial(fd, b)
-    roots = _roots_in_field(fd.field, m)
+    roots = [Scalar(fd.field, r)
+             for r in poly_roots(fd.field, tuple(c.value for c in m))]
     certify(len(roots) == len(m) - 1, "a q-fixed element splits over GF(q)")
     prims = []
     for e in _lagrange_idempotents(fd, b, roots):
@@ -638,7 +628,7 @@ def _sympy_factors(coeffs):
     return sympy.factor_list(sympy.Poly(expr, t, domain="QQ"))[1]
 
 
-def _poly_from_sympy(field, poly):
+def _coeffs_from_sympy(field, poly):
     from fractions import Fraction
 
     coeffs = list(reversed(poly.all_coeffs()))
@@ -685,7 +675,7 @@ def _primitive_idempotents_rational(fd, rng):
         a, b, gcd = sympy.gcdex(g.as_expr(), h.as_expr(), t)
         certify(sympy.simplify(gcd - 1) == 0, "factor powers must be coprime")
         bh = sympy.Poly(sympy.expand(b * h.as_expr()), t, domain="QQ")
-        e1 = poly_eval_fd(fd, _poly_from_sympy(fd.field, bh), cand)
+        e1 = poly_eval_fd(fd, _coeffs_from_sympy(fd.field, bh), cand)
         certify(fd.is_idempotent(e1), "Bezout idempotent failed")
         prims = []
         for e in (e1, fd.sub(fd.one, e1)):
@@ -772,95 +762,6 @@ class DecompositionReport:
         return len(self.components)
 
 
-def _poly_trim(a):
-    while a and not a[-1]:
-        a = a[:-1]
-    return a
-
-
-def _poly_sub(field, a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [field.zero] * (n - len(a))
-    b = list(b) + [field.zero] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _poly_mul(field, a, b):
-    if not a or not b:
-        return []
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _poly_mod(field, a, m):
-    a = list(a)
-    dm = len(m) - 1
-    lead_inv = m[-1].inv()
-    while True:
-        a = _poly_trim(a)
-        if len(a) <= dm:
-            return a
-        factor = a[-1] * lead_inv
-        shift = len(a) - 1 - dm
-        for i, c in enumerate(m):
-            a[shift + i] = a[shift + i] - factor * c
-
-
-def _poly_powmod(field, a, n, m):
-    result = [field.one]
-    base = _poly_mod(field, a, m)
-    while n:
-        if n & 1:
-            result = _poly_mod(field, _poly_mul(field, result, base), m)
-        n >>= 1
-        if n:
-            base = _poly_mod(field, _poly_mul(field, base, base), m)
-    return result
-
-
-def _poly_gcd(field, a, b):
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    while b:
-        a = _poly_trim(_poly_mod(field, a, b))
-        a, b = b, a
-    if a:
-        inv = a[-1].inv()
-        a = [c * inv for c in a]
-    return a
-
-
-def _poly_irreducible_finite(field, coeffs):
-    """Irreducibility of a monic polynomial over GF(q): X^(q^n) = X mod m
-    and gcd(X^(q^(n/p)) - X, m) = 1 for each prime p dividing n."""
-    q = field.size()
-    n = len(coeffs) - 1
-    if n == 1:
-        return True
-
-    def x_power_q_pow(k):
-        cur = [field.zero, field.one]
-        for _ in range(k):
-            cur = _poly_powmod(field, cur, q, coeffs)
-        return cur
-
-    x = [field.zero, field.one]
-    if _poly_trim(_poly_sub(field, x_power_q_pow(n), x)):
-        return False
-    for p in range(2, n + 1):
-        if n % p == 0 and is_prime(p):
-            g = _poly_gcd(field, _poly_sub(field, x_power_q_pow(n // p), x),
-                          coeffs)
-            if len(g) > 1:
-                return False
-    return True
-
-
 def _field_certificate(corner, rng):
     """A generator of the corner whose minimal polynomial is irreducible of
     full degree, certifying the corner is a field."""
@@ -871,7 +772,7 @@ def _field_certificate(corner, rng):
         if len(m) - 1 != target:
             continue
         if fd.field.is_finite():
-            if _poly_irreducible_finite(fd.field, m):
+            if poly_irreducible(fd.field, tuple(c.value for c in m)):
                 return cand, m
         else:
             factors = _sympy_factors(m)

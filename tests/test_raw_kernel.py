@@ -1,4 +1,5 @@
-"""The raw-value kernel of FDAlgebra and SpanBasis against Scalar loops.
+"""The raw-value kernel of FDAlgebra, SpanBasis and the polynomial layer
+against the implementations it replaced.
 
 The reference functions below are the plain Scalar implementations the
 kernel replaced: the product loop over the structure table and the
@@ -7,6 +8,10 @@ and consist of Scalars of the algebra's field with canonical values.
 The algebras are twisted group algebras of finite groups with random
 coboundary cocycles and bundled twisted cocycles, over GF(p), GF(p^k)
 and Q, together with quotients and corners built from them.
+
+The polynomial layer of `fields` is checked against the GF(p) tuple
+helpers that extension-field arithmetic used before it, against trial
+division for irreducibility, and against Scalar long division.
 """
 
 import itertools
@@ -20,7 +25,15 @@ from fcunits import cli, linalg
 from fcunits.algebra import TwistedGroupAlgebra
 from fcunits.cocycles import coboundary
 from fcunits.fc import instance_from_json
-from fcunits.fields import Scalar, gf, rationals
+from fcunits.fields import (
+    Scalar,
+    gf,
+    poly_divmod,
+    poly_inv_mod,
+    poly_irreducible,
+    poly_trim,
+    rationals,
+)
 from fcunits.groups import (
     cyclic_table,
     finite_subgroup,
@@ -282,3 +295,174 @@ def test_span_basis_matches_the_scalar_reduction(data):
         if coords is not None:
             assert_canonical(field, coords)
     assert S.contains(inside)
+
+
+# --- polynomial layer ---------------------------------------------------------------
+# GF(p) tuple helpers: polynomials are tuples of ints in [0, p), constant
+# coefficient first, trailing zeros stripped.
+
+
+def ref_ptrim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def ref_padd(a, b, p):
+    n = max(len(a), len(b))
+    out = [0] * n
+    for i, x in enumerate(a):
+        out[i] = x
+    for i, x in enumerate(b):
+        out[i] = (out[i] + x) % p
+    return ref_ptrim(out)
+
+
+def ref_pmul(a, b, p):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return ref_ptrim(out)
+
+
+def ref_pdivmod(a, b, p):
+    a = list(a)
+    q = [0] * max(1, len(a) - len(b) + 1)
+    inv_lead = pow(b[-1], p - 2, p)
+    while len(ref_ptrim(a)) >= len(b):
+        a = list(ref_ptrim(a))
+        shift = len(a) - len(b)
+        coef = (a[-1] * inv_lead) % p
+        q[shift] = coef
+        for i, x in enumerate(b):
+            a[shift + i] = (a[shift + i] - coef * x) % p
+    return ref_ptrim(q), ref_ptrim(a)
+
+
+def ref_pxgcd(a, b, p):
+    r0, r1 = ref_ptrim(a), ref_ptrim(b)
+    s0, s1 = (1,), ()
+    t0, t1 = (), (1,)
+    while r1:
+        q, r = ref_pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        neg_q = tuple((-c) % p for c in q)
+        s0, s1 = s1, ref_padd(s0, ref_pmul(neg_q, s1, p), p)
+        t0, t1 = t1, ref_padd(t0, ref_pmul(neg_q, t1, p), p)
+    return r0, s0, t0
+
+
+def ref_is_irreducible(m, p):
+    k = len(m) - 1
+    for d in range(1, k // 2 + 1):
+        for tail in itertools.product(range(p), repeat=d):
+            if not ref_pdivmod(m, tuple(tail) + (1,), p)[1]:
+                return False
+    return True
+
+
+def ref_ext_mul(F, a, b):
+    rem = ref_pdivmod(ref_pmul(ref_ptrim(a), ref_ptrim(b), F.p),
+                      F.modulus, F.p)[1]
+    return rem + (0,) * (F.k - len(rem))
+
+
+def ref_ext_inv(F, a):
+    g, s, _ = ref_pxgcd(ref_ptrim(a), F.modulus, F.p)
+    c_inv = pow(g[0], F.p - 2, F.p)
+    rem = ref_pdivmod(tuple((c * c_inv) % F.p for c in s),
+                      F.modulus, F.p)[1]
+    return rem + (0,) * (F.k - len(rem))
+
+
+def ref_ext_canonical(F, raw):
+    raw = tuple(c % F.p for c in raw)
+    if len(raw) > F.k:
+        raw = ref_pdivmod(raw, F.modulus, F.p)[1]
+    return raw + (0,) * (F.k - len(raw))
+
+
+def scalar_poly_divmod(F, a, b):
+    """Schoolbook division on Scalars: (q, r) with a = q b + r."""
+    r = [Scalar(F, c) for c in a]
+    b = [Scalar(F, c) for c in b]
+    q = [F.zero] * max(0, len(r) - len(b) + 1)
+    while len(r) >= len(b):
+        c = r[-1] / b[-1]
+        shift = len(r) - len(b)
+        q[shift] = c
+        for i, y in enumerate(b):
+            r[shift + i] = r[shift + i] - c * y
+        while r and not r[-1]:
+            r.pop()
+    return q, r
+
+
+EXTENSIONS = [gf(2, 2, [1, 1, 1]), gf(3, 2, [1, 0, 1]), gf(2, 3, [1, 0, 1, 1]),
+              gf(3, 4, [1, 0, 1, 1, 1]), gf(5, 2, [1, 1, 1])]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_extension_arithmetic_matches_the_tuple_helpers(data):
+    F = data.draw(st.sampled_from(EXTENSIONS))
+    a = data.draw(raw_values(F))
+    b = data.draw(raw_values(F))
+    assert F._mul(a, b) == ref_ext_mul(F, a, b)
+    if any(a):
+        assert F._inv(a) == ref_ext_inv(F, a)
+    raw = data.draw(st.lists(st.integers(-2 * F.p, 2 * F.p),
+                             max_size=2 * F.k + 1))
+    assert F._canonical(raw) == ref_ext_canonical(F, raw)
+
+
+def test_rabin_agrees_with_trial_division():
+    for p, degree in ((2, 4), (3, 4)):
+        F = gf(p)
+        for n in range(1, degree + 1):
+            for tail in itertools.product(range(p), repeat=n):
+                m = tail + (1,)
+                assert poly_irreducible(F, m) == ref_is_irreducible(m, p)
+
+
+# irreducible moduli over each field, for poly_inv_mod
+MODULI = [
+    (gf(2), [(1, 1, 1), (1, 1, 0, 1)]),
+    (gf(7), [(1, 0, 1), (2, 0, 0, 1)]),
+    (EXTENSIONS[0], [((0, 1), (1, 0), (1, 0))]),
+    (EXTENSIONS[1], [((0, 1), (1, 0), (1, 0))]),
+    (Q, [tuple(map(Fraction, m)) for m in ((-2, 0, 1), (-2, 0, 0, 1))]),
+]
+
+
+def polys(F):
+    return st.lists(raw_values(F), max_size=6).map(
+        lambda c: poly_trim(F, c))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_poly_divmod_and_inv_mod(data):
+    F, moduli = data.draw(st.sampled_from(MODULI))
+    a = data.draw(polys(F))
+    b = data.draw(polys(F).filter(bool))
+    q, r = poly_divmod(F, a, b)
+    assert len(r) < len(b)
+    assert (list(q), list(r)) == tuple(
+        [s.value for s in part] for part in scalar_poly_divmod(F, a, b))
+    m = data.draw(st.sampled_from(moduli))
+    if poly_divmod(F, a, m)[1]:
+        inv = poly_inv_mod(F, a, m)
+        assert len(inv) < len(m)
+        product = [F.zero] * (len(inv) + len(a) - 1)
+        for i, x in enumerate(inv):
+            for j, y in enumerate(a):
+                product[i + j] += Scalar(F, x) * Scalar(F, y)
+        rem = scalar_poly_divmod(F, [s.value for s in product], m)[1]
+        assert rem == [F.one]

@@ -22,7 +22,7 @@ from fcunits.errors import (
     NotCommutative,
     TooLargeToCount,
 )
-from fcunits.fields import gf, rationals
+from fcunits.fields import gf, poly_irreducible, rationals
 from fcunits.groups import (
     cyclic_table,
     finite_subgroup,
@@ -307,18 +307,18 @@ def test_characteristic_polynomial_triangular():
 def test_poly_irreducible_finite():
     F3, F2 = gf(3), gf(2)
     F4 = gf(2, 2, [1, 1, 1])
-    w = F4.scalar((0, 1))
+    w, one, zero = (0, 1), F4.raw_one, F4.raw_zero
 
     def poly(field, ints):
-        return [field.from_int(c) for c in ints]
+        return tuple(field.from_int(c).value for c in ints)
 
-    assert structure._poly_irreducible_finite(F3, poly(F3, [1, 0, 1]))
-    assert not structure._poly_irreducible_finite(F3, poly(F3, [-1, 0, 1]))
-    assert structure._poly_irreducible_finite(F2, poly(F2, [1, 1, 1]))
-    assert structure._poly_irreducible_finite(F2, poly(F2, [1, 1, 0, 1]))
-    assert not structure._poly_irreducible_finite(F2, poly(F2, [1, 0, 1, 0, 1]))
-    assert structure._poly_irreducible_finite(F4, [w, F4.one, F4.one])
-    assert not structure._poly_irreducible_finite(F4, [w, F4.zero, F4.one])
+    assert poly_irreducible(F3, poly(F3, [1, 0, 1]))
+    assert not poly_irreducible(F3, poly(F3, [-1, 0, 1]))
+    assert poly_irreducible(F2, poly(F2, [1, 1, 1]))
+    assert poly_irreducible(F2, poly(F2, [1, 1, 0, 1]))
+    assert not poly_irreducible(F2, poly(F2, [1, 0, 1, 0, 1]))
+    assert poly_irreducible(F4, (w, one, one))
+    assert not poly_irreducible(F4, (w, zero, one))
 
 
 # --- idempotents ----------------------------------------------------------------
