@@ -33,6 +33,7 @@ from .errors import (
     NotUnitError,
     SubgroupTooLarge,
     SupportNotInSubgroup,
+    certify,
 )
 from .fields import Scalar
 from .groups import finite_subgroup
@@ -245,7 +246,8 @@ class InversionResult:
 
 
 def _verified_unit(algebra, x, y, strategy, certificate):
-    assert x * y == algebra.one and y * x == algebra.one
+    certify(x * y == algebra.one and y * x == algebra.one,
+            "a verified inverse must be two-sided")
     return InversionResult("unit", y, strategy, certificate)
 
 
@@ -385,7 +387,8 @@ def invert_shifted_basis_unit(algebra, g, alpha):
     for i in range(n):
         geo = geo + algebra.basis_unit_power(g, i).scale(alpha ** (n - 1 - i))
     if alpha ** n == c:
-        assert geo and x * geo == algebra.zero
+        certify(geo and x * geo == algebra.zero,
+                "the geometric sum must be a nonzero annihilator")
         return InversionResult(
             "not-unit", None, "geometric-sum",
             f"alpha^{n} equals the power scalar, and the geometric sum is "

@@ -26,6 +26,8 @@ from .errors import (
     InfiniteOrder,
     InstanceFormatError,
     ZeroValue,
+    certify,
+    int_matrix,
 )
 
 
@@ -58,7 +60,7 @@ class Cocycle:
         if matrix is None:
             matrix = tuple(tuple(0 for _ in range(r)) for _ in range(r))
         else:
-            matrix = tuple(tuple(int(x) for x in row) for row in matrix)
+            matrix = int_matrix(matrix, "bilinear matrix")
             if len(matrix) != r or any(len(row) != r for row in matrix):
                 raise InstanceFormatError("bilinear matrix must be rank x rank")
             for i in range(r):
@@ -239,9 +241,9 @@ def validate_cocycle(group, cocycle, box_radius=3):
     checked = 0
     keys = list(tor.keys())
     for (c1, c2), (uw, vw, ww) in pairs.items():
-        # the degree-2 cancellation the reduction relies on, asserted
-        assert (bilin(uw, vw) + bilin(vec_add(uw, vw), ww)
-                - bilin(vw, ww) - bilin(uw, vec_add(vw, ww))) == 0
+        certify(bilin(uw, vw) + bilin(vec_add(uw, vw), ww)
+                - bilin(vw, ww) - bilin(uw, vec_add(vw, ww)) == 0,
+                "the bilinear part must cancel in the cocycle identity")
         shift1 = group._target_multiple(c1)
         shift2 = group._target_multiple(c2)
         for x in keys:
@@ -260,7 +262,9 @@ def validate_cocycle(group, cocycle, box_radius=3):
                         k = group.element(ww, z)
                         direct_lhs = cocycle(g, h) * cocycle(group.mul(g, h), k)
                         direct_rhs = cocycle(h, k) * cocycle(g, group.mul(h, k))
-                        assert direct_lhs != direct_rhs
+                        certify(direct_lhs != direct_rhs,
+                                "a counterexample must fail the cocycle "
+                                "identity when evaluated directly")
                         return ValidationResult(
                             False,
                             CounterexampleTriple(g, h, k, direct_lhs,
@@ -327,7 +331,7 @@ def coboundary(group, field, mu_torsion, mu_free=None):
             table[(ia, ib)] = mu[ia] * mu[ib] * mu[iab].inv()
     result = Cocycle(group, field, table)
     check = validate_cocycle(group, result, box_radius=1)
-    assert check.valid, "a coboundary must satisfy the cocycle identity"
+    certify(check.valid, "a coboundary must satisfy the cocycle identity")
     return result
 
 

@@ -4,6 +4,10 @@ Every structured failure the library can report deliberately, as opposed to a
 programming error, derives from FcunitsError.  The CLI maps these to exit
 code 1 (semantic rejection) while InstanceFormatError maps to exit code 2
 (unreadable or malformed input).
+
+Two checks shared by every module live here as well: `int_entries` and
+`int_matrix` reject input that is not made of real ints, and `certify`
+raises CertificateFailed when a certificate does not hold.
 """
 
 
@@ -13,6 +17,25 @@ class FcunitsError(Exception):
 
 class InstanceFormatError(FcunitsError):
     """Input JSON is missing keys, has wrong shapes, or wrong types."""
+
+
+def int_entries(values, what):
+    """values as a tuple of ints.  Anything else, bool included, is
+    rejected rather than truncated by int()."""
+    if not isinstance(values, (list, tuple)):
+        raise InstanceFormatError(f"{what} must be a list of ints, "
+                                  f"got {values!r}")
+    for x in values:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise InstanceFormatError(f"{what} must be ints, got {x!r}")
+    return tuple(values)
+
+
+def int_matrix(rows, what):
+    if not isinstance(rows, (list, tuple)):
+        raise InstanceFormatError(f"{what} must be a list of rows, "
+                                  f"got {rows!r}")
+    return tuple(int_entries(row, f"{what} entries") for row in rows)
 
 
 # --- scalars ---------------------------------------------------------------
@@ -122,7 +145,16 @@ class IdealNotNilpotent(FcunitsError):
 
 
 class CertificateFailed(FcunitsError):
-    """A structural result failed the check that certifies it."""
+    """A result failed the check that certifies it."""
+
+
+def certify(cond, what):
+    """Raise CertificateFailed(what) unless cond holds.
+
+    Certificates are checks the results rest on, so unlike `assert` they
+    also run under `python -O`."""
+    if not cond:
+        raise CertificateFailed(what)
 
 
 # --- fc analysis -------------------------------------------------------------

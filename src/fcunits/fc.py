@@ -58,6 +58,7 @@ from .errors import (
     NoSquareRoot,
     NotUnitError,
     SubgroupTooLarge,
+    certify,
 )
 from .fields import (
     Scalar,
@@ -686,7 +687,8 @@ def build_quotient_algebra(inst, a=None, seed=0,
         checks={"family_fit_offsets_checked": fit_checks,
                 "cocycle_identity_pairs": validation.checked_pairs,
                 "ideal_generator_square_zero": True})
-    assert not qc.project(ideal_generator)
+    certify(not qc.project(ideal_generator),
+            "the ideal generator must project to zero")
     qc.checks["projection_pairs_checked"] = \
         qc.check_projection_multiplicative(pairs, seed=seed)
     return qc

@@ -41,6 +41,7 @@ from .errors import (
     NonPrimeCharacteristic,
     ReducibleModulus,
     UnsupportedRationalDegree,
+    int_entries,
 )
 
 MAX_FIELD_SIZE = 1 << 16
@@ -383,7 +384,7 @@ class PrimeField(Field):
         return 1
 
     def _canonical(self, raw):
-        if not isinstance(raw, int):
+        if not isinstance(raw, int) or isinstance(raw, bool):
             raise InstanceFormatError(
                 f"GF({self.p}) scalar must be an integer, got {raw!r}")
         return raw % self.p
@@ -435,7 +436,7 @@ class ExtensionField(Field):
         if p ** k > MAX_FIELD_SIZE:
             raise InstanceFormatError(
                 f"field size {p}^{k} exceeds the cap {MAX_FIELD_SIZE}")
-        modulus = tuple(int(c) % p for c in modulus)
+        modulus = tuple(c % p for c in int_entries(modulus, "modulus"))
         if len(modulus) != k + 1:
             raise InstanceFormatError(
                 f"modulus for GF({p}^{k}) needs {k + 1} coefficients "
@@ -471,10 +472,11 @@ class ExtensionField(Field):
         return (1,) + (0,) * (self.k - 1)
 
     def _canonical(self, raw):
-        if isinstance(raw, int):
+        if isinstance(raw, int) and not isinstance(raw, bool):
             return (raw % self.p,) + (0,) * (self.k - 1)
         base = self.base
-        raw = poly_trim(base, [int(c) % self.p for c in raw])
+        raw = poly_trim(base, [c % self.p for c in int_entries(
+            raw, "extension field scalar coefficients")])
         if len(raw) > self.k:
             raw = poly_divmod(base, raw, self.modulus)[1]
         return raw + (0,) * (self.k - len(raw))
@@ -548,12 +550,9 @@ class RationalField(Field):
         return Fraction(1)
 
     def _canonical(self, raw):
-        if isinstance(raw, (int, Fraction)):
-            return Fraction(raw)
-        if isinstance(raw, str):
-            return self.value_from_json(raw)
-        raise InstanceFormatError(
-            f"rational scalar must be int, Fraction, or 'a/b', got {raw!r}")
+        if isinstance(raw, Fraction):
+            return raw
+        return self.value_from_json(raw)
 
     def from_int(self, n):
         return Scalar(self, Fraction(n))
@@ -581,7 +580,7 @@ class RationalField(Field):
         return f"{v.numerator}/{v.denominator}"
 
     def value_from_json(self, obj):
-        if isinstance(obj, int):
+        if isinstance(obj, int) and not isinstance(obj, bool):
             return Fraction(obj)
         if isinstance(obj, str):
             try:
@@ -629,12 +628,12 @@ def make_field(spec):
     if kind == "rationals":
         return rationals()
     if kind == "prime-power":
-        if "p" not in spec or not isinstance(spec["p"], int):
+        p, k = spec.get("p"), spec.get("k", 1)
+        if not isinstance(p, int) or isinstance(p, bool):
             raise InstanceFormatError("prime-power field spec needs int 'p'")
-        k = spec.get("k", 1)
-        if not isinstance(k, int) or k < 1:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise InstanceFormatError("field spec 'k' must be a positive int")
-        return gf(spec["p"], k, spec.get("modulus"))
+        return gf(p, k, spec.get("modulus"))
     raise InstanceFormatError(f"unknown field kind {kind!r}")
 
 

@@ -27,29 +27,12 @@ from .errors import (
     InfiniteOrder,
     InstanceFormatError,
     SubgroupTooLarge,
+    int_entries,
+    int_matrix,
 )
 from .snf import smith_normal_form
 
 MAX_TORSION = 64
-
-
-def _int_entries(values, what):
-    """values as a tuple of ints.  Anything else, bool included, is
-    rejected rather than truncated by int()."""
-    if not isinstance(values, (list, tuple)):
-        raise InstanceFormatError(f"{what} must be a list of ints, "
-                                  f"got {values!r}")
-    for x in values:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise InstanceFormatError(f"{what} must be ints, got {x!r}")
-    return tuple(values)
-
-
-def _int_matrix(rows, what):
-    if not isinstance(rows, (list, tuple)):
-        raise InstanceFormatError(f"{what} must be a list of rows, "
-                                  f"got {rows!r}")
-    return tuple(_int_entries(row, f"{what} entries") for row in rows)
 
 
 def _lcm(a, b):
@@ -105,7 +88,7 @@ class InvariantsTorsion:
     kind = "invariants"
 
     def __init__(self, invariants):
-        invariants = _int_entries(invariants, "torsion invariants")
+        invariants = int_entries(invariants, "torsion invariants")
         if any(d < 2 for d in invariants):
             raise GroupValidationError(
                 f"torsion invariants must all be >= 2, got {list(invariants)}")
@@ -180,7 +163,7 @@ class TableTorsion:
     kind = "table"
 
     def __init__(self, table):
-        table = _int_matrix(table, "Cayley table")
+        table = int_matrix(table, "Cayley table")
         n = len(table)
         if n == 0 or n > MAX_TORSION:
             raise GroupValidationError(
@@ -331,7 +314,7 @@ class Group:
             if torsion.kind != "invariants":
                 raise GroupValidationError(
                     "a central pairing requires abelian invariants torsion")
-            M = _int_matrix(pairing_matrix, "pairing matrix")
+            M = int_matrix(pairing_matrix, "pairing matrix")
             if len(M) != rank or any(len(row) != rank for row in M):
                 raise GroupValidationError("pairing matrix must be rank x rank")
             for i in range(rank):

@@ -35,27 +35,18 @@ from dataclasses import dataclass, field as dc_field
 
 from . import linalg
 from .errors import (
-    CertificateFailed,
     ConditionsNotMet,
     DimensionTooLarge,
     IdealNotNilpotent,
     NotCommutative,
     TooLargeToCount,
+    certify,
 )
 from .fields import Scalar, poly_irreducible, poly_roots
 
 RADICAL_NONCOMMUTATIVE_DIM_CAP = 32
 IDEMPOTENT_COUNT_CAP = 100_000
 SPLITTER_ATTEMPTS = 500
-
-
-def certify(cond, what):
-    """Raise CertificateFailed(what) unless cond holds.
-
-    Certificates are checks the results rest on, so unlike `assert` they
-    also run under `python -O`."""
-    if not cond:
-        raise CertificateFailed(what)
 
 
 class FDAlgebra:

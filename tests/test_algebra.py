@@ -1,7 +1,13 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
+from importlib import resources
 
 import pytest
 
+from fcunits import algebra
 from fcunits.algebra import (
     AlgebraElement,
     TwistedGroupAlgebra,
@@ -405,3 +411,29 @@ def test_element_json_round_trip():
         back = alg.element_from_json(x.to_json())
         assert back == x
     assert alg.element_from_json(alg.zero.to_json()) == alg.zero
+
+
+# --- certificates --------------------------------------------------------------------
+
+
+def test_inverse_certificate_survives_optimized_python(tmp_path):
+    """A wrong inverse handed to the two-sided check exits 1 under -O."""
+    script = tmp_path / "wrong_inverse.py"
+    script.write_text(
+        "import sys\n"
+        "from fcunits import algebra, cli\n"
+        "original = algebra._verified_unit\n"
+        "def wrong_inverse(alg, x, y, strategy, certificate):\n"
+        "    return original(alg, x, y + alg.one, strategy, certificate)\n"
+        "algebra._verified_unit = wrong_inverse\n"
+        "sys.exit(cli.main(['analyze', sys.argv[1], '--verdict']))\n",
+        encoding="utf-8")
+    instance = resources.files("fcunits") / "instances" \
+        / "c2_z_gf3_twisted.json"
+    src = str(pathlib.Path(algebra.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", str(script), str(instance)],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+    assert proc.returncode == 1, proc.stderr
+    assert "inverse must be two-sided" in proc.stderr

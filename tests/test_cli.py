@@ -219,6 +219,37 @@ def test_analyze_rejects_non_integer_group_data(bad, tmp_path, capsys):
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("bad", [2.5, "2", True])
+def test_analyze_rejects_non_integer_field_and_cocycle_data(bad, tmp_path,
+                                                            capsys):
+    gf4 = cli.bundled_instance("lemma3/c3_gf4")
+    gf3 = cli.bundled_instance("gf3_c2_twisted")
+    plane = {"kind": "central-extension", "rank": 2,
+             "torsion": {"invariants": [2]}}
+    cases = {
+        "modulus": {**gf4, "field": {**gf4["field"],
+                                     "modulus": [bad, 1, 1]}},
+        "degree": {**gf3, "field": {**gf3["field"], "k": bad}},
+        "extension-value": {**gf4, "cocycle": {
+            "torsion_table": {"(1,2)": [0, bad], "(2,1)": [0, 1],
+                              "(2,2)": [0, 1]}}},
+        "prime-value": {**gf3, "cocycle": {"torsion_table": {"(1,1)": bad}}},
+        "bilinear": {**gf3, "group": plane, "cocycle": {
+            "bilinear": {"zeta": 2, "matrix": [[0, bad], [0, 0]]}}},
+    }
+    if not isinstance(bad, str):        # "2" is a rational literal
+        cases["rational-value"] = {
+            **gf3, "field": {"kind": "rationals"},
+            "cocycle": {"torsion_table": {"(1,1)": bad}}}
+    for what, obj in cases.items():
+        path = tmp_path / f"{what}.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        rc, out, err = run(["analyze", str(path), "--verdict"], capsys)
+        assert rc == 2, what
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_analyze_validates_the_cocycle_once(monkeypatch, capsys):
     from fcunits import algebra, fc
 

@@ -87,6 +87,9 @@ def test_rejects_bad_shapes():
         Cocycle(H, F, {}, matrix=[[1, 0], [0, 0]])  # diagonal entry
     with pytest.raises(InstanceFormatError):
         Cocycle(H, F, {}, matrix=[[0, 0], [1, 0]])  # lower entry
+    for entry in (1.75, "1", True):
+        with pytest.raises(InstanceFormatError):
+            Cocycle(H, F, {}, matrix=[[0, entry], [0, 0]])
 
 
 def test_trivial_cocycle_is_valid_and_normalized():

@@ -51,6 +51,19 @@ def test_gf9_modulus_irreducible_by_exhaustion():
     assert x * x == field.scalar(-1)
 
 
+def test_non_integer_coefficients_rejected():
+    f4 = gf(2, 2, [1, 1, 1])
+    for modulus in ([1.9, 1, 1], ["1", True, 1], "111"):
+        with pytest.raises(InstanceFormatError):
+            gf(2, 2, modulus)
+    for field, raw in ((f4, [0.5, 1.7]), (f4, (True, 0)), (f4, True),
+                       (gf(3), True), (rationals(), True)):
+        with pytest.raises(InstanceFormatError):
+            field.scalar(raw)
+    with pytest.raises(InstanceFormatError):
+        make_field({"kind": "prime-power", "p": 3, "k": True})
+
+
 def test_field_size_caps():
     with pytest.raises(InstanceFormatError):
         gf(2, 17, [1] * 18)
