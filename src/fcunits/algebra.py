@@ -398,15 +398,6 @@ def invert_shifted_basis_unit(algebra, g, alpha):
                           "geometric sum against the power scalar")
 
 
-def unit_conjugate(algebra, x, u, u_inv=None):
-    if u_inv is None:
-        res = try_invert(algebra, u)
-        if not res.is_unit:
-            raise NotUnitError(f"cannot conjugate by a non-unit: {res.certificate}")
-        u_inv = res.inverse
-    return u_inv * x * u
-
-
 def unit_commutator(algebra, x, y, x_inv=None, y_inv=None):
     if x_inv is None:
         res = try_invert(algebra, x)

@@ -128,11 +128,14 @@ def _oracle_section(raw, inst, seed):
         checks[key] = {"oracle": oracle_value, "structural": expected}
         return expected
 
-    radical = against("radical_dimension", rep.radical_dimension,
-                      lambda: len(jacobson_radical(S.fd).basis))
-    against("idempotent_count", rep.idempotent_count,
-            lambda: count_idempotents(S.fd, seed=seed))
     decomposition = fields_decomposition(S.fd, seed=seed)
+    prims = decomposition.primitives
+    radical = against("radical_dimension", rep.radical_dimension,
+                      lambda: len((decomposition.radical if prims is not None
+                                   else jacobson_radical(S.fd)).basis))
+    against("idempotent_count", rep.idempotent_count,
+            lambda: 2 ** len(prims) if prims is not None
+            else count_idempotents(S.fd, seed=seed))
     if decomposition.is_sum_of_fields and radical is not None:
         against("unit_count", rep.unit_count,
                 lambda: predicted_unit_count(

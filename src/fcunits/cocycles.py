@@ -378,9 +378,6 @@ class ScalarOrbit:
     cardinality: int
     truncated: bool
 
-    def sorted_values(self):
-        return sorted(self.values, key=lambda s: s.sort_key())
-
 
 def condition4_set(cocycle, g, prufer_level=None):
     group = cocycle.group

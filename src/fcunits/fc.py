@@ -290,16 +290,6 @@ def _decomposition_summary(report):
 # --- necessary screens -----------------------------------------------------------
 
 
-@dataclass
-class Violation:
-    condition: str
-    witness: object
-    note: str = ""
-
-    def to_report(self):
-        return ConditionReport(self.condition, False, self.witness, self.note)
-
-
 def _torsion_commutativity_witness(inst):
     """None, or a witness that the torsion subalgebra is noncommutative."""
     group, cocycle = inst.group, inst.cocycle
@@ -308,8 +298,8 @@ def _torsion_commutativity_witness(inst):
         for a in tor.keys():
             for b in tor.keys():
                 if tor.mul_key(a, b) != tor.mul_key(b, a):
-                    return Violation(
-                        "L4.torsion-commutative",
+                    return ConditionReport(
+                        "L4.torsion-commutative", False,
                         {"pair": [group.element(t=a), group.element(t=b)]},
                         "t(G) is nonabelian")
         raise AssertionError("nonabelian table without a witness pair")
@@ -318,8 +308,8 @@ def _torsion_commutativity_witness(inst):
         for h2 in torsion:
             v12, v21 = cocycle(h1, h2), cocycle(h2, h1)
             if v12 != v21:
-                return Violation(
-                    "L4.torsion-commutative",
+                return ConditionReport(
+                    "L4.torsion-commutative", False,
                     {"pair": [h1, h2], "values": [v12, v21]},
                     "the cocycle is asymmetric on a torsion pair, so the "
                     "torsion subalgebra is noncommutative")
@@ -327,7 +317,8 @@ def _torsion_commutativity_witness(inst):
 
 
 def necessary_conditions(inst):
-    """Violations of the screens every FC unit group must clear.
+    """Violations of the screens every FC unit group must clear, as failed
+    ConditionReports.
 
     The screens assume the ambient algebra is infinite.  Each violation
     carries a witness; an empty list means the instance survives to the
@@ -355,8 +346,8 @@ def necessary_conditions(inst):
                 e = S.to_ambient(vec)
                 ok, g = algebra.is_central(e)
                 if not ok:
-                    violations.append(Violation(
-                        "L5.idempotents-central",
+                    violations.append(ConditionReport(
+                        "L5.idempotents-central", False,
                         {"idempotent": e, "conjugator": g},
                         "a primitive idempotent of the torsion subalgebra "
                         "moves under conjugation"))
@@ -365,8 +356,8 @@ def necessary_conditions(inst):
         if not group.torsion_is_central():
             bad = next(h for h in group.torsion_elements(prufer_level=0)
                        if not group.center_contains(h))
-            violations.append(Violation(
-                "L6.torsion-central", {"element": bad},
+            violations.append(ConditionReport(
+                "L6.torsion-central", False, {"element": bad},
                 "a torsion element is noncentral while K is infinite"))
         else:
             torsion = group.torsion_elements(prufer_level=0)
@@ -374,8 +365,8 @@ def necessary_conditions(inst):
                 hit = next((h for h in torsion
                             if inst.cocycle(g, h) != inst.cocycle(h, g)), None)
                 if hit is not None:
-                    violations.append(Violation(
-                        "L6.torsion-central",
+                    violations.append(ConditionReport(
+                        "L6.torsion-central", False,
                         {"pair": [g, hit],
                          "values": [inst.cocycle(g, hit),
                                     inst.cocycle(hit, g)]},
@@ -725,7 +716,7 @@ def check_theorem4(inst, seed=0):
 
     if commutative:
         fail = None
-        for vec in primitive_idempotents(fd, seed=seed):
+        for vec in report.primitives:
             e = S.to_ambient(vec)
             ok, g = algebra.is_central(e)
             if not ok:
@@ -1212,7 +1203,7 @@ def verdict(inst, seed=0):
     violations = necessary_conditions(inst)
     if violations:
         out = Verdict("NotFC", "necessary-only",
-                      [v.to_report() for v in violations], base_notes,
+                      violations, base_notes,
                       {"orbits": None, "decompositions": None})
     else:
         p = field.characteristic
@@ -1259,21 +1250,22 @@ def structure_report(inst, level=None, seed=0):
     out = {"torsion_dimension": fd.dim}
     if group.prufer is not None:
         out["prufer_level"] = lvl
+    report = fields_decomposition(fd, seed=seed)
+    commutative = report.primitives is not None
     try:
-        rad = jacobson_radical(fd)
+        rad = report.radical if commutative else jacobson_radical(fd)
         out["radical"] = {"dimension": len(rad.basis),
                           "method": rad.method,
                           "nilpotency_index": rad.nilpotency_index}
     except DimensionTooLarge as exc:
         out["radical"] = {"status": "dimension-too-large", "detail": str(exc)}
-    try:
-        out["idempotent_count"] = count_idempotents(fd, seed=seed)
-    except TooLargeToCount:
-        out["idempotent_count"] = "above-cap"
-    commutative, _ = fd.is_commutative()
     if commutative:
-        out["primitive_idempotents"] = len(primitive_idempotents(fd,
-                                                                 seed=seed))
-    report = fields_decomposition(fd, seed=seed)
+        out["idempotent_count"] = 2 ** len(report.primitives)
+        out["primitive_idempotents"] = len(report.primitives)
+    else:
+        try:
+            out["idempotent_count"] = count_idempotents(fd, seed=seed)
+        except TooLargeToCount:
+            out["idempotent_count"] = "above-cap"
     out["decomposition"] = _decomposition_summary(report)
     return _jsonify(out)

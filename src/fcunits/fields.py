@@ -720,15 +720,3 @@ def multiplicative_generator(field):
         if x and multiplicative_order(x) == n:
             return x
     raise AssertionError("finite field without a multiplicative generator")
-
-
-def discrete_log_table(base):
-    """Map value -> exponent for powers of a scalar; exhaustive and exact."""
-    table = {}
-    field = base.field
-    acc = field.one
-    order = multiplicative_order(base)
-    for e in range(order):
-        table[acc] = e
-        acc = acc * base
-    return table

@@ -134,13 +134,6 @@ class InvariantsTorsion:
     def index(self, key):
         return sum(c * w for c, w in zip(key, self._weights))
 
-    def key_at(self, i):
-        out = []
-        for w in self._weights:
-            out.append(i // w)
-            i %= w
-        return tuple(out)
-
     def key_to_json(self, key):
         return list(key)
 
@@ -228,9 +221,6 @@ class TableTorsion:
 
     def index(self, key):
         return key
-
-    def key_at(self, i):
-        return i
 
     def key_to_json(self, key):
         return key
@@ -328,7 +318,7 @@ class Group:
             self.pairing_matrix = None
             self.pairing_target = None
         if prufer is not None:
-            q, levels = prufer
+            q, levels = int_entries(prufer, "Pruefer q and levels")
             if torsion.kind != "invariants":
                 raise GroupValidationError(
                     "a Pruefer component requires abelian torsion")
@@ -505,14 +495,6 @@ class Group:
             for num in range(den):
                 out.append(self._el(e.u, e.t, Fraction(num, den)))
         return out
-
-    def torsion_index(self, el):
-        """Index of the finite-torsion coordinate; keys cocycle tables."""
-        self._check(el)
-        return self.torsion.index(el.t)
-
-    def torsion_size(self):
-        return self.torsion.size
 
     def generators(self, prufer_level=None):
         """Canonical labeled generators: free, then torsion, then Pruefer."""
@@ -918,8 +900,8 @@ def make_group(obj):
         return Group(0, TableTorsion(obj["table"]), json_kind="cayley")
     if kind != "central-extension":
         raise InstanceFormatError(f"unknown group kind {kind!r}")
-    rank = obj.get("rank")
-    if not isinstance(rank, int) or rank < 0:
+    (rank,) = int_entries([obj.get("rank")], "central-extension 'rank'")
+    if rank < 0:
         raise InstanceFormatError("central-extension needs int 'rank' >= 0")
     tor_spec = obj.get("torsion")
     if not isinstance(tor_spec, dict):
@@ -938,12 +920,13 @@ def make_group(obj):
             raise InstanceFormatError("pairing needs a 'matrix'")
         matrix = pairing["matrix"]
         if "target_index" in pairing:
-            idx = pairing["target_index"]
+            (idx,) = int_entries([pairing["target_index"]],
+                                 "pairing target_index")
             if torsion.kind != "invariants":
                 raise GroupValidationError(
                     "pairing requires abelian invariants torsion")
             m = len(torsion.invariants)
-            if not isinstance(idx, int) or not 0 <= idx < m:
+            if not 0 <= idx < m:
                 raise InstanceFormatError(
                     f"pairing target_index {idx!r} out of range")
             target = tuple(1 if i == idx else 0 for i in range(m))

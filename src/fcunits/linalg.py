@@ -4,12 +4,13 @@ Matrices are lists of rows of Scalars from a single field.  Dimensions are
 capped upstream (subalgebras stay at 64 basis elements or fewer), so plain
 Gaussian elimination with first-nonzero pivoting is all we need.
 
-`SpanBasis`, the incremental elimination every structure computation runs
-through, takes and returns Scalar vectors too, but keeps its echelon rows
-and coordinate combinations as raw field values and eliminates with the
-field's raw operations (see `fields`), reducing each coordinate once per
-elimination.  The whole-matrix routines (`rref`, `kernel_basis`, ...) stay
-on Scalars.
+`SpanBasis` is the one Gaussian elimination: it takes and returns Scalar
+vectors, but keeps its echelon rows and coordinate combinations as raw
+field values and eliminates with the field's raw operations (see
+`fields`), reducing each coordinate once per elimination.  `rref` reads
+the reduced echelon form off a `SpanBasis` of the rows, and the
+whole-matrix routines (`rank`, `solve`, `kernel_basis`, `invert`) read
+their answers off `rref`.
 """
 
 from __future__ import annotations
@@ -51,31 +52,19 @@ def mat_mul(field, a, b):
 
 
 def rref(field, rows):
-    """Reduced row echelon form; returns (new rows, pivot column list)."""
-    R = [list(r) for r in rows]
-    pivots = []
-    lead = 0
-    ncols = len(R[0]) if R else 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(lead, len(R)):
-            if R[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        R[lead], R[pivot_row] = R[pivot_row], R[lead]
-        inv = R[lead][col].inv()
-        R[lead] = [x * inv for x in R[lead]]
-        for i in range(len(R)):
-            if i != lead and R[i][col]:
-                c = R[i][col]
-                R[i] = [x - c * y for x, y in zip(R[i], R[lead])]
-        pivots.append(col)
-        lead += 1
-        if lead == len(R):
-            break
-    return R, pivots
+    """Reduced row echelon form; returns (new rows, pivot column list).
+
+    The rows of a `SpanBasis` of the row space, sorted by leading column,
+    are the unique reduced echelon form; zero rows pad it to the input's
+    row count."""
+    ncols = len(rows[0]) if rows else 0
+    S = SpanBasis(field, ncols)
+    for row in rows:
+        S.add(row)
+    echelon = sorted(zip(S._leads, S._rows))
+    R = [[Scalar(field, x) for x in row] for _, row in echelon]
+    R += [[field.zero] * ncols for _ in range(len(rows) - len(R))]
+    return R, [lead for lead, _ in echelon]
 
 
 def rank(field, rows):

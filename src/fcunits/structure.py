@@ -5,7 +5,8 @@ structural question this module answers (radical, semisimplicity, primitive
 idempotents, sum-of-fields certificates) is asked of a finite-dimensional
 algebra: the span of the basis units of a finite subgroup, or a quotient or
 corner of one.  Those are carried around as `FDAlgebra` objects, plain
-structure-constant algebras over one of the scalar fields.
+structure-constant algebras over one of the scalar fields; quotients and
+corners are both built as a `Subquotient`.
 
 Radical computation picks its method by field and shape:
 
@@ -21,17 +22,22 @@ Radical computation picks its method by field and shape:
 
 Whatever the method, the result is certified before being returned: the
 span is checked to be a two-sided ideal, nilpotent by explicit powering,
-missing the identity, and the quotient algebra is checked to have zero
-radical by a rerun on the quotient.  Certificates are checked by `certify`,
-which raises CertificateFailed and, unlike `assert`, also runs under
-`python -O`.
+missing the identity, and the quotient algebra (the algebra itself when
+the span is empty) is checked to have zero radical by a rerun on it.
+Certificates are checked by `certify`, which raises CertificateFailed and,
+unlike `assert`, also runs under `python -O`.
+
+Each structural fact of a commutative algebra has one path:
+`fields_decomposition` certifies the radical and the primitive idempotents
+once and returns them in its report, which is where report builders read
+the radical, the primitive count and the idempotent count from.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import linalg
 from .errors import (
@@ -188,10 +194,6 @@ class FDAlgebra:
                     return False, (self.labels[i], self.labels[j])
         return True, None
 
-    def element_repr(self, vec):
-        bits = [f"{c.value!r}*{lbl}" for c, lbl in zip(vec, self.labels) if c]
-        return " + ".join(bits) if bits else "0"
-
 
 def subalgebra_from_units(algebra, subgroup):
     """The span of the basis units of a finite subgroup, as an FDAlgebra
@@ -283,85 +285,63 @@ def ideal_nilpotency_index(fd, span):
 # --- quotients and corners ---------------------------------------------------
 
 
-@dataclass
-class QuotientAlgebra:
-    fd: FDAlgebra
-    ideal_basis: list
-    reps: list                     # lifts of the quotient basis, parent vecs
-    _span: object = dc_field(default=None, repr=False)
+def linear_combination(fd, coeffs, vectors):
+    """sum_i coeffs[i] * vectors[i], a vector of fd."""
+    out = fd.zero_vec()
+    for c, v in zip(coeffs, vectors):
+        if c:
+            out = [a + c * x for a, x in zip(out, v)]
+    return out
+
+
+class Subquotient:
+    """The algebra spanned by parent vectors modulo a two-sided ideal.
+
+    The ideal's spanning vectors are reduced first; every candidate vector
+    not in the span so far becomes a basis vector, and `fd` multiplies by
+    projecting parent products onto that basis.  A quotient A / I takes the
+    parent's basis as candidates; a corner e A e has no ideal and takes the
+    vectors e b e.  `project` gives the coordinates of a parent vector of
+    the span modulo the ideal; `lift` (alias `embed`) maps back.
+    """
+
+    def __init__(self, parent, ideal_span, candidates, one):
+        self.parent = parent
+        S = self._span = linalg.SpanBasis(parent.field, parent.dim)
+        self.ideal_basis = [list(v) for v in ideal_span if S.add(v)]
+        self.basis = [v for v in candidates if S.add(v)]
+        table = {}
+        for i, bi in enumerate(self.basis):
+            for j, bj in enumerate(self.basis):
+                prod = self.project(parent.mul(bi, bj))
+                cell = {k: c for k, c in enumerate(prod) if c}
+                if cell:
+                    table[(i, j)] = cell
+        self.fd = FDAlgebra(parent.field, len(self.basis), table,
+                            self.project(one))
 
     def project(self, vec):
         coords = self._span.coordinates(vec)
-        certify(coords is not None, "ideal plus representatives must span")
+        certify(coords is not None,
+                "vector outside the span of the ideal and the basis")
         return coords[len(self.ideal_basis):]
 
-    def lift(self, qvec):
-        out = None
-        for c, rep in zip(qvec, self.reps):
-            term = [c * x for x in rep]
-            out = term if out is None else [a + t for a, t in zip(out, term)]
-        if out is None:
-            out = [self.fd.field.zero] * len(self.ideal_basis[0])
-        return out
+    def lift(self, vec):
+        return linear_combination(self.parent, vec, self.basis)
+
+    embed = lift
 
 
 def quotient_algebra(fd, ideal_span):
     """A / I for a two-sided ideal given by a spanning list."""
-    S = linalg.SpanBasis(fd.field, fd.dim)
-    ideal_basis = [list(v) for v in ideal_span if S.add(v)]
-    reps = [fd.basis_vec(i) for i in range(fd.dim) if S.add(fd.basis_vec(i))]
-    holder = QuotientAlgebra(None, ideal_basis, reps, S)
-    table = {}
-    for i, ri in enumerate(reps):
-        for j, rj in enumerate(reps):
-            prod = holder.project(fd.mul(ri, rj))
-            cell = {k: c for k, c in enumerate(prod) if c}
-            if cell:
-                table[(i, j)] = cell
-    holder.fd = FDAlgebra(fd.field, len(reps), table, holder.project(fd.one))
-    return holder
-
-
-@dataclass
-class CornerAlgebra:
-    fd: FDAlgebra
-    basis: list                    # corner basis as parent vectors
-    idempotent: list
-    _span: object = dc_field(default=None, repr=False)
-
-    def embed(self, cvec):
-        out = None
-        for c, b in zip(cvec, self.basis):
-            term = [c * x for x in b]
-            out = term if out is None else [a + t for a, t in zip(out, term)]
-        certify(out is not None, "the corner has an empty basis")
-        return out
-
-    def restrict(self, vec):
-        return self._span.coordinates(vec)
+    return Subquotient(fd, ideal_span,
+                       (fd.basis_vec(i) for i in range(fd.dim)), fd.one)
 
 
 def corner_algebra(fd, e):
     """The corner e A e with identity e."""
-    S = linalg.SpanBasis(fd.field, fd.dim)
-    basis = []
-    for i in range(fd.dim):
-        v = fd.mul(e, fd.mul(fd.basis_vec(i), e))
-        if S.add(v):
-            basis.append(v)
-    corner = CornerAlgebra(None, basis, e, S)
-    table = {}
-    for i, bi in enumerate(basis):
-        for j, bj in enumerate(basis):
-            coords = S.coordinates(fd.mul(bi, bj))
-            certify(coords is not None, "corner must be closed under products")
-            cell = {k: c for k, c in enumerate(coords) if c}
-            if cell:
-                table[(i, j)] = cell
-    one = S.coordinates(e)
-    certify(one is not None, "the corner must contain its idempotent")
-    corner.fd = FDAlgebra(fd.field, len(basis), table, one)
-    return corner
+    return Subquotient(fd, [], (fd.mul(e, fd.mul(fd.basis_vec(i), e))
+                                for i in range(fd.dim)), e)
 
 
 # --- minimal and characteristic polynomials ----------------------------------
@@ -468,13 +448,18 @@ def _semilinear_kernel(field, images, twist_power):
     return _frobenius_pullback(field, etas, twist_power)
 
 
-def _radical_char0(fd):
+def _trace_form_kernel(fd):
+    """The kernel of the trace form (x, y) -> Tr(L_{xy})."""
     rows = []
     for i in range(fd.dim):
         bi = fd.basis_vec(i)
         rows.append([fd.trace_of_left_mult(fd.mul(bi, fd.basis_vec(j)))
                      for j in range(fd.dim)])
-    return linalg.kernel_basis(fd.field, rows, fd.dim), "trace-form"
+    return linalg.kernel_basis(fd.field, rows, fd.dim)
+
+
+def _radical_char0(fd):
+    return _trace_form_kernel(fd), "trace-form"
 
 
 def _radical_commutative_char_p(fd):
@@ -495,12 +480,7 @@ def _radical_noncommutative_char_p(fd):
             f"noncommutative radical capped at dimension "
             f"{RADICAL_NONCOMMUTATIVE_DIM_CAP}, got {fd.dim}")
     p = fd.field.characteristic
-    rows = []
-    for i in range(fd.dim):
-        bi = fd.basis_vec(i)
-        rows.append([fd.trace_of_left_mult(fd.mul(bi, fd.basis_vec(j)))
-                     for j in range(fd.dim)])
-    chain = linalg.kernel_basis(fd.field, rows, fd.dim)
+    chain = _trace_form_kernel(fd)
     i = 1
     while p ** i <= fd.dim and chain:
         col = fd.dim - p ** i
@@ -511,15 +491,8 @@ def _radical_noncommutative_char_p(fd):
                 M = fd.left_mult_matrix(fd.mul(x, y))
                 vals.append(characteristic_polynomial(fd.field, M)[col])
             images.append(vals)
-        combos = _semilinear_kernel(fd.field, images, i)
-        new_chain = []
-        for xi in combos:
-            vec = fd.zero_vec()
-            for c, base in zip(xi, chain):
-                if c:
-                    vec = [a + c * b for a, b in zip(vec, base)]
-            new_chain.append(vec)
-        chain = new_chain
+        chain = [linear_combination(fd, xi, chain)
+                 for xi in _semilinear_kernel(fd.field, images, i)]
         i += 1
     return chain, "coefficient-chain"
 
@@ -549,10 +522,10 @@ def jacobson_radical(fd):
     index = ideal_nilpotency_index(fd, basis)
     certify(not S.contains(fd.one),
             "radical candidate contains the identity")
-    if basis:
-        Q = quotient_algebra(fd, basis)
-        qraw, _ = _radical_raw(Q.fd)
-        certify(not qraw, "quotient still has a radical; candidate too small")
+    # the quotient by an empty candidate is fd itself
+    qfd = quotient_algebra(fd, basis).fd if basis else fd
+    qraw, _ = _radical_raw(qfd)
+    certify(not qraw, "quotient still has a radical; candidate too small")
     certificate = {
         "two_sided_ideal": True,
         "nilpotency_index": index,
@@ -748,6 +721,8 @@ class DecompositionReport:
     reason: str
     witness: object
     components: list
+    radical: RadicalResult = None      # None when noncommutative
+    primitives: list = None            # None when noncommutative
 
     def component_count(self):
         return len(self.components)
@@ -774,17 +749,24 @@ def _field_certificate(corner, rng):
 
 def fields_decomposition(fd, seed=0):
     """Decide whether the algebra is a finite direct sum of fields, with a
-    certificate either way."""
+    certificate either way.
+
+    A commutative algebra's report also carries the certified radical and
+    primitive idempotents the decision rests on, so callers that need them
+    read them here instead of computing them again; 2^len(primitives) is
+    its idempotent count.  Both are None for a noncommutative algebra.
+    """
     comm, witness = fd.is_commutative()
     if not comm:
         return DecompositionReport(False, "noncommutative", witness, [])
     rad = jacobson_radical(fd)
+    prims = primitive_idempotents(fd, seed)
     if rad.basis:
         return DecompositionReport(False, "nonzero radical",
-                                   rad.basis[0], [])
+                                   rad.basis[0], [], rad, prims)
     rng = random.Random(seed)
     components = []
-    for e in primitive_idempotents(fd, seed):
+    for e in prims:
         corner = corner_algebra(fd, e)
         gen, m = _field_certificate(corner, rng)
         if fd.field.is_finite():
@@ -793,7 +775,7 @@ def fields_decomposition(fd, seed=0):
             desc = f"degree-{corner.fd.dim} extension of Q"
         components.append(FieldComponent(
             corner.fd.dim, desc, corner.embed(gen), m, e))
-    return DecompositionReport(True, "", None, components)
+    return DecompositionReport(True, "", None, components, rad, prims)
 
 
 # --- idempotent lifting ----------------------------------------------------------

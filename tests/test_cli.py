@@ -207,7 +207,19 @@ def test_analyze_rejects_non_integer_group_data(bad, tmp_path, capsys):
              "pairing": {"kind": "central-extension", "rank": 2,
                          "torsion": {"invariants": [2]},
                          "pairing": {"target_index": 0,
-                                     "matrix": [[0, bad], [0, 0]]}}}
+                                     "matrix": [[0, bad], [0, 0]]}},
+             "rank": {"kind": "central-extension", "rank": bad,
+                      "torsion": {"invariants": [2]}},
+             "target_index": {"kind": "central-extension", "rank": 2,
+                              "torsion": {"invariants": [2]},
+                              "pairing": {"target_index": bad,
+                                          "matrix": [[0, 1], [0, 0]]}},
+             "prufer_q": {"kind": "central-extension", "rank": 1,
+                          "torsion": {"invariants": []},
+                          "prufer": {"q": bad, "levels": 2}},
+             "prufer_levels": {"kind": "central-extension", "rank": 1,
+                               "torsion": {"invariants": []},
+                               "prufer": {"q": 2, "levels": bad}}}
     for what, group in cases.items():
         path = tmp_path / f"{what}.json"
         path.write_text(json.dumps({**raw, "group": group,

@@ -585,6 +585,23 @@ def test_structure_report_shapes():
     assert rep2["primitive_idempotents"] == 4
 
 
+def test_structure_report_certifies_each_fact_once(monkeypatch):
+    from fcunits import cli, structure
+
+    calls = {"primitive_idempotents": 0, "jacobson_radical": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(structure, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(structure, name, counted)
+        if hasattr(fc, name):
+            monkeypatch.setattr(fc, name, counted)
+    rep = fc.structure_report(mk(cli.bundled_instance("lemma3/c4_gf25")))
+    assert rep["primitive_idempotents"] == 4
+    assert calls == {"primitive_idempotents": 1, "jacobson_radical": 1}
+
+
 def test_verdict_json_is_deterministic():
     inst = heisenberg({"kind": "prime-power", "p": 2})
     a = json.dumps(fc.verdict(inst).to_json(), sort_keys=True)

@@ -2,12 +2,14 @@
 against the implementations it replaced.
 
 The reference functions below are the plain Scalar implementations the
-kernel replaced: the product loop over the structure table and the
-Scalar echelon reduction.  Every kernel result must equal the reference
-and consist of Scalars of the algebra's field with canonical values.
-The algebras are twisted group algebras of finite groups with random
-coboundary cocycles and bundled twisted cocycles, over GF(p), GF(p^k)
-and Q, together with quotients and corners built from them.
+kernel replaced: the product loop over the structure table, the Scalar
+echelon reduction and the Scalar whole-matrix elimination behind `rref`.
+Every kernel result must equal the reference and consist of Scalars of
+the algebra's field with canonical values.  The algebras are twisted
+group algebras of finite groups with random coboundary cocycles and
+bundled twisted cocycles, over GF(p), GF(p^k) and Q, together with
+quotients and corners built from them; the matrices are random, over
+GF(2), GF(7), GF(4), GF(9) and Q.
 
 The polynomial layer of `fields` is checked against the GF(p) tuple
 helpers that extension-field arithmetic used before it, against trial
@@ -133,6 +135,58 @@ class RefSpanBasis:
         self.leads.append(lead)
         self.combos.append(combo)
         return True
+
+
+def ref_rref(field, rows):
+    R = [list(r) for r in rows]
+    pivots = []
+    lead = 0
+    ncols = len(R[0]) if R else 0
+    for col in range(ncols):
+        pivot_row = None
+        for i in range(lead, len(R)):
+            if R[i][col]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        R[lead], R[pivot_row] = R[pivot_row], R[lead]
+        inv = R[lead][col].inv()
+        R[lead] = [x * inv for x in R[lead]]
+        for i in range(len(R)):
+            if i != lead and R[i][col]:
+                c = R[i][col]
+                R[i] = [x - c * y for x, y in zip(R[i], R[lead])]
+        pivots.append(col)
+        lead += 1
+        if lead == len(R):
+            break
+    return R, pivots
+
+
+def ref_kernel_basis(field, rows, ncols):
+    R, pivots = ref_rref(field, rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [field.zero] * ncols
+        vec[free] = field.one
+        for i, col in enumerate(pivots):
+            vec[col] = -R[i][free]
+        basis.append(vec)
+    return basis
+
+
+def ref_solve(field, rows, rhs):
+    n = len(rows[0]) if rows else 0
+    R, pivots = ref_rref(field, [list(r) + [b] for r, b in zip(rows, rhs)])
+    if n in pivots:
+        return None
+    x = [field.zero] * n
+    for i, col in enumerate(pivots):
+        x[col] = R[i][n]
+    return x
 
 
 def ref_count_idempotents(fd):
@@ -295,6 +349,36 @@ def test_span_basis_matches_the_scalar_reduction(data):
         if coords is not None:
             assert_canonical(field, coords)
     assert S.contains(inside)
+
+
+# --- whole-matrix routines ----------------------------------------------------------
+
+MATRIX_FIELDS = [gf(2), gf(7), GF4, GF9, Q]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_rref_kernel_and_solve_match_the_scalar_elimination(data):
+    F = data.draw(st.sampled_from(MATRIX_FIELDS))
+    ncols = data.draw(st.integers(0, 7))
+    entry = st.one_of(st.just(F.raw_zero), raw_values(F)).map(F.scalar)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    # zero rows, wide, square and tall shapes, and the empty matrix
+    rows = data.draw(st.lists(st.one_of(st.just([F.zero] * ncols), row),
+                              max_size=7))
+    R, pivots = linalg.rref(F, rows)
+    assert (R, pivots) == ref_rref(F, rows)
+    for r in R:
+        assert_canonical(F, r)
+    kernel = linalg.kernel_basis(F, rows, ncols)
+    assert kernel == ref_kernel_basis(F, rows, ncols)
+    for v in kernel:
+        assert_canonical(F, v)
+    rhs = data.draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    x = linalg.solve(F, rows, rhs)
+    assert x == ref_solve(F, rows, rhs)
+    if x is not None:
+        assert_canonical(F, x)
 
 
 # --- polynomial layer ---------------------------------------------------------------

@@ -564,6 +564,16 @@ def test_undersized_radical_candidate_fails_its_certificate(monkeypatch):
         jacobson_radical(fd)
 
 
+def test_empty_radical_candidate_fails_its_certificate(monkeypatch):
+    # GF(2)[C2] has radical span(1 + u), which squares to zero, so the
+    # undersized candidate is empty
+    fd = group_algebra_fd(cayley(cyclic_table(2)), gf(2)).fd
+    assert len(jacobson_radical(fd).basis) == 1
+    _undersized_radical(monkeypatch)
+    with pytest.raises(CertificateFailed, match="candidate too small"):
+        jacobson_radical(fd)
+
+
 def test_certificates_survive_optimized_python(tmp_path):
     script = tmp_path / "undersized.py"
     script.write_text(
