@@ -13,14 +13,22 @@ and applies `reduce` once to each value it hands back, which makes that
 value canonical again.  Over GF(p) the four are plain int operations and
 `reduce` is the one `% p`, so a long sum of products is reduced once;
 over GF(p^k) and Q they are exact and `reduce` is the identity.
-`raw_inv`, and any test against `raw_zero`, take canonical values.
+`raw_inv`, any test against `raw_zero`, and `raw_mul` over GF(p^k) take
+canonical values.
 
 Polynomials over a field are tuples of its canonical raw values, constant
 coefficient first, trailing zeros stripped.  The `poly_*` routines compute
 on them with the raw ops and one `reduce` per output coefficient, for every
 field alike.  GF(p^k) is built on them over GF(p): an element is the
 zero-padded k-tuple of its residue modulo a monic modulus, which
-`poly_irreducible` (Rabin's test) checks.
+`poly_irreducible` (Rabin's test) checks.  Addition is coordinatewise.
+Multiplication and inversion read discrete-logarithm tables (K. Huber,
+"Some comments on Zech's logarithms", IEEE Trans. IT 36, 1990): on first
+use a field walks the powers of a generator g of its multiplicative group
+once on the polynomial layer, certifies the walk, and from then on a
+product is exp[log a + log b] and an inverse exp[(q - 1) - log a].  Values
+stay coefficient tuples, so element order, sort keys and JSON do not
+depend on the tables.
 
 Finite fields are capped at 2^16 elements and extension degree 8, which
 keeps every exhaustive search (root finding, discrete logs, unit scans)
@@ -41,6 +49,7 @@ from .errors import (
     NonPrimeCharacteristic,
     ReducibleModulus,
     UnsupportedRationalDegree,
+    certify,
     int_entries,
 )
 
@@ -59,6 +68,21 @@ def is_prime(n):
             return False
         f += 2
     return True
+
+
+def prime_factors(n):
+    """The distinct primes dividing n >= 1, in increasing order."""
+    primes = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            primes.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
 # --- polynomials on raw values ------------------------------------------------
@@ -114,23 +138,6 @@ def poly_divmod(F, a, b):
             for i in range(db):
                 r[shift + i] = sub(r[shift + i], mul(c, b[i]))
     return tuple(q), poly_trim(F, list(map(reduce, r[:db])))
-
-
-def poly_inv_mod(F, a, m):
-    """The inverse of a modulo m, of degree below deg m.
-
-    Half of the extended Euclidean algorithm: only the cofactor of a is
-    carried, since s * a = r (mod m) is all an inverse needs."""
-    r0, r1 = m, poly_divmod(F, a, m)[1]
-    s0, s1 = (), (F.raw_one,)
-    while len(r1) > 1:
-        q, r = poly_divmod(F, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(F, s0, poly_mul(F, q, s1))
-    if not r1:
-        raise DivisionByZero("polynomial shares a factor with the modulus")
-    c = F.raw_inv(r1[0])
-    return tuple(F.reduce(F.raw_mul(x, c)) for x in s1)
 
 
 def poly_powmod(F, a, n, m):
@@ -454,6 +461,8 @@ class ExtensionField(Field):
         self.degree = k
         self.modulus = modulus
         self.characteristic = p
+        self._log = None        # built on first _mul or _inv
+        self._exp = None
         super().__init__()
 
     def _spec_key(self):
@@ -494,18 +503,57 @@ class ExtensionField(Field):
         return tuple((-x) % self.p for x in a)
 
     def _mul(self, a, b):
-        base = self.base
-        _, rem = poly_divmod(base, poly_mul(base, poly_trim(base, a),
-                                            poly_trim(base, b)),
-                             self.modulus)
-        return rem + (0,) * (self.k - len(rem))
+        log = self._log or self._build_tables()
+        if a == self.raw_zero or b == self.raw_zero:
+            return self.raw_zero
+        return self._exp[log[a] + log[b]]
 
     def _inv(self, a):
-        a = poly_trim(self.base, a)
-        if not a:
+        log = self._log or self._build_tables()
+        if a == self.raw_zero:
             raise DivisionByZero(f"0 has no inverse in {self.shortname()}")
-        inv = poly_inv_mod(self.base, a, self.modulus)
-        return inv + (0,) * (self.k - len(inv))
+        return self._exp[len(log) - log[a]]
+
+    def _poly_product(self, a, b):
+        """a * b on the polynomial layer, for trimmed a and b."""
+        return poly_divmod(self.base, poly_mul(self.base, a, b),
+                           self.modulus)[1]
+
+    def _build_tables(self):
+        """The log table of a generator g of the multiplicative group, and
+        its exp table exp[i] = g^i, stored twice over so that a sum of two
+        logarithms indexes it without a reduction mod q - 1.
+
+        g is the first element, in `elements()` order, that the prime
+        factors r of q - 1 show to have order q - 1 (g^((q-1)/r) != 1);
+        its powers are walked once on the polynomial layer."""
+        base, m, n = self.base, self.modulus, self.size() - 1
+        primes = prime_factors(n)
+        candidates = (poly_trim(base, s.value) for s in self.elements())
+        g = next(x for x in candidates
+                 if x and all(poly_powmod(base, x, n // r, m) != (1,)
+                              for r in primes))
+        powers = [(1,)]
+        for _ in range(n - 1):
+            powers.append(self._poly_product(powers[-1], g))
+        self._certify_tables(g, powers)
+        exp = [x + (0,) * (self.k - len(x)) for x in powers]
+        self._exp = exp + exp
+        self._log = {x: i for i, x in enumerate(exp)}
+        return self._log
+
+    def _certify_tables(self, g, powers):
+        """powers[i] = g^i for i < q - 1, as trimmed polynomials, are q - 1
+        distinct nonzero elements, each the previous one times g."""
+        n = self.size() - 1
+        certify(len(powers) == n and () not in powers
+                and len(set(powers)) == n,
+                f"the powers of the generator of {self.shortname()} are "
+                f"not q - 1 distinct nonzero elements")
+        certify(all(self._poly_product(x, g) == y for x, y
+                    in zip(powers, powers[1:] + powers[:1])),
+                f"the exp table of {self.shortname()} is not the walk of "
+                f"its generator")
 
     raw_add, raw_sub, raw_mul, raw_neg = _add, _sub, _mul, _neg
 
@@ -694,20 +742,8 @@ def multiplicative_order(s):
         if s == -field.one:
             return 2
         return None
-    n = field.size() - 1
-    order = n
-    f = 2
-    rest = n
-    primes = []
-    while f * f <= rest:
-        if rest % f == 0:
-            primes.append(f)
-            while rest % f == 0:
-                rest //= f
-        f += 1
-    if rest > 1:
-        primes.append(rest)
-    for q in primes:
+    order = field.size() - 1
+    for q in prime_factors(order):
         while order % q == 0 and s ** (order // q) == field.one:
             order //= q
     return order

@@ -8,15 +8,27 @@ rest of the package, so agreement between an oracle report and the
 structural modules is meaningful cross-validation rather than the same
 code agreeing with itself.
 
+Algebra elements are vectors of raw field values, one per group element,
+combined with the field's `raw_add`, `raw_sub`, `raw_mul` and `raw_inv`
+and made canonical by one `reduce` per output coordinate, as the
+`fields` docstring describes; no `Scalar` is built in the sweep.
+
 Everything here is exponential in the algebra dimension and guarded by
 ORACLE_SIZE_CAP.  The target is small finite instances used as anchors,
 not production analysis.
 """
 
 import itertools
+import json
 from dataclasses import dataclass
 
-from .errors import CapExceeded, InstanceFormatError, InvalidCocycle
+from .errors import (
+    CapExceeded,
+    InstanceFormatError,
+    InvalidCocycle,
+    certify,
+    int_entries,
+)
 from .fields import make_field
 
 ORACLE_SIZE_CAP = 10 ** 7
@@ -28,11 +40,10 @@ ORACLE_SIZE_CAP = 10 ** 7
 class _EnumeratedGroup:
     """Finite group as an indexed multiplication table built from JSON."""
 
-    def __init__(self, size, mul_index, identity_index, labels):
+    def __init__(self, size, mul_index, identity_index):
         self.size = size
         self.mul_index = mul_index
         self.identity = identity_index
-        self.labels = labels
 
     @classmethod
     def from_json(cls, obj):
@@ -44,16 +55,19 @@ class _EnumeratedGroup:
             table = obj.get("table")
             if not isinstance(table, list) or not table:
                 raise InstanceFormatError("cayley group needs a 'table'")
+            table = [list(int_entries(row, "cayley table entries"))
+                     for row in table]
             n = len(table)
             for row in table:
                 if len(row) != n or any(not 0 <= v < n for v in row):
                     raise InstanceFormatError("cayley table is not square "
                                               "over 0..n-1")
-            identity = next(e for e in range(n)
-                            if all(table[e][x] == x and table[x][e] == x
-                                   for x in range(n)))
-            return cls(n, [list(r) for r in table], identity,
-                       [str(i) for i in range(n)])
+            identity = next((e for e in range(n)
+                             if all(table[e][x] == x and table[x][e] == x
+                                    for x in range(n))), None)
+            if identity is None:
+                raise InstanceFormatError("cayley table has no identity")
+            return cls(n, table, identity)
         if kind != "central-extension":
             raise InstanceFormatError(f"unknown group kind {kind!r}")
         if obj.get("rank", 0) != 0:
@@ -70,7 +84,7 @@ class _EnumeratedGroup:
         if invariants is None:
             raise InstanceFormatError("torsion needs 'invariants' or "
                                       "'table'")
-        invariants = [int(d) for d in invariants]
+        invariants = int_entries(invariants, "torsion invariants")
         if any(d < 2 for d in invariants):
             raise InstanceFormatError("torsion invariants must be >= 2")
         keys = list(itertools.product(*[range(d) for d in invariants]))
@@ -79,34 +93,37 @@ class _EnumeratedGroup:
         mul = [[index[tuple((a + b) % d for a, b, d
                             in zip(keys[i], keys[j], invariants))]
                 for j in range(n)] for i in range(n)]
-        return cls(n, mul, index[tuple(0 for _ in invariants)],
-                   ["*".join(f"t{p + 1}^{e}" for p, e in enumerate(k) if e)
-                    or "1" for k in keys])
+        return cls(n, mul, index[tuple(0 for _ in invariants)])
 
-    def inverse(self, i):
-        return next(j for j in range(self.size)
-                    if self.mul_index[i][j] == self.identity)
+
+def _table_key(key):
+    """The index pair (i, j) of a torsion-table key "(i, j)"."""
+    try:
+        parts = json.loads("[" + key.strip().lstrip("(").rstrip(")") + "]")
+    except json.JSONDecodeError:
+        parts = None
+    if not isinstance(parts, list) or len(parts) != 2:
+        raise InstanceFormatError(f"bad torsion table key {key!r}")
+    return int_entries(parts, f"torsion table key {key!r}")
 
 
 def _cocycle_matrix(obj, group, field):
-    """Dense n x n scalar table from the cocycle JSON, identity-checked."""
+    """Dense n x n table of raw cocycle values from the cocycle JSON,
+    identity-checked."""
     if obj is None:
         obj = {}
     if not isinstance(obj, dict):
         raise InstanceFormatError("cocycle spec must be an object")
     n = group.size
-    one = field.one
+    one, zero = field.raw_one, field.raw_zero
     lam = [[one] * n for _ in range(n)]
     for key, raw in obj.get("torsion_table", {}).items():
-        parts = key.strip().lstrip("(").rstrip(")").split(",")
-        if len(parts) != 2:
-            raise InstanceFormatError(f"bad torsion table key {key!r}")
-        i, j = int(parts[0]), int(parts[1])
+        i, j = _table_key(key)
         if not (0 <= i < n and 0 <= j < n):
             raise InstanceFormatError(f"torsion table index ({i}, {j}) "
                                       f"out of range")
-        val = field.scalar(field.value_from_json(raw))
-        if not val:
+        val = field.value_from_json(raw)
+        if val == zero:
             raise InvalidCocycle(f"cocycle value at ({i}, {j}) is zero")
         lam[i][j] = val
     # a rank-0 instance never evaluates the bilinear part, so an explicit
@@ -119,12 +136,13 @@ def _cocycle_matrix(obj, group, field):
     for i in range(n):
         if lam[e][i] != one or lam[i][e] != one:
             raise InvalidCocycle("cocycle is not normalized on the identity")
-    mul = group.mul_index
+    mul, reduce, times = group.mul_index, field.reduce, field.raw_mul
     for g in range(n):
         for h in range(n):
             gh = mul[g][h]
             for k in range(n):
-                if lam[g][h] * lam[gh][k] != lam[h][k] * lam[g][mul[h][k]]:
+                if (reduce(times(lam[g][h], lam[gh][k]))
+                        != reduce(times(lam[h][k], lam[g][mul[h][k]]))):
                     raise InvalidCocycle(
                         f"cocycle identity fails at indices ({g}, {h}, {k})")
     return lam
@@ -134,7 +152,8 @@ def _cocycle_matrix(obj, group, field):
 
 
 class _DenseAlgebra:
-    """Vectors of scalars indexed by group position, multiplied densely."""
+    """Vectors of canonical raw field values indexed by group position,
+    multiplied densely."""
 
     def __init__(self, group, field, lam):
         self.group = group
@@ -142,29 +161,28 @@ class _DenseAlgebra:
         self.lam = lam
         self.dim = group.size
 
-    def zero(self):
-        return [self.field.zero] * self.dim
-
-    def one(self):
-        vec = self.zero()
-        vec[self.group.identity] = self.field.one
+    def unit_vector(self, i):
+        vec = [self.field.raw_zero] * self.dim
+        vec[i] = self.field.raw_one
         return vec
 
     def mul(self, a, b):
-        out = self.zero()
-        mul = self.group.mul_index
+        field = self.field
+        add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
+        out = [zero] * self.dim
         for i, ai in enumerate(a):
-            if not ai:
+            if ai == zero:
                 continue
-            row_idx, row_lam = mul[i], self.lam[i]
+            row_idx, row_lam = self.group.mul_index[i], self.lam[i]
             for j, bj in enumerate(b):
-                if bj:
+                if bj != zero:
                     k = row_idx[j]
-                    out[k] = out[k] + ai * bj * row_lam[j]
-        return out
+                    out[k] = add(out[k], mul(mul(ai, bj), row_lam[j]))
+        return list(map(field.reduce, out))
 
     def is_zero(self, a):
-        return not any(a)
+        zero = self.field.raw_zero
+        return all(x == zero for x in a)
 
     def is_nilpotent(self, a):
         """a^(2^steps) by repeated squaring, with 2^steps >= dim; the
@@ -178,21 +196,13 @@ class _DenseAlgebra:
         return self.is_zero(power)
 
     def is_commutative(self):
-        units = []
-        for i in range(self.dim):
-            vec = self.zero()
-            vec[i] = self.field.one
-            units.append(vec)
+        units = [self.unit_vector(i) for i in range(self.dim)]
         return all(self.mul(units[i], units[j]) == self.mul(units[j],
                                                             units[i])
                    for i in range(self.dim) for j in range(i + 1, self.dim))
 
     def left_multiplication_matrix(self, a):
-        cols = []
-        for j in range(self.dim):
-            basis = self.zero()
-            basis[j] = self.field.one
-            cols.append(self.mul(a, basis))
+        cols = [self.mul(a, self.unit_vector(j)) for j in range(self.dim)]
         return [[cols[j][i] for j in range(self.dim)]
                 for i in range(self.dim)]
 
@@ -203,19 +213,22 @@ class _DenseAlgebra:
 
 def _gaussian_invertible(matrix, field):
     """Row reduction over the exact field; True iff full rank."""
+    sub, mul, reduce = field.raw_sub, field.raw_mul, field.reduce
+    zero = field.raw_zero
     n = len(matrix)
     rows = [list(r) for r in matrix]
     for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        pivot = next((r for r in range(col, n) if rows[r][col] != zero),
+                     None)
         if pivot is None:
             return False
         rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = rows[col][col].inv()
-        rows[col] = [x * inv for x in rows[col]]
+        inv = field.raw_inv(rows[col][col])
+        rows[col] = [reduce(mul(x, inv)) for x in rows[col]]
         for r in range(n):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y
+            factor = rows[r][col]
+            if r != col and factor != zero:
+                rows[r] = [reduce(sub(x, mul(factor, y)))
                            for x, y in zip(rows[r], rows[col])]
     return True
 
@@ -249,8 +262,7 @@ def _exact_log(value, base):
     d = 0
     while base ** d < value:
         d += 1
-    if base ** d != value:
-        raise AssertionError(
+    certify(base ** d == value,
             f"{value} is not a power of {base}: the nilpotent set is not "
             f"a subspace, which contradicts the radical computation")
     return d
@@ -283,10 +295,11 @@ def oracle_report(instance_json):
     algebra = _DenseAlgebra(group, field, lam)
 
     commutative = algebra.is_commutative()
+    values = [s.value for s in field.elements()]
     units = 0
     idempotents = 0
     nilpotents = []
-    for combo in itertools.product(field.elements(), repeat=algebra.dim):
+    for combo in itertools.product(values, repeat=algebra.dim):
         vec = list(combo)
         if algebra.mul(vec, vec) == vec:
             idempotents += 1
@@ -302,7 +315,7 @@ def oracle_report(instance_json):
         radical = [x for x in nilpotents
                    if all(algebra.is_nilpotent(algebra.mul(x, list(y)))
                           for y in itertools.product(
-                              field.elements(), repeat=algebra.dim))]
+                              values, repeat=algebra.dim))]
     radical_dim = _exact_log(len(radical), q)
 
     return OracleReport(

@@ -1,10 +1,18 @@
 """Exhaustive-oracle counts against hand computations and the structural path."""
 
+from importlib import resources
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcunits.errors import CapExceeded, InstanceFormatError, InvalidCocycle
+from fcunits import cli, oracle
+from fcunits.errors import (
+    CapExceeded,
+    CertificateFailed,
+    InstanceFormatError,
+    InvalidCocycle,
+)
 from fcunits.fc import instance_from_json
 from fcunits.groups import symmetric_group_3_table
 from fcunits.oracle import oracle_report, predicted_unit_count
@@ -165,6 +173,48 @@ def test_oracle_rejects_malformed_and_invalid():
     with pytest.raises(InvalidCocycle, match="identity"):
         oracle_report(finite_instance(
             {"kind": "prime-power", "p": 5}, [3], {"(1,2)": 2}))
+
+
+def cayley_instance(table):
+    return {"field": {"kind": "prime-power", "p": 3},
+            "group": {"kind": "cayley", "table": table}, "cocycle": {}}
+
+
+@pytest.mark.parametrize("spec", [
+    # read by int() these were C2 and C3, and counted a different algebra
+    finite_instance({"kind": "prime-power", "p": 3}, [2.5]),
+    finite_instance({"kind": "prime-power", "p": 3}, ["3"]),
+    finite_instance({"kind": "prime-power", "p": 3}, [True]),
+    # a float Cayley entry ended in a TypeError
+    cayley_instance([[0, 1], [1, 0.0]]),
+    cayley_instance([[0, 1], [1, "0"]]),
+    cayley_instance([[0, 1], 1]),
+    # a float table key ended in a ValueError
+    finite_instance({"kind": "prime-power", "p": 3}, [2], {"(1, 1.0)": 2}),
+    finite_instance({"kind": "prime-power", "p": 3}, [2], {"(1, true)": 2}),
+    finite_instance({"kind": "prime-power", "p": 3}, [2], {"(1, x)": 2}),
+    # no identity ended in a StopIteration
+    cayley_instance([[1, 0], [0, 0]]),
+], ids=["invariant-float", "invariant-str", "invariant-bool",
+        "cayley-float", "cayley-str", "cayley-row", "key-float", "key-bool",
+        "key-name", "cayley-no-identity"])
+def test_oracle_rejects_non_integer_group_and_key_data(spec):
+    with pytest.raises(InstanceFormatError):
+        oracle_report(spec)
+
+
+def test_oracle_certificate_failure_exits_one(monkeypatch, capsys):
+    """A nilpotent set whose size is no power of q fails a certificate,
+    which the CLI reports with exit 1 instead of a traceback."""
+    # over GF(3), {0, 1} as the nilpotent elements: 2 is not a power of 3
+    monkeypatch.setattr(oracle._DenseAlgebra, "is_nilpotent",
+                        lambda self, a: a[0] in (0, 1) and a[1] == 0)
+    path = str(resources.files("fcunits") / "instances"
+               / "gf3_c2_trivial.json")
+    with pytest.raises(CertificateFailed, match="not a power of 3"):
+        oracle_report(cli.bundled_instance("gf3_c2_trivial"))
+    assert cli.main(["analyze", path, "--oracle"]) == 1
+    assert "not a power of 3" in capsys.readouterr().err
 
 
 @settings(max_examples=20, deadline=None)

@@ -13,13 +13,22 @@ GF(2), GF(7), GF(4), GF(9) and Q.
 
 The polynomial layer of `fields` is checked against the GF(p) tuple
 helpers that extension-field arithmetic used before it, against trial
-division for irreducibility, and against Scalar long division.
+division for irreducibility, and against Scalar long division.  The
+log/exp tables that GF(p^k) multiplies and inverts with are checked, on
+every pair of elements of each bundled extension field, against products
+on the polynomial layer and against inverses by the half-extended
+Euclidean algorithm, `ref_poly_inv_mod`, which the tables replaced.
 """
 
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,12 +36,16 @@ from fcunits import cli, linalg
 from fcunits.algebra import TwistedGroupAlgebra
 from fcunits.cocycles import coboundary
 from fcunits.fc import instance_from_json
+from fcunits import fields
+from fcunits.errors import DivisionByZero
 from fcunits.fields import (
     Scalar,
     gf,
+    make_field,
     poly_divmod,
-    poly_inv_mod,
     poly_irreducible,
+    poly_mul,
+    poly_sub,
     poly_trim,
     rationals,
 )
@@ -515,7 +528,23 @@ def test_rabin_agrees_with_trial_division():
                 assert poly_irreducible(F, m) == ref_is_irreducible(m, p)
 
 
-# irreducible moduli over each field, for poly_inv_mod
+def ref_poly_inv_mod(F, a, m):
+    """The inverse of a modulo m, of degree below deg m, by the
+    half-extended Euclidean algorithm: only the cofactor of a is carried,
+    since s * a = r (mod m) is all an inverse needs."""
+    r0, r1 = m, poly_divmod(F, a, m)[1]
+    s0, s1 = (), (F.raw_one,)
+    while len(r1) > 1:
+        q, r = poly_divmod(F, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly_sub(F, s0, poly_mul(F, q, s1))
+    if not r1:
+        raise DivisionByZero("polynomial shares a factor with the modulus")
+    c = F.raw_inv(r1[0])
+    return tuple(F.reduce(F.raw_mul(x, c)) for x in s1)
+
+
+# irreducible moduli over each field, for ref_poly_inv_mod
 MODULI = [
     (gf(2), [(1, 1, 1), (1, 1, 0, 1)]),
     (gf(7), [(1, 0, 1), (2, 0, 0, 1)]),
@@ -542,7 +571,7 @@ def test_poly_divmod_and_inv_mod(data):
         [s.value for s in part] for part in scalar_poly_divmod(F, a, b))
     m = data.draw(st.sampled_from(moduli))
     if poly_divmod(F, a, m)[1]:
-        inv = poly_inv_mod(F, a, m)
+        inv = ref_poly_inv_mod(F, a, m)
         assert len(inv) < len(m)
         product = [F.zero] * (len(inv) + len(a) - 1)
         for i, x in enumerate(inv):
@@ -550,3 +579,70 @@ def test_poly_divmod_and_inv_mod(data):
                 product[i + j] += Scalar(F, x) * Scalar(F, y)
         rem = scalar_poly_divmod(F, [s.value for s in product], m)[1]
         assert rem == [F.one]
+
+
+# --- log/exp tables of GF(p^k) --------------------------------------------------------
+
+
+def bundled_extension_fields():
+    """The extension fields of the bundled instances, one per modulus."""
+    specs = {}
+    for name in cli.bundled_names() + [f"lemma3/{n}"
+                                       for n in cli.bundled_names("lemma3")]:
+        spec = cli.bundled_instance(name)["field"]
+        if spec.get("k", 1) > 1:
+            specs[(spec["p"], spec["k"], tuple(spec["modulus"]))] = spec
+    return [make_field(spec) for _, spec in sorted(specs.items())]
+
+
+def padded(F, poly):
+    return poly + (0,) * (F.k - len(poly))
+
+
+def test_extension_tables_match_the_polynomial_layer():
+    fields_seen = bundled_extension_fields()
+    assert sorted(F.size() for F in fields_seen) == [4, 8, 9, 25, 27, 81]
+    for F in fields_seen:
+        base = F.base
+        values = [s.value for s in F.elements()]
+        for a, b in itertools.product(values, repeat=2):
+            product = poly_divmod(base, poly_mul(base, poly_trim(base, a),
+                                                 poly_trim(base, b)),
+                                  F.modulus)[1]
+            assert F._mul(a, b) == padded(F, product)
+        for a in values[1:]:
+            inverse = ref_poly_inv_mod(base, poly_trim(base, a), F.modulus)
+            assert F._inv(a) == padded(F, inverse)
+        assert len(F._log) == F.size() - 1
+
+
+@pytest.mark.parametrize("corruption, message", [
+    ("powers[5] = powers[6]", "distinct nonzero"),
+    ("powers[5], powers[6] = powers[6], powers[5]", "walk of its generator"),
+])
+def test_corrupted_exp_table_fails_its_certificate_under_optimized_python(
+        tmp_path, corruption, message):
+    """A wrong power handed to the table certificate exits 1 under -O: a
+    repeated power, and two swapped powers, which are still distinct."""
+    script = tmp_path / "corrupt_exp.py"
+    script.write_text(
+        "from fcunits import errors, fields\n"
+        "original = fields.ExtensionField._certify_tables\n"
+        "def corrupt(self, g, powers):\n"
+        f"    {corruption}\n"
+        "    return original(self, g, powers)\n"
+        "fields.ExtensionField._certify_tables = corrupt\n"
+        "F = fields.gf(3, 2, [1, 0, 1])\n"
+        "try:\n"
+        "    F.one * F.one\n"
+        "except errors.CertificateFailed as exc:\n"
+        "    print(exc)\n"
+        "    raise SystemExit(1)\n",
+        encoding="utf-8")
+    src = str(pathlib.Path(fields.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", str(script)],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+    assert proc.returncode == 1, proc.stderr
+    assert message in proc.stdout
