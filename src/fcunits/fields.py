@@ -178,7 +178,7 @@ def poly_irreducible(F, m):
     if frobenius[n] != x:
         return False
     return all(len(poly_gcd(F, poly_sub(F, frobenius[n // r], x), m)) == 1
-               for r in range(2, n + 1) if n % r == 0 and is_prime(r))
+               for r in prime_factors(n))
 
 
 def poly_roots(F, a):
