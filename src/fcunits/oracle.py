@@ -99,12 +99,12 @@ class _EnumeratedGroup:
 def _table_key(key):
     """The index pair (i, j) of a torsion-table key "(i, j)"."""
     try:
-        parts = json.loads("[" + key.strip().lstrip("(").rstrip(")") + "]")
+        pair = json.loads("[" + key.strip().lstrip("(").rstrip(")") + "]")
     except json.JSONDecodeError:
-        parts = None
-    if not isinstance(parts, list) or len(parts) != 2:
+        pair = ()
+    if len(pair) != 2:
         raise InstanceFormatError(f"bad torsion table key {key!r}")
-    return int_entries(parts, f"torsion table key {key!r}")
+    return int_entries(pair, f"torsion table key {key!r}")
 
 
 def _cocycle_matrix(obj, group, field):
