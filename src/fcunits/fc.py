@@ -131,6 +131,10 @@ class Instance:
     Construction only binds the parts; the cocycle identity is checked
     once, on the generator box of radius ``caps.box_radius``, by
     ``validate`` or when the algebra is first built, whichever comes first.
+    Finite subalgebras are memoized by the element set of the closed
+    subgroup, so every screen, checker and report of one instance shares
+    one ``FiniteSubalgebra``, and with it the structural facts cached on
+    its ``FDAlgebra``.
     """
 
     def __init__(self, field, group, cocycle, caps=None, name=None):
@@ -141,6 +145,7 @@ class Instance:
         self.name = name
         self._algebra = None
         self._validation = None
+        self._subalgebras = {}
 
     def algebra(self):
         if self._algebra is None:
@@ -170,13 +175,14 @@ class Instance:
             canonical_json(self.canonical()).encode()).hexdigest()
 
     def torsion_subalgebra(self, prufer_level=0):
-        els = self.group.torsion_elements(prufer_level)
-        sub = finite_subgroup(self.group, els)
-        return subalgebra_from_units(self.algebra(), sub)
+        return self.subalgebra_over(self.group.torsion_elements(prufer_level))
 
     def subalgebra_over(self, elements):
         sub = finite_subgroup(self.group, list(elements))
-        return subalgebra_from_units(self.algebra(), sub)
+        key = frozenset(sub.elements)
+        if key not in self._subalgebras:
+            self._subalgebras[key] = subalgebra_from_units(self.algebra(), sub)
+        return self._subalgebras[key]
 
 
 _INSTANCE_KEYS = {"field", "group", "cocycle", "caps", "name"}

@@ -30,7 +30,12 @@ unlike `assert`, also runs under `python -O`.
 Each structural fact of a commutative algebra has one path:
 `fields_decomposition` certifies the radical and the primitive idempotents
 once and returns them in its report, which is where report builders read
-the radical, the primitive count and the idempotent count from.
+the radical, the primitive count and the idempotent count from.  An
+`FDAlgebra` is immutable once compiled, so it keeps its commutativity and,
+per seed, its certified primitive idempotents and decomposition report;
+a repeated request costs no products.  `jacobson_radical` is not kept: it
+reruns its certificate on every call, and the decomposition report
+already carries the radical.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from .errors import (
     TooLargeToCount,
     certify,
 )
-from .fields import Scalar, poly_irreducible, poly_roots
+from .fields import Scalar, poly_divmod, poly_irreducible, poly_roots
 
 RADICAL_NONCOMMUTATIVE_DIM_CAP = 32
 IDEMPOTENT_COUNT_CAP = 100_000
@@ -65,7 +70,9 @@ class FDAlgebra:
     Vectors are lists of Scalars wherever they cross the public methods,
     but products are computed on raw field values (see `fields`): the table
     is compiled into raw form on first use, so it must not be mutated after
-    construction.
+    construction.  The object caches what depends only on the table: the
+    compiled rows, the trace vector, `is_commutative`, and the certified
+    results of `primitive_idempotents` and `fields_decomposition` per seed.
     """
 
     def __init__(self, field, dim, table, one, labels=None):
@@ -76,6 +83,9 @@ class FDAlgebra:
         self.labels = labels or [f"b{i}" for i in range(dim)]
         self._trace_vector = None
         self._rows = None
+        self._commutative = None
+        self._primitives = {}           # seed -> certified primitive set
+        self._decompositions = {}       # seed -> certified report
 
     def _compiled(self):
         """The table as, per left index i, a list of (j, [(k, raw), ...])."""
@@ -185,14 +195,19 @@ class FDAlgebra:
         return Scalar(field, field.reduce(acc))
 
     def is_commutative(self):
-        zero, one = self.field.raw_zero, self.field.raw_one
-        e = [[one if k == i else zero for k in range(self.dim)]
-             for i in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if self._mul_raw(e[i], e[j]) != self._mul_raw(e[j], e[i]):
-                    return False, (self.labels[i], self.labels[j])
-        return True, None
+        """(True, None), or False and the labels of the first basis pair
+        i < j whose compiled cells e_i e_j and e_j e_i differ."""
+        if self._commutative is None:
+            cells = {(i, j): set(terms)
+                     for i, row in enumerate(self._compiled())
+                     for j, terms in row}
+            pair = next(((i, j) for i, j in
+                         itertools.combinations(range(self.dim), 2)
+                         if cells.get((i, j), set())
+                         != cells.get((j, i), set())), None)
+            self._commutative = (True, None) if pair is None else \
+                (False, (self.labels[pair[0]], self.labels[pair[1]]))
+        return self._commutative
 
 
 def subalgebra_from_units(algebra, subgroup):
@@ -551,16 +566,23 @@ def _nonscalar_vector(fd, vectors):
     return None
 
 
-def _lagrange_idempotents(fd, b, roots):
+def _lagrange_idempotents(fd, b, m, roots):
+    """The idempotents L_i(b) for the distinct roots c_i of b's minimal
+    polynomial m (raw values): L_i is m / (t - c_i) scaled to 1 at c_i, a
+    combination of the powers b^0 .. b^(n-1), which cost n - 1 products."""
+    field = fd.field
+    powers = [list(fd.one)]
+    for _ in roots[1:]:
+        powers.append(fd.mul(powers[-1], b))
     out = []
-    for ci in roots:
-        e = list(fd.one)
-        for cj in roots:
-            if cj == ci:
-                continue
-            factor = fd.sub(b, fd.scale(fd.one, cj))
-            e = fd.mul(e, fd.scale(factor, (ci - cj).inv()))
-        out.append(e)
+    for c in roots:
+        linear = (field.reduce(field.raw_neg(c)), field.raw_one)
+        quot, _ = poly_divmod(field, m, linear)
+        _, at_c = poly_divmod(field, quot, linear)
+        scale = field.raw_inv(at_c[0])
+        coeffs = [Scalar(field, field.reduce(field.raw_mul(a, scale)))
+                  for a in quot]
+        out.append(linear_combination(fd, coeffs, powers))
     return out
 
 
@@ -572,12 +594,15 @@ def _primitive_idempotents_finite(fd):
     b = _nonscalar_vector(fd, fixed)
     if b is None:
         return [list(fd.one)]
-    m = minimal_polynomial(fd, b)
-    roots = [Scalar(fd.field, r)
-             for r in poly_roots(fd.field, tuple(c.value for c in m))]
+    m = tuple(c.value for c in minimal_polynomial(fd, b))
+    roots = poly_roots(fd.field, m)
     certify(len(roots) == len(m) - 1, "a q-fixed element splits over GF(q)")
+    idempotents = _lagrange_idempotents(fd, b, m, roots)
+    if len(roots) == fd.dim:
+        # every corner is 1-dimensional and would embed e back as itself
+        return idempotents
     prims = []
-    for e in _lagrange_idempotents(fd, b, roots):
+    for e in idempotents:
         corner = corner_algebra(fd, e)
         for sub in _primitive_idempotents_finite(corner.fd):
             prims.append(corner.embed(sub))
@@ -661,8 +686,11 @@ def primitive_idempotents(fd, seed=0):
     of candidate elements and split off Bezout idempotents, which also
     tolerates nilpotents because coprime factor powers still satisfy a
     Bezout identity.  The returned family is verified orthogonal,
-    idempotent, and complete before being handed back.
+    idempotent, and complete before being handed back, and kept on `fd`
+    per seed, so a later call returns the same certified tuple.
     """
+    if seed in fd._primitives:
+        return fd._primitives[seed]
     comm, witness = fd.is_commutative()
     if not comm:
         raise NotCommutative(
@@ -676,11 +704,12 @@ def primitive_idempotents(fd, seed=0):
     for i, e in enumerate(prims):
         certify(fd.is_idempotent(e), "primitive idempotent is not idempotent")
         total = fd.add(total, e)
-        for j, f in enumerate(prims):
-            if i != j:
-                certify(fd.is_zero(fd.mul(e, f)),
-                        "primitive idempotents are not orthogonal")
+        # e f = f e is certified above, so one order of each pair suffices
+        for f in prims[i + 1:]:
+            certify(fd.is_zero(fd.mul(e, f)),
+                    "primitive idempotents are not orthogonal")
     certify(total == list(fd.one), "primitive idempotents do not sum to 1")
+    fd._primitives[seed] = prims = tuple(prims)
     return prims
 
 
@@ -722,7 +751,7 @@ class DecompositionReport:
     witness: object
     components: list
     radical: RadicalResult = None      # None when noncommutative
-    primitives: list = None            # None when noncommutative
+    primitives: tuple = None           # None when noncommutative
 
     def component_count(self):
         return len(self.components)
@@ -755,7 +784,14 @@ def fields_decomposition(fd, seed=0):
     primitive idempotents the decision rests on, so callers that need them
     read them here instead of computing them again; 2^len(primitives) is
     its idempotent count.  Both are None for a noncommutative algebra.
+    The report is kept on `fd` per seed once its certificates have passed.
     """
+    if seed not in fd._decompositions:
+        fd._decompositions[seed] = _fields_decomposition(fd, seed)
+    return fd._decompositions[seed]
+
+
+def _fields_decomposition(fd, seed):
     comm, witness = fd.is_commutative()
     if not comm:
         return DecompositionReport(False, "noncommutative", witness, [])

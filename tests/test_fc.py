@@ -602,6 +602,47 @@ def test_structure_report_certifies_each_fact_once(monkeypatch):
     assert calls == {"primitive_idempotents": 1, "jacobson_radical": 1}
 
 
+def _calls(monkeypatch, owner, name):
+    """Record the first argument of every call of owner.name."""
+    seen = []
+    original = getattr(owner, name)
+
+    def counted(first, *args, **kwargs):
+        seen.append(first)
+        return original(first, *args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return seen
+
+
+def _analyze_bundled(name, *flags):
+    from importlib import resources
+    from fcunits import cli
+
+    path = resources.files("fcunits") / "instances" / f"{name}.json"
+    assert cli.main(["analyze", str(path), *flags]) == 0
+
+
+def test_one_subalgebra_and_one_split_per_fact(monkeypatch, capsys):
+    from fcunits import structure
+
+    # the verdict (L5 screen, T5 truncation levels 1..3) and the structure
+    # section share the subalgebras over C2, C4 and C8; the parent built 7
+    # and made 54 finite splits
+    builds = _calls(monkeypatch, structure.FiniteSubalgebra, "__init__")
+    splits = _calls(monkeypatch, structure, "_primitive_idempotents_finite")
+    _analyze_bundled("prufer2_gf257", "--verdict", "--structure")
+    assert len(builds) == 4
+    assert len(splits) == 4
+    # the L5 screen and T4 split the same 3-dimensional algebra, once
+    builds.clear()
+    rational = _calls(monkeypatch, structure,
+                      "_primitive_idempotents_rational")
+    _analyze_bundled("c3_z_rationals", "--verdict")
+    assert len(builds) == 1
+    assert [fd.dim for fd in rational].count(3) == 1
+    capsys.readouterr()
+
+
 def test_verdict_json_is_deterministic():
     inst = heisenberg({"kind": "prime-power", "p": 2})
     a = json.dumps(fc.verdict(inst).to_json(), sort_keys=True)

@@ -18,6 +18,14 @@ log/exp tables that GF(p^k) multiplies and inverts with are checked, on
 every pair of elements of each bundled extension field, against products
 on the polynomial layer and against inverses by the half-extended
 Euclidean algorithm, `ref_poly_inv_mod`, which the tables replaced.
+
+Commutativity read off the compiled table is checked against the product
+loop it replaced, `ref_is_commutative`, and the Lagrange idempotents built
+from the powers of b against the n(n-1)-product chain they replaced,
+`ref_lagrange_idempotents`, on the torsion subalgebras of every valid
+bundled instance and on drawn tables and elements.  A second request for
+an algebra's primitive idempotents or field decomposition must cost no
+products, because the certified answer is kept on the algebra.
 """
 
 import itertools
@@ -56,10 +64,15 @@ from fcunits.groups import (
     symmetric_group_3_table,
 )
 from fcunits.structure import (
+    FDAlgebra,
+    _lagrange_idempotents,
     corner_algebra,
     count_idempotents,
+    fields_decomposition,
     is_semisimple,
     jacobson_radical,
+    linear_combination,
+    minimal_polynomial,
     primitive_idempotents,
     quotient_algebra,
     subalgebra_from_units,
@@ -331,6 +344,147 @@ def test_idempotents_and_commutativity_match_the_scalar_loop():
                 assert fd.is_idempotent(e) and ref_mul(fd, e, e) == e
         if fd.field.is_finite() and fd.field.size() ** fd.dim <= 1024:
             assert count_idempotents(fd) == ref_count_idempotents(fd)
+
+
+# --- table commutativity, Lagrange idempotents, cached facts -----------------------
+
+
+def ref_is_commutative(fd):
+    """Basis products e_i e_j against e_j e_i, the loop the table read
+    replaced."""
+    zero, one = fd.field.raw_zero, fd.field.raw_one
+    e = [[one if k == i else zero for k in range(fd.dim)]
+         for i in range(fd.dim)]
+    for i in range(fd.dim):
+        for j in range(i + 1, fd.dim):
+            if fd._mul_raw(e[i], e[j]) != fd._mul_raw(e[j], e[i]):
+                return False, (fd.labels[i], fd.labels[j])
+    return True, None
+
+
+def ref_lagrange_idempotents(fd, b, roots):
+    """prod_{j != i} (b - c_j) / (c_i - c_j) as a chain of n - 1 products
+    per root; roots are Scalars."""
+    out = []
+    for ci in roots:
+        e = list(fd.one)
+        for cj in roots:
+            if cj == ci:
+                continue
+            factor = fd.sub(b, fd.scale(fd.one, cj))
+            e = fd.mul(e, fd.scale(factor, (ci - cj).inv()))
+        out.append(e)
+    return out
+
+
+def bundled_torsion_algebra(name):
+    """The torsion subalgebra a structure report of the bundled instance
+    reads, Pruefer part truncated at the instance's truncation level."""
+    inst = instance_from_json(cli.bundled_instance(name))
+    level = inst.caps.truncation_level if inst.group.prufer else 0
+    return inst.torsion_subalgebra(level).fd
+
+
+def klein_twisted_fd():
+    """C2 x C2 over GF(3) twisted into the 2 x 2 matrix algebra."""
+    return instance_from_json({
+        "field": {"kind": "prime-power", "p": 3},
+        "group": {"kind": "central-extension", "rank": 0,
+                  "torsion": {"invariants": [2, 2]}},
+        "cocycle": {"torsion_table": {"(1,2)": 2, "(1,3)": 2, "(3,2)": 2,
+                                      "(3,3)": 2}},
+    }).torsion_subalgebra().fd
+
+
+BUNDLED_NAMES = [n for n in cli.bundled_names() if n != "broken_cocycle"] \
+    + [f"lemma3/{n}" for n in cli.bundled_names("lemma3")]
+BUNDLED = [bundled_torsion_algebra(n) for n in BUNDLED_NAMES]
+SPLIT_ALGEBRAS = [fd for fd in BUNDLED + ALGEBRAS if fd.is_commutative()[0]]
+
+
+def test_table_commutativity_matches_the_product_loop():
+    assert len(BUNDLED) == 31
+    klein = klein_twisted_fd()
+    assert not klein.is_commutative()[0]
+    for fd in BUNDLED + ALGEBRAS + [klein]:
+        assert fd.is_commutative() == ref_is_commutative(fd)
+
+
+TABLE_FIELDS = [gf(2), gf(7), GF4, GF9, Q]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_table_commutativity_matches_on_drawn_tables(data):
+    # cells may be empty or hold explicit zeros, and each mirrored cell is
+    # mostly a copy in reverse insertion order, so both verdicts and every
+    # witness position occur, and equal cells need not list terms alike
+    field = data.draw(st.sampled_from(TABLE_FIELDS))
+    dim = data.draw(st.integers(1, 4))
+    cell = st.dictionaries(st.integers(0, dim - 1),
+                           raw_values(field).map(field.scalar), max_size=2)
+    table = {}
+    for i, j in itertools.combinations_with_replacement(range(dim), 2):
+        table[(i, j)] = data.draw(cell)
+        mirror = dict(reversed(table[(i, j)].items()))
+        table[(j, i)] = data.draw(st.one_of(st.just(mirror), cell))
+    fd = FDAlgebra(field, dim, table, [field.zero] * dim)
+    assert fd.is_commutative() == ref_is_commutative(fd)
+
+
+def assert_lagrange_matches(fd, coeffs):
+    """b = sum_i c_i e_i over the primitive idempotents e_i has the
+    distinct c_i as the roots of its minimal polynomial."""
+    F = fd.field
+    b = linear_combination(fd, coeffs, primitive_idempotents(fd))
+    m = tuple(c.value for c in minimal_polynomial(fd, b))
+    roots = list(dict.fromkeys(c.value for c in coeffs))
+    assert len(m) - 1 == len(roots)
+    got = _lagrange_idempotents(fd, b, m, roots)
+    assert got == ref_lagrange_idempotents(
+        fd, b, [Scalar(F, r) for r in roots])
+    for e in got:
+        assert_canonical(F, e)
+
+
+def test_lagrange_idempotents_match_the_product_chain():
+    for fd in SPLIT_ALGEBRAS:
+        n = len(primitive_idempotents(fd))
+        assert_lagrange_matches(fd, [fd.field.from_int(i + 1)
+                                     for i in range(n)])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_lagrange_idempotents_match_on_drawn_elements(data):
+    fd = data.draw(st.sampled_from(SPLIT_ALGEBRAS))
+    n = len(primitive_idempotents(fd))
+    coeffs = data.draw(st.lists(raw_values(fd.field), min_size=n,
+                                max_size=n))
+    assert_lagrange_matches(fd, [fd.field.scalar(c) for c in coeffs])
+
+
+@pytest.mark.parametrize("name", BUNDLED_NAMES + ["klein"])
+def test_cached_structure_costs_no_products(name, monkeypatch):
+    fd = klein_twisted_fd() if name == "klein" \
+        else bundled_torsion_algebra(name)
+    products = []
+    original = fd._mul_raw
+
+    def counted(x, y):
+        products.append(1)
+        return original(x, y)
+    monkeypatch.setattr(fd, "_mul_raw", counted)
+    commutative = fd.is_commutative()[0]
+    report = fields_decomposition(fd)
+    prims = primitive_idempotents(fd) if commutative else None
+    assert (products != []) == (commutative and fd.dim > 1)
+    products.clear()
+    assert fields_decomposition(fd) is report
+    if commutative:
+        assert primitive_idempotents(fd) is prims
+        assert report.primitives is prims
+    assert products == []
 
 
 # --- SpanBasis ---------------------------------------------------------------------
