@@ -136,8 +136,12 @@ def cocycle_from_json(group, field, obj):
         obj = {}
     if not isinstance(obj, dict):
         raise InstanceFormatError(f"cocycle spec must be an object: {obj!r}")
+    torsion = obj.get("torsion_table", {})
+    if not isinstance(torsion, dict):
+        raise InstanceFormatError(
+            f"cocycle torsion_table must be an object: {torsion!r}")
     table = {}
-    for key, raw in obj.get("torsion_table", {}).items():
+    for key, raw in torsion.items():
         parts = key.strip().lstrip("(").rstrip(")").split(",")
         if len(parts) != 2:
             raise InstanceFormatError(f"bad torsion table key {key!r}")

@@ -28,6 +28,7 @@ from .errors import (
     InvalidCocycle,
     certify,
     int_entries,
+    int_matrix,
 )
 from .fields import make_field
 
@@ -117,7 +118,10 @@ def _cocycle_matrix(obj, group, field):
     n = group.size
     one, zero = field.raw_one, field.raw_zero
     lam = [[one] * n for _ in range(n)]
-    for key, raw in obj.get("torsion_table", {}).items():
+    torsion = obj.get("torsion_table", {})
+    if not isinstance(torsion, dict):
+        raise InstanceFormatError("cocycle torsion_table must be an object")
+    for key, raw in torsion.items():
         i, j = _table_key(key)
         if not (0 <= i < n and 0 <= j < n):
             raise InstanceFormatError(f"torsion table index ({i}, {j}) "
@@ -129,7 +133,10 @@ def _cocycle_matrix(obj, group, field):
     # a rank-0 instance never evaluates the bilinear part, so an explicit
     # one must be trivial to be meaningful here
     bil = obj.get("bilinear")
-    if bil and any(any(row) for row in bil.get("matrix", [])):
+    if bil is not None and not isinstance(bil, dict):
+        raise InstanceFormatError("cocycle bilinear part must be an object")
+    matrix = int_matrix((bil or {}).get("matrix", []), "bilinear matrix")
+    if any(any(row) for row in matrix):
         raise InstanceFormatError("the oracle handles finite groups only, "
                                   "where a bilinear part has no effect")
     e = group.identity

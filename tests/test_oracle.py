@@ -1,5 +1,6 @@
 """Exhaustive-oracle counts against hand computations and the structural path."""
 
+import json
 from importlib import resources
 
 import pytest
@@ -201,6 +202,31 @@ def cayley_instance(table):
 def test_oracle_rejects_non_integer_group_and_key_data(spec):
     with pytest.raises(InstanceFormatError):
         oracle_report(spec)
+
+
+@pytest.mark.parametrize("cocycle", [
+    # these ended in an AttributeError or a TypeError traceback
+    {"torsion_table": [1]},
+    {"torsion_table": None},
+    {"bilinear": 5},
+    {"bilinear": [[0]]},
+    {"bilinear": {"matrix": [1]}},
+    {"bilinear": {"matrix": 1}},
+], ids=["table-list", "table-null", "bilinear-int", "bilinear-list",
+        "matrix-row", "matrix-int"])
+def test_non_object_cocycle_parts_are_format_errors(cocycle, tmp_path,
+                                                    capsys):
+    spec = {**finite_instance({"kind": "prime-power", "p": 3}, [2]),
+            "cocycle": cocycle}
+    with pytest.raises(InstanceFormatError):
+        oracle_report(spec)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    for flag in ("--verdict", "--oracle"):
+        assert cli.main(["analyze", str(path), flag]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_oracle_certificate_failure_exits_one(monkeypatch, capsys):
