@@ -30,12 +30,9 @@ unlike `assert`, also runs under `python -O`.
 Each structural fact of a commutative algebra has one path:
 `fields_decomposition` certifies the radical and the primitive idempotents
 once and returns them in its report, which is where report builders read
-the radical, the primitive count and the idempotent count from.  An
-`FDAlgebra` is immutable once compiled, so it keeps its commutativity and,
-per seed, its certified primitive idempotents and decomposition report;
-a repeated request costs no products.  `jacobson_radical` is not kept: it
-reruns its certificate on every call, and the decomposition report
-already carries the radical.
+the radical, the primitive count and the idempotent count from.  Both
+are kept on the immutable `FDAlgebra`, so a repeated request costs no
+products; `jacobson_radical` is not kept and recertifies on every call.
 """
 
 from __future__ import annotations
