@@ -9,14 +9,12 @@ work inside a finite subgroup.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .cocycles import (
     commutator_scalar,
-    power_scalar,
     trivial_cocycle,
     validate_cocycle,
 )
@@ -203,17 +201,6 @@ class TwistedGroupAlgebra:
         gi = self.group.inv(g)
         return AlgebraElement(self, {gi: self.cocycle(gi, g).inv()})
 
-    def basis_unit_power(self, g, n):
-        """u_g^n as a single scaled basis unit, without repeated products."""
-        if n < 0:
-            raise ValueError("use basis_unit_inverse for negative powers")
-        acc = self.field.one
-        p = self.group.identity
-        for _ in range(n):  # acc: u_g^k = acc * u_{g^k}
-            acc = acc * self.cocycle(g, p)
-            p = self.group.mul(g, p)
-        return AlgebraElement(self, {p: acc})
-
     def basis_commutator(self, a, b):
         """[u_a, u_b] = u_a^-1 u_b^-1 u_a u_b, as a single scaled unit."""
         c = commutator_scalar(self.cocycle, a, b)
@@ -365,39 +352,6 @@ def _invert_by_decomposition(algebra, x, idempotents):
                            "corner inverses did not assemble to an inverse")
 
 
-def invert_shifted_basis_unit(algebra, g, alpha):
-    """Invert u_g - alpha for torsion g via the geometric sum.
-
-    With n the order of g and c the power scalar (u_g^n = c), the element
-    u_g - alpha is a unit exactly when alpha^n != c, and then
-
-        (u_g - alpha)^(-1) = (c - alpha^n)^(-1) * sum_i alpha^(n-1-i) u_g^i.
-
-    When alpha^n = c the same sum is a nonzero annihilator, which certifies
-    the non-unit verdict.
-    """
-    if isinstance(alpha, int):
-        alpha = algebra.field.from_int(alpha)
-    n = algebra.group.element_order(g)
-    if n == math.inf:
-        raise InfiniteOrder("the geometric-sum inverse needs a torsion element")
-    c = power_scalar(algebra.cocycle, g)
-    x = algebra.basis_unit(g) - algebra.scalar(alpha)
-    geo = algebra.zero
-    for i in range(n):
-        geo = geo + algebra.basis_unit_power(g, i).scale(alpha ** (n - 1 - i))
-    if alpha ** n == c:
-        certify(geo and x * geo == algebra.zero,
-                "the geometric sum must be a nonzero annihilator")
-        return InversionResult(
-            "not-unit", None, "geometric-sum",
-            f"alpha^{n} equals the power scalar, and the geometric sum is "
-            f"a nonzero annihilator of u_g - alpha")
-    y = geo.scale((c - alpha ** n).inv())
-    return _verified_unit(algebra, x, y, "geometric-sum",
-                          "geometric sum against the power scalar")
-
-
 def unit_commutator(algebra, x, y, x_inv=None, y_inv=None):
     if x_inv is None:
         res = try_invert(algebra, x)
@@ -430,26 +384,6 @@ def left_regular_matrix(algebra, subgroup, x):
             i = subgroup.index_of[gw]
             M[i][j] = M[i][j] + cg * lam(g, w)
     return M
-
-
-def is_nilpotent_in(algebra, subgroup, x):
-    """Nilpotency of x inside the span of a finite subgroup's units.
-
-    The subalgebra has dimension |W|, so x is nilpotent exactly when
-    x^(2^k) = 0 for the first 2^k >= |W|.
-    """
-    for g in x.terms:
-        if g not in subgroup:
-            raise SupportNotInSubgroup(f"{g!r} lies outside the subgroup")
-    d = len(subgroup)
-    y = x
-    e = 1
-    while e < d:
-        if not y:
-            return True
-        y = y * y
-        e *= 2
-    return not y
 
 
 def averaging_idempotent(algebra, elements, weights=None):

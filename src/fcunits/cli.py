@@ -87,8 +87,9 @@ def cmd_validate(args):
     if not res.valid:
         print("invalid: " + res.counterexample.describe())
         return 1
-    print(f"valid: cocycle identity holds on {res.checked_pairs} "
-          f"generator-box pairs (radius {inst.caps.box_radius})")
+    print(f"valid: cocycle identity holds in {res.checked_pairs} checks "
+          f"(torsion triples x pairing-offset pairs, box radius "
+          f"{inst.caps.box_radius})")
     return 0
 
 
@@ -96,9 +97,7 @@ def cmd_validate(args):
 
 
 def _orbit_section(inst, labels, depth):
-    level = inst.caps.truncation_level if inst.group.prufer is not None \
-        else None
-    gens = dict(inst.group.generators(prufer_level=level))
+    gens = dict(inst.group.generators(prufer_level=inst.prufer_level))
     probes = {}
     for label in labels:
         if label not in gens:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     ConditionsNotMet,
@@ -29,6 +28,7 @@ from .errors import (
     certify,
     int_matrix,
 )
+from .groups import bilinear_exponent
 
 
 class Cocycle:
@@ -78,15 +78,6 @@ class Cocycle:
         tor = self.group.torsion
         return self._tau_idx(tor.index(akey), tor.index(bkey))
 
-    def _bilinear_exponent(self, u, v):
-        total = 0
-        for i, row in enumerate(self.matrix):
-            if u[i]:
-                for j in range(i + 1, len(row)):
-                    if row[j] and v[j]:
-                        total += row[j] * u[i] * v[j]
-        return total
-
     def _zeta_pow(self, e):
         cached = self._zeta_powers.get(e)
         if cached is None:
@@ -98,7 +89,7 @@ class Cocycle:
         self.group._check(g, h)
         val = self.tau(g.t, h.t)
         if self.group.rank:
-            e = self._bilinear_exponent(g.u, h.u)
+            e = bilinear_exponent(self.matrix, g.u, h.u)
             if e:
                 val = val * self._zeta_pow(e)
         return val
@@ -223,30 +214,31 @@ def validate_cocycle(group, cocycle, box_radius=3):
     if group.rank == 0 or group.pairing_matrix is None:
         pairs = {(0, 0): (zero_u, zero_u, zero_u)}
     else:
-        L = tor.order_key(tor.normalize(group.pairing_target))
+        L = group.pairing_order
+        M = group.pairing_matrix
         box = free_box(group, box_radius)
         pairs = {}
         for v in box:
             c1_wit = {}
             c2_wit = {}
             for u in box:
-                c1_wit.setdefault(group._beta(u, v) % L, u)
-                c2_wit.setdefault(group._beta(v, u) % L, u)
+                c1_wit.setdefault(bilinear_exponent(M, u, v) % L, u)
+                c2_wit.setdefault(bilinear_exponent(M, v, u) % L, u)
             for c1, uw in c1_wit.items():
                 for c2, ww in c2_wit.items():
                     pairs.setdefault((c1, c2), (uw, v, ww))
 
-    def bilin(u, v):
-        return cocycle._bilinear_exponent(u, v)
-
     def vec_add(u, v):
         return tuple(x + y for x, y in zip(u, v))
 
+    N = cocycle.matrix
     checked = 0
     keys = list(tor.keys())
     for (c1, c2), (uw, vw, ww) in pairs.items():
-        certify(bilin(uw, vw) + bilin(vec_add(uw, vw), ww)
-                - bilin(vw, ww) - bilin(uw, vec_add(vw, ww)) == 0,
+        certify(bilinear_exponent(N, uw, vw)
+                + bilinear_exponent(N, vec_add(uw, vw), ww)
+                - bilinear_exponent(N, vw, ww)
+                - bilinear_exponent(N, uw, vec_add(vw, ww)) == 0,
                 "the bilinear part must cancel in the cocycle identity")
         shift1 = group._target_multiple(c1)
         shift2 = group._target_multiple(c2)
@@ -313,19 +305,14 @@ def coboundary(group, field, mu_torsion, mu_free=None):
     base = mu_torsion[0]
     mu = [val / base for val in mu_torsion]
     tor = group.torsion
-    if group.pairing_matrix is not None:
-        entries = [group.pairing_matrix[i][j]
-                   for i in range(group.rank) for j in range(i + 1, group.rank)
-                   if group.pairing_matrix[i][j]]
-        content = math.gcd(*entries) if entries else 0
-        if content:
-            shift = group._target_multiple(content)
-            for key in tor.keys():
-                shifted = tor.mul_key(key, shift)
-                if mu[tor.index(key)] != mu[tor.index(shifted)]:
-                    raise ConditionsNotMet(
-                        "mu is not constant along the pairing image, so its "
-                        "coboundary leaves the representable cocycle family")
+    if group.pairing_content:
+        shift = group._target_multiple(group.pairing_content)
+        for key in tor.keys():
+            shifted = tor.mul_key(key, shift)
+            if mu[tor.index(key)] != mu[tor.index(shifted)]:
+                raise ConditionsNotMet(
+                    "mu is not constant along the pairing image, so its "
+                    "coboundary leaves the representable cocycle family")
     table = {}
     for a in tor.keys():
         ia = tor.index(a)
@@ -393,18 +380,3 @@ def condition4_set(cocycle, g, prufer_level=None):
         values.add(val)
     return ScalarOrbit(g, frozenset(values), len(values),
                        truncated=group.prufer is not None)
-
-
-def is_symmetric_on_torsion(cocycle, box_radius=3):
-    """Check lambda(g, h) = lambda(h, g) for torsion h and g in the box.
-
-    Pruefer coordinates never enter the cocycle's value, so ranging h over
-    the finite torsion coordinate is exhaustive for the whole torsion part.
-    """
-    group = cocycle.group
-    torsion = group.torsion_elements(prufer_level=0)
-    for g in generator_box(group, box_radius):
-        for h in torsion:
-            if cocycle(g, h) != cocycle(h, g):
-                return False, (g, h, cocycle(g, h), cocycle(h, g))
-    return True, None

@@ -174,6 +174,13 @@ class Instance:
         return hashlib.sha256(
             canonical_json(self.canonical()).encode()).hexdigest()
 
+    @property
+    def prufer_level(self):
+        """The Pruefer truncation level, or None without a Pruefer part."""
+        if self.group.prufer is None:
+            return None
+        return self.caps.truncation_level
+
     def torsion_subalgebra(self, prufer_level=0):
         return self.subalgebra_over(self.group.torsion_elements(prufer_level))
 
@@ -293,6 +300,34 @@ def _decomposition_summary(report):
     return out
 
 
+def _centrality_failure(algebra, key, items, to_unit=None):
+    """The witness {key: item, "conjugator": g} for the first item that
+    some basis unit u_g fails to commute with, or None.  The item is
+    tested itself, or as to_unit(item) when ``to_unit`` is given."""
+    for item in items:
+        ok, g = algebra.is_central(item if to_unit is None
+                                   else to_unit(item))
+        if not ok:
+            return {key: item, "conjugator": g}
+    return None
+
+
+def _primitive_counts_by_level(inst, levels, seed, keys=None):
+    """Primitive-idempotent counts of the torsion subalgebra at Pruefer
+    levels 1..levels, restricted to the finite torsion keys in ``keys``
+    when given; stops at the first level whose subgroup is too large."""
+    counts = []
+    for j in range(1, levels + 1):
+        els = [h for h in inst.group.torsion_elements(j)
+               if keys is None or h.t in keys]
+        try:
+            S = inst.subalgebra_over(els)
+        except SubgroupTooLarge:
+            break
+        counts.append(len(primitive_idempotents(S.fd, seed=seed)))
+    return counts
+
+
 # --- necessary screens -----------------------------------------------------------
 
 
@@ -322,7 +357,7 @@ def _torsion_commutativity_witness(inst):
     return None
 
 
-def necessary_conditions(inst):
+def necessary_conditions(inst, seed=0):
     """Violations of the screens every FC unit group must clear, as failed
     ConditionReports.
 
@@ -347,17 +382,14 @@ def necessary_conditions(inst):
                if p == 0 or group.element_order(h) % p != 0]
         if len(els) > 1:
             S = inst.subalgebra_over(els)
-            algebra = inst.algebra()
-            for vec in primitive_idempotents(S.fd):
-                e = S.to_ambient(vec)
-                ok, g = algebra.is_central(e)
-                if not ok:
-                    violations.append(ConditionReport(
-                        "L5.idempotents-central", False,
-                        {"idempotent": e, "conjugator": g},
-                        "a primitive idempotent of the torsion subalgebra "
-                        "moves under conjugation"))
-                    break
+            fail = _centrality_failure(
+                inst.algebra(), "idempotent",
+                map(S.to_ambient, primitive_idempotents(S.fd, seed=seed)))
+            if fail is not None:
+                violations.append(ConditionReport(
+                    "L5.idempotents-central", False, fail,
+                    "a primitive idempotent of the torsion subalgebra "
+                    "moves under conjugation"))
     if not field.is_finite():
         if not group.torsion_is_central():
             bad = next(h for h in group.torsion_elements(prufer_level=0)
@@ -385,11 +417,14 @@ def necessary_conditions(inst):
 # --- characteristic-p criterion (T3) ----------------------------------------------
 
 
-def _torsion_has_p_element(group, p):
-    if group.prufer is not None and group.prufer[0] == p:
-        return True
+def _finite_torsion_has_p_element(group, p):
     tor = group.torsion
     return any(tor.order_key(k) % p == 0 for k in tor.keys())
+
+
+def _torsion_has_p_element(group, p):
+    return ((group.prufer is not None and group.prufer[0] == p)
+            or _finite_torsion_has_p_element(group, p))
 
 
 def algebra_is_commutative(inst):
@@ -415,8 +450,8 @@ def _is_two_power(n):
 
 
 def _condition4_reports(inst):
-    group, cocycle, caps = inst.group, inst.cocycle, inst.caps
-    level = caps.truncation_level if group.prufer is not None else None
+    group, cocycle = inst.group, inst.cocycle
+    level = inst.prufer_level
     details = {}
     for label, g in group.generators():
         orbit = condition4_set(cocycle, g, prufer_level=level)
@@ -471,15 +506,8 @@ def check_theorem3(inst, seed=0):
     odd_keys = [k for k in tor.keys() if tor.order_key(k) % 2 == 1]
     odd_prufer = group.prufer is not None and group.prufer[0] % 2 == 1
     if odd_prufer:
-        counts = []
-        for j in range(1, inst.caps.truncation_level + 1):
-            els = [h for h in group.torsion_elements(j)
-                   if h.t in set(odd_keys)]
-            try:
-                S = inst.subalgebra_over(els)
-            except SubgroupTooLarge:
-                break
-            counts.append(len(primitive_idempotents(S.fd, seed=seed)))
+        counts = _primitive_counts_by_level(
+            inst, inst.caps.truncation_level, seed, keys=set(odd_keys))
         growing = len(counts) >= 2 and all(
             a < b for a, b in zip(counts, counts[1:]))
         c3 = ConditionReport(
@@ -569,16 +597,8 @@ def _random_group_element(group, rng):
 
 def _achievable_pairing_offsets(group):
     """The pairing-offset residues a product of coset reps can pick up."""
-    if group.pairing_matrix is None or group.torsion.kind != "invariants":
-        return [0], 1
-    entries = [e for row in group.pairing_matrix for e in row if e]
-    if not entries:
-        return [0], 1
-    g0 = math.gcd(*entries)
-    L = group.torsion.order_key(
-        group.torsion.normalize(group.pairing_target))
-    step = math.gcd(g0, L)
-    return list(range(0, L, step)), L
+    L = group.pairing_order
+    return list(range(0, L, math.gcd(group.pairing_content, L)))
 
 
 def build_quotient_algebra(inst, a=None, seed=0,
@@ -645,7 +665,7 @@ def build_quotient_algebra(inst, a=None, seed=0,
             val = val * cocycle.tau(rk, a_power_keys[s]).inv() * mu_root ** s
         return val
 
-    offsets, _ = _achievable_pairing_offsets(group)
+    offsets = _achievable_pairing_offsets(group)
     table = {}
     fit_checks = 0
     for xbar in qtor.keys():
@@ -699,8 +719,7 @@ def check_theorem4(inst, seed=0):
     algebra = inst.algebra()
     group, field = inst.group, inst.field
     p = field.characteristic
-    tor = group.torsion
-    if p and any(tor.order_key(k) % p == 0 for k in tor.keys()):
+    if p and _finite_torsion_has_p_element(group, p):
         raise InapplicableCharacteristic(
             f"characteristic {p} divides a torsion element order")
     if group.prufer is not None:
@@ -721,13 +740,8 @@ def check_theorem4(inst, seed=0):
     c3 = ConditionReport("T4.3", report.is_sum_of_fields, summary)
 
     if commutative:
-        fail = None
-        for vec in report.primitives:
-            e = S.to_ambient(vec)
-            ok, g = algebra.is_central(e)
-            if not ok:
-                fail = {"idempotent": e, "conjugator": g}
-                break
+        fail = _centrality_failure(algebra, "idempotent",
+                                   map(S.to_ambient, report.primitives))
         c1 = ConditionReport("T4.1", fail is None, fail)
     else:
         c1 = ConditionReport(
@@ -746,12 +760,9 @@ def check_theorem4(inst, seed=0):
             note="K is finite, so the torsion subalgebra is finite and its "
                  "elementwise centrality is not required")
     else:
-        fail = None
-        for h in group.torsion_elements():
-            ok, g = algebra.is_central(algebra.basis_unit(h))
-            if not ok:
-                fail = {"torsion_element": h, "conjugator": g}
-                break
+        fail = _centrality_failure(algebra, "torsion_element",
+                                   group.torsion_elements(),
+                                   algebra.basis_unit)
         c4 = ConditionReport(
             "T4.4", fail is None, fail,
             note="K is infinite, so the torsion subalgebra must be central")
@@ -961,11 +972,10 @@ def check_theorem5_truncated(inst, level=None, seed=0):
     if p == q:
         raise InapplicableCharacteristic(
             f"characteristic equals the Pruefer prime {q}")
-    tor = group.torsion
-    if p and any(tor.order_key(k) % p == 0 for k in tor.keys()):
+    if p and _finite_torsion_has_p_element(group, p):
         raise InapplicableCharacteristic(
             f"characteristic {p} divides a finite torsion order")
-    if not tor.is_abelian:
+    if not group.torsion.is_abelian:
         raise InapplicableTorsion("the finite torsion part is nonabelian")
     lvl = min(level or inst.caps.truncation_level, levels)
     notes = [READING_NOTE, _fc_note(group),
@@ -976,12 +986,9 @@ def check_theorem5_truncated(inst, level=None, seed=0):
 
     # condition 1: torsion subalgebra central; minimal idempotent existence
     # is governed by the root-of-unity stock
-    central_fail = None
-    for h in group.torsion_elements(lvl):
-        ok, g = algebra.is_central(algebra.basis_unit(h))
-        if not ok:
-            central_fail = {"torsion_element": h, "conjugator": g}
-            break
+    central_fail = _centrality_failure(algebra, "torsion_element",
+                                       group.torsion_elements(lvl),
+                                       algebra.basis_unit)
     profile = _root_of_unity_profile(field, q)
     wit1 = {"root_of_unity_profile": profile}
     if central_fail:
@@ -1048,14 +1055,8 @@ def check_theorem5_truncated(inst, level=None, seed=0):
                      "complement_decomposition": _decomposition_summary(rep)},
                     note="evaluated at the truncation level")
 
-    counts = []
-    for j in range(1, lvl + 1):
-        try:
-            Sj = inst.torsion_subalgebra(j)
-        except SubgroupTooLarge:
-            break
-        counts.append(len(primitive_idempotents(Sj.fd, seed=seed)))
-    evidence["decompositions"]["component_counts_by_level"] = counts
+    evidence["decompositions"]["component_counts_by_level"] = \
+        _primitive_counts_by_level(inst, lvl, seed)
 
     chain = prufer_idempotent_chain(algebra, lvl)
     chain_ok = all(chain[k] * chain[k + 1] == chain[k + 1]
@@ -1206,7 +1207,7 @@ def verdict(inst, seed=0):
                           "finite and trivially FC; the criteria target "
                           "infinite algebras"],
             {"orbits": None, "decompositions": None})
-    violations = necessary_conditions(inst)
+    violations = necessary_conditions(inst, seed=seed)
     if violations:
         out = Verdict("NotFC", "necessary-only",
                       violations, base_notes,
@@ -1221,8 +1222,7 @@ def verdict(inst, seed=0):
             out = check_theorem4(inst, seed=seed)
     orbits = {}
     unstable = []
-    lvl = inst.caps.truncation_level if group.prufer is not None else None
-    for label, g in group.generators(prufer_level=lvl):
+    for label, g in group.generators(prufer_level=inst.prufer_level):
         probe = probe_conjugates(inst, algebra.basis_unit(g))
         orbits[label] = probe.to_json()
         if not probe.stabilized:

@@ -349,11 +349,6 @@ class Field:
     def elements(self):
         raise TypeError(f"{self.shortname()} is not finite")
 
-    def nonzero_elements(self):
-        for x in self.elements():
-            if x:
-                yield x
-
     def __repr__(self):
         return self.shortname()
 
@@ -747,12 +742,3 @@ def multiplicative_order(s):
         while order % q == 0 and s ** (order // q) == field.one:
             order //= q
     return order
-
-
-def multiplicative_generator(field):
-    """A fixed generator of F* for a finite field (smallest by sort key)."""
-    n = field.size() - 1
-    for x in field.elements():
-        if x and multiplicative_order(x) == n:
-            return x
-    raise AssertionError("finite field without a multiplicative generator")

@@ -39,6 +39,17 @@ def _lcm(a, b):
     return a * b // math.gcd(a, b)
 
 
+def bilinear_exponent(M, u, v):
+    """sum_{i<j} M[i][j] u_i v_j for a strictly upper triangular M."""
+    total = 0
+    for i, row in enumerate(M):
+        if u[i]:
+            for j in range(i + 1, len(row)):
+                if row[j] and v[j]:
+                    total += row[j] * u[i] * v[j]
+    return total
+
+
 class Element:
     """One group element: free coordinates, torsion key, Pruefer fraction."""
 
@@ -74,9 +85,6 @@ class Element:
     def sort_key(self):
         tkey = self.t if isinstance(self.t, tuple) else (self.t,)
         return (self.u, tkey, self.s)
-
-    def is_torsion(self):
-        return all(c == 0 for c in self.u)
 
     def __repr__(self):
         return f"El(u={list(self.u)}, t={self.t}, s={self.s})"
@@ -314,9 +322,14 @@ class Group:
                             "pairing matrix must be strictly upper triangular")
             self.pairing_matrix = M
             self.pairing_target = torsion.normalize(pairing_target)
+            entries = [e for row in M for e in row if e]
+            self.pairing_content = math.gcd(*entries) if entries else 0
+            self.pairing_order = torsion.order_key(self.pairing_target)
         else:
             self.pairing_matrix = None
             self.pairing_target = None
+            self.pairing_content = 0
+            self.pairing_order = 1
         if prufer is not None:
             q, levels = int_entries(prufer, "Pruefer q and levels")
             if torsion.kind != "invariants":
@@ -348,20 +361,6 @@ class Group:
 
     # --- basic law ---------------------------------------------------------
 
-    def _beta(self, u, v):
-        """Pairing coefficient sum_{i<j} M[i][j] u_i v_j (an integer)."""
-        if self.pairing_matrix is None:
-            return 0
-        M = self.pairing_matrix
-        total = 0
-        for i in range(self.rank):
-            if u[i]:
-                row = M[i]
-                for j in range(i + 1, self.rank):
-                    if row[j] and v[j]:
-                        total += row[j] * u[i] * v[j]
-        return total
-
     def _target_multiple(self, c):
         """The torsion key c * zvec (identity when there is no pairing)."""
         if self.pairing_target is None or c == 0:
@@ -381,7 +380,8 @@ class Group:
         self._check(a, b)
         u = tuple(x + y for x, y in zip(a.u, b.u))
         t = self.torsion.mul_key(a.t, b.t)
-        c = self._beta(a.u, b.u)
+        M = self.pairing_matrix
+        c = bilinear_exponent(M, a.u, b.u) if M else 0
         if c:
             t = self.torsion.mul_key(t, self._target_multiple(c))
         s = (a.s + b.s) % 1
@@ -391,7 +391,8 @@ class Group:
         self._check(a)
         u = tuple(-x for x in a.u)
         t = self.torsion.inv_key(a.t)
-        c = self._beta(u, a.u)  # correction so that a^-1 * a = 1
+        M = self.pairing_matrix
+        c = bilinear_exponent(M, u, a.u) if M else 0  # so a^-1 * a = 1
         if c:
             t = self.torsion.mul_key(t, self._target_multiple(-c))
         s = (-a.s) % 1
@@ -412,18 +413,6 @@ class Group:
     def commutator(self, a, b):
         """[a, b] = a^-1 b^-1 a b."""
         return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
-
-    def conjugate(self, x, g):
-        """g^-1 x g."""
-        return self.mul(self.mul(self.inv(g), x), g)
-
-    def commutator_closed_form(self, a, b):
-        """[a, b] from the pairing, without the four-fold product."""
-        if self.torsion.kind != "invariants":
-            raise GroupValidationError(
-                "closed-form commutator needs invariants torsion")
-        c = self._beta(a.u, b.u) - self._beta(b.u, a.u)
-        return self._el((0,) * self.rank, self._target_multiple(c), Fraction(0))
 
     # --- elements and orders -----------------------------------------------
 
@@ -468,16 +457,8 @@ class Group:
 
     @property
     def is_abelian(self):
-        if not self.torsion.is_abelian:
-            return False
-        if self.pairing_matrix is None:
-            return True
-        ident = self.torsion.identity_key()
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                if self._target_multiple(self.pairing_matrix[i][j]) != ident:
-                    return False
-        return True
+        return (self.torsion.is_abelian
+                and self.pairing_content % self.pairing_order == 0)
 
     def torsion_elements(self, prufer_level=None):
         """All torsion elements, Pruefer part truncated at prufer_level."""
@@ -545,33 +526,11 @@ class Group:
 
     # --- structure -----------------------------------------------------------
 
-    def torsion_subgroup(self):
-        """The torsion subgroup as a rank-0 group, with an embedding map."""
-        sub = Group(0, self.torsion, prufer=self.prufer,
-                    json_kind="cayley" if self.torsion.kind == "table" and
-                    self.prufer is None else "central-extension")
-        zero_u = (0,) * self.rank
-
-        def embed(el):
-            if el.group is not sub:
-                raise GroupMismatch("element is not in the torsion subgroup")
-            return self._el(zero_u, el.t, el.s)
-
-        return sub, embed
-
     def commutator_subgroup(self):
         """G' as an explicit SubgroupRecord inside this group."""
         zero_u = (0,) * self.rank
         if self.torsion.kind == "invariants":
-            if self.pairing_matrix is None:
-                gen_key = self.torsion.identity_key()
-            else:
-                entries = [self.pairing_matrix[i][j]
-                           for i in range(self.rank)
-                           for j in range(i + 1, self.rank)
-                           if self.pairing_matrix[i][j]]
-                content = math.gcd(*entries) if entries else 0
-                gen_key = self._target_multiple(content)
+            gen_key = self._target_multiple(self.pairing_content)
             gen = self._el(zero_u, gen_key, Fraction(0))
             order = self.torsion.order_key(gen_key)
             elements = [self.power(gen, k) for k in range(order)]
@@ -606,7 +565,7 @@ class Group:
                        for w in tor.keys())
         if self.pairing_matrix is None:
             return True
-        L = self.torsion.order_key(self.torsion.normalize(self.pairing_target))
+        L = self.pairing_order
         M = self.pairing_matrix
         for i in range(self.rank):
             w = sum(M[i][j] * el.u[j] for j in range(i + 1, self.rank)) \
@@ -614,45 +573,6 @@ class Group:
             if w % L != 0:
                 return False
         return True
-
-    def center_generators(self):
-        """Generators of the center (free-part lattice + central torsion)."""
-        out = []
-        zero_t = self.torsion.identity_key()
-        if self.torsion.kind == "table" or self.pairing_matrix is None:
-            for i in range(self.rank):
-                u = tuple(1 if j == i else 0 for j in range(self.rank))
-                out.append(self._el(u, zero_t, Fraction(0)))
-        else:
-            L = self.torsion.order_key(
-                self.torsion.normalize(self.pairing_target))
-            M = self.pairing_matrix
-            C = [[M[i][j] - M[j][i] for j in range(self.rank)]
-                 for i in range(self.rank)]
-            if self.rank:
-                diag, _, V, _ = smith_normal_form(C)
-                for t in range(self.rank):
-                    d = diag[t] if t < len(diag) else 0
-                    step = L // math.gcd(d, L)
-                    u = tuple(V[i][t] * step for i in range(self.rank))
-                    el = self._el(u, zero_t, Fraction(0))
-                    assert self.center_contains(el)
-                    out.append(el)
-        zero_u = (0,) * self.rank
-        if self.torsion.kind == "table":
-            for k in self.torsion.keys():
-                el = self._el(zero_u, k, Fraction(0))
-                if k != 0 and self.center_contains(el):
-                    out.append(el)
-        else:
-            m = len(self.torsion.invariants)
-            for i in range(m):
-                key = tuple(1 if j == i else 0 for j in range(m))
-                out.append(self._el(zero_u, key, Fraction(0)))
-        if self.prufer is not None:
-            q, levels = self.prufer
-            out.append(self._el(zero_u, zero_t, Fraction(1, q ** levels)))
-        return out
 
     def torsion_is_central(self):
         """True when every torsion element is central."""
@@ -673,8 +593,7 @@ class Group:
             bound = 1
             reason = "abelian"
         else:
-            bound = self.torsion.order_key(
-                self.torsion.normalize(self.pairing_target))
+            bound = self.pairing_order
             reason = ("conjugates differ by multiples of the pairing target, "
                       "a finite central subgroup")
         return True, {"fc": True, "max_class_size_bound": bound,
@@ -751,12 +670,6 @@ class _TorsionCosets:
         h = self.project(el)
         t = self.group.mul(self.group.inv(self.rep(h)), el)
         return h, t
-
-    def list_reps(self):
-        if self.group.rank != 0:
-            raise InfiniteIndexUnsupported(
-                "the torsion subgroup has infinite index here")
-        return [self.group.identity]
 
 
 class _CyclicCosets:
@@ -871,12 +784,6 @@ class _CyclicCosets:
             if p == diff:
                 return h, k
         raise AssertionError("coset factorization failed")
-
-    def list_reps(self):
-        if not self.group.is_finite():
-            raise InfiniteIndexUnsupported(
-                "cannot enumerate infinitely many cosets")
-        return [self.rep(h) for h in self.quotient.elements()]
 
 
 # --- JSON construction ----------------------------------------------------------

@@ -9,8 +9,8 @@ vectors, but keeps its echelon rows and coordinate combinations as raw
 field values and eliminates with the field's raw operations (see
 `fields`), reducing each coordinate once per elimination.  `rref` reads
 the reduced echelon form off a `SpanBasis` of the rows, and the
-whole-matrix routines (`rank`, `solve`, `kernel_basis`, `invert`) read
-their answers off `rref`.
+whole-matrix routines (`rank`, `solve`, `kernel_basis`) read their
+answers off `rref`.
 """
 
 from __future__ import annotations
@@ -18,37 +18,6 @@ from __future__ import annotations
 from itertools import repeat
 
 from .fields import Scalar
-
-
-def identity_matrix(field, n):
-    return [[field.one if i == j else field.zero for j in range(n)]
-            for i in range(n)]
-
-
-def mat_vec(field, rows, vec):
-    out = []
-    for row in rows:
-        acc = field.zero
-        for a, x in zip(row, vec):
-            if a and x:
-                acc = acc + a * x
-        out.append(acc)
-    return out
-
-
-def mat_mul(field, a, b):
-    n, m = len(a), len(b[0]) if b else 0
-    out = [[field.zero] * m for _ in range(n)]
-    for i, row in enumerate(a):
-        for k, aik in enumerate(row):
-            if not aik:
-                continue
-            brow = b[k]
-            orow = out[i]
-            for j in range(m):
-                if brow[j]:
-                    orow[j] = orow[j] + aik * brow[j]
-    return out
 
 
 def rref(field, rows):
@@ -101,17 +70,6 @@ def kernel_basis(field, rows, ncols):
             vec[col] = -R[i][free]
         basis.append(vec)
     return basis
-
-
-def invert(field, rows):
-    """Matrix inverse, or None when singular."""
-    n = len(rows)
-    aug = [list(r) + list(e)
-           for r, e in zip(rows, identity_matrix(field, n))]
-    R, pivots = rref(field, aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in R[:n]]
 
 
 def _minus_multiple(field, x, c, y):

@@ -112,31 +112,3 @@ def smith_normal_form(rows):
         t += 1
     diag = [D[i][i] if i < n_cols else 0 for i in range(min(n_rows, n_cols))]
     return diag, U, V, Vinv
-
-
-def mat_mul_int(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    assert all(len(r) == inner for r in A)
-    return [[sum(A[i][k] * B[k][j] for k in range(inner)) for j in range(cols)]
-            for i in range(rows)]
-
-
-def det_int(M):
-    """Integer determinant by fraction-free Gaussian elimination (Bareiss)."""
-    n = len(M)
-    M = [list(r) for r in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if swap is None:
-                return 0
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]

@@ -250,22 +250,6 @@ def span_of(fd, vectors):
     return S
 
 
-def ideal_closure(fd, generators):
-    """Basis of the two-sided ideal generated by the vectors."""
-    S = linalg.SpanBasis(fd.field, fd.dim)
-    frontier = [v for v in generators if S.add(v)]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(fd.dim):
-                b = fd.basis_vec(i)
-                for w in (fd.mul(b, v), fd.mul(v, b)):
-                    if S.add(w):
-                        nxt.append(w)
-        frontier = nxt
-    return [list(r) for r in S.inserted]
-
-
 def _is_ideal(fd, span):
     S = span_of(fd, span)
     for v in span:
@@ -547,10 +531,6 @@ def jacobson_radical(fd):
     return RadicalResult(basis, method, index, certificate)
 
 
-def is_semisimple(fd):
-    return not jacobson_radical(fd).basis
-
-
 # --- idempotents ---------------------------------------------------------------
 
 
@@ -749,9 +729,6 @@ class DecompositionReport:
     components: list
     radical: RadicalResult = None      # None when noncommutative
     primitives: tuple = None           # None when noncommutative
-
-    def component_count(self):
-        return len(self.components)
 
 
 def _field_certificate(corner, rng):

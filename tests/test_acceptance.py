@@ -124,7 +124,7 @@ def test_acceptance_02_torsion_unit_inversion_suite():
             g = inst.group.element(t=key)
             d = tor.order_key(key)
             u = algebra.basis_unit(g)
-            power = algebra.basis_unit_power(g, d)
+            power = u ** d
             assert list(power.terms) == [inst.group.identity]
             lam = power.terms[inst.group.identity]
             not_invertible = 0

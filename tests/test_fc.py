@@ -643,6 +643,19 @@ def test_one_subalgebra_and_one_split_per_fact(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_l5_screen_splits_with_the_run_seed(monkeypatch, capsys):
+    from fcunits import structure
+
+    # T4 reuses the L5 screen's split only when both use the run's seed;
+    # an L5 split under seed 0 would double the calls under seed 1
+    monkeypatch.setenv("FC_UNITS_SEED", "1")
+    rational = _calls(monkeypatch, structure,
+                      "_primitive_idempotents_rational")
+    _analyze_bundled("c3_z_rationals", "--verdict")
+    assert len(rational) == 3
+    capsys.readouterr()
+
+
 def test_verdict_json_is_deterministic():
     inst = heisenberg({"kind": "prime-power", "p": 2})
     a = json.dumps(fc.verdict(inst).to_json(), sort_keys=True)

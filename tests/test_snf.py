@@ -2,7 +2,33 @@
 
 from hypothesis import given, settings, strategies as st
 
-from fcunits.snf import det_int, mat_mul_int, smith_normal_form
+from fcunits.snf import smith_normal_form
+
+
+def mat_mul_int(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
+            for row in A]
+
+
+def det_int(M):
+    """Integer determinant by fraction-free Gaussian elimination (Bareiss)."""
+    n = len(M)
+    M = [list(r) for r in M]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
+            if swap is None:
+                return 0
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
 
 
 def matrices(max_dim=4, max_entry=9):

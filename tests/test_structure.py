@@ -35,8 +35,6 @@ from fcunits.structure import (
     corner_algebra,
     count_idempotents,
     fields_decomposition,
-    ideal_closure,
-    is_semisimple,
     jacobson_radical,
     lift_idempotent,
     minimal_polynomial,
@@ -214,8 +212,8 @@ def test_radical_noncommutative_s3():
     rr3 = jacobson_radical(fd3)
     assert len(rr3.basis) == 4
 
-    assert is_semisimple(group_algebra_fd(cayley(table), gf(5)).fd)
-    assert is_semisimple(group_algebra_fd(cayley(table), rationals()).fd)
+    for F in (gf(5), rationals()):
+        assert not jacobson_radical(group_algebra_fd(cayley(table), F).fd).basis
 
 
 def test_semisimplicity_matches_characteristic_sweep():
@@ -231,7 +229,7 @@ def test_semisimplicity_matches_characteristic_sweep():
         for name, G, order in shapes:
             fd = group_algebra_fd(G, F).fd
             expected = F.characteristic == 0 or order % F.characteristic != 0
-            assert is_semisimple(fd) == expected, (name, F)
+            assert (not jacobson_radical(fd).basis) == expected, (name, F)
 
 
 def test_radical_noncommutative_dimension_cap():
@@ -392,7 +390,7 @@ def test_twisted_gf3_c2_is_a_field():
     fd = group_algebra_fd(G, F, Cocycle(G, F, {(1, 1): F.scalar(2)})).fd
     report = fields_decomposition(fd)
     assert report.is_sum_of_fields
-    assert report.component_count() == 1
+    assert len(report.components) == 1
     comp = report.components[0]
     assert comp.dim == 2
     assert comp.description == "GF(3^2)"
@@ -448,7 +446,7 @@ def test_not_sum_of_fields_noncommutative_witness():
     assert not report.is_sum_of_fields
     assert report.reason == "noncommutative"
     assert report.witness is not None
-    assert is_semisimple(sub.fd)
+    assert not jacobson_radical(sub.fd).basis
 
 
 def test_not_sum_of_fields_radical_witness():
@@ -470,7 +468,7 @@ def test_quotient_of_gf2_c6_by_radical():
     rad = jacobson_radical(fd).basis
     Q = quotient_algebra(fd, rad)
     assert Q.fd.dim == 3
-    assert is_semisimple(Q.fd)
+    assert not jacobson_radical(Q.fd).basis
     assert count_idempotents(Q.fd) == 4
     for i in range(Q.fd.dim):
         qv = Q.fd.basis_vec(i)
@@ -481,11 +479,28 @@ def test_quotient_of_gf2_c6_by_radical():
         assert S.contains(fd.sub(Q.lift(Q.project(v)), v))
 
 
+def ref_ideal_closure(fd, generators):
+    """Basis of the two-sided ideal generated by the vectors, closed under
+    multiplication by basis vectors on both sides."""
+    S = structure.span_of(fd, [])
+    frontier = [v for v in generators if S.add(v)]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(fd.dim):
+                b = fd.basis_vec(i)
+                for w in (fd.mul(b, v), fd.mul(v, b)):
+                    if S.add(w):
+                        nxt.append(w)
+        frontier = nxt
+    return [list(r) for r in S.inserted]
+
+
 def test_ideal_closure_recovers_radical():
     F = gf(2)
     fd = group_algebra_fd(cayley(cyclic_table(6)), F).fd
     gen = fd.add(fd.basis_vec(0), fd.basis_vec(3))   # 1 + u^3
-    ideal = ideal_closure(fd, [gen])
+    ideal = ref_ideal_closure(fd, [gen])
     rad = jacobson_radical(fd).basis
     S_ideal = structure.span_of(fd, ideal)
     S_rad = structure.span_of(fd, rad)
