@@ -188,14 +188,6 @@ class TwistedGroupAlgebra:
             terms[g] = terms.get(g, zero) + c
         return AlgebraElement(self, terms)
 
-    def element_from_json(self, obj):
-        pairs = []
-        for item in obj:
-            g = self.group.element_from_json(item["g"])
-            c = self.field.scalar(self.field.value_from_json(item["c"]))
-            pairs.append((g, c))
-        return self.element(pairs)
-
     def basis_unit_inverse(self, g):
         """u_g^(-1) = lambda(g^-1, g)^(-1) u_{g^-1}."""
         gi = self.group.inv(g)

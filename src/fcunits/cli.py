@@ -87,7 +87,7 @@ def cmd_validate(args):
     if not res.valid:
         print("invalid: " + res.counterexample.describe())
         return 1
-    print(f"valid: cocycle identity holds in {res.checked_pairs} checks "
+    print(f"valid: cocycle identity holds in {res.checked_identities} checks "
           f"(torsion triples x pairing-offset pairs, box radius "
           f"{inst.caps.box_radius})")
     return 0

@@ -2,8 +2,8 @@
 
 A cocycle in the representable family is a product of two parts:
 
-* a dense table tau on the finite torsion coordinate (Pruefer coordinates
-  contribute trivially; twisting along them is out of scope), and
+* a table tau on pairs of torsion keys (Pruefer coordinates contribute
+  trivially; twisting along them is out of scope), and
 * a bilinear part zeta^(u^T N v) on the free coordinates, N strictly upper
   triangular over the integers, zeta a nonzero scalar.
 
@@ -71,12 +71,9 @@ class Cocycle:
         self.matrix = matrix
         self._zeta_powers = {0: field.one, 1: zeta}
 
-    def _tau_idx(self, i, j):
-        return self.torsion_table.get((i, j), self.field.one)
-
-    def tau(self, akey, bkey):
-        tor = self.group.torsion
-        return self._tau_idx(tor.index(akey), tor.index(bkey))
+    def tau(self, a, b):
+        """The torsion-table value at the torsion keys a, b."""
+        return self.torsion_table.get((a, b), self.field.one)
 
     def _zeta_pow(self, e):
         cached = self._zeta_powers.get(e)
@@ -99,7 +96,7 @@ class Cocycle:
         """lambda(1, g) = lambda(g, 1) = 1, i.e. identity row/column trivial."""
         one = self.field.one
         for i in range(self.group.torsion.size):
-            if self._tau_idx(0, i) != one or self._tau_idx(i, 0) != one:
+            if self.tau(0, i) != one or self.tau(i, 0) != one:
                 return False
         return True
 
@@ -174,7 +171,7 @@ class CounterexampleTriple:
 class ValidationResult:
     valid: bool
     counterexample: CounterexampleTriple | None = None
-    checked_pairs: int = 0
+    checked_identities: int = 0
 
 
 def free_box(group, radius):
@@ -187,7 +184,7 @@ def free_box(group, radius):
 def generator_box(group, radius):
     """Elements with free coordinates in [-radius, radius]^r, any finite
     torsion coordinate, Pruefer coordinate zero."""
-    return [group.element(u, t)
+    return [group.from_key(t, u)
             for u in free_box(group, radius)
             for t in group.torsion.keys()]
 
@@ -232,8 +229,9 @@ def validate_cocycle(group, cocycle, box_radius=3):
         return tuple(x + y for x, y in zip(u, v))
 
     N = cocycle.matrix
+    tau = cocycle.tau
     checked = 0
-    keys = list(tor.keys())
+    keys = tor.keys()
     for (c1, c2), (uw, vw, ww) in pairs.items():
         certify(bilinear_exponent(N, uw, vw)
                 + bilinear_exponent(N, vec_add(uw, vw), ww)
@@ -244,18 +242,17 @@ def validate_cocycle(group, cocycle, box_radius=3):
         shift2 = group._target_multiple(c2)
         for x in keys:
             for y in keys:
-                txy = cocycle._tau_idx(tor.index(x), tor.index(y))
+                txy = tau(x, y)
                 xy = tor.mul_key(tor.mul_key(x, y), shift1)
                 for z in keys:
                     checked += 1
-                    lhs = txy * cocycle._tau_idx(tor.index(xy), tor.index(z))
+                    lhs = txy * tau(xy, z)
                     yz = tor.mul_key(tor.mul_key(y, z), shift2)
-                    rhs = (cocycle._tau_idx(tor.index(y), tor.index(z))
-                           * cocycle._tau_idx(tor.index(x), tor.index(yz)))
+                    rhs = tau(y, z) * tau(x, yz)
                     if lhs != rhs:
-                        g = group.element(uw, x)
-                        h = group.element(vw, y)
-                        k = group.element(ww, z)
+                        g = group.from_key(x, uw)
+                        h = group.from_key(y, vw)
+                        k = group.from_key(z, ww)
                         direct_lhs = cocycle(g, h) * cocycle(group.mul(g, h), k)
                         direct_rhs = cocycle(h, k) * cocycle(g, group.mul(h, k))
                         certify(direct_lhs != direct_rhs,
@@ -276,12 +273,12 @@ def coboundary(group, field, mu_torsion, mu_free=None):
     """The coboundary cocycle (g, h) -> mu_g mu_h mu_{gh}^(-1).
 
     mu_torsion lists one nonzero scalar per finite torsion element, indexed
-    like the torsion table.  mu_free gives one nonzero scalar per free
-    generator; those values cancel identically in the coboundary (the free
-    part of mu is multiplicative on the u-coordinates) and are only
-    validated.  The result is normalized by dividing mu through by its value
-    at the identity, which replaces the coboundary by the cohomologous
-    normalized representative.
+    by torsion key like the torsion table.  mu_free gives one nonzero
+    scalar per free generator; those values cancel identically in the
+    coboundary (the free part of mu is multiplicative on the u-coordinates)
+    and are only validated.  The result is normalized by dividing mu
+    through by its value at the identity, which replaces the coboundary by
+    the cohomologous normalized representative.
 
     For groups with a nonzero pairing, the coboundary stays inside the
     representable family (torsion table x bilinear, trivial cross terms)
@@ -308,18 +305,14 @@ def coboundary(group, field, mu_torsion, mu_free=None):
     if group.pairing_content:
         shift = group._target_multiple(group.pairing_content)
         for key in tor.keys():
-            shifted = tor.mul_key(key, shift)
-            if mu[tor.index(key)] != mu[tor.index(shifted)]:
+            if mu[key] != mu[tor.mul_key(key, shift)]:
                 raise ConditionsNotMet(
                     "mu is not constant along the pairing image, so its "
                     "coboundary leaves the representable cocycle family")
     table = {}
     for a in tor.keys():
-        ia = tor.index(a)
         for b in tor.keys():
-            ib = tor.index(b)
-            iab = tor.index(tor.mul_key(a, b))
-            table[(ia, ib)] = mu[ia] * mu[ib] * mu[iab].inv()
+            table[(a, b)] = mu[a] * mu[b] * mu[tor.mul_key(a, b)].inv()
     result = Cocycle(group, field, table)
     check = validate_cocycle(group, result, box_radius=1)
     certify(check.valid, "a coboundary must satisfy the cocycle identity")

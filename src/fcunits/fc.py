@@ -176,10 +176,16 @@ class Instance:
 
     @property
     def prufer_level(self):
-        """The Pruefer truncation level, or None without a Pruefer part."""
+        """The Pruefer truncation level ``caps.truncation_level``, clamped
+        to the group's Pruefer levels, or None without a Pruefer part."""
+        return self.clamped_prufer_level(self.caps.truncation_level)
+
+    def clamped_prufer_level(self, level):
+        """``level`` capped at the group's Pruefer levels, or None without
+        a Pruefer part."""
         if self.group.prufer is None:
             return None
-        return self.caps.truncation_level
+        return min(level, self.group.prufer[1])
 
     def torsion_subalgebra(self, prufer_level=0):
         return self.subalgebra_over(self.group.torsion_elements(prufer_level))
@@ -225,10 +231,7 @@ def _jsonify(obj):
     if isinstance(obj, Element):
         return obj.group.element_to_json(obj)
     if isinstance(obj, AlgebraElement):
-        group = obj.algebra.group
-        terms = sorted(obj.terms.items(), key=lambda gc: gc[0].sort_key())
-        return [{"g": group.element_to_json(g), "c": c.to_json()}
-                for g, c in terms]
+        return obj.to_json()
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, dict):
@@ -341,7 +344,7 @@ def _torsion_commutativity_witness(inst):
                 if tor.mul_key(a, b) != tor.mul_key(b, a):
                     return ConditionReport(
                         "L4.torsion-commutative", False,
-                        {"pair": [group.element(t=a), group.element(t=b)]},
+                        {"pair": [group.from_key(a), group.from_key(b)]},
                         "t(G) is nonabelian")
         raise AssertionError("nonabelian table without a witness pair")
     torsion = group.torsion_elements(prufer_level=0)
@@ -488,12 +491,11 @@ def check_theorem3(inst, seed=0):
         "T3.1", p == 2 and comm_order == 2,
         {"characteristic": p, "commutator_subgroup_order": comm_order})
 
-    tor_abelian = tor.is_abelian
-    central = group.torsion_is_central() and tor_abelian
+    central = group.torsion_is_central()
     two_part = {k for k in tor.keys() if _is_two_power(tor.order_key(k))}
     comm_keys = {el.t for el in comm.elements}
     prufer_two = group.prufer is not None and group.prufer[0] == 2
-    split_ok = tor_abelian and two_part == comm_keys and not prufer_two
+    split_ok = two_part == comm_keys and not prufer_two
     wit2 = {"torsion_central": central,
             "two_part_order": len(two_part),
             "commutator_subgroup_order": comm_order}
@@ -507,7 +509,7 @@ def check_theorem3(inst, seed=0):
     odd_prufer = group.prufer is not None and group.prufer[0] % 2 == 1
     if odd_prufer:
         counts = _primitive_counts_by_level(
-            inst, inst.caps.truncation_level, seed, keys=set(odd_keys))
+            inst, inst.prufer_level, seed, keys=set(odd_keys))
         growing = len(counts) >= 2 and all(
             a < b for a, b in zip(counts, counts[1:]))
         c3 = ConditionReport(
@@ -518,8 +520,7 @@ def check_theorem3(inst, seed=0):
                  "with the truncation level")
         evidence["decompositions"] = {"component_counts_by_level": counts}
     else:
-        S = inst.subalgebra_over(
-            [group.element(t=k) for k in odd_keys])
+        S = inst.subalgebra_over([group.from_key(k) for k in odd_keys])
         report = fields_decomposition(S.fd, seed=seed)
         summary = _decomposition_summary(report)
         c3 = ConditionReport("T3.3", report.is_sum_of_fields, summary)
@@ -585,14 +586,13 @@ class QuotientConstruction:
 
 def _random_group_element(group, rng):
     u = tuple(rng.randint(-3, 3) for _ in range(group.rank))
-    keys = list(group.torsion.keys())
-    t = keys[rng.randrange(len(keys))]
+    t = rng.randrange(group.torsion.size)
     s = Fraction(0)
     if group.prufer is not None:
         q, levels = group.prufer
         den = q ** min(2, levels)
         s = Fraction(rng.randrange(den), den)
-    return group.element(u, t, s)
+    return group.from_key(t, u, s)
 
 
 def _achievable_pairing_offsets(group):
@@ -640,21 +640,15 @@ def build_quotient_algebra(inst, a=None, seed=0,
 
     cosets = group.coset_system(("cyclic", a))
     H = cosets.quotient
-    qtor = H.torsion
-
-    def rep_key(qkey):
-        return cosets.rep(H.element(t=qkey)).t
-
+    rep_keys = cosets.rep_keys
     tor = group.torsion
     a_power_keys = [group.power(a, s).t for s in range(2)]
 
     def induced_value(xbar, ybar, offset):
-        ri, rj = rep_key(xbar), rep_key(ybar)
-        t_prod = tor.mul_key(ri, rj)
-        if offset:
-            t_prod = tor.mul_key(t_prod, group._target_multiple(offset))
-        hk = cosets.project(group.element(t=t_prod))
-        rk = rep_key(hk.t)
+        ri, rj = rep_keys[xbar], rep_keys[ybar]
+        t_prod = tor.mul_key(tor.mul_key(ri, rj),
+                             group._target_multiple(offset))
+        rk = rep_keys[cosets.coset_of[t_prod]]
         for s, apk in enumerate(a_power_keys):
             if tor.mul_key(rk, apk) == t_prod:
                 break
@@ -668,8 +662,8 @@ def build_quotient_algebra(inst, a=None, seed=0,
     offsets = _achievable_pairing_offsets(group)
     table = {}
     fit_checks = 0
-    for xbar in qtor.keys():
-        for ybar in qtor.keys():
+    for xbar in H.torsion.keys():
+        for ybar in H.torsion.keys():
             base = induced_value(xbar, ybar, 0)
             for c in offsets[1:]:
                 fit_checks += 1
@@ -679,7 +673,7 @@ def build_quotient_algebra(inst, a=None, seed=0,
                         "coordinates beyond the bilinear part and falls "
                         "outside the representable family")
             if base != field.one:
-                table[(qtor.index(xbar), qtor.index(ybar))] = base
+                table[(xbar, ybar)] = base
 
     mu_hat = Cocycle(H, field, torsion_table=table or None,
                      zeta=cocycle.zeta, matrix=cocycle.matrix)
@@ -702,7 +696,7 @@ def build_quotient_algebra(inst, a=None, seed=0,
         quotient_group=H, quotient_cocycle=mu_hat,
         quotient_algebra=quotient_algebra, ideal_generator=ideal_generator,
         checks={"family_fit_offsets_checked": fit_checks,
-                "cocycle_identity_pairs": validation.checked_pairs,
+                "cocycle_identity_checks": validation.checked_identities,
                 "ideal_generator_square_zero": True})
     certify(not qc.project(ideal_generator),
             "the ideal generator must project to zero")
@@ -806,10 +800,6 @@ class CrossedProduct:
         ck = self.rep(hk)
         val = self.algebra.cocycle(c1, c2) * self.algebra.cocycle(ck, t).inv()
         return (self.algebra.basis_unit(t) * self.idempotent).scale(val)
-
-    def unit(self, h, alpha):
-        """The normal form w_h * alpha embedded back into the algebra."""
-        return self.algebra.basis_unit(self.rep(h)) * alpha
 
 
 def _identify_automorphism(field, gen, image, component_dim):
@@ -967,7 +957,7 @@ def check_theorem5_truncated(inst, level=None, seed=0):
     group, field, cocycle = inst.group, inst.field, inst.cocycle
     if group.prufer is None:
         raise InapplicableTorsion("no Pruefer component in the torsion part")
-    q, levels = group.prufer
+    q = group.prufer[0]
     p = field.characteristic
     if p == q:
         raise InapplicableCharacteristic(
@@ -977,7 +967,7 @@ def check_theorem5_truncated(inst, level=None, seed=0):
             f"characteristic {p} divides a finite torsion order")
     if not group.torsion.is_abelian:
         raise InapplicableTorsion("the finite torsion part is nonabelian")
-    lvl = min(level or inst.caps.truncation_level, levels)
+    lvl = inst.clamped_prufer_level(level) if level else inst.prufer_level
     notes = [READING_NOTE, _fc_note(group),
              f"all evidence truncated at Pruefer level {lvl} "
              f"(subgroup of order {q}^{lvl}); the hypotheses are "
@@ -1250,7 +1240,7 @@ def structure_report(inst, level=None, seed=0):
     group = inst.group
     lvl = 0
     if group.prufer is not None:
-        lvl = min(level or inst.caps.truncation_level, group.prufer[1])
+        lvl = inst.clamped_prufer_level(level) if level else inst.prufer_level
     S = inst.torsion_subalgebra(lvl)
     fd = S.fd
     out = {"torsion_dimension": fd.dim}

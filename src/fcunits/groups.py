@@ -1,22 +1,28 @@
 """Supported group families, exact and closed-form.
 
-Two shapes of torsion part:
+An element is a triple (u, t, s): free coordinates u in Z^r, a key t of
+the finite torsion part T, and, for abelian T, an optional Pruefer
+coordinate s, a reduced fraction s/q^k mod 1 of Z(q^infinity).  T has one
+representation whatever its source: the keys 0..|T|-1, key 0 the
+identity, multiplied through a precomputed product table with inverse
+and order lists.  T comes from
 
-* abelian invariants (d_1, ..., d_m), optionally receiving a central pairing
-  from the free part: (u, a)(v, b) = (u+v, a + b + beta(u, v)) with
-  beta(u, v) = (sum_{i<j} M[i][j] u_i v_j) * zvec, M strictly upper triangular;
-* an explicit Cayley table for a finite group W (then the pairing must be
-  absent, so the whole group is the direct product Z^r x W).
+* abelian invariants (d_1, ..., d_m): the key of the coordinates
+  (c_1, ..., c_m) is their mixed-radix number, so keys sort like the
+  coordinate tuples and the table is correct by construction; or
+* an explicit Cayley table for a finite group W, validated on entry.
 
-On top of either shape: a free abelian part Z^r and, for abelian torsion, an
-optional Pruefer component Z(q^infinity) stored as reduced fractions s/q^k
-mod 1.  A plain finite group is the rank-0 table case.  Every representable
+An abelian T may receive a central pairing from the free part:
+(u, a)(v, b) = (u+v, a + b + beta(u, v)) with
+beta(u, v) = (sum_{i<j} M[i][j] u_i v_j) * zvec, M strictly upper
+triangular.  Without one the group is the direct product Z^r x T; a plain
+finite group is the rank-0 case.  Coordinates appear only at the edges:
+JSON, ``Group.element(t=...)`` and element reprs.  Every representable
 group is an FC-group with conjugacy classes bounded in closed form.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -30,9 +36,9 @@ from .errors import (
     int_entries,
     int_matrix,
 )
-from .snf import smith_normal_form
 
 MAX_TORSION = 64
+_ZERO = Fraction(0)
 
 
 def _lcm(a, b):
@@ -83,82 +89,109 @@ class Element:
         return self.group.element_order(self)
 
     def sort_key(self):
-        tkey = self.t if isinstance(self.t, tuple) else (self.t,)
-        return (self.u, tkey, self.s)
+        return (self.u, self.t, self.s)
 
     def __repr__(self):
-        return f"El(u={list(self.u)}, t={self.t}, s={self.s})"
+        return (f"El(u={list(self.u)}, t={self.group.torsion.coords(self.t)}, "
+                f"s={self.s})")
 
 
-class InvariantsTorsion:
-    """Finite abelian group as a product of cyclic groups Z_{d_i}."""
+class _Torsion:
+    """A finite group on the keys 0..size-1, key 0 the identity, multiplied
+    through a product table with precomputed inverses and orders.
+
+    A subclass sets ``generator_keys`` and ``is_abelian`` and provides the
+    codec between the input form of a torsion element and its key:
+    ``key`` reads it (checked), ``coords`` and ``key_to_json`` write it.
+    """
+
+    def __init__(self, table):
+        self.table = table
+        self.size = len(table)
+        self._inverse = [row.index(0) for row in table]
+        self._order = []
+        for a in range(self.size):
+            o, acc = 1, a
+            while acc:
+                acc = table[acc][a]
+                o += 1
+            self._order.append(o)
+
+    def mul_key(self, a, b):
+        return self.table[a][b]
+
+    def inv_key(self, a):
+        return self._inverse[a]
+
+    def order_key(self, a):
+        return self._order[a]
+
+    def keys(self):
+        return range(self.size)
+
+    def coords(self, key):
+        return key
+
+    def key_to_json(self, key):
+        return key
+
+
+class InvariantsTorsion(_Torsion):
+    """Finite abelian group Z_{d_1} x ... x Z_{d_m} on mixed-radix keys.
+
+    The key of the coordinates (c_1, ..., c_m) is sum c_i w_i, w_i the
+    product of the later invariants; w_i is the key of the i-th unit
+    vector, and keys sort like coordinate tuples.  The table is the
+    coordinatewise sum, correct by construction, so it skips the Cayley
+    table checks.
+    """
 
     kind = "invariants"
+    is_abelian = True
 
     def __init__(self, invariants):
         invariants = int_entries(invariants, "torsion invariants")
         if any(d < 2 for d in invariants):
             raise GroupValidationError(
                 f"torsion invariants must all be >= 2, got {list(invariants)}")
-        self.invariants = invariants
-        self.size = math.prod(invariants) if invariants else 1
-        if self.size > MAX_TORSION:
+        size = math.prod(invariants)
+        if size > MAX_TORSION:
             raise GroupValidationError(
-                f"torsion size {self.size} exceeds the cap {MAX_TORSION}")
-        self._weights = []
-        w = 1
+                f"torsion size {size} exceeds the cap {MAX_TORSION}")
+        self.invariants = invariants
+        table = [[0]]
+        weights = []
         for d in reversed(invariants):
-            self._weights.append(w)
-            w *= d
-        self._weights.reverse()
+            w = len(table)
+            weights.append(w)
+            table = [[(i + j) % d * w + x for j in range(d) for x in row]
+                     for i in range(d) for row in table]
+        super().__init__(table)
+        self.generator_keys = weights[::-1]
 
-    @property
-    def is_abelian(self):
-        return True
+    def key(self, coords, what="torsion coordinates"):
+        coords = int_entries(coords, what)
+        if len(coords) != len(self.invariants):
+            raise InstanceFormatError(
+                f"{what} must be {len(self.invariants)} ints, one per "
+                f"invariant, got {list(coords)}")
+        return sum(c % d * w for c, d, w
+                   in zip(coords, self.invariants, self.generator_keys))
 
-    def identity_key(self):
-        return (0,) * len(self.invariants)
-
-    def normalize(self, key):
-        return tuple(int(c) % d for c, d in zip(key, self.invariants))
-
-    def mul_key(self, a, b):
-        return tuple((x + y) % d for x, y, d in zip(a, b, self.invariants))
-
-    def inv_key(self, a):
-        return tuple((-x) % d for x, d in zip(a, self.invariants))
-
-    def order_key(self, a):
-        o = 1
-        for x, d in zip(a, self.invariants):
-            if x:
-                o = _lcm(o, d // math.gcd(d, x))
-        return o
-
-    def keys(self):
-        for key in itertools.product(*(range(d) for d in self.invariants)):
-            yield key
-
-    def index(self, key):
-        return sum(c * w for c, w in zip(key, self._weights))
+    def coords(self, key):
+        return tuple(key // w % d
+                     for d, w in zip(self.invariants, self.generator_keys))
 
     def key_to_json(self, key):
-        return list(key)
-
-    def key_from_json(self, obj):
-        if not isinstance(obj, list) or len(obj) != len(self.invariants):
-            raise InstanceFormatError(
-                f"torsion coordinate must be a list of "
-                f"{len(self.invariants)} ints, got {obj!r}")
-        return self.normalize(obj)
+        return list(self.coords(key))
 
 
-class TableTorsion:
-    """Finite group given by a Cayley table over indices 0..n-1.
+class TableTorsion(_Torsion):
+    """Finite group given by a Cayley table over the keys 0..n-1.
 
-    Index 0 is the identity.  Construction validates the identity row and
+    Key 0 is the identity.  Construction validates the identity row and
     column, the Latin square property, exhaustive associativity, and the
-    existence of inverses.
+    existence of inverses.  Keys are the element names, in and out.
     """
 
     kind = "table"
@@ -190,54 +223,38 @@ class TableTorsion:
                     if table[tab][c] != table[a][table[b][c]]:
                         raise GroupValidationError(
                             f"associativity fails at ({a}, {b}, {c})")
-        self.table = table
-        self.size = n
-        self._inverse = [next(j for j in range(n) if table[i][j] == 0)
-                         for i in range(n)]
+        super().__init__(table)
+        self.is_abelian = all(table[i][j] == table[j][i]
+                              for i in range(n) for j in range(i))
+        self.generator_keys = self._greedy_generators()
 
-    @property
-    def is_abelian(self):
-        t = self.table
-        n = self.size
-        return all(t[i][j] == t[j][i] for i in range(n) for j in range(i))
+    def _greedy_generators(self):
+        """Greedy minimal generating keys."""
+        gens = []
+        closure = {0}
+        for key in range(1, self.size):
+            if key in closure:
+                continue
+            gens.append(key)
+            closure = set()
+            stack = [0]
+            while stack:
+                x = stack.pop()
+                if x in closure:
+                    continue
+                closure.add(x)
+                for g in gens:
+                    stack.append(self.mul_key(x, g))
+                    stack.append(self.mul_key(x, self.inv_key(g)))
+            if len(closure) == self.size:
+                break
+        return gens
 
-    def identity_key(self):
-        return 0
-
-    def normalize(self, key):
-        key = int(key)
-        if not 0 <= key < self.size:
-            raise InstanceFormatError(f"element index {key} out of range")
-        return key
-
-    def mul_key(self, a, b):
-        return self.table[a][b]
-
-    def inv_key(self, a):
-        return self._inverse[a]
-
-    def order_key(self, a):
-        o = 1
-        acc = a
-        while acc != 0:
-            acc = self.table[acc][a]
-            o += 1
-        return o
-
-    def keys(self):
-        return iter(range(self.size))
-
-    def index(self, key):
-        return key
-
-    def key_to_json(self, key):
-        return key
-
-    def key_from_json(self, obj):
-        if not isinstance(obj, int):
-            raise InstanceFormatError(
-                f"table-group element must be an int index, got {obj!r}")
-        return self.normalize(obj)
+    def key(self, t, what="torsion key"):
+        (t,) = int_entries([t], what)
+        if not 0 <= t < self.size:
+            raise InstanceFormatError(f"{what} {t} out of range")
+        return t
 
 
 class FiniteSubgroup:
@@ -281,20 +298,6 @@ def finite_subgroup(group, generators, cap=MAX_TORSION):
     return FiniteSubgroup(group, seen, generators)
 
 
-class SubgroupRecord:
-    """A finite subgroup presented by explicit elements plus generators."""
-
-    def __init__(self, group, elements, generators, note=""):
-        self.group = group
-        self.elements = tuple(sorted(elements, key=lambda e: e.sort_key()))
-        self.generators = tuple(generators)
-        self.note = note
-
-    @property
-    def order(self):
-        return len(self.elements)
-
-
 class Group:
     """A group from the supported family.  See the module docstring."""
 
@@ -305,13 +308,15 @@ class Group:
         self.rank = rank
         self.torsion = torsion
         self.json_kind = json_kind
+        self._zero_u = (0,) * rank
         if (pairing_matrix is not None) != (pairing_target is not None):
             raise GroupValidationError(
                 "pairing needs both a matrix and a target")
+        self._target_powers = [0]
         if pairing_matrix is not None:
-            if torsion.kind != "invariants":
+            if not torsion.is_abelian:
                 raise GroupValidationError(
-                    "a central pairing requires abelian invariants torsion")
+                    "a central pairing requires an abelian torsion part")
             M = int_matrix(pairing_matrix, "pairing matrix")
             if len(M) != rank or any(len(row) != rank for row in M):
                 raise GroupValidationError("pairing matrix must be rank x rank")
@@ -321,10 +326,14 @@ class Group:
                         raise GroupValidationError(
                             "pairing matrix must be strictly upper triangular")
             self.pairing_matrix = M
-            self.pairing_target = torsion.normalize(pairing_target)
+            self.pairing_target = torsion.key(pairing_target,
+                                              "pairing target")
             entries = [e for row in M for e in row if e]
             self.pairing_content = math.gcd(*entries) if entries else 0
             self.pairing_order = torsion.order_key(self.pairing_target)
+            for _ in range(1, self.pairing_order):
+                self._target_powers.append(torsion.mul_key(
+                    self._target_powers[-1], self.pairing_target))
         else:
             self.pairing_matrix = None
             self.pairing_target = None
@@ -332,9 +341,9 @@ class Group:
             self.pairing_order = 1
         if prufer is not None:
             q, levels = int_entries(prufer, "Pruefer q and levels")
-            if torsion.kind != "invariants":
+            if not torsion.is_abelian:
                 raise GroupValidationError(
-                    "a Pruefer component requires abelian torsion")
+                    "a Pruefer component requires an abelian torsion part")
             from .fields import is_prime
             if not is_prime(q):
                 raise GroupValidationError(f"Pruefer parameter {q} not prime")
@@ -343,8 +352,7 @@ class Group:
             self.prufer = (q, levels)
         else:
             self.prufer = None
-        self.identity = Element(self, (0,) * rank, torsion.identity_key(),
-                                Fraction(0))
+        self.identity = self.from_key(0)
         self._assoc_spot_check()
 
     # --- construction checks ---------------------------------------------
@@ -362,14 +370,8 @@ class Group:
     # --- basic law ---------------------------------------------------------
 
     def _target_multiple(self, c):
-        """The torsion key c * zvec (identity when there is no pairing)."""
-        if self.pairing_target is None or c == 0:
-            return self.torsion.identity_key()
-        return self.torsion.normalize(
-            tuple(c * z for z in self.pairing_target))
-
-    def _el(self, u, t, s):
-        return Element(self, u, t, s)
+        """The torsion key c * zvec (the identity when there is no pairing)."""
+        return self._target_powers[c % self.pairing_order]
 
     def _check(self, *els):
         for e in els:
@@ -384,8 +386,7 @@ class Group:
         c = bilinear_exponent(M, a.u, b.u) if M else 0
         if c:
             t = self.torsion.mul_key(t, self._target_multiple(c))
-        s = (a.s + b.s) % 1
-        return self._el(u, t, s)
+        return Element(self, u, t, (a.s + b.s) % 1)
 
     def inv(self, a):
         self._check(a)
@@ -395,8 +396,7 @@ class Group:
         c = bilinear_exponent(M, u, a.u) if M else 0  # so a^-1 * a = 1
         if c:
             t = self.torsion.mul_key(t, self._target_multiple(-c))
-        s = (-a.s) % 1
-        return self._el(u, t, s)
+        return Element(self, u, t, (-a.s) % 1)
 
     def power(self, a, n):
         if n < 0:
@@ -417,11 +417,14 @@ class Group:
     # --- elements and orders -----------------------------------------------
 
     def element(self, u=None, t=None, s=0):
-        u = (0,) * self.rank if u is None else tuple(int(x) for x in u)
+        """The element with free coordinates u, torsion part t in its input
+        form (coordinates for invariants, a key for a table) and Pruefer
+        coordinate s, each checked."""
+        u = self._zero_u if u is None else tuple(int(x) for x in u)
         if len(u) != self.rank:
             raise InstanceFormatError(
                 f"free part needs {self.rank} coordinates, got {len(u)}")
-        t = self.torsion.identity_key() if t is None else self.torsion.normalize(t)
+        t = 0 if t is None else self.torsion.key(t)
         s = Fraction(s) % 1
         if s != 0:
             if self.prufer is None:
@@ -436,7 +439,12 @@ class Group:
             if den != 1 or k > levels:
                 raise InstanceFormatError(
                     f"Pruefer coordinate {s} is not s/{q}^k with k <= {levels}")
-        return self._el(u, t, s)
+        return Element(self, u, t, s)
+
+    def from_key(self, t, u=None, s=_ZERO):
+        """The element with torsion key t, free part u (zero by default) and
+        Pruefer fraction s, unchecked: for callers that already hold keys."""
+        return Element(self, self._zero_u if u is None else u, t, s)
 
     def element_order(self, a):
         self._check(a)
@@ -453,7 +461,7 @@ class Group:
     def elements(self):
         if not self.is_finite():
             raise InfiniteIndexUnsupported("group is infinite")
-        return [self._el((), k, Fraction(0)) for k in self.torsion.keys()]
+        return [self.from_key(k) for k in self.torsion.keys()]
 
     @property
     def is_abelian(self):
@@ -462,131 +470,75 @@ class Group:
 
     def torsion_elements(self, prufer_level=None):
         """All torsion elements, Pruefer part truncated at prufer_level."""
-        base = [self._el((0,) * self.rank, k, Fraction(0))
-                for k in self.torsion.keys()]
+        keys = self.torsion.keys()
         if self.prufer is None:
-            return base
+            return [self.from_key(k) for k in keys]
         q, levels = self.prufer
         if prufer_level is None:
             prufer_level = levels
-        prufer_level = min(prufer_level, levels)
-        den = q ** prufer_level
-        out = []
-        for e in base:
-            for num in range(den):
-                out.append(self._el(e.u, e.t, Fraction(num, den)))
-        return out
+        den = q ** min(prufer_level, levels)
+        return [self.from_key(k, s=Fraction(num, den))
+                for k in keys for num in range(den)]
 
     def generators(self, prufer_level=None):
         """Canonical labeled generators: free, then torsion, then Pruefer."""
-        out = []
-        for i in range(self.rank):
-            u = tuple(1 if j == i else 0 for j in range(self.rank))
-            out.append((f"f{i + 1}",
-                        self._el(u, self.torsion.identity_key(), Fraction(0))))
-        zero_u = (0,) * self.rank
-        if self.torsion.kind == "invariants":
-            m = len(self.torsion.invariants)
-            for i in range(m):
-                key = tuple(1 if j == i else 0 for j in range(m))
-                out.append((f"t{i + 1}", self._el(zero_u, key, Fraction(0))))
-        else:
-            gens = self._table_generators()
-            for n, key in enumerate(gens):
-                out.append((f"t{n + 1}", self._el(zero_u, key, Fraction(0))))
+        out = [(f"f{i + 1}",
+                self.from_key(0, tuple(int(j == i) for j in range(self.rank))))
+               for i in range(self.rank)]
+        out += [(f"t{n + 1}", self.from_key(key))
+                for n, key in enumerate(self.torsion.generator_keys)]
         if self.prufer is not None:
             q, levels = self.prufer
             level = levels if prufer_level is None else min(prufer_level, levels)
-            out.append(("p", self._el(zero_u, self.torsion.identity_key(),
-                                      Fraction(1, q ** level))))
+            out.append(("p", self.from_key(0, s=Fraction(1, q ** level))))
         return out
-
-    def _table_generators(self):
-        """Greedy minimal generating keys for a table torsion part."""
-        tor = self.torsion
-        gens = []
-        closure = {0}
-        for key in range(1, tor.size):
-            if key in closure:
-                continue
-            gens.append(key)
-            closure = set()
-            stack = [0]
-            while stack:
-                x = stack.pop()
-                if x in closure:
-                    continue
-                closure.add(x)
-                for g in gens:
-                    stack.append(tor.mul_key(x, g))
-                    stack.append(tor.mul_key(x, tor.inv_key(g)))
-            if len(closure) == tor.size:
-                break
-        return gens
 
     # --- structure -----------------------------------------------------------
 
     def commutator_subgroup(self):
-        """G' as an explicit SubgroupRecord inside this group."""
-        zero_u = (0,) * self.rank
-        if self.torsion.kind == "invariants":
-            gen_key = self._target_multiple(self.pairing_content)
-            gen = self._el(zero_u, gen_key, Fraction(0))
-            order = self.torsion.order_key(gen_key)
-            elements = [self.power(gen, k) for k in range(order)]
-            gens = [] if order == 1 else [gen]
-            return SubgroupRecord(self, elements, gens, note="cyclic")
-        # direct product with a table group: G' = W'
+        """G', closed from the torsion commutators and the pairing image.
+
+        The free part commutes with T, so G' is generated by the
+        commutators of T and by c * zvec with c the pairing content (the
+        gcd of the pairing matrix entries).
+        """
         tor = self.torsion
-        comms = {tor.mul_key(tor.mul_key(tor.inv_key(a), tor.inv_key(b)),
-                             tor.mul_key(a, b))
-                 for a in tor.keys() for b in tor.keys()}
-        closure = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for c in comms:
-                    y = tor.mul_key(x, c)
-                    if y not in closure:
-                        closure.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        elements = [self._el(zero_u, k, Fraction(0)) for k in sorted(closure)]
-        gens = [self._el(zero_u, k, Fraction(0))
-                for k in sorted(comms - {0})]
-        return SubgroupRecord(self, elements, gens)
+        keys = {self._target_multiple(self.pairing_content)}
+        if not tor.is_abelian:
+            keys.update(
+                tor.mul_key(tor.mul_key(tor.inv_key(a), tor.inv_key(b)),
+                            tor.mul_key(a, b))
+                for a in tor.keys() for b in tor.keys())
+        keys.discard(0)
+        return finite_subgroup(self, [self.from_key(k) for k in sorted(keys)])
 
     def center_contains(self, el):
+        """el is central iff its torsion key commutes with T and its free
+        part pairs with every free generator into a multiple of the
+        target order."""
         self._check(el)
-        if self.torsion.kind == "table":
-            tor = self.torsion
-            return all(tor.mul_key(el.t, w) == tor.mul_key(w, el.t)
-                       for w in tor.keys())
-        if self.pairing_matrix is None:
+        tor, M = self.torsion, self.pairing_matrix
+        if not tor.is_abelian and any(
+                tor.mul_key(el.t, w) != tor.mul_key(w, el.t)
+                for w in tor.keys()):
+            return False
+        if M is None:
             return True
-        L = self.pairing_order
-        M = self.pairing_matrix
         for i in range(self.rank):
             w = sum(M[i][j] * el.u[j] for j in range(i + 1, self.rank)) \
                 - sum(M[j][i] * el.u[j] for j in range(i))
-            if w % L != 0:
+            if w % self.pairing_order != 0:
                 return False
         return True
 
     def torsion_is_central(self):
-        """True when every torsion element is central."""
-        if self.torsion.kind == "invariants":
-            return True  # torsion never meets the pairing, free part commutes
-        zero_u = (0,) * self.rank
-        for k in self.torsion.keys():
-            if not self.center_contains(self._el(zero_u, k, Fraction(0))):
-                return False
-        return True
+        """True when every torsion element is central: torsion elements
+        have free part zero, so this holds exactly when T is abelian."""
+        return self.torsion.is_abelian
 
     def is_fc(self):
         """(True, certificate): every group in the family is FC."""
-        if self.torsion.kind == "table":
+        if not self.torsion.is_abelian:
             bound = self.torsion.size
             reason = "conjugacy classes lie inside cosets of the finite factor"
         elif self.pairing_matrix is None:
@@ -624,27 +576,13 @@ class Group:
 
     def element_to_json(self, el):
         self._check(el)
+        a = self.torsion.key_to_json(el.t)
         if self.json_kind == "cayley":
-            return self.torsion.key_to_json(el.t)
-        obj = {"u": list(el.u), "a": self.torsion.key_to_json(el.t)}
+            return a
+        obj = {"u": list(el.u), "a": a}
         if el.s:
             obj["prufer"] = f"{el.s.numerator}/{el.s.denominator}"
         return obj
-
-    def element_from_json(self, obj):
-        if self.json_kind == "cayley":
-            return self._el((), self.torsion.key_from_json(obj), Fraction(0))
-        if not isinstance(obj, dict) or "u" not in obj or "a" not in obj:
-            raise InstanceFormatError(
-                f"element must be {{'u': [...], 'a': ...}}, got {obj!r}")
-        s = 0
-        if "prufer" in obj:
-            try:
-                s = Fraction(obj["prufer"])
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InstanceFormatError(
-                    f"bad Pruefer coordinate {obj['prufer']!r}") from exc
-        return self.element(obj["u"], self.torsion.key_from_json(obj["a"]), s)
 
 
 class _TorsionCosets:
@@ -658,12 +596,11 @@ class _TorsionCosets:
 
     def project(self, el):
         self.group._check(el)
-        return self.quotient._el(el.u, (), Fraction(0))
+        return self.quotient.from_key(0, el.u)
 
     def rep(self, h):
         self.quotient._check(h)
-        return self.group._el(h.u, self.group.torsion.identity_key(),
-                              Fraction(0))
+        return self.group.from_key(0, h.u)
 
     def factor(self, el):
         """el = rep(h) * t with t in t(G); returns (h, t)."""
@@ -673,7 +610,13 @@ class _TorsionCosets:
 
 
 class _CyclicCosets:
-    """Cosets of a central-in-torsion cyclic subgroup <a>, a torsion."""
+    """Cosets of a normal cyclic subgroup <a>, a torsion.
+
+    The quotient torsion part is the table of the cosets of <a> in T, keyed
+    in the order of their least keys; it keeps the free part, the pairing
+    (its target projected, dropped when the target lies in <a>) and the
+    Pruefer part.
+    """
 
     def __init__(self, group, a):
         self.group = group
@@ -681,55 +624,6 @@ class _CyclicCosets:
         self.subgroup_kind = "cyclic"
         self.sub_order = group.element_order(a)
         self.a_powers = [group.power(a, k) for k in range(self.sub_order)]
-        if group.torsion.kind == "invariants":
-            self._init_invariants()
-        else:
-            self._init_table()
-
-    def _init_invariants(self):
-        group = self.group
-        inv = group.torsion.invariants
-        m = len(inv)
-        if m == 0:
-            raise InfiniteIndexUnsupported("trivial torsion has no quotient")
-        rows = [[inv[i] if j == i else 0 for j in range(m)] for i in range(m)]
-        rows.append(list(self.a.t))
-        diag, _, V, Vinv = smith_normal_form(rows)
-        keep = [t for t in range(m) if t < len(diag) and diag[t] > 1]
-        self._V = V
-        self._Vinv = Vinv
-        self._diag = diag
-        self._keep = keep
-        new_inv = tuple(diag[t] for t in keep)
-        target = None
-        matrix = group.pairing_matrix
-        if matrix is not None:
-            target = self._project_key(group.pairing_target)
-            if all(x == 0 for x in target):
-                matrix, target = None, None
-        self.quotient = Group(group.rank,
-                              InvariantsTorsion(new_inv),
-                              pairing_matrix=matrix,
-                              pairing_target=target,
-                              prufer=group.prufer)
-
-    def _project_key(self, key):
-        m = len(self.group.torsion.invariants)
-        V = self._V
-        y = [sum(key[i] * V[i][t] for i in range(m)) for t in range(m)]
-        return tuple(y[t] % self._diag[t] for t in self._keep)
-
-    def _lift_key(self, qkey):
-        m = len(self.group.torsion.invariants)
-        y = [0] * m
-        for pos, t in enumerate(self._keep):
-            y[t] = qkey[pos]
-        Vinv = self._Vinv
-        x = tuple(sum(y[t] * Vinv[t][i] for t in range(m)) for i in range(m))
-        return self.group.torsion.normalize(x)
-
-    def _init_table(self):
-        group = self.group
         tor = group.torsion
         powers = {p.t for p in self.a_powers}
         for w in tor.keys():
@@ -738,42 +632,36 @@ class _CyclicCosets:
                 if conj not in powers:
                     raise InfiniteIndexUnsupported(
                         "cyclic coset system needs a normal subgroup")
-        reps = []
-        seen = set()
+        self.rep_keys = []
+        self.coset_of = [None] * tor.size
         for w in tor.keys():
-            if w in seen:
-                continue
-            coset = sorted(tor.mul_key(w, p) for p in powers)
-            seen.update(coset)
-            reps.append(coset[0])
-        rep_index = {}
-        for i, r in enumerate(reps):
-            for p in powers:
-                rep_index[tor.mul_key(r, p)] = i
-        table = [[rep_index[tor.mul_key(reps[i], reps[j])]
-                  for j in range(len(reps))] for i in range(len(reps))]
-        self._reps = reps
-        self._rep_index = rep_index
+            if self.coset_of[w] is None:
+                for p in powers:
+                    self.coset_of[tor.mul_key(w, p)] = len(self.rep_keys)
+                self.rep_keys.append(w)
+        reps = self.rep_keys
+        table = [[self.coset_of[tor.mul_key(x, y)] for y in reps]
+                 for x in reps]
+        matrix, target = group.pairing_matrix, None
+        if matrix is not None:
+            target = self.coset_of[group.pairing_target]
+            if target == 0:
+                matrix, target = None, None
+        plain = group.rank == 0 and group.prufer is None and matrix is None
         self.quotient = Group(group.rank, TableTorsion(table),
-                              json_kind="cayley" if group.rank == 0
+                              pairing_matrix=matrix, pairing_target=target,
+                              prufer=group.prufer,
+                              json_kind="cayley" if plain
                               else "central-extension")
 
     def project(self, el):
         self.group._check(el)
-        if self.group.torsion.kind == "invariants":
-            return self.quotient._el(el.u, self._project_key(el.t), el.s)
-        return self.quotient._el(el.u, self._rep_index[el.t], el.s)
+        return self.quotient.from_key(self.coset_of[el.t], el.u, el.s)
 
     def rep(self, h):
-        """The coset representative with the least encoding."""
+        """The coset representative with the least torsion key."""
         self.quotient._check(h)
-        if self.group.torsion.kind == "invariants":
-            base = self.group._el(h.u, self._lift_key(h.t), h.s)
-        else:
-            base = self.group._el(h.u, self._reps[h.t], h.s)
-        best = min((self.group.mul(base, p) for p in self.a_powers),
-                   key=lambda e: e.sort_key())
-        return best
+        return self.group.from_key(self.rep_keys[h.t], h.u, h.s)
 
     def factor(self, el):
         """el = rep(h) * a^k; returns (h, k)."""
@@ -797,6 +685,9 @@ def make_group(obj):
      "torsion": {"invariants": [...]} | {"table": [[...]]},
      "pairing": {"target_index": i, "matrix": [[...]]},   # optional
      "prufer": {"q": 2, "levels": 8}}                     # optional
+
+    A pairing needs invariants torsion; its target is the i-th unit
+    vector, or "target_vector": [c_1, ..., c_m], one int per invariant.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InstanceFormatError(f"group spec must have a 'kind': {obj!r}")
@@ -825,20 +716,20 @@ def make_group(obj):
         pairing = obj["pairing"]
         if not isinstance(pairing, dict) or "matrix" not in pairing:
             raise InstanceFormatError("pairing needs a 'matrix'")
+        if torsion.kind != "invariants":
+            raise GroupValidationError(
+                "pairing requires abelian invariants torsion")
         matrix = pairing["matrix"]
         if "target_index" in pairing:
             (idx,) = int_entries([pairing["target_index"]],
                                  "pairing target_index")
-            if torsion.kind != "invariants":
-                raise GroupValidationError(
-                    "pairing requires abelian invariants torsion")
             m = len(torsion.invariants)
             if not 0 <= idx < m:
                 raise InstanceFormatError(
                     f"pairing target_index {idx!r} out of range")
             target = tuple(1 if i == idx else 0 for i in range(m))
         elif "target_vector" in pairing:
-            target = tuple(pairing["target_vector"])
+            target = pairing["target_vector"]
         else:
             raise InstanceFormatError(
                 "pairing needs 'target_index' or 'target_vector'")
@@ -862,7 +753,10 @@ def group_to_json(group):
     else:
         obj["torsion"] = {"table": [list(r) for r in group.torsion.table]}
     if group.pairing_matrix is not None:
-        target = group.pairing_target
+        if group.torsion.kind != "invariants":
+            raise GroupValidationError(
+                "a pairing on a table torsion part has no JSON form")
+        target = group.torsion.coords(group.pairing_target)
         pairing = {"matrix": [list(r) for r in group.pairing_matrix]}
         units = [i for i, z in enumerate(target) if z]
         if len(units) == 1 and target[units[0]] == 1:

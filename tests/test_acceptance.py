@@ -48,28 +48,25 @@ def random_torsion_table(rng, group, field, pool):
     """Complete nonidentity-pair table of a random coboundary, optionally
     twisted by a random carry cocycle on each invariant factor."""
     tor = group.torsion
-    keys = list(tor.keys())
-    idx = tor.index
-    delta = {idx(k): field.one if idx(k) == 0 else rng.choice(pool)
-             for k in keys}
+    keys = tor.keys()
+    delta = {k: field.one if k == 0 else rng.choice(pool) for k in keys}
     table = {}
-    for ka in keys:
-        for kb in keys:
-            i, j = idx(ka), idx(kb)
+    for i in keys:
+        for j in keys:
             if i == 0 or j == 0:
                 continue
-            k = idx(tor.mul_key(ka, kb))
+            k = tor.mul_key(i, j)
             table[(i, j)] = delta[i] * delta[j] * delta[k].inv()
     invariants = getattr(tor, "invariants", None)
     if invariants and rng.random() < 0.5:
         vals = [rng.choice(pool) for _ in invariants]
-        for ka in keys:
-            for kb in keys:
-                i, j = idx(ka), idx(kb)
+        for i in keys:
+            for j in keys:
                 if i == 0 or j == 0:
                     continue
                 carry = field.one
-                for a, b, n, v in zip(ka, kb, invariants, vals):
+                for a, b, n, v in zip(tor.coords(i), tor.coords(j),
+                                      invariants, vals):
                     if a + b >= n:
                         carry = carry * v
                 table[(i, j)] = table[(i, j)] * carry
@@ -121,7 +118,7 @@ def test_acceptance_02_torsion_unit_inversion_suite():
         assert field.size() <= 81 and tor.size <= 12
         scalars = list(field.elements())
         for key in tor.keys():
-            g = inst.group.element(t=key)
+            g = inst.group.from_key(key)
             d = tor.order_key(key)
             u = algebra.basis_unit(g)
             power = u ** d
@@ -384,7 +381,7 @@ def test_acceptance_10_commutator_shadows():
 
         def rand_el():
             u = tuple(rng.randint(-2, 2) for _ in range(group.rank))
-            return group.element(u, rng.choice(keys))
+            return group.from_key(rng.choice(keys), u)
 
         commutators = [algebra.basis_commutator(rand_el(), rand_el())
                        for _ in range(100)]

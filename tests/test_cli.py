@@ -221,6 +221,13 @@ def test_analyze_rejects_non_integer_group_data(bad, tmp_path, capsys):
              "prufer_levels": {"kind": "central-extension", "rank": 1,
                                "torsion": {"invariants": []},
                                "prufer": {"q": 2, "levels": bad}}}
+    # a target_vector needs one int per invariant factor
+    for vector in ([1.5], ["1"], [True], [1, 0, 0], []):
+        cases[f"target_vector {vector}"] = {
+            "kind": "central-extension", "rank": 2,
+            "torsion": {"invariants": [2]},
+            "pairing": {"target_vector": vector,
+                        "matrix": [[0, 1], [0, 0]]}}
     for what, group in cases.items():
         path = tmp_path / f"{what}.json"
         path.write_text(json.dumps({**raw, "group": group,

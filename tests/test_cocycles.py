@@ -253,7 +253,7 @@ def test_random_coboundaries_validate(raw_mu, shift):
     assert validate_cocycle(G, coc).valid
     # products of valid cocycles stay valid
     carry = carry_cocycle(G, F, 6, F.scalar(3))
-    table = {k: coc._tau_idx(*k) * carry._tau_idx(*k)
+    table = {k: coc.tau(*k) * carry.tau(*k)
              for k in ((i, j) for i in range(6) for j in range(6))}
     prod = Cocycle(G, F, table)
     assert validate_cocycle(G, prod).valid
@@ -272,7 +272,7 @@ def test_coboundary_values_and_normalization():
     for i in range(4):
         for j in range(4):
             expect = norm[i] * norm[j] / norm[(i + j) % 4]
-            assert coc._tau_idx(i, j) == expect
+            assert coc.tau(i, j) == expect
 
 
 def test_coboundary_rejects_zero_and_bad_length():
@@ -292,7 +292,7 @@ def test_coboundary_pairing_periodicity():
     # constant along shifts by the pairing target (0, 1): fine, and the
     # result is a genuinely twisted table
     coc = coboundary(G, F, [F.one, F.one, F.scalar(2), F.scalar(2)])
-    assert coc._tau_idx(2, 2) == F.scalar(4)
+    assert coc.tau(2, 2) == F.scalar(4)
     assert validate_cocycle(G, coc, box_radius=1).valid
     # not constant along the pairing image: out of the representable family
     with pytest.raises(ConditionsNotMet):

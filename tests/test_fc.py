@@ -239,6 +239,24 @@ def test_prufer2_char2_lands_in_t3_and_fails_split():
     assert v.conditions[1].witness["two_part_order"].startswith("infinite")
 
 
+def test_odd_prufer_counts_stop_at_the_group_levels():
+    # the truncation level (default 3) is clamped to the Pruefer levels, so
+    # T3.3 does not repeat the top-level subgroup past level 1
+    inst = mk({
+        "field": {"kind": "prime-power", "p": 2},
+        "group": {"kind": "central-extension", "rank": 1,
+                  "torsion": {"invariants": [2]},
+                  "prufer": {"q": 3, "levels": 1}},
+        "cocycle": {},
+    })
+    v = fc.check_theorem3(inst)
+    c3 = v.conditions[2]
+    assert c3.cid == "T3.3"
+    assert c3.witness["component_counts_by_level"] == [2]
+    assert inst.prufer_level == 1
+    assert fc.structure_report(inst, level=5)["prufer_level"] == 1
+
+
 # --- quotient construction ------------------------------------------------------
 
 
@@ -273,6 +291,27 @@ def test_quotient_with_nontrivial_square_root():
     assert qc.quotient_cocycle.torsion_table == {}
     img = qc.project(inst.algebra().basis_unit(a))
     assert img == qc.quotient_algebra.scalar(qc.mu_root)
+
+
+def test_quotient_keeps_a_pairing_outside_the_involution():
+    # [f1, f2] = 2z in C4: the quotient by <2z> keeps the pairing into the
+    # image of z, on a table torsion part, which has no JSON form
+    from fcunits.errors import GroupValidationError
+    from fcunits.groups import group_to_json
+
+    inst = mk({
+        "field": {"kind": "prime-power", "p": 2},
+        "group": {"kind": "central-extension", "rank": 2,
+                  "torsion": {"invariants": [4]},
+                  "pairing": {"target_index": 0, "matrix": [[0, 2], [0, 0]]}},
+        "cocycle": {},
+    })
+    qc = fc.build_quotient_algebra(inst, pairs=50)
+    H = qc.quotient_group
+    assert H.torsion.size == 2 and H.pairing_order == 2
+    assert qc.checks["cocycle_identity_checks"] == 8
+    with pytest.raises(GroupValidationError):
+        group_to_json(H)
 
 
 def test_quotient_rejections():
@@ -351,9 +390,9 @@ def test_crossed_product_over_rationals():
     assert cp.sigma_labels == {"f1": "identity"}
     assert cp.checked_radius == 3 and cp.checked_triples == 343
     h = cp.quotient.element((1,))
-    w = cp.unit(h, cp.idempotent)
-    _, _, idems = fc.torsion_field_components(inst)
     algebra = inst.algebra()
+    w = algebra.basis_unit(cp.rep(h)) * cp.idempotent
+    _, _, idems = fc.torsion_field_components(inst)
     res = try_invert(algebra, w + (algebra.one - cp.idempotent),
                      decomposition=idems)
     assert res.status == "unit"

@@ -25,9 +25,6 @@ ALLOWED = {
     # tools/make_bundled_instances.py builds instance files from them
     "cyclic_table": "imported by the bundled-instance generator",
     "symmetric_group_3_table": "imported by the bundled-instance generator",
-    # methods of exported classes that nothing in the package calls
-    "element_from_json": "reads back AlgebraElement.to_json",
-    "unit": "the crossed product's normal form w_h * alpha",
 }
 
 
