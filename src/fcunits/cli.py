@@ -18,8 +18,8 @@ from .errors import FcunitsError, InstanceFormatError
 from .fc import instance_from_json, probe_conjugates, structure_report, \
     verdict
 from .oracle import oracle_report, predicted_unit_count
-from .structure import count_idempotents, fields_decomposition, \
-    jacobson_radical
+from .structure import block_structure, count_idempotents, \
+    fields_decomposition
 
 TOOL_NAME = "fcunits"
 
@@ -129,13 +129,17 @@ def _oracle_section(raw, inst, seed):
 
     decomposition = fields_decomposition(S.fd, seed=seed)
     prims = decomposition.primitives
+    commutative = prims is not None
     radical = against("radical_dimension", rep.radical_dimension,
-                      lambda: len((decomposition.radical if prims is not None
-                                   else jacobson_radical(S.fd)).basis))
+                      lambda: len((decomposition.radical if commutative
+                                   else block_structure(S.fd).radical).basis))
     against("idempotent_count", rep.idempotent_count,
-            lambda: 2 ** len(prims) if prims is not None
+            lambda: 2 ** len(prims) if commutative
             else count_idempotents(S.fd, seed=seed))
-    if decomposition.is_sum_of_fields and radical is not None:
+    if not commutative:
+        against("unit_count", rep.unit_count,
+                lambda: block_structure(S.fd).unit_count())
+    elif decomposition.is_sum_of_fields and radical is not None:
         against("unit_count", rep.unit_count,
                 lambda: predicted_unit_count(
                     rep.field_size, radical,

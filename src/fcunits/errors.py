@@ -137,7 +137,8 @@ class NotCommutative(FcunitsError):
 
 
 class TooLargeToCount(FcunitsError):
-    """Exhaustive idempotent enumeration exceeds its cap."""
+    """A count that is not decided: the idempotents or units of a
+    noncommutative algebra over Q."""
 
 
 class IdealNotNilpotent(FcunitsError):

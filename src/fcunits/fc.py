@@ -1235,7 +1235,7 @@ def structure_report(inst, level=None, seed=0):
     """Radical, idempotent counts, and decomposition of the torsion
     subalgebra (truncated for Pruefer components)."""
     from .errors import DimensionTooLarge, TooLargeToCount
-    from .structure import count_idempotents, jacobson_radical
+    from .structure import block_structure, count_idempotents
 
     group = inst.group
     lvl = 0
@@ -1249,7 +1249,7 @@ def structure_report(inst, level=None, seed=0):
     report = fields_decomposition(fd, seed=seed)
     commutative = report.primitives is not None
     try:
-        rad = report.radical if commutative else jacobson_radical(fd)
+        rad = report.radical if commutative else block_structure(fd).radical
         out["radical"] = {"dimension": len(rad.basis),
                           "method": rad.method,
                           "nilpotency_index": rad.nilpotency_index}
@@ -1261,7 +1261,7 @@ def structure_report(inst, level=None, seed=0):
     else:
         try:
             out["idempotent_count"] = count_idempotents(fd, seed=seed)
-        except TooLargeToCount:
+        except (DimensionTooLarge, TooLargeToCount):
             out["idempotent_count"] = "above-cap"
     out["decomposition"] = _decomposition_summary(report)
     return _jsonify(out)

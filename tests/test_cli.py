@@ -294,3 +294,59 @@ def test_analyze_validates_the_cocycle_once(monkeypatch, capsys):
     inst, = loaded
     assert [(g, r) for g, r in calls if g is inst.group] == \
         [(inst.group, inst.caps.box_radius)]
+
+
+def test_structure_counts_idempotents_beyond_enumeration(tmp_path, capsys):
+    # S3 x Z over GF(7): 7^6 vectors, and GF(7)[S3] = GF(7)^2 + M2(GF(7))
+    spec = cli.bundled_instance("s3_z_gf5")
+    spec["field"]["p"] = 7
+    path = tmp_path / "s3_z_gf7.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    rc, out, _ = run(["analyze", str(path), "--structure"], capsys)
+    assert rc == 0
+    section = json.loads(out)["sections"]["structure"]
+    assert section["radical"]["dimension"] == 0
+    assert section["idempotent_count"] == 232
+
+
+def noncommutative_instance(tmp_path):
+    from fcunits.groups import symmetric_group_3_table
+
+    path = tmp_path / "s3_gf2.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "prime-power", "p": 2},
+        "group": {"kind": "cayley", "table": symmetric_group_3_table()},
+        "cocycle": {}}), encoding="utf-8")
+    return str(path)
+
+
+def test_oracle_checks_the_unit_count_of_a_noncommutative_algebra(
+        tmp_path, capsys):
+    rc, out, _ = run(["analyze", noncommutative_instance(tmp_path),
+                      "--oracle"], capsys)
+    assert rc == 0
+    section = json.loads(out)["sections"]["oracle"]
+    assert section["agree"] is True
+    assert section["cross_check"] == {
+        "radical_dimension": {"oracle": 1, "structural": 1},
+        "idempotent_count": {"oracle": 16, "structural": 16},
+        "unit_count": {"oracle": 12, "structural": 12},
+    }
+
+
+def test_radical_cap_ends_as_above_cap_and_skipped(monkeypatch, tmp_path,
+                                                   capsys):
+    from fcunits import structure
+
+    monkeypatch.setattr(structure, "RADICAL_NONCOMMUTATIVE_DIM_CAP", 4)
+    path = noncommutative_instance(tmp_path)
+    rc, out, _ = run(["analyze", path, "--structure"], capsys)
+    assert rc == 0
+    section = json.loads(out)["sections"]["structure"]
+    assert section["radical"]["status"] == "dimension-too-large"
+    assert section["idempotent_count"] == "above-cap"
+    rc, out, _ = run(["analyze", path, "--oracle"], capsys)
+    assert rc == 0
+    checks = json.loads(out)["sections"]["oracle"]["cross_check"]
+    for key in ("radical_dimension", "idempotent_count", "unit_count"):
+        assert "capped at dimension 4" in checks[key]["skipped"]

@@ -641,6 +641,18 @@ def test_structure_report_certifies_each_fact_once(monkeypatch):
     assert calls == {"primitive_idempotents": 1, "jacobson_radical": 1}
 
 
+def test_noncommutative_structure_report_certifies_the_radical_once(
+        monkeypatch):
+    from fcunits import cli, structure
+
+    seen = _calls(monkeypatch, structure, "jacobson_radical")
+    rep = fc.structure_report(mk(cli.bundled_instance("s3_z_gf5")))
+    # GF(5)[S3] = GF(5) + GF(5) + M2(GF(5)): 2 * 2 * (1 + 30 + 1)
+    assert rep["idempotent_count"] == 128
+    assert rep["radical"]["dimension"] == 0
+    assert len(seen) == 1
+
+
 def _calls(monkeypatch, owner, name):
     """Record the first argument of every call of owner.name."""
     seen = []

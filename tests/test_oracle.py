@@ -1,5 +1,6 @@
 """Exhaustive-oracle counts against hand computations and the structural path."""
 
+import itertools
 import json
 from importlib import resources
 
@@ -17,8 +18,8 @@ from fcunits.errors import (
 from fcunits.fc import instance_from_json
 from fcunits.groups import symmetric_group_3_table
 from fcunits.oracle import oracle_report, predicted_unit_count
-from fcunits.structure import count_idempotents, fields_decomposition, \
-    jacobson_radical
+from fcunits.structure import block_structure, count_idempotents, \
+    fields_decomposition, jacobson_radical
 
 
 def finite_instance(field, invariants, table=None):
@@ -122,19 +123,90 @@ def test_oracle_agrees_with_structural_modules(spec):
             rep.field_size, rad_dim, dims)
 
 
-def test_oracle_agrees_on_a_noncommutative_table():
-    spec = {
-        "field": {"kind": "prime-power", "p": 2},
-        "group": {"kind": "cayley", "table": symmetric_group_3_table()},
-        "cocycle": {},
-    }
+def dihedral_table(n):
+    """D_n as pairs (reflection bit, rotation), identity first."""
+    elems = [(e, a) for e in (0, 1) for a in range(n)]
+    index = {el: i for i, el in enumerate(elems)}
+    return [[index[((e1 + e2) % 2, ((-a2 if e1 else a2) + a1) % n)]
+             for e2, a2 in elems] for e1, a1 in elems]
+
+
+def quaternion_table():
+    """Q8 as pairs (sign, unit) with units 1, i, j, k, identity first."""
+    # i j = k, j k = i, k i = j, and each unit squares to -1
+    cyclic = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
+    elems = [(s, u) for s in (1, -1) for u in range(4)]
+    index = {el: i for i, el in enumerate(elems)}
+
+    def unit_product(u, v):
+        if u == 0 or v == 0:
+            return 1, u + v
+        if u == v:
+            return -1, 0
+        if (u, v) in cyclic:
+            return 1, cyclic[(u, v)]
+        return -1, cyclic[(v, u)]
+
+    table = []
+    for s1, u in elems:
+        row = []
+        for s2, v in elems:
+            sign, w = unit_product(u, v)
+            row.append(index[(s1 * s2 * sign, w)])
+        table.append(row)
+    return table
+
+
+def cayley_spec(table, p, k=1, modulus=None):
+    field = {"kind": "prime-power", "p": p}
+    if k > 1:
+        field.update(k=k, modulus=modulus)
+    return {"field": field, "group": {"kind": "cayley", "table": table},
+            "cocycle": {}}
+
+
+def twisted_klein_spec(p):
+    """tau(a, b) = (-1)^(a2 b1) on C2 x C2: the quaternion algebra
+    (-1, -1), which is M2(GF(p)) for odd p."""
+    return finite_instance({"kind": "prime-power", "p": p}, [2, 2],
+                           {key: p - 1 for key in
+                            ("(1,2)", "(1,3)", "(3,2)", "(3,3)")})
+
+
+def exhaustive_idempotent_count(fd):
+    """The enumeration the block count replaced, kept as a reference."""
+    values = [x.value for x in fd.field.elements()]
+    return sum(1 for combo in itertools.product(values, repeat=fd.dim)
+               if fd._mul_raw(list(combo), list(combo)) == list(combo))
+
+
+@pytest.mark.parametrize("spec", [
+    cayley_spec(symmetric_group_3_table(), 2),
+    cayley_spec(symmetric_group_3_table(), 3),
+    cayley_spec(dihedral_table(4), 2),
+    cayley_spec(quaternion_table(), 3),
+    twisted_klein_spec(3),
+    twisted_klein_spec(5),
+], ids=["s3-gf2", "s3-gf3", "d4-gf2", "q8-gf3", "klein-gf3", "klein-gf5"])
+def test_oracle_agrees_on_a_noncommutative_table(spec):
     rep = oracle_report(spec)
     assert not rep.commutative
-    rad_dim, idem_count, _ = structural_counts(spec)
-    assert rep.radical_dimension == rad_dim
-    assert rep.idempotent_count == idem_count
-    # every element is a unit, a zero divisor, or zero
-    assert rep.unit_count < rep.algebra_size
+    fd = instance_from_json(spec).torsion_subalgebra().fd
+    blocks = block_structure(fd)
+    assert rep.radical_dimension == len(blocks.radical.basis)
+    assert rep.idempotent_count == count_idempotents(fd)
+    assert rep.unit_count == blocks.unit_count()
+
+
+@pytest.mark.parametrize("spec, units", [
+    (cayley_spec(symmetric_group_3_table(), 2, 2, [1, 1, 1]), 2160),
+    (cayley_spec(symmetric_group_3_table(), 5), 7680),
+    (cayley_spec(dihedral_table(4), 3), 768),
+], ids=["s3-gf4", "s3-gf5", "d4-gf3"])
+def test_block_counts_match_enumeration_beyond_the_oracle(spec, units):
+    fd = instance_from_json(spec).torsion_subalgebra().fd
+    assert count_idempotents(fd) == exhaustive_idempotent_count(fd)
+    assert block_structure(fd).unit_count() == units
 
 
 def test_oracle_caps_and_gates():

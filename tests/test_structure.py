@@ -31,6 +31,7 @@ from fcunits.groups import (
 )
 from fcunits.structure import (
     FDAlgebra,
+    block_structure,
     characteristic_polynomial,
     corner_algebra,
     count_idempotents,
@@ -377,8 +378,70 @@ def test_count_idempotents_matrix_algebra():
     sub, _ = klein_twisted_fd()
     # 2x2 matrices over GF(3): 0, 1, and q^2 + q rank-one projections
     assert count_idempotents(sub.fd) == 14
-    with pytest.raises(TooLargeToCount):
-        count_idempotents(sub.fd, cap=10)
+    assert block_structure(sub.fd).blocks == [(2, 1)]
+    # over Q the same twist is the quaternion algebra (-1, -1), whose
+    # count the block structure does not decide
+    G, Q = abelian([2, 2]), rationals()
+    m = Q.from_int(-1)
+    coc = Cocycle(G, Q, {(1, 2): m, (1, 3): m, (3, 2): m, (3, 3): m})
+    fd = group_algebra_fd(G, Q, coc).fd
+    assert not block_structure(fd).radical.basis
+    with pytest.raises(TooLargeToCount, match="not decided over Q"):
+        count_idempotents(fd)
+
+
+@pytest.mark.parametrize("table, field, count, blocks, coupling", [
+    # GF(3)[S3] / J = GF(3) + GF(3), each rank-one idempotent lifting
+    # along q^2 of J's off-diagonal part: 2 + 2 * 3^2
+    (symmetric_group_3_table(), gf(3), 20, [(1, 1), (1, 1)],
+     [[1, 1], [1, 1]]),
+    # GF(7)[S3] = GF(7) + GF(7) + M2(GF(7)): 2 * 2 * (1 + 56 + 1)
+    (symmetric_group_3_table(), gf(7), 232, [(2, 1), (1, 1), (1, 1)],
+     [[0] * 3] * 3),
+    # GF(3)[D6] = GF(3)[S3] x GF(3)[S3]: two coupled pairs, 20^2
+    (dihedral_table(6), gf(3), 400, [(1, 1)] * 4,
+     [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]]),
+    # GF(2)[D5] = GF(2)[C2] (local, J of dimension 1) + M2(GF(4))
+    (dihedral_table(5), gf(2), 44, [(1, 1), (2, 2)], [[1, 0], [0, 0]]),
+], ids=["s3-gf3", "s3-gf7", "d6-gf3", "d5-gf2"])
+def test_count_idempotents_from_the_blocks(table, field, count, blocks,
+                                           coupling):
+    fd = group_algebra_fd(cayley(table), field).fd
+    bs = block_structure(fd)
+    assert bs.blocks == blocks
+    assert bs.coupling == coupling
+    assert count_idempotents(fd) == count
+
+
+def test_noncommutative_count_above_the_radical_cap():
+    fd = group_algebra_fd(cayley(dihedral_table(17)), gf(2)).fd
+    with pytest.raises(DimensionTooLarge):
+        count_idempotents(fd)
+
+
+def _one_central_idempotent(monkeypatch):
+    original = structure.primitive_idempotents
+    monkeypatch.setattr(structure, "primitive_idempotents",
+                        lambda fd, seed=0: original(fd, seed)[:1])
+
+
+def _unlifted(monkeypatch):
+    monkeypatch.setattr(structure, "lift_idempotent",
+                        lambda fd, ideal_span, x: x)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_one_central_idempotent, "do not fill the semisimple quotient"),
+    (_unlifted, "lift is not idempotent"),
+], ids=["missing-block", "unlifted"])
+def test_broken_block_data_fails_its_certificates(monkeypatch, corrupt,
+                                                  message):
+    # the central idempotents of GF(2)[S3] / J, read back in GF(2)[S3],
+    # are idempotent only after lift_idempotent
+    fd = group_algebra_fd(cayley(symmetric_group_3_table()), gf(2)).fd
+    corrupt(monkeypatch)
+    with pytest.raises(CertificateFailed, match=message):
+        block_structure(fd)
 
 
 # --- sum-of-fields reports --------------------------------------------------------
