@@ -28,7 +28,8 @@ use a field walks the powers of a generator g of its multiplicative group
 once on the polynomial layer, certifies the walk, and from then on a
 product is exp[log a + log b] and an inverse exp[(q - 1) - log a].  Values
 stay coefficient tuples, so element order, sort keys and JSON do not
-depend on the tables.
+depend on the tables.  Rational polynomials are factored on the same
+layer, over Z by the modular route (`poly_factor_rational`).
 
 Finite fields are capped at 2^16 elements and extension degree 8, which
 keeps every exhaustive search (root finding, discrete logs, unit scans)
@@ -40,6 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import random
 from fractions import Fraction
 
 from .errors import (
@@ -102,6 +104,11 @@ def poly_trim(F, a):
     return tuple(a[:n])
 
 
+def poly_add(F, a, b):
+    pairs = itertools.zip_longest(a, b, fillvalue=F.raw_zero)
+    return poly_trim(F, [F.reduce(F.raw_add(x, y)) for x, y in pairs])
+
+
 def poly_sub(F, a, b):
     pairs = itertools.zip_longest(a, b, fillvalue=F.raw_zero)
     return poly_trim(F, [F.reduce(F.raw_sub(x, y)) for x, y in pairs])
@@ -161,6 +168,22 @@ def poly_gcd(F, a, b):
     return tuple(F.reduce(F.raw_mul(x, c)) for x in a)
 
 
+def poly_inv_mod(F, a, m):
+    """The inverse of a modulo m, of degree below deg m, or None when a and
+    m share a factor.  Half-extended Euclid: only the cofactor of a is
+    carried, since s * a = r (mod m) is all an inverse needs."""
+    r0, r1 = m, poly_divmod(F, a, m)[1]
+    s0, s1 = (), (F.raw_one,)
+    while len(r1) > 1:
+        q, r = poly_divmod(F, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly_sub(F, s0, poly_mul(F, q, s1))
+    if not r1:
+        return None
+    c = F.raw_inv(r1[0])
+    return tuple(F.reduce(F.raw_mul(x, c)) for x in s1)
+
+
 def poly_irreducible(F, m):
     """Rabin's irreducibility test over a finite field F of size q.
 
@@ -194,6 +217,355 @@ def poly_roots(F, a):
         if acc == zero:
             roots.append(x)
     return roots
+
+
+# --- factoring over Q -----------------------------------------------------------
+# A rational polynomial is a constant times primitive integer polynomials.
+# `poly_factor_rational` clears denominators, splits off the squarefree
+# parts by Yun's algorithm, and factors each part by the modular route of
+# H. Zassenhaus, "On Hensel factorization I", J. Number Theory 1 (1969):
+# factor modulo a small prime p by distinct- and equal-degree splitting
+# (D. Cantor and H. Zassenhaus, Math. Comp. 36, 1981), Hensel-lift the
+# factors modulo p^(2^k) past the Mignotte bound, and recombine subsets of
+# them by trial division.  Integer polynomials are int tuples in the layout
+# above; `_Residues(m)` is Z/m and `_ZZ` is Z on the raw interface, so the
+# poly_* routines run over GF(p), Z/p^(2^k) and Z alike.
+
+_FACTOR_PRIMES = 5      # good primes whose modular factor counts are compared
+
+
+class _Residues:
+    """Z/m with the raw ops the poly_* routines read.  m need not be prime
+    as long as only unit leading coefficients are divided by."""
+
+    raw_add = staticmethod(operator.add)
+    raw_sub = staticmethod(operator.sub)
+    raw_mul = staticmethod(operator.mul)
+    raw_zero = 0
+    raw_one = 1
+
+    def __init__(self, m):
+        self.m = m
+
+    def reduce(self, a):
+        return a % self.m
+
+    def raw_inv(self, a):
+        return pow(a, -1, self.m)
+
+
+class _Integers(_Residues):
+    """Z itself, for sums, products and trims; it has no division."""
+
+    def __init__(self):
+        super().__init__(0)
+
+    def reduce(self, a):
+        return a
+
+
+_ZZ = _Integers()
+
+
+def _zz_primitive(a):
+    """A nonzero integer polynomial over its content, with positive leading
+    coefficient."""
+    c = math.gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return tuple(x // c for x in a)
+
+
+def _zz_derivative(a):
+    return tuple(i * x for i, x in enumerate(a))[1:]
+
+
+def _zz_divide(a, b):
+    """a / b over Z for a nonzero b, or None when b does not divide a."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return None if a else ()
+    r = list(a)
+    q = [0] * (len(a) - db)
+    lead = b[-1]
+    for top in range(len(a) - 1, db - 1, -1):
+        c, rem = divmod(r[top], lead)
+        if rem:
+            return None
+        if c:
+            shift = top - db
+            q[shift] = c
+            for i, x in enumerate(b):
+                r[shift + i] -= c * x
+    return None if any(r) else tuple(q)
+
+
+def _zz_gcd(a, b):
+    """The primitive gcd with positive leading coefficient of a nonzero a
+    and b, by the primitive remainder sequence: each pseudo-remainder
+    lc(b)^(deg a - deg b + 1) a mod b is divided by its content."""
+    a = _zz_primitive(a)
+    if not b:
+        return a
+    b = _zz_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        db, lead = len(b) - 1, b[-1]
+        r = list(a)
+        for top in range(len(r) - 1, db - 1, -1):
+            c = r[top]
+            r = [x * lead for x in r[:top]]
+            for i in range(db):
+                r[top - db + i] -= c * b[i]
+        r = poly_trim(_ZZ, r)
+        if not r:
+            return b
+        a, b = b, _zz_primitive(r)
+    return (1,)
+
+
+def _zz_squarefree(f):
+    """Yun's algorithm on a primitive f of positive degree and leading
+    coefficient: [(a_i, i)] with f = prod a_i^i, each a_i squarefree,
+    primitive and of positive degree.  Every division is by a primitive
+    divisor over Q, hence exact over Z (Gauss)."""
+    df = _zz_derivative(f)
+    g = _zz_gcd(f, df)
+    b, c = _zz_divide(f, g), _zz_divide(df, g)
+    out, i = [], 1
+    while len(b) > 1:
+        d = poly_sub(_ZZ, c, _zz_derivative(b))
+        a = _zz_gcd(b, d)
+        if len(a) > 1:
+            out.append((a, i))
+        b, c = _zz_divide(b, a), _zz_divide(d, a)
+        i += 1
+    return out
+
+
+def _frobenius_rows(p, f):
+    """The rows x^(p j) mod f, j < deg f, of the GF(p)-linear map a -> a^p
+    modulo a monic f, each as a list of deg f coefficients."""
+    n = len(f) - 1
+    rows, r = [], [1] + [0] * (n - 1)
+    for _ in range(n):
+        rows.append(r)
+        for _ in range(p):
+            top = r[-1]
+            r = [0] + r[:-1]
+            if top:
+                r = [(x - top * c) % p for x, c in zip(r, f)]
+    return rows
+
+
+def _frobenius(p, rows, a):
+    """a^p modulo the f of `rows`, for a of degree below deg f."""
+    out = [0] * len(rows)
+    for c, row in zip(a, rows):
+        if c:
+            out = [x + c * y for x, y in zip(out, row)]
+    n = len(out)
+    while n and out[n - 1] % p == 0:
+        n -= 1
+    return tuple(x % p for x in out[:n])
+
+
+def _distinct_degree(R, f):
+    """[(d, g_d)] for a monic squarefree f over GF(p): g_d is the product
+    of the irreducible factors of f of degree d, and x^(p^d) runs through
+    the Frobenius rows of f."""
+    p, rows, x = R.m, _frobenius_rows(R.m, f), (0, 1)
+    h, g, out, d = x, f, [], 0
+    while 2 * (d + 1) <= len(g) - 1:
+        d += 1
+        h = _frobenius(p, rows, h)
+        u = poly_gcd(R, g, poly_sub(R, h, x))
+        if len(u) > 1:
+            out.append((d, u))
+            g = poly_divmod(R, g, u)[0]
+    if len(g) > 1:
+        out.append((len(g) - 1, g))
+    return out
+
+
+def _equal_degree(R, g, d, rng):
+    """The monic irreducible factors of g, a monic product of distinct
+    irreducibles of degree d over GF(p) for an odd p: a random a splits g
+    at gcd(a^((p^d - 1) / 2) - 1, g) with probability about 1/2.  The power
+    is (a^(1 + p + ... + p^(d-1)))^((p - 1) / 2), its first factor built by
+    b -> b^p a on the Frobenius rows of g."""
+    n, p = len(g) - 1, R.m
+    if n == d:
+        return [g]
+    rows = _frobenius_rows(p, g)
+    while True:
+        a = poly_trim(R, [rng.randrange(p) for _ in range(n)])
+        if len(a) < 2:
+            continue
+        b = a
+        for _ in range(d - 1):
+            b = poly_divmod(R, poly_mul(R, _frobenius(p, rows, b), a), g)[1]
+        w = poly_powmod(R, b, (p - 1) // 2, g)
+        u = poly_gcd(R, g, poly_sub(R, w, (1,)))
+        if 1 < len(u) <= n:
+            return (_equal_degree(R, u, d, rng)
+                    + _equal_degree(R, poly_divmod(R, g, u)[0], d, rng))
+
+
+def _hensel_step(R, f, g, h, s, t):
+    """From f = g h and s g + t h = 1 modulo m, with h monic, deg s < deg h
+    and deg t < deg g, the same four relations modulo m^2, over R = Z/m^2
+    (von zur Gathen and Gerhard, Modern Computer Algebra, Alg. 15.10)."""
+    e = poly_sub(R, f, poly_mul(R, g, h))
+    q, r = poly_divmod(R, poly_mul(R, s, e), h)
+    g = poly_add(R, g, poly_add(R, poly_mul(R, t, e), poly_mul(R, q, g)))
+    h = poly_add(R, h, r)
+    b = poly_sub(R, poly_add(R, poly_mul(R, s, g), poly_mul(R, t, h)), (1,))
+    c, d = poly_divmod(R, poly_mul(R, s, b), h)
+    s = poly_sub(R, s, d)
+    t = poly_sub(R, t, poly_add(R, poly_mul(R, t, b), poly_mul(R, c, g)))
+    return g, h, s, t
+
+
+def _hensel_lift(p, k, f, factors):
+    """Monic F_i with f = lc(f) prod F_i modulo p^(2^k) and F_i = factors[i]
+    modulo p, for pairwise coprime monic factors of f modulo p.  The list
+    is halved into f = g h, lifted k quadratic steps, and each half lifted
+    on, so every level costs k steps."""
+    M = p ** (2 ** k)
+    if len(factors) == 1:
+        c = pow(f[-1], -1, M)
+        return [tuple(x * c % M for x in f)]
+    P = _Residues(p)
+    half = len(factors) // 2
+    g = (f[-1] % p,)
+    for a in factors[:half]:
+        g = poly_mul(P, g, a)
+    h = (1,)
+    for a in factors[half:]:
+        h = poly_mul(P, h, a)
+    s = poly_inv_mod(P, g, h)
+    t = poly_divmod(P, poly_sub(P, (1,), poly_mul(P, s, g)), h)[0]
+    m = p
+    for _ in range(k):
+        m *= m
+        g, h, s, t = _hensel_step(_Residues(m), f, g, h, s, t)
+    return (_hensel_lift(p, k, g, factors[:half])
+            + _hensel_lift(p, k, h, factors[half:]))
+
+
+def _symmetric(c, M):
+    c %= M
+    return c - M if c > M // 2 else c
+
+
+def _recombine(f, lifted, M, degrees):
+    """The irreducible factors of a squarefree primitive f over Z from its
+    monic factors F_i modulo M, which exceeds twice the Mignotte bound.
+
+    A subset S stands for g = lc(f) prod_S F_i in symmetric residues.  When
+    S belongs to a factor of f, g is lc(f) / lc(factor) times it, and M
+    exceeds twice its 1-norm, so g(x) for x in 0, 1, -1 is read off exactly
+    and divides lc(f) f(x).  Subsets are tried by size, skipped unless their
+    degree is a bit of `degrees` and they pass those three tests, and kept
+    when the primitive part of g divides f.  Once 2 |S| exceeds the number
+    of factors left, what is left of f is irreducible."""
+    R = _Residues(M)
+    points = (0, 1, -1)
+    at = [[sum(c * x ** j for j, c in enumerate(a)) % M for x in points]
+          for a in lifted]
+    found, left, size = [], list(range(len(lifted))), 1
+    while 2 * size <= len(left):
+        lead = f[-1]
+        targets = [lead * sum(c * x ** j for j, c in enumerate(f))
+                   for x in points]
+        for subset in itertools.combinations(left, size):
+            if not degrees >> sum(len(lifted[i]) - 1 for i in subset) & 1:
+                continue
+            for k, target in enumerate(targets):
+                v = lead
+                for i in subset:
+                    v = v * at[i][k] % M
+                v = _symmetric(v, M)
+                if target % v if v else target:
+                    break
+            else:
+                g = (lead,)
+                for i in subset:
+                    g = poly_mul(R, g, lifted[i])
+                g = _zz_primitive(tuple(_symmetric(c, M) for c in g))
+                quotient = _zz_divide(f, g)
+                if quotient is not None:
+                    found.append(g)
+                    f = quotient
+                    left = [i for i in left if i not in subset]
+                    break
+        else:
+            size += 1
+    found.append(f)
+    return found
+
+
+def _zz_factor_squarefree(f):
+    """The irreducible factors of a squarefree primitive f of positive
+    degree and leading coefficient.
+
+    Up to `_FACTOR_PRIMES` odd primes that keep f squarefree of the same
+    degree are tried; each one's factor degrees bound the degrees a factor
+    over Z can have (the subset sums, a bit mask), and the prime with the
+    fewest factors is split and lifted."""
+    n = len(f) - 1
+    if n == 1:
+        return [f]
+    degrees, best, tried, p = -1, None, 0, 1
+    while tried < _FACTOR_PRIMES:
+        p += 2
+        if not is_prime(p) or f[-1] % p == 0:
+            continue
+        R = _Residues(p)
+        c = pow(f[-1], -1, p)
+        fp = tuple(x * c % p for x in f)
+        if len(poly_gcd(R, fp, poly_trim(R, [x % p for x in
+                                             _zz_derivative(fp)]))) > 1:
+            continue
+        tried += 1
+        parts = _distinct_degree(R, fp)
+        count, sums = 0, 1
+        for d, g in parts:
+            for _ in range((len(g) - 1) // d):
+                count += 1
+                sums |= sums << d
+        degrees &= sums
+        if degrees == 1 | 1 << n:     # no factor degree between 0 and n
+            return [f]
+        if best is None or count < best[0]:
+            best = (count, R, parts)
+    _, R, parts = best
+    rng = random.Random(R.m)
+    modular = sorted(a for d, g in parts for a in _equal_degree(R, g, d, rng))
+    # twice lc(f) times Mignotte's 2^n ||f||_2, ||f||_2 <= sqrt(n + 1) |f|_max
+    bound = 2 * (math.isqrt(n + 1) + 1) * 2 ** n * max(map(abs, f)) * f[-1]
+    k, M = 0, R.m
+    while M <= bound:
+        k, M = k + 1, M * M
+    return _recombine(f, _hensel_lift(R.m, k, f, modular), M, degrees)
+
+
+def poly_factor_rational(a):
+    """The factorization over Q of a polynomial with Fraction or int
+    coefficients, constant first: [(f, e)] with f a primitive irreducible
+    integer polynomial of positive leading coefficient (an int tuple,
+    constant first) and e its multiplicity.  The list is sorted by degree,
+    then multiplicity, then coefficients leading first, which is the order
+    of sympy's `factor_list` over QQ.  A constant has no factors."""
+    if len(a) < 2:
+        return []
+    den = math.lcm(*(Fraction(c).denominator for c in a))
+    f = _zz_primitive(tuple(int(c * den) for c in a))
+    factors = [(g, e) for part, e in _zz_squarefree(f)
+               for g in _zz_factor_squarefree(part)]
+    return sorted(factors, key=lambda ge: (len(ge[0]), ge[1], ge[0][::-1]))
 
 
 # --- scalar wrapper -----------------------------------------------------------

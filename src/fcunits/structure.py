@@ -57,6 +57,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import linalg
 from .errors import (
@@ -67,7 +68,15 @@ from .errors import (
     TooLargeToCount,
     certify,
 )
-from .fields import Scalar, poly_divmod, poly_irreducible, poly_roots
+from .fields import (
+    Scalar,
+    poly_divmod,
+    poly_factor_rational,
+    poly_inv_mod,
+    poly_irreducible,
+    poly_mul,
+    poly_roots,
+)
 
 RADICAL_NONCOMMUTATIVE_DIM_CAP = 32
 SPLITTER_ATTEMPTS = 500
@@ -604,19 +613,9 @@ def _primitive_idempotents_finite(fd):
     return prims
 
 
-def _sympy_factors(coeffs):
-    import sympy
-
-    t = sympy.Symbol("t")
-    expr = sum(sympy.Rational(c.value) * t ** i for i, c in enumerate(coeffs))
-    return sympy.factor_list(sympy.Poly(expr, t, domain="QQ"))[1]
-
-
-def _coeffs_from_sympy(field, poly):
-    from fractions import Fraction
-
-    coeffs = list(reversed(poly.all_coeffs()))
-    return [field.scalar(Fraction(str(c))) for c in coeffs]
+def _rational_factors(m):
+    """The factors of a minimal polynomial over Q, given as Scalars."""
+    return poly_factor_rational(tuple(c.value for c in m))
 
 
 def _splitter_candidates(fd, rng):
@@ -629,9 +628,27 @@ def _splitter_candidates(fd, rng):
         yield [fd.field.from_int(rng.randint(-3, 3)) for _ in range(fd.dim)]
 
 
-def _primitive_idempotents_rational(fd, rng):
-    import sympy
+def _bezout_idempotent(fd, factors, cand):
+    """e(cand) for the polynomial e = b h over Q, where g is the first
+    factor power of cand's minimal polynomial, h the product of the others
+    and b = h^-1 mod g (extended Euclid), so e = 1 mod g and e = 0 mod h."""
+    field = fd.field
 
+    def power_product(pairs):
+        out = (field.raw_one,)
+        for f, e in pairs:
+            for _ in range(e):
+                out = poly_mul(field, out, tuple(map(Fraction, f)))
+        return out
+
+    g, h = power_product(factors[:1]), power_product(factors[1:])
+    b = poly_inv_mod(field, h, g)
+    certify(b is not None, "factor powers must be coprime")
+    return poly_eval_fd(fd, [Scalar(field, c)
+                             for c in poly_mul(field, b, h)], cand)
+
+
+def _primitive_idempotents_rational(fd, rng):
     if fd.dim == 1:
         return [list(fd.one)]
     rad, _ = _radical_raw(fd)
@@ -641,25 +658,18 @@ def _primitive_idempotents_rational(fd, rng):
         span = span_of(fd, rad)
         basis = [list(r) for r in span.inserted]
         Q = quotient_algebra(fd, basis)
-        return [lift_idempotent(fd, basis, Q.lift(qe))
-                for qe in _primitive_idempotents_rational(Q.fd, rng)]
+        return lift_idempotents(fd, basis, [
+            Q.lift(qe) for qe in _primitive_idempotents_rational(Q.fd, rng)])
     for cand in _splitter_candidates(fd, rng):
         m = minimal_polynomial(fd, cand)
-        factors = _sympy_factors(m)
+        factors = _rational_factors(m)
         if len(factors) < 2:
             if factors[0][1] == 1 and len(m) - 1 == fd.dim:
                 # irreducible minimal polynomial of full degree: a field
                 return [list(fd.one)]
             continue
         # split off the first factor power through a Bezout identity
-        t = sympy.Symbol("t")
-        g = sympy.Poly(factors[0][0] ** factors[0][1], t, domain="QQ")
-        h = sympy.Poly(sympy.prod(f ** e for f, e in factors[1:]),
-                       t, domain="QQ")
-        a, b, gcd = sympy.gcdex(g.as_expr(), h.as_expr(), t)
-        certify(sympy.simplify(gcd - 1) == 0, "factor powers must be coprime")
-        bh = sympy.Poly(sympy.expand(b * h.as_expr()), t, domain="QQ")
-        e1 = poly_eval_fd(fd, _coeffs_from_sympy(fd.field, bh), cand)
+        e1 = _bezout_idempotent(fd, factors, cand)
         certify(fd.is_idempotent(e1), "Bezout idempotent failed")
         prims = []
         for e in (e1, fd.sub(fd.one, e1)):
@@ -678,11 +688,12 @@ def primitive_idempotents(fd, seed=0):
 
     Finite fields split along the fixed space of x -> x^q, which works with
     or without a radical present; the rationals factor minimal polynomials
-    of candidate elements and split off Bezout idempotents, which also
-    tolerates nilpotents because coprime factor powers still satisfy a
-    Bezout identity.  The returned family is verified orthogonal,
-    idempotent, and complete before being handed back, and kept on `fd`
-    per seed, so a later call returns the same certified tuple.
+    of candidate elements over Z (`fields.poly_factor_rational`) and split
+    off Bezout idempotents, which also tolerates nilpotents because coprime
+    factor powers still satisfy a Bezout identity.  The returned family is
+    verified orthogonal, idempotent, and complete before being handed back,
+    and kept on `fd` per seed, so a later call returns the same certified
+    tuple.
     """
     if seed in fd._primitives:
         return fd._primitives[seed]
@@ -839,7 +850,7 @@ def _block_structure(fd):
                 rows.append(row)
     center = linalg.kernel_basis(field, rows, bar.dim)
     Z = Subquotient(bar, [], center, bar.one)
-    blocks, lifts = [], []
+    blocks, central = [], []
     for z in primitive_idempotents(Z.fd):
         c = Z.embed(z)
         d = span_of(Z.fd, [Z.fd.mul(z, Z.fd.basis_vec(k))
@@ -851,9 +862,12 @@ def _block_structure(fd):
                 f"a block of dimension {block_dim} over a center of "
                 f"dimension {d} is no full matrix algebra")
         blocks.append((n, d))
-        f = lift_idempotent(fd, rad.basis, Q.lift(c)) if Q else c
+        central.append(c)
+    lifts = central
+    if Q:
+        lifts = lift_idempotents(fd, rad.basis, [Q.lift(c) for c in central])
+    for f in lifts:
         certify(fd.is_idempotent(f), "block idempotent lift is not idempotent")
-        lifts.append(f)
     certify(sum(n * n * d for n, d in blocks) == bar.dim,
             "the blocks do not fill the semisimple quotient")
     k = len(blocks)
@@ -907,7 +921,7 @@ def _field_certificate(corner, rng):
             if poly_irreducible(fd.field, tuple(c.value for c in m)):
                 return cand, m
         else:
-            factors = _sympy_factors(m)
+            factors = _rational_factors(m)
             if len(factors) == 1 and factors[0][1] == 1:
                 return cand, m
     raise ConditionsNotMet("no primitive element found for a field corner")
@@ -954,26 +968,32 @@ def _fields_decomposition(fd, seed):
 # --- idempotent lifting ----------------------------------------------------------
 
 
-def lift_idempotent(fd, ideal_span, x):
-    """Lift x with x^2 - x in the ideal to an honest idempotent congruent
-    to x modulo the ideal.  The ideal must be nilpotent."""
+def lift_idempotents(fd, ideal_span, xs):
+    """Lift each x with x^2 - x in the ideal to an honest idempotent
+    congruent to x modulo the ideal.  The ideal must be nilpotent, which is
+    proved once for the whole list."""
     S = span_of(fd, ideal_span)
-    if not S.contains(fd.sub(fd.mul(x, x), x)):
-        raise ConditionsNotMet("x is not idempotent modulo the ideal")
+    for x in xs:
+        if not S.contains(fd.sub(fd.mul(x, x), x)):
+            raise ConditionsNotMet("x is not idempotent modulo the ideal")
     ideal_nilpotency_index(fd, ideal_span)  # raises if not nilpotent
     p = fd.field.characteristic
     three = fd.field.from_int(3)
     two = fd.field.from_int(2)
-    e = list(x)
-    steps = 0
     bound = fd.dim.bit_length() + 3
-    while not fd.is_idempotent(e):
-        if p:
-            e = fd.power(e, p)
-        else:
-            e2 = fd.mul(e, e)
-            e = fd.sub(fd.scale(e2, three), fd.scale(fd.mul(e2, e), two))
-        steps += 1
-        certify(steps <= bound, "idempotent lifting failed to converge")
-    certify(S.contains(fd.sub(e, x)), "lift drifted from x modulo the ideal")
-    return e
+    lifts = []
+    for x in xs:
+        e = list(x)
+        steps = 0
+        while not fd.is_idempotent(e):
+            if p:
+                e = fd.power(e, p)
+            else:
+                e2 = fd.mul(e, e)
+                e = fd.sub(fd.scale(e2, three), fd.scale(fd.mul(e2, e), two))
+            steps += 1
+            certify(steps <= bound, "idempotent lifting failed to converge")
+        certify(S.contains(fd.sub(e, x)),
+                "lift drifted from x modulo the ideal")
+        lifts.append(e)
+    return lifts

@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcunits.errors import (
     GroupMismatch,
@@ -259,3 +261,113 @@ def test_direct_product_with_table_torsion():
     # free and torsion parts multiply independently
     assert g.mul(a, b) == g.element((1,), g.torsion.mul_key(1, 4))
     assert len(g.commutator_subgroup()) == 3
+
+
+# --- associativity by construction ---------------------------------------------
+
+
+def dihedral_4_table():
+    """D4 as pairs (reflection bit, rotation), identity first."""
+    elems = [(e, a) for e in (0, 1) for a in range(4)]
+    index = {el: i for i, el in enumerate(elems)}
+    return [[index[((e1 + e2) % 2, ((-a2 if e1 else a2) + a1) % 4)]
+             for e2, a2 in elems] for e1, a1 in elems]
+
+
+def quaternion_table():
+    """Q8 as signed units (sign, unit), units 1, i, j, k, identity first."""
+    cyclic = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
+
+    def unit_product(u, v):
+        if u == 0 or v == 0:
+            return 1, u + v
+        if u == v:
+            return -1, 0
+        if (u, v) in cyclic:
+            return 1, cyclic[(u, v)]
+        return -1, cyclic[(v, u)]
+
+    elems = [(s, u) for s in (1, -1) for u in range(4)]
+    index = {el: i for i, el in enumerate(elems)}
+    table = []
+    for s1, u1 in elems:
+        row = []
+        for s2, u2 in elems:
+            sign, unit = unit_product(u1, u2)
+            row.append(index[(s1 * s2 * sign, unit)])
+        table.append(row)
+    return table
+
+
+# a loop of order 5 (a Latin square with identity 0) that is no group:
+# 1 * 1 = 0, and no group of order 5 has an element of order 2
+LOOP_5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+          [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TableTorsion(LOOP_5), "associativity fails"),
+    (lambda: Group(2, TableTorsion(symmetric_group_3_table()),
+                   pairing_matrix=[[0, 1], [0, 0]], pairing_target=1),
+     "pairing requires an abelian torsion part"),
+    (lambda: Group(2, InvariantsTorsion((2,)),
+                   pairing_matrix=[[0, 0], [1, 0]], pairing_target=(1,)),
+     "strictly upper triangular"),
+    (lambda: Group(2, InvariantsTorsion((2,)),
+                   pairing_matrix=[[1, 1], [0, 0]], pairing_target=(1,)),
+     "strictly upper triangular"),
+    (lambda: Group(0, TableTorsion(symmetric_group_3_table()),
+                   prufer=(2, 3)),
+     "Pruefer component requires an abelian torsion part"),
+], ids=["non-associative-table", "pairing-on-non-abelian", "lower-pairing",
+        "diagonal-pairing", "prufer-on-non-abelian"])
+def test_each_associativity_guard_rejects_its_spec(build, message):
+    with pytest.raises(GroupValidationError, match=message):
+        build()
+
+
+def test_non_integer_pairing_matrix_rejected():
+    with pytest.raises(InstanceFormatError):
+        Group(2, InvariantsTorsion((2,)),
+              pairing_matrix=[[0, 0.5], [0, 0]], pairing_target=(1,))
+
+
+TABLES = {"s3": symmetric_group_3_table(), "d4": dihedral_4_table(),
+          "q8": quaternion_table()}
+
+
+@st.composite
+def drawn_groups(draw):
+    if draw(st.booleans()):
+        table = TABLES[draw(st.sampled_from(sorted(TABLES)))]
+        return Group(draw(st.integers(0, 2)), TableTorsion(table))
+    invariants = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    rank = draw(st.integers(0, 3))
+    matrix = target = None
+    if rank >= 2:
+        matrix = [[draw(st.integers(-3, 3)) if j > i else 0
+                   for j in range(rank)] for i in range(rank)]
+        target = [draw(st.integers(0, d - 1)) for d in invariants]
+    prufer = draw(st.sampled_from([None, (2, 3), (3, 2)]))
+    return Group(rank, InvariantsTorsion(invariants), pairing_matrix=matrix,
+                 pairing_target=target, prufer=prufer)
+
+
+def drawn_element(data, g):
+    u = tuple(data.draw(st.integers(-3, 3)) for _ in range(g.rank))
+    t = data.draw(st.integers(0, g.torsion.size - 1))
+    s = Fraction(0)
+    if g.prufer:
+        q, levels = g.prufer
+        s = Fraction(data.draw(st.integers(0, q ** levels - 1)),
+                     q ** levels)
+    return g.from_key(t, u, s)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_the_law_is_associative_on_drawn_triples(data):
+    g = data.draw(drawn_groups())
+    for _ in range(4):
+        a, b, c = (drawn_element(data, g) for _ in range(3))
+        assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))

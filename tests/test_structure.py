@@ -37,7 +37,7 @@ from fcunits.structure import (
     count_idempotents,
     fields_decomposition,
     jacobson_radical,
-    lift_idempotent,
+    lift_idempotents,
     minimal_polynomial,
     poly_eval_fd,
     primitive_idempotents,
@@ -426,8 +426,8 @@ def _one_central_idempotent(monkeypatch):
 
 
 def _unlifted(monkeypatch):
-    monkeypatch.setattr(structure, "lift_idempotent",
-                        lambda fd, ideal_span, x: x)
+    monkeypatch.setattr(structure, "lift_idempotents",
+                        lambda fd, ideal_span, xs: list(xs))
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -437,7 +437,7 @@ def _unlifted(monkeypatch):
 def test_broken_block_data_fails_its_certificates(monkeypatch, corrupt,
                                                   message):
     # the central idempotents of GF(2)[S3] / J, read back in GF(2)[S3],
-    # are idempotent only after lift_idempotent
+    # are idempotent only after lift_idempotents
     fd = group_algebra_fd(cayley(symmetric_group_3_table()), gf(2)).fd
     corrupt(monkeypatch)
     with pytest.raises(CertificateFailed, match=message):
@@ -588,8 +588,7 @@ def test_lift_idempotent_char_p():
     assert fd.is_idempotent(target)
     x = fd.add(target, fd.add(fd.basis_vec(0), fd.basis_vec(3)))
     assert not fd.is_idempotent(x)
-    e = lift_idempotent(fd, rad, x)
-    assert e == target
+    assert lift_idempotents(fd, rad, [x]) == [target]
 
 
 def test_lift_idempotent_char0_newton():
@@ -598,17 +597,31 @@ def test_lift_idempotent_char0_newton():
     table = {(0, 0): {0: Q.one}, (0, 1): {1: Q.one}, (1, 0): {1: Q.one}}
     fd = FDAlgebra(Q, 2, table, [Q.one, Q.zero])
     x = [Q.one, Q.one]
-    e = lift_idempotent(fd, [[Q.zero, Q.one]], x)
-    assert e == list(fd.one)
+    assert lift_idempotents(fd, [[Q.zero, Q.one]], [x]) == [list(fd.one)]
 
 
 def test_lift_idempotent_guards():
     F = gf(3)
     fd = group_algebra_fd(cayley(cyclic_table(2)), F).fd
     with pytest.raises(ConditionsNotMet):
-        lift_idempotent(fd, [], fd.basis_vec(1))
+        lift_idempotents(fd, [], [fd.basis_vec(1)])
     with pytest.raises(IdealNotNilpotent):
-        lift_idempotent(fd, [list(fd.one)], list(fd.one))
+        lift_idempotents(fd, [list(fd.one)], [list(fd.one)])
+
+
+def test_block_structure_proves_nilpotency_once(monkeypatch):
+    calls = []
+    original = structure.ideal_nilpotency_index
+
+    def counted(fd, span):
+        calls.append(len(span))
+        return original(fd, span)
+
+    monkeypatch.setattr(structure, "ideal_nilpotency_index", counted)
+    fd = group_algebra_fd(cayley(dihedral_table(6)), gf(3)).fd
+    assert len(block_structure(fd).blocks) == 4
+    # one proof inside jacobson_radical, one for lifting all four blocks
+    assert len(calls) <= 2
 
 
 def test_commutativity_witness_names_basis_units():
