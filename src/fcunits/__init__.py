@@ -17,6 +17,10 @@ Everything below those two calls is importable too; the re-exports here
 cover the names the test suite and the command line client use.
 """
 
+# the one owner of the version: the CLI report reads it, and
+# pyproject.toml repeats it for packaging (a test keeps the two equal)
+__version__ = "0.1.0"
+
 from .errors import FcunitsError, InstanceFormatError
 from .fields import gf, make_field, rationals
 from .groups import make_group
@@ -43,8 +47,6 @@ from .fc import (
     verdict,
 )
 from .oracle import oracle_report, predicted_unit_count
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Cocycle",

@@ -12,8 +12,9 @@ import argparse
 import json
 import os
 import sys
-from importlib import metadata, resources
+from importlib import resources
 
+from . import __version__
 from .errors import FcunitsError, InstanceFormatError
 from .fc import instance_from_json, probe_conjugates, structure_report, \
     verdict
@@ -22,11 +23,7 @@ from .structure import block_structure, count_idempotents, \
     fields_decomposition
 
 TOOL_NAME = "fcunits"
-
-try:
-    TOOL_VERSION = metadata.version("fcunits")
-except metadata.PackageNotFoundError:
-    TOOL_VERSION = "unknown"
+TOOL_VERSION = __version__
 
 
 def bundled_instance(name):

@@ -697,6 +697,9 @@ def make_group(obj):
     tor_spec = obj.get("torsion")
     if not isinstance(tor_spec, dict):
         raise InstanceFormatError("central-extension needs a 'torsion' object")
+    if "invariants" in tor_spec and "table" in tor_spec:
+        raise InstanceFormatError(
+            "torsion must give 'invariants' or a 'table', not both")
     if "invariants" in tor_spec:
         torsion = InvariantsTorsion(tor_spec["invariants"])
     elif "table" in tor_spec:

@@ -1,26 +1,24 @@
 """Exhaustive cross-checking oracle for finite twisted group algebras.
 
 This module deliberately reimplements everything above the scalar layer:
-its own group law straight from the instance JSON, its own cocycle table,
+its own group law and cocycle table straight from the instance JSON,
 dense vector arithmetic, a Gaussian-elimination unit test, and radical
-and idempotent counts by enumeration.  It shares only ``fields`` with the
-rest of the package, so agreement between an oracle report and the
-structural modules is meaningful cross-validation rather than the same
-code agreeing with itself.
+and idempotent counts by enumeration.  It shares only ``fields`` (and
+``errors``) with the rest of the package, so agreement with the
+structural modules is cross-validation, not code agreeing with itself.
 
-Algebra elements are vectors of raw field values, one per group element,
-combined with the field's `raw_add`, `raw_sub`, `raw_mul` and `raw_inv`
-and made canonical by one `reduce` per output coordinate, as the
-`fields` docstring describes; no `Scalar` is built in the sweep.
-
-Everything here is exponential in the algebra dimension and guarded by
-ORACLE_SIZE_CAP.  The target is small finite instances used as anchors,
-not production analysis.
+The sweep codes each element of GF(q) as its index 0..q-1 in
+`field.elements()` order.  The field's raw operations are read once into
+q x q addition and multiplication tables and negation and inverse lists,
+so the cocycle is a table of indices, an algebra element a tuple of
+indices, and the sweep makes no field call.  Everything here is
+exponential in the dimension n; ORACLE_SIZE_CAP bounds both the q^n
+elements of the sweep and the q^2 entries of each table.
 """
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import (
     CapExceeded,
@@ -71,21 +69,22 @@ class _EnumeratedGroup:
             return cls(n, table, identity)
         if kind != "central-extension":
             raise InstanceFormatError(f"unknown group kind {kind!r}")
-        if obj.get("rank", 0) != 0:
+        (rank,) = int_entries([obj.get("rank", 0)], "central-extension 'rank'")
+        if rank != 0:
             raise CapExceeded("the exhaustive oracle needs a finite group "
                               "(rank 0)")
         if obj.get("prufer") is not None:
             raise CapExceeded("the exhaustive oracle needs a finite group "
                               "(no Pruefer component)")
         torsion = obj.get("torsion", {})
+        if (not isinstance(torsion, dict)
+                or ("table" in torsion) == ("invariants" in torsion)):
+            raise InstanceFormatError("torsion must be an object with "
+                                      "'invariants' or a 'table', not both")
         if "table" in torsion:
             return cls.from_json({"kind": "cayley",
                                   "table": torsion["table"]})
-        invariants = torsion.get("invariants")
-        if invariants is None:
-            raise InstanceFormatError("torsion needs 'invariants' or "
-                                      "'table'")
-        invariants = int_entries(invariants, "torsion invariants")
+        invariants = int_entries(torsion["invariants"], "torsion invariants")
         if any(d < 2 for d in invariants):
             raise InstanceFormatError("torsion invariants must be >= 2")
         keys = list(itertools.product(*[range(d) for d in invariants]))
@@ -108,16 +107,48 @@ def _table_key(key):
     return int_entries(pair, f"torsion table key {key!r}")
 
 
-def _cocycle_matrix(obj, group, field):
-    """Dense n x n table of raw cocycle values from the cocycle JSON,
+class _FieldTables:
+    """A finite field's arithmetic on the indices of `field.elements()`:
+    q x q `add` and `mul` tables and `neg` and `inv` lists (inv[zero] is
+    None), read from the field's raw operations."""
+
+    def __init__(self, field):
+        values = [s.value for s in field.elements()]
+        self.index = index = {v: i for i, v in enumerate(values)}
+        self.zero, self.one = index[field.raw_zero], index[field.raw_one]
+        reduce = field.reduce
+
+        def row(op, a):
+            return [index[reduce(op(a, b))] for b in values]
+
+        # a row computed with raw_add for each element outside the span of
+        # the earlier ones; the others as (g + x) + b = g + (x + b)
+        add = [None] * len(values)
+        for g, value in enumerate(values):
+            if add[g] is None:
+                add[g] = gen = row(field.raw_add, value)
+                walk = [x for x, r in enumerate(add) if r is not None]
+                for x in walk:      # the walk grows as it goes
+                    y = gen[x]
+                    if add[y] is None:
+                        add[y] = [gen[v] for v in add[x]]
+                        walk.append(y)
+        self.add = add
+        self.mul = [row(field.raw_mul, a) for a in values]
+        self.neg = [index[reduce(field.raw_neg(a))] for a in values]
+        self.inv = [None if i == self.zero
+                    else index[reduce(field.raw_inv(a))]
+                    for i, a in enumerate(values)]
+
+
+def _cocycle_matrix(obj, group, field, tables):
+    """Dense n x n table of cocycle value indices from the cocycle JSON,
     identity-checked."""
-    if obj is None:
-        obj = {}
+    obj = {} if obj is None else obj
     if not isinstance(obj, dict):
         raise InstanceFormatError("cocycle spec must be an object")
     n = group.size
-    one, zero = field.raw_one, field.raw_zero
-    lam = [[one] * n for _ in range(n)]
+    lam = [[tables.one] * n for _ in range(n)]
     torsion = obj.get("torsion_table", {})
     if not isinstance(torsion, dict):
         raise InstanceFormatError("cocycle torsion_table must be an object")
@@ -126,8 +157,8 @@ def _cocycle_matrix(obj, group, field):
         if not (0 <= i < n and 0 <= j < n):
             raise InstanceFormatError(f"torsion table index ({i}, {j}) "
                                       f"out of range")
-        val = field.value_from_json(raw)
-        if val == zero:
+        val = tables.index[field.value_from_json(raw)]
+        if val == tables.zero:
             raise InvalidCocycle(f"cocycle value at ({i}, {j}) is zero")
         lam[i][j] = val
     # a rank-0 instance never evaluates the bilinear part, so an explicit
@@ -139,105 +170,82 @@ def _cocycle_matrix(obj, group, field):
     if any(any(row) for row in matrix):
         raise InstanceFormatError("the oracle handles finite groups only, "
                                   "where a bilinear part has no effect")
-    e = group.identity
-    for i in range(n):
-        if lam[e][i] != one or lam[i][e] != one:
-            raise InvalidCocycle("cocycle is not normalized on the identity")
-    mul, reduce, times = group.mul_index, field.reduce, field.raw_mul
-    for g in range(n):
-        for h in range(n):
-            gh = mul[g][h]
-            for k in range(n):
-                if (reduce(times(lam[g][h], lam[gh][k]))
-                        != reduce(times(lam[h][k], lam[g][mul[h][k]]))):
-                    raise InvalidCocycle(
-                        f"cocycle identity fails at indices ({g}, {h}, {k})")
+    e, one = group.identity, tables.one
+    if any(lam[e][i] != one or lam[i][e] != one for i in range(n)):
+        raise InvalidCocycle("cocycle is not normalized on the identity")
+    mul, times = group.mul_index, tables.mul
+    for g, h, k in itertools.product(range(n), repeat=3):
+        if (times[lam[g][h]][lam[mul[g][h]][k]]
+                != times[lam[h][k]][lam[g][mul[h][k]]]):
+            raise InvalidCocycle(
+                f"cocycle identity fails at indices ({g}, {h}, {k})")
     return lam
 
 
-# --- dense arithmetic --------------------------------------------------------------
+class _IndexAlgebra:
+    """K_lambda G on tuples of field indices, one per group position:
+    e_i e_j = lambda(i, j) e_(g_i g_j)."""
 
-
-class _DenseAlgebra:
-    """Vectors of canonical raw field values indexed by group position,
-    multiplied densely."""
-
-    def __init__(self, group, field, lam):
-        self.group = group
-        self.field = field
-        self.lam = lam
-        self.dim = group.size
-
-    def unit_vector(self, i):
-        vec = [self.field.raw_zero] * self.dim
-        vec[i] = self.field.raw_one
-        return vec
+    def __init__(self, group, tables, lam):
+        self.tables = tables
+        self.dim = n = group.size
+        self.terms = [[(j, group.mul_index[i][j], lam[i][j])
+                       for j in range(n)] for i in range(n)]
+        self.zero_vector = (tables.zero,) * n
+        # the nilpotency index never exceeds the dimension
+        self.steps = max(1, (n - 1).bit_length())
 
     def mul(self, a, b):
-        field = self.field
-        add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
+        add, mul, zero = self.tables.add, self.tables.mul, self.tables.zero
         out = [zero] * self.dim
-        for i, ai in enumerate(a):
-            if ai == zero:
-                continue
-            row_idx, row_lam = self.group.mul_index[i], self.lam[i]
-            for j, bj in enumerate(b):
-                if bj != zero:
-                    k = row_idx[j]
-                    out[k] = add(out[k], mul(mul(ai, bj), row_lam[j]))
-        return list(map(field.reduce, out))
+        for ai, terms in zip(a, self.terms):
+            if ai != zero:
+                scaled = mul[ai]
+                for j, k, lam in terms:
+                    out[k] = add[out[k]][mul[scaled[lam]][b[j]]]
+        return tuple(out)
 
-    def is_zero(self, a):
-        zero = self.field.raw_zero
-        return all(x == zero for x in a)
-
-    def is_nilpotent(self, a):
-        """a^(2^steps) by repeated squaring, with 2^steps >= dim; the
-        nilpotency index never exceeds the dimension."""
-        power = list(a)
-        steps = max(1, (self.dim - 1).bit_length())
-        for _ in range(steps):
-            if self.is_zero(power):
+    def is_nilpotent(self, a, square):
+        """a^(2^steps) == 0 by repeated squaring, given a^2 = square."""
+        if a == self.zero_vector:
+            return True
+        power = square
+        for _ in range(self.steps - 1):
+            if power == self.zero_vector:
                 return True
             power = self.mul(power, power)
-        return self.is_zero(power)
+        return power == self.zero_vector
 
     def is_commutative(self):
-        units = [self.unit_vector(i) for i in range(self.dim)]
-        return all(self.mul(units[i], units[j]) == self.mul(units[j],
-                                                            units[i])
-                   for i in range(self.dim) for j in range(i + 1, self.dim))
-
-    def left_multiplication_matrix(self, a):
-        cols = [self.mul(a, self.unit_vector(j)) for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)]
-                for i in range(self.dim)]
+        """e_i e_j = e_j e_i: equal products g_i g_j and cocycle values."""
+        return all(self.terms[i][j][1:] == self.terms[j][i][1:]
+                   for i in range(self.dim) for j in range(i))
 
     def is_unit(self, a):
-        return _gaussian_invertible(self.left_multiplication_matrix(a),
-                                    self.field)
-
-
-def _gaussian_invertible(matrix, field):
-    """Row reduction over the exact field; True iff full rank."""
-    sub, mul, reduce = field.raw_sub, field.raw_mul, field.reduce
-    zero = field.raw_zero
-    n = len(matrix)
-    rows = [list(r) for r in matrix]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != zero),
-                     None)
-        if pivot is None:
-            return False
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = field.raw_inv(rows[col][col])
-        rows[col] = [reduce(mul(x, inv)) for x in rows[col]]
-        for r in range(n):
-            factor = rows[r][col]
-            if r != col and factor != zero:
-                rows[r] = [reduce(sub(x, mul(factor, y)))
-                           for x, y in zip(rows[r], rows[col])]
-    return True
+        """Full rank of the left multiplication matrix L_a, whose entry
+        (g_i g_j, j) is a_i lambda(i, j), by forward elimination."""
+        t, n = self.tables, self.dim
+        add, mul, zero = t.add, t.mul, t.zero
+        rows = [[zero] * n for _ in range(n)]
+        for ai, terms in zip(a, self.terms):
+            if ai != zero:
+                scaled = mul[ai]
+                for j, k, lam in terms:
+                    rows[k][j] = scaled[lam]
+        for col in range(n):
+            for pivot in range(col, n):
+                if rows[pivot][col] != zero:
+                    break
+            else:
+                return False
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            prow, pinv = rows[col], t.inv[rows[col][col]]
+            for r in range(col + 1, n):
+                factor = rows[r][col]
+                if factor != zero:
+                    minus = mul[t.neg[mul[factor][pinv]]]
+                    rows[r] = [add[x][minus[y]] for x, y in zip(rows[r], prow)]
+        return True
 
 
 # --- the exhaustive sweep ----------------------------------------------------------
@@ -255,14 +263,7 @@ class OracleReport:
     radical_dimension: int
 
     def to_json(self):
-        return {"dimension": self.dimension,
-                "field_size": self.field_size,
-                "algebra_size": self.algebra_size,
-                "commutative": self.commutative,
-                "unit_count": self.unit_count,
-                "idempotent_count": self.idempotent_count,
-                "nilpotent_count": self.nilpotent_count,
-                "radical_dimension": self.radical_dimension}
+        return asdict(self)
 
 
 def _exact_log(value, base):
@@ -294,35 +295,34 @@ def oracle_report(instance_json):
     group = _EnumeratedGroup.from_json(instance_json["group"])
     q = field.size()
     total = q ** group.size
-    if total > ORACLE_SIZE_CAP:
+    if max(total, q * q) > ORACLE_SIZE_CAP:
         raise CapExceeded(
-            f"algebra has {total} elements, above the oracle cap "
-            f"{ORACLE_SIZE_CAP}")
-    lam = _cocycle_matrix(instance_json["cocycle"], group, field)
-    algebra = _DenseAlgebra(group, field, lam)
+            f"algebra has {total} elements and field tables {q * q} "
+            f"entries, above the oracle cap {ORACLE_SIZE_CAP}")
+    tables = _FieldTables(field)
+    lam = _cocycle_matrix(instance_json["cocycle"], group, field, tables)
+    algebra = _IndexAlgebra(group, tables, lam)
 
     commutative = algebra.is_commutative()
-    values = [s.value for s in field.elements()]
-    units = 0
-    idempotents = 0
+    units = idempotents = 0
     nilpotents = []
-    for combo in itertools.product(values, repeat=algebra.dim):
-        vec = list(combo)
-        if algebra.mul(vec, vec) == vec:
+    for a in itertools.product(range(q), repeat=algebra.dim):
+        square = algebra.mul(a, a)
+        if square == a:
             idempotents += 1
-        if algebra.is_nilpotent(vec):
-            nilpotents.append(vec)
-        elif algebra.is_unit(vec):
+        if algebra.is_nilpotent(a, square):
+            nilpotents.append(a)
+        elif algebra.is_unit(a):
             units += 1
 
     if commutative:
         radical = nilpotents
     else:
         # the largest nil ideal: x with the whole right translate x*A nil
+        nil = set(nilpotents)
         radical = [x for x in nilpotents
-                   if all(algebra.is_nilpotent(algebra.mul(x, list(y)))
-                          for y in itertools.product(
-                              values, repeat=algebra.dim))]
+                   if all(algebra.mul(x, y) in nil for y in itertools.product(
+                       range(q), repeat=algebra.dim))]
     radical_dim = _exact_log(len(radical), q)
 
     return OracleReport(

@@ -1,4 +1,6 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 from importlib import resources
@@ -350,3 +352,60 @@ def test_radical_cap_ends_as_above_cap_and_skipped(monkeypatch, tmp_path,
     checks = json.loads(out)["sections"]["oracle"]["cross_check"]
     for key in ("radical_dimension", "idempotent_count", "unit_count"):
         assert "capped at dimension 4" in checks[key]["skipped"]
+
+
+def test_torsion_with_both_invariants_and_table_is_rejected(tmp_path,
+                                                            capsys):
+    # the verdict read C3 from the invariants, the oracle C2 from the table
+    raw = cli.bundled_instance("gf3_c2_trivial")
+    raw["group"]["torsion"] = {"invariants": [3], "table": [[0, 1], [1, 0]]}
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    for flag in ("--verdict", "--oracle"):
+        rc, out, err = run(["analyze", str(path), flag], capsys)
+        assert rc == 2, flag
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", ["lemma3/c4_gf9", "lemma3/c3_gf27"])
+def test_oracle_cross_checks_bundled_instances_beyond_the_benchmark(
+        name, capsys):
+    """6,561 and 19,683 elements: under the oracle cap, outside the
+    benchmark's oracle request set.  GF(27)[C3] is local, not a sum of
+    fields, so its unit count has no structural prediction."""
+    rc, out, _ = run(["analyze", path_of(name), "--oracle"], capsys)
+    assert rc == 0
+    section = json.loads(out)["sections"]["oracle"]
+    assert section["agree"] is True
+    checks = section["cross_check"]
+    if name == "lemma3/c3_gf27":
+        assert checks.pop("unit_count")["skipped"].startswith(
+            "no structural prediction")
+    assert len(checks) >= 2
+    for key, check in checks.items():
+        assert check["structural"] == check["oracle"], key
+
+
+def test_report_version_is_the_package_version(capsys):
+    tomllib = pytest.importorskip("tomllib")
+    import fcunits
+
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    rc, out, _ = run(["analyze", path_of("gf3_c2_twisted")], capsys)
+    assert rc == 0
+    assert json.loads(out)["tool"]["version"] == fcunits.__version__ \
+        == declared["project"]["version"]
+
+
+def test_cli_import_leaves_importlib_metadata_out():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fcunits.cli; "
+         "print('importlib.metadata' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

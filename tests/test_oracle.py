@@ -1,7 +1,19 @@
-"""Exhaustive-oracle counts against hand computations and the structural path."""
+"""Exhaustive-oracle counts against hand computations, the structural path
+and the sweep the index tables replaced.
 
+`ref_oracle_report` below is that sweep: vectors of raw field values,
+dense products with the field's raw operations, each left-multiplication
+matrix built from n products against unit vectors, a square recomputed
+inside the nilpotency test and the nil-ideal filter run on products.
+The index-coded sweep of `fcunits.oracle` must report the same counts on
+the benchmark's oracle instances, on six noncommutative algebras and on
+drawn cyclic and S3 instances.
+"""
+
+import importlib.util
 import itertools
 import json
+import pathlib
 from importlib import resources
 
 import pytest
@@ -16,10 +28,17 @@ from fcunits.errors import (
     InvalidCocycle,
 )
 from fcunits.fc import instance_from_json
+from fcunits.fields import make_field
 from fcunits.groups import symmetric_group_3_table
 from fcunits.oracle import oracle_report, predicted_unit_count
 from fcunits.structure import block_structure, count_idempotents, \
     fields_decomposition, jacobson_radical
+
+_TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" \
+    / "make_goldens.py"
+_spec = importlib.util.spec_from_file_location("make_goldens", _TOOL)
+make_goldens = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_goldens)
 
 
 def finite_instance(field, invariants, table=None):
@@ -180,16 +199,21 @@ def exhaustive_idempotent_count(fd):
                if fd._mul_raw(list(combo), list(combo)) == list(combo))
 
 
-@pytest.mark.parametrize("spec", [
-    cayley_spec(symmetric_group_3_table(), 2),
-    cayley_spec(symmetric_group_3_table(), 3),
-    cayley_spec(dihedral_table(4), 2),
-    cayley_spec(quaternion_table(), 3),
-    twisted_klein_spec(3),
-    twisted_klein_spec(5),
-], ids=["s3-gf2", "s3-gf3", "d4-gf2", "q8-gf3", "klein-gf3", "klein-gf5"])
+NONCOMMUTATIVE = {
+    "s3-gf2": cayley_spec(symmetric_group_3_table(), 2),
+    "s3-gf3": cayley_spec(symmetric_group_3_table(), 3),
+    "d4-gf2": cayley_spec(dihedral_table(4), 2),
+    "q8-gf3": cayley_spec(quaternion_table(), 3),
+    "klein-gf3": twisted_klein_spec(3),
+    "klein-gf5": twisted_klein_spec(5),
+}
+
+
+@pytest.mark.parametrize("spec", NONCOMMUTATIVE.values(),
+                         ids=NONCOMMUTATIVE.keys())
 def test_oracle_agrees_on_a_noncommutative_table(spec):
     rep = oracle_report(spec)
+    assert rep == ref_oracle_report(spec)
     assert not rep.commutative
     fd = instance_from_json(spec).torsion_subalgebra().fd
     blocks = block_structure(fd)
@@ -229,6 +253,9 @@ def test_oracle_caps_and_gates():
         })
     with pytest.raises(CapExceeded, match="cap"):
         oracle_report(finite_instance({"kind": "prime-power", "p": 3}, [16]))
+    # one dimension, but the field tables would hold 3163^2 > 10^7 entries
+    with pytest.raises(CapExceeded, match="field tables 10004569 entries"):
+        oracle_report(finite_instance({"kind": "prime-power", "p": 3163}, []))
 
 
 def test_oracle_rejects_malformed_and_invalid():
@@ -246,6 +273,27 @@ def test_oracle_rejects_malformed_and_invalid():
     with pytest.raises(InvalidCocycle, match="identity"):
         oracle_report(finite_instance(
             {"kind": "prime-power", "p": 5}, [3], {"(1,2)": 2}))
+
+
+@pytest.mark.parametrize("group", [
+    # a float or bool rank was compared with 0 and accepted
+    {"kind": "central-extension", "rank": 0.0,
+     "torsion": {"invariants": [2]}},
+    {"kind": "central-extension", "rank": False,
+     "torsion": {"invariants": [2]}},
+    # a list or null torsion ended in an AttributeError or a TypeError
+    {"kind": "central-extension", "rank": 0, "torsion": [2]},
+    {"kind": "central-extension", "rank": 0, "torsion": None},
+    # the oracle read the table where the structural side read invariants
+    {"kind": "central-extension", "rank": 0,
+     "torsion": {"invariants": [3], "table": [[0, 1], [1, 0]]}},
+], ids=["rank-float", "rank-bool", "torsion-list", "torsion-null",
+        "torsion-both"])
+def test_oracle_rejects_hostile_group_data(group):
+    spec = {**finite_instance({"kind": "prime-power", "p": 3}, [2]),
+            "group": group}
+    with pytest.raises(InstanceFormatError):
+        oracle_report(spec)
 
 
 def cayley_instance(table):
@@ -305,8 +353,9 @@ def test_oracle_certificate_failure_exits_one(monkeypatch, capsys):
     """A nilpotent set whose size is no power of q fails a certificate,
     which the CLI reports with exit 1 instead of a traceback."""
     # over GF(3), {0, 1} as the nilpotent elements: 2 is not a power of 3
-    monkeypatch.setattr(oracle._DenseAlgebra, "is_nilpotent",
-                        lambda self, a: a[0] in (0, 1) and a[1] == 0)
+    # (the indices of GF(3) are its values)
+    monkeypatch.setattr(oracle._IndexAlgebra, "is_nilpotent",
+                        lambda self, a, square: a[0] in (0, 1) and a[1] == 0)
     path = str(resources.files("fcunits") / "instances"
                / "gf3_c2_trivial.json")
     with pytest.raises(CertificateFailed, match="not a power of 3"):
@@ -329,3 +378,180 @@ def test_oracle_cross_check_random_carry_twists(p, n, raw):
     if decomposition.is_sum_of_fields:
         dims = [c.dim for c in decomposition.components]
         assert rep.unit_count == predicted_unit_count(p, rad_dim, dims)
+
+
+# --- the reference sweep -----------------------------------------------------
+
+
+class RefDenseAlgebra:
+    """Vectors of canonical raw field values indexed by group position,
+    multiplied densely."""
+
+    def __init__(self, group, field, lam):
+        self.group = group
+        self.field = field
+        self.lam = lam
+        self.dim = group.size
+
+    def unit_vector(self, i):
+        vec = [self.field.raw_zero] * self.dim
+        vec[i] = self.field.raw_one
+        return vec
+
+    def mul(self, a, b):
+        field = self.field
+        add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
+        out = [zero] * self.dim
+        for i, ai in enumerate(a):
+            if ai == zero:
+                continue
+            row_idx, row_lam = self.group.mul_index[i], self.lam[i]
+            for j, bj in enumerate(b):
+                if bj != zero:
+                    k = row_idx[j]
+                    out[k] = add(out[k], mul(mul(ai, bj), row_lam[j]))
+        return list(map(field.reduce, out))
+
+    def is_zero(self, a):
+        zero = self.field.raw_zero
+        return all(x == zero for x in a)
+
+    def is_nilpotent(self, a):
+        power = list(a)
+        steps = max(1, (self.dim - 1).bit_length())
+        for _ in range(steps):
+            if self.is_zero(power):
+                return True
+            power = self.mul(power, power)
+        return self.is_zero(power)
+
+    def is_commutative(self):
+        units = [self.unit_vector(i) for i in range(self.dim)]
+        return all(self.mul(units[i], units[j]) == self.mul(units[j],
+                                                            units[i])
+                   for i in range(self.dim) for j in range(i + 1, self.dim))
+
+    def left_multiplication_matrix(self, a):
+        cols = [self.mul(a, self.unit_vector(j)) for j in range(self.dim)]
+        return [[cols[j][i] for j in range(self.dim)]
+                for i in range(self.dim)]
+
+    def is_unit(self, a):
+        return ref_gaussian_invertible(self.left_multiplication_matrix(a),
+                                       self.field)
+
+
+def ref_gaussian_invertible(matrix, field):
+    """Row reduction over the exact field; True iff full rank."""
+    sub, mul, reduce = field.raw_sub, field.raw_mul, field.reduce
+    zero = field.raw_zero
+    n = len(matrix)
+    rows = [list(r) for r in matrix]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != zero),
+                     None)
+        if pivot is None:
+            return False
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = field.raw_inv(rows[col][col])
+        rows[col] = [reduce(mul(x, inv)) for x in rows[col]]
+        for r in range(n):
+            factor = rows[r][col]
+            if r != col and factor != zero:
+                rows[r] = [reduce(sub(x, mul(factor, y)))
+                           for x, y in zip(rows[r], rows[col])]
+    return True
+
+
+def ref_oracle_report(spec):
+    """The raw-value sweep; it shares the group and cocycle parsers with
+    `oracle_report` and reads the cocycle back into raw values."""
+    field = make_field(spec["field"])
+    group = oracle._EnumeratedGroup.from_json(spec["group"])
+    values = [s.value for s in field.elements()]
+    lam = [[values[x] for x in row] for row in oracle._cocycle_matrix(
+        spec["cocycle"], group, field, oracle._FieldTables(field))]
+    algebra = RefDenseAlgebra(group, field, lam)
+    commutative = algebra.is_commutative()
+    units = 0
+    idempotents = 0
+    nilpotents = []
+    for combo in itertools.product(values, repeat=algebra.dim):
+        vec = list(combo)
+        if algebra.mul(vec, vec) == vec:
+            idempotents += 1
+        if algebra.is_nilpotent(vec):
+            nilpotents.append(vec)
+        elif algebra.is_unit(vec):
+            units += 1
+    if commutative:
+        radical = nilpotents
+    else:
+        radical = [x for x in nilpotents
+                   if all(algebra.is_nilpotent(algebra.mul(x, list(y)))
+                          for y in itertools.product(
+                              values, repeat=algebra.dim))]
+    q = field.size()
+    return oracle.OracleReport(
+        dimension=algebra.dim, field_size=q, algebra_size=q ** algebra.dim,
+        commutative=commutative, unit_count=units,
+        idempotent_count=idempotents, nilpotent_count=len(nilpotents),
+        radical_dimension=oracle._exact_log(len(radical), q))
+
+
+@pytest.mark.parametrize("name", make_goldens.ORACLE_NAMES)
+def test_sweep_matches_the_reference_on_the_oracle_instances(name):
+    spec = cli.bundled_instance(name)
+    assert oracle_report(spec) == ref_oracle_report(spec)
+
+
+DRAWN_FIELDS = [
+    {"kind": "prime-power", "p": 2},
+    {"kind": "prime-power", "p": 3},
+    {"kind": "prime-power", "p": 5},
+    {"kind": "prime-power", "p": 7},
+    {"kind": "prime-power", "p": 2, "k": 2, "modulus": [1, 1, 1]},
+    {"kind": "prime-power", "p": 2, "k": 3, "modulus": [1, 1, 0, 1]},
+    {"kind": "prime-power", "p": 3, "k": 2, "modulus": [1, 0, 1]},
+]
+# cyclic C_n for n <= 6 (C_1 is the trivial group) with at most 512
+# elements, and S3 over GF(2)
+DRAWN_SHAPES = [(f, n) for f in DRAWN_FIELDS for n in range(1, 7)
+                if make_field(f).size() ** n <= 512]
+DRAWN_SHAPES.append((DRAWN_FIELDS[0], "s3"))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(DRAWN_SHAPES), st.integers(0, 80))
+def test_sweep_matches_the_reference_on_drawn_instances(shape, raw):
+    field_spec, n = shape
+    if n == "s3":
+        spec = cayley_spec(symmetric_group_3_table(), 2)
+    else:
+        # a random nonzero carry twist
+        field = make_field(field_spec)
+        twist = list(field.elements())[1 + raw % (field.size() - 1)]
+        spec = finite_instance(field_spec, [n] if n > 1 else [],
+                               carry_table(n, field.value_to_json(
+                                   twist.value)))
+    assert oracle_report(spec) == ref_oracle_report(spec)
+
+
+def test_the_sweep_reads_the_field_only_into_its_tables(monkeypatch):
+    """The raw operations build the tables and nothing else: at most
+    4 q^2 calls for the 343 elements of GF(7)[C3]."""
+    calls = []
+
+    def counting_field(field_spec):
+        field = make_field(field_spec)
+        for name in ("raw_add", "raw_mul", "raw_inv"):
+            def counted(*args, op=getattr(field, name)):
+                calls.append(op)
+                return op(*args)
+            setattr(field, name, counted)
+        return field
+
+    monkeypatch.setattr(oracle, "make_field", counting_field)
+    rep = oracle_report(cli.bundled_instance("lemma3/c3_gf7"))
+    assert rep.algebra_size == 343
+    assert 0 < len(calls) <= 4 * rep.field_size ** 2

@@ -12,9 +12,9 @@ small enough for the exhaustive oracle (ORACLE_NAMES, the request set of
 the benchmark's oracle-crosscheck workload) it also writes
 tests/golden/<name>.oracle.json, the report of
 `fcunits analyze <instance> --oracle`.  Both use analysis seed 0 and
-leave out the `tool` block, whose version depends on how the package
-was installed.  tests/test_goldens.py compares the reports byte for
-byte, so rerun this only for a change that is meant to alter reports.
+leave out the `tool` block, whose version changes with every release.
+tests/test_goldens.py compares the reports byte for byte, so rerun this
+only for a change that is meant to alter reports.
 """
 
 import contextlib
