@@ -20,7 +20,7 @@ from .fc import instance_from_json, probe_conjugates, structure_report, \
     verdict
 from .oracle import oracle_report, predicted_unit_count
 from .structure import block_structure, count_idempotents, \
-    fields_decomposition
+    fields_decomposition, quotient_algebra
 
 TOOL_NAME = "fcunits"
 TOOL_VERSION = __version__
@@ -110,6 +110,16 @@ def _orbit_section(inst, labels, depth):
     return out
 
 
+def _commutative_unit_count(fd, decomposition, field_size, seed):
+    """|K|^dim J * prod(|K|^d_i - 1) over the field components of A / J."""
+    radical = decomposition.radical.basis
+    if radical:
+        decomposition = fields_decomposition(
+            quotient_algebra(fd, radical).fd, seed=seed)
+    return predicted_unit_count(field_size, len(radical),
+                                [c.dim for c in decomposition.components])
+
+
 def _oracle_section(raw, inst, seed):
     rep = oracle_report(raw)
     S = inst.torsion_subalgebra()
@@ -117,35 +127,23 @@ def _oracle_section(raw, inst, seed):
 
     def against(key, oracle_value, compute):
         try:
-            expected = compute()
+            checks[key] = {"oracle": oracle_value, "structural": compute()}
         except FcunitsError as exc:
             checks[key] = {"oracle": oracle_value, "skipped": str(exc)}
-            return None
-        checks[key] = {"oracle": oracle_value, "structural": expected}
-        return expected
 
     decomposition = fields_decomposition(S.fd, seed=seed)
     prims = decomposition.primitives
     commutative = prims is not None
-    radical = against("radical_dimension", rep.radical_dimension,
-                      lambda: len((decomposition.radical if commutative
-                                   else block_structure(S.fd).radical).basis))
+    against("radical_dimension", rep.radical_dimension,
+            lambda: len((decomposition.radical if commutative
+                         else block_structure(S.fd).radical).basis))
     against("idempotent_count", rep.idempotent_count,
             lambda: 2 ** len(prims) if commutative
             else count_idempotents(S.fd, seed=seed))
-    if not commutative:
-        against("unit_count", rep.unit_count,
-                lambda: block_structure(S.fd).unit_count())
-    elif decomposition.is_sum_of_fields and radical is not None:
-        against("unit_count", rep.unit_count,
-                lambda: predicted_unit_count(
-                    rep.field_size, radical,
-                    [c.dim for c in decomposition.components]))
-    else:
-        checks["unit_count"] = {
-            "oracle": rep.unit_count,
-            "skipped": "no structural prediction: the algebra is not "
-                       "certified as a sum of fields"}
+    against("unit_count", rep.unit_count,
+            lambda: _commutative_unit_count(S.fd, decomposition,
+                                            rep.field_size, seed)
+            if commutative else block_structure(S.fd).unit_count())
     agree = all(c["structural"] == c["oracle"]
                 for c in checks.values() if "structural" in c)
     return {"report": rep.to_json(), "cross_check": checks, "agree": agree}

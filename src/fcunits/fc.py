@@ -132,9 +132,10 @@ class Instance:
     once, on the generator box of radius ``caps.box_radius``, by
     ``validate`` or when the algebra is first built, whichever comes first.
     Finite subalgebras are memoized by the element set of the closed
-    subgroup, so every screen, checker and report of one instance shares
-    one ``FiniteSubalgebra``, and with it the structural facts cached on
-    its ``FDAlgebra``.
+    subgroup and by the element set asked for, so each subgroup is closed
+    once and every screen, checker and report of one instance shares one
+    ``FiniteSubalgebra``, and with it the structural facts cached on its
+    ``FDAlgebra``.
     """
 
     def __init__(self, field, group, cocycle, caps=None, name=None):
@@ -191,11 +192,16 @@ class Instance:
         return self.subalgebra_over(self.group.torsion_elements(prufer_level))
 
     def subalgebra_over(self, elements):
-        sub = finite_subgroup(self.group, list(elements))
-        key = frozenset(sub.elements)
-        if key not in self._subalgebras:
-            self._subalgebras[key] = subalgebra_from_units(self.algebra(), sub)
-        return self._subalgebras[key]
+        elements = list(elements)
+        given = frozenset(elements)
+        if given not in self._subalgebras:
+            sub = finite_subgroup(self.group, elements)
+            key = frozenset(sub.elements)
+            if key not in self._subalgebras:
+                self._subalgebras[key] = subalgebra_from_units(
+                    self.algebra(), sub)
+            self._subalgebras[given] = self._subalgebras[key]
+        return self._subalgebras[given]
 
 
 _INSTANCE_KEYS = {"field", "group", "cocycle", "caps", "name"}

@@ -12,8 +12,11 @@ The sweep codes each element of GF(q) as its index 0..q-1 in
 q x q addition and multiplication tables and negation and inverse lists,
 so the cocycle is a table of indices, an algebra element a tuple of
 indices, and the sweep makes no field call.  Everything here is
-exponential in the dimension n; ORACLE_SIZE_CAP bounds both the q^n
-elements of the sweep and the q^2 entries of each table.
+exponential in the dimension n.  ORACLE_SIZE_CAP bounds the q^2 entries
+of each table and the work, counted in product steps: a product costs
+n^2, the sweep makes a few per element, so q^n n^2 in all, and the
+noncommutative nil-ideal filter one per pair of a nilpotent and an
+element.
 """
 
 import itertools
@@ -295,10 +298,12 @@ def oracle_report(instance_json):
     group = _EnumeratedGroup.from_json(instance_json["group"])
     q = field.size()
     total = q ** group.size
-    if max(total, q * q) > ORACLE_SIZE_CAP:
+    steps = total * group.size ** 2
+    if max(steps, q * q) > ORACLE_SIZE_CAP:
         raise CapExceeded(
-            f"algebra has {total} elements and field tables {q * q} "
-            f"entries, above the oracle cap {ORACLE_SIZE_CAP}")
+            f"algebra has {total} elements, a sweep of {steps} product "
+            f"steps and field tables {q * q} entries, above the oracle cap "
+            f"{ORACLE_SIZE_CAP}")
     tables = _FieldTables(field)
     lam = _cocycle_matrix(instance_json["cocycle"], group, field, tables)
     algebra = _IndexAlgebra(group, tables, lam)
@@ -319,6 +324,12 @@ def oracle_report(instance_json):
         radical = nilpotents
     else:
         # the largest nil ideal: x with the whole right translate x*A nil
+        steps *= 1 + len(nilpotents)
+        if steps > ORACLE_SIZE_CAP:
+            raise CapExceeded(
+                f"the sweep and the nil-ideal filter over {len(nilpotents)} "
+                f"nilpotents take {steps} product steps, above the oracle "
+                f"cap {ORACLE_SIZE_CAP}")
         nil = set(nilpotents)
         radical = [x for x in nilpotents
                    if all(algebra.mul(x, y) in nil for y in itertools.product(

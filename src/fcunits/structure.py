@@ -6,7 +6,9 @@ idempotents, sum-of-fields certificates) is asked of a finite-dimensional
 algebra: the span of the basis units of a finite subgroup, or a quotient or
 corner of one.  Those are carried around as `FDAlgebra` objects, plain
 structure-constant algebras over one of the scalar fields; quotients and
-corners are both built as a `Subquotient`.
+corners are both built as a `Subquotient`.  The corner e A e of a
+commutative algebra is A e, spanned by the products b_i e, which cost one
+sparse row each; a noncommutative corner is spanned by the e b_i e.
 
 Radical computation picks its method by field and shape:
 
@@ -33,6 +35,8 @@ once and returns them in its report, which is where report builders read
 the radical, the primitive count and the idempotent count from.  Both
 are kept on the immutable `FDAlgebra`, so a repeated request costs no
 products; `jacobson_radical` is not kept and recertifies on every call.
+The primitive idempotents are certified orthogonal by prefix sums, one
+product (e_1 + ... + e_(k-1)) e_k = 0 per idempotent, not one per pair.
 
 Idempotents of a noncommutative algebra A over GF(q) are counted from its
 blocks, not by enumerating vectors (Ronyai, J. Symbolic Comput. 9, 1990;
@@ -324,8 +328,9 @@ class Subquotient:
     not in the span so far becomes a basis vector, and `fd` multiplies by
     projecting parent products onto that basis.  A quotient A / I takes the
     parent's basis as candidates; a corner e A e has no ideal and takes the
-    vectors e b e.  `project` gives the coordinates of a parent vector of
-    the span modulo the ideal; `lift` (alias `embed`) maps back.
+    vectors e b e (b e when the parent is commutative).  `project` gives
+    the coordinates of a parent vector of the span modulo the ideal;
+    `lift` (alias `embed`) maps back.
     """
 
     def __init__(self, parent, ideal_span, candidates, one):
@@ -362,9 +367,12 @@ def quotient_algebra(fd, ideal_span):
 
 
 def corner_algebra(fd, e):
-    """The corner e A e with identity e."""
-    return Subquotient(fd, [], (fd.mul(e, fd.mul(fd.basis_vec(i), e))
-                                for i in range(fd.dim)), e)
+    """The corner e A e with identity e, spanned by the products b_i e when
+    A is commutative, where e (b_i e) = b_i e exactly."""
+    candidates = (fd.mul(fd.basis_vec(i), e) for i in range(fd.dim))
+    if not fd.is_commutative()[0]:
+        candidates = (fd.mul(e, c) for c in candidates)
+    return Subquotient(fd, [], candidates, e)
 
 
 # --- minimal and characteristic polynomials ----------------------------------
@@ -575,18 +583,22 @@ def _lagrange_idempotents(fd, b, m, roots):
     polynomial m (raw values): L_i is m / (t - c_i) scaled to 1 at c_i, a
     combination of the powers b^0 .. b^(n-1), which cost n - 1 products."""
     field = fd.field
-    powers = [list(fd.one)]
+    add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
+    powers, b = [[c.value for c in fd.one]], [c.value for c in b]
     for _ in roots[1:]:
-        powers.append(fd.mul(powers[-1], b))
+        powers.append(fd._mul_raw(powers[-1], b))
     out = []
     for c in roots:
         linear = (field.reduce(field.raw_neg(c)), field.raw_one)
         quot, _ = poly_divmod(field, m, linear)
         _, at_c = poly_divmod(field, quot, linear)
         scale = field.raw_inv(at_c[0])
-        coeffs = [Scalar(field, field.reduce(field.raw_mul(a, scale)))
-                  for a in quot]
-        out.append(linear_combination(fd, coeffs, powers))
+        acc = [zero] * fd.dim
+        for a, power in zip(quot, powers):
+            coeff = field.reduce(mul(a, scale))
+            if coeff != zero:
+                acc = [add(x, mul(coeff, y)) for x, y in zip(acc, power)]
+        out.append(fd._scalars(map(field.reduce, acc)))
     return out
 
 
@@ -706,14 +718,16 @@ def primitive_idempotents(fd, seed=0):
         prims = _primitive_idempotents_finite(fd)
     else:
         prims = _primitive_idempotents_rational(fd, random.Random(seed))
+    # Orthogonality by prefix sums, one product per idempotent after the
+    # first: if e_1 .. e_(k-1) are orthogonal idempotents, their sum s
+    # has e_i s = e_i for i < k, so s e_k = 0 gives e_i e_k = e_i (s e_k)
+    # = 0, and e_k e_i = e_i e_k because fd is commutative.
     total = fd.zero_vec()
-    for i, e in enumerate(prims):
+    for k, e in enumerate(prims):
         certify(fd.is_idempotent(e), "primitive idempotent is not idempotent")
+        certify(k == 0 or fd.is_zero(fd.mul(total, e)),
+                "primitive idempotents are not orthogonal")
         total = fd.add(total, e)
-        # e f = f e is certified above, so one order of each pair suffices
-        for f in prims[i + 1:]:
-            certify(fd.is_zero(fd.mul(e, f)),
-                    "primitive idempotents are not orthogonal")
     certify(total == list(fd.one), "primitive idempotents do not sum to 1")
     fd._primitives[seed] = prims = tuple(prims)
     return prims

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import pytest
@@ -372,19 +373,30 @@ def test_torsion_with_both_invariants_and_table_is_rejected(tmp_path,
 def test_oracle_cross_checks_bundled_instances_beyond_the_benchmark(
         name, capsys):
     """6,561 and 19,683 elements: under the oracle cap, outside the
-    benchmark's oracle request set.  GF(27)[C3] is local, not a sum of
-    fields, so its unit count has no structural prediction."""
+    benchmark's oracle request set.  GF(27)[C3] is local with a radical
+    of dimension 2 and residue field GF(27), so it has 27^2 * 26 units."""
     rc, out, _ = run(["analyze", path_of(name), "--oracle"], capsys)
     assert rc == 0
     section = json.loads(out)["sections"]["oracle"]
     assert section["agree"] is True
     checks = section["cross_check"]
     if name == "lemma3/c3_gf27":
-        assert checks.pop("unit_count")["skipped"].startswith(
-            "no structural prediction")
-    assert len(checks) >= 2
+        assert checks["unit_count"] == {"oracle": 18954,
+                                        "structural": 18954}
+    assert len(checks) == 3
     for key, check in checks.items():
         assert check["structural"] == check["oracle"], key
+
+
+def test_oracle_cap_bounds_the_work_of_the_sweep(capsys):
+    # 13^6 = 4,826,809 elements of dimension 6: 6^2 steps each
+    start = time.perf_counter()
+    rc, _, err = run(["analyze", path_of("lemma3/c6_gf13"), "--oracle"],
+                     capsys)
+    assert time.perf_counter() - start < 1
+    assert rc == 1
+    assert "a sweep of 173765124 product steps" in err
+    assert "above the oracle cap" in err
 
 
 def test_report_version_is_the_package_version(capsys):

@@ -694,6 +694,34 @@ def test_one_subalgebra_and_one_split_per_fact(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_each_subgroup_is_closed_once(monkeypatch, capsys):
+    from fcunits import cli
+
+    # the verdict and the structure section ask for C2, C4, C8 and C16 by
+    # seven element lists
+    closures = []
+    original = fc.finite_subgroup
+
+    def counted(group, elements, *args, **kwargs):
+        sub = original(group, elements, *args, **kwargs)
+        closures.append(frozenset(sub.elements))
+        return sub
+    monkeypatch.setattr(fc, "finite_subgroup", counted)
+    _analyze_bundled("prufer2_gf257", "--verdict", "--structure")
+    capsys.readouterr()
+    assert len(closures) == len(set(closures)) == 4
+    closures.clear()
+    inst = mk(cli.bundled_instance("prufer2_gf257"))
+    S = inst.torsion_subalgebra(4)
+    assert inst.subalgebra_over(inst.group.torsion_elements(4)) is S
+    # a generator of C16 is a new element set for the same subgroup: it
+    # is closed once, then found under its own set
+    generator = inst.group.generators(prufer_level=4)[-1][1]
+    assert inst.subalgebra_over([generator]) is S
+    assert inst.subalgebra_over([generator]) is S
+    assert len(closures) == 2
+
+
 def test_l5_screen_splits_with_the_run_seed(monkeypatch, capsys):
     from fcunits import structure
 

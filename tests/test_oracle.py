@@ -233,6 +233,15 @@ def test_block_counts_match_enumeration_beyond_the_oracle(spec, units):
     assert block_structure(fd).unit_count() == units
 
 
+def test_oracle_cap_counts_the_nil_ideal_filter(monkeypatch):
+    # GF(3)[S3] sweeps its 3^6 elements in 3^6 * 6^2 product steps; a cap
+    # of exactly that lets the sweep run and stops the noncommutative
+    # filter, which costs as much again per nilpotent
+    monkeypatch.setattr(oracle, "ORACLE_SIZE_CAP", 3 ** 6 * 6 ** 2)
+    with pytest.raises(CapExceeded, match="nil-ideal filter over"):
+        oracle_report(NONCOMMUTATIVE["s3-gf3"])
+
+
 def test_oracle_caps_and_gates():
     with pytest.raises(CapExceeded, match="finite field"):
         oracle_report(finite_instance({"kind": "rationals"}, [2]))

@@ -23,9 +23,12 @@ Commutativity read off the compiled table is checked against the product
 loop it replaced, `ref_is_commutative`, and the Lagrange idempotents built
 from the powers of b against the n(n-1)-product chain they replaced,
 `ref_lagrange_idempotents`, on the torsion subalgebras of every valid
-bundled instance and on drawn tables and elements.  A second request for
-an algebra's primitive idempotents or field decomposition must cost no
-products, because the certified answer is kept on the algebra.
+bundled instance and on drawn tables and elements.  On the commutative
+ones, the corner at each primitive idempotent e, spanned by the products
+b_i e, is checked against the two-sided corner e (b_i e) it replaced,
+`ref_corner`.  A second request for an algebra's primitive idempotents
+or field decomposition must cost no products, because the certified
+answer is kept on the algebra.
 """
 
 import itertools
@@ -65,6 +68,7 @@ from fcunits.groups import (
 )
 from fcunits.structure import (
     FDAlgebra,
+    Subquotient,
     _lagrange_idempotents,
     corner_algebra,
     count_idempotents,
@@ -462,6 +466,24 @@ def test_lagrange_idempotents_match_on_drawn_elements(data):
     coeffs = data.draw(st.lists(raw_values(fd.field), min_size=n,
                                 max_size=n))
     assert_lagrange_matches(fd, [fd.field.scalar(c) for c in coeffs])
+
+
+def ref_corner(fd, e):
+    """The corner spanned by the vectors e (b_i e), for any parent."""
+    return Subquotient(fd, [], [fd.mul(e, fd.mul(fd.basis_vec(i), e))
+                                for i in range(fd.dim)], e)
+
+
+def test_commutative_corners_match_the_two_sided_corner():
+    commutative = [(name, fd) for name, fd in zip(BUNDLED_NAMES, BUNDLED)
+                   if fd.is_commutative()[0]]
+    assert len(commutative) == 30
+    for name, fd in commutative:
+        for e in primitive_idempotents(fd):
+            corner, ref = corner_algebra(fd, e), ref_corner(fd, e)
+            assert corner.basis == ref.basis, name
+            assert corner.fd.table == ref.fd.table, name
+            assert corner.fd.one == ref.fd.one, name
 
 
 @pytest.mark.parametrize("name", BUNDLED_NAMES + ["klein"])

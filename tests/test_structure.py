@@ -38,10 +38,12 @@ from fcunits.structure import (
     fields_decomposition,
     jacobson_radical,
     lift_idempotents,
+    linear_combination,
     minimal_polynomial,
     poly_eval_fd,
     primitive_idempotents,
     quotient_algebra,
+    span_of,
     subalgebra_from_units,
 )
 
@@ -331,6 +333,29 @@ def test_primitive_idempotents_gf3_c2_frozen():
     assert got == {(2, 2), (2, 1)}
 
 
+@pytest.mark.parametrize("pairs, message", [
+    ([(2, 0), (0, 1)], "primitive idempotent is not idempotent"),
+    # idempotents with 3 e_1 + e_2 = 1 in GF(3), but the first two
+    # multiply to e_1, not 0
+    ([(1, 0), (1, 0), (1, 0), (1, 1)],
+     "primitive idempotents are not orthogonal"),
+    ([(1, 0)], "primitive idempotents do not sum to 1"),
+], ids=["idempotent", "orthogonal", "sum-to-one"])
+def test_each_primitive_idempotent_certificate_fires(monkeypatch, pairs,
+                                                     message):
+    # (a, b) is a e_1 + b e_2 in the split basis e_1, e_2 of GF(3)[C2]
+    F = gf(3)
+    split = primitive_idempotents(
+        group_algebra_fd(cayley(cyclic_table(2)), F).fd)
+    fd = group_algebra_fd(cayley(cyclic_table(2)), F).fd
+    family = [linear_combination(fd, [F.from_int(a), F.from_int(b)], split)
+              for a, b in pairs]
+    monkeypatch.setattr(structure, "_primitive_idempotents_finite",
+                        lambda fd: family)
+    with pytest.raises(CertificateFailed, match=message):
+        primitive_idempotents(fd)
+
+
 def test_idempotent_count_klein_group_algebra():
     F = gf(3)
     fd = group_algebra_fd(abelian([2, 2]), F).fd
@@ -578,6 +603,27 @@ def test_corner_algebra_identity():
     corner = corner_algebra(fd, e)
     assert corner.fd.dim == 1
     assert corner.embed(corner.fd.one) == e
+
+
+def test_noncommutative_corner_stays_two_sided():
+    # GF(5)[S3] = GF(5) + GF(5) + M2(GF(5)), and e = (1 + s) / 2 for the
+    # transposition s has rank 1, 0 and 1 in the blocks: e A e has
+    # dimension 1 + 0 + 1, while A e has dimension 1 + 0 + 2
+    G = cayley(symmetric_group_3_table())
+    F = gf(5)
+    S = group_algebra_fd(G, F)
+    fd = S.fd
+    one, s = (S.subgroup.index_of[G.from_key(k)] for k in (0, 1))
+    e = fd.scale(fd.add(fd.basis_vec(one), fd.basis_vec(s)),
+                 F.from_int(2).inv())
+    assert fd.is_idempotent(e)
+    assert span_of(fd, [fd.mul(fd.basis_vec(i), e)
+                        for i in range(fd.dim)]).dim == 3
+    corner = corner_algebra(fd, e)
+    assert corner.fd.dim == 2
+    assert corner.embed(corner.fd.one) == e
+    for v in corner.basis:
+        assert fd.mul(e, v) == v == fd.mul(v, e)
 
 
 def test_lift_idempotent_char_p():
