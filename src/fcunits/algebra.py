@@ -10,7 +10,6 @@ work inside a finite subgroup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .cocycles import (
@@ -90,15 +89,18 @@ class AlgebraElement:
             return NotImplemented
         self._check(other)
         alg = self.algebra
-        lam = alg.cocycle
-        group = alg.group
+        field = alg.field
+        add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
+        lam, gmul = alg.cocycle.raw, alg.group.mul
         out = {}
-        zero = alg.field.zero
         for g, cg in self.terms.items():
+            a = cg.value
             for h, ch in other.terms.items():
-                gh = group.mul(g, h)
-                out[gh] = out.get(gh, zero) + cg * ch * lam(g, h)
-        return AlgebraElement(alg, out)
+                gh = gmul(g, h)
+                out[gh] = add(out.get(gh, zero),
+                              mul(mul(a, ch.value), lam(g, h)))
+        return AlgebraElement(alg, {g: Scalar(field, field.reduce(c))
+                                    for g, c in out.items()})
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int)):
@@ -368,14 +370,15 @@ def left_regular_matrix(algebra, subgroup, x):
             raise SupportNotInSubgroup(f"{g!r} lies outside the subgroup")
     n = len(subgroup)
     field = algebra.field
-    M = [[field.zero] * n for _ in range(n)]
-    lam = algebra.cocycle
+    add, mul = field.raw_add, field.raw_mul
+    M = [[field.raw_zero] * n for _ in range(n)]
+    lam, gmul = algebra.cocycle.raw, algebra.group.mul
     for g, cg in x.terms.items():
+        a = cg.value
         for j, w in enumerate(subgroup.elements):
-            gw = algebra.group.mul(g, w)
-            i = subgroup.index_of[gw]
-            M[i][j] = M[i][j] + cg * lam(g, w)
-    return M
+            i = subgroup.index_of[gmul(g, w)]
+            M[i][j] = add(M[i][j], mul(a, lam(g, w)))
+    return [[Scalar(field, field.reduce(v)) for v in row] for row in M]
 
 
 def averaging_idempotent(algebra, elements, weights=None):
@@ -413,8 +416,8 @@ def prufer_idempotent_chain(algebra, levels):
             f"char K = {q} kills the averaging denominators")
     chain = []
     for j in range(1, min(levels, max_levels) + 1):
-        den = q ** j
-        els = [group.element((0,) * group.rank, None, Fraction(k, den))
-               for k in range(den)]
+        step = q ** (max_levels - j)
+        els = [group.from_key(0, s=s)
+               for s in range(0, group.prufer_modulus, step)]
         chain.append(averaging_idempotent(algebra, els))
     return chain

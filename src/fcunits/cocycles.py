@@ -3,20 +3,24 @@
 A cocycle in the representable family is a product of two parts:
 
 * a table tau on pairs of torsion keys (Pruefer coordinates contribute
-  trivially; twisting along them is out of scope), and
+  trivially; twisting along them is out of scope), held as one flat list
+  of raw field values, ``raw_table[a * |T| + b]`` = tau(a, b), and
 * a bilinear part zeta^(u^T N v) on the free coordinates, N strictly upper
   triangular over the integers, zeta a nonzero scalar.
 
 Cross terms between free and torsion coordinates are identically 1.  The
 cocycle identity lambda(g,h) lambda(gh,k) = lambda(h,k) lambda(g,hk) is
 checked by `validate_cocycle` over a box of free coordinates and the whole
-torsion part.
+torsion part.  Kernels read the raw values (`Cocycle.raw`, `raw_table`);
+Scalars appear only where a value leaves as one (`Cocycle.__call__`,
+`tau`, `torsion_table`) and in JSON.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -28,6 +32,7 @@ from .errors import (
     certify,
     int_matrix,
 )
+from .fields import Scalar
 from .groups import bilinear_exponent
 
 
@@ -36,20 +41,17 @@ class Cocycle:
         self.group = group
         self.field = field
         r = group.rank
-        size = group.torsion.size
-        table = {}
-        if torsion_table:
-            for (i, j), val in torsion_table.items():
-                if not (0 <= i < size and 0 <= j < size):
-                    raise InstanceFormatError(
-                        f"torsion table index ({i}, {j}) out of range")
-                if val.field != field:
-                    raise FieldMismatch("torsion table scalar field mismatch")
-                if not val:
-                    raise ZeroValue(f"cocycle value at ({i}, {j}) is zero")
-                if val != field.one:
-                    table[(i, j)] = val
-        self.torsion_table = table
+        self._size = size = group.torsion.size
+        self.raw_table = [field.raw_one] * (size * size)
+        for (i, j), val in (torsion_table or {}).items():
+            if not (0 <= i < size and 0 <= j < size):
+                raise InstanceFormatError(
+                    f"torsion table index ({i}, {j}) out of range")
+            if val.field != field:
+                raise FieldMismatch("torsion table scalar field mismatch")
+            if not val:
+                raise ZeroValue(f"cocycle value at ({i}, {j}) is zero")
+            self.raw_table[i * size + j] = val.value
         if zeta is None:
             zeta = field.one
         if zeta.field != field:
@@ -69,44 +71,47 @@ class Cocycle:
                         raise InstanceFormatError(
                             "bilinear matrix must be strictly upper triangular")
         self.matrix = matrix
-        self._zeta_powers = {0: field.one, 1: zeta}
+        self._twisted = zeta != field.one and any(map(any, matrix))
+        self._zeta_powers = {}
+
+    @property
+    def torsion_table(self):
+        """{(a, b): tau(a, b)} over the key pairs where tau is not 1."""
+        one, size = self.field.raw_one, self._size
+        return {divmod(n, size): Scalar(self.field, v)
+                for n, v in enumerate(self.raw_table) if v != one}
 
     def tau(self, a, b):
         """The torsion-table value at the torsion keys a, b."""
-        return self.torsion_table.get((a, b), self.field.one)
+        return Scalar(self.field, self.raw_table[a * self._size + b])
 
-    def _zeta_pow(self, e):
-        cached = self._zeta_powers.get(e)
-        if cached is None:
-            cached = self.zeta ** e
-            self._zeta_powers[e] = cached
-        return cached
+    def raw(self, g, h):
+        """lambda(g, h) as a canonical raw field value, unchecked."""
+        val = self.raw_table[g.t * self._size + h.t]
+        if self._twisted:
+            e = bilinear_exponent(self.matrix, g.u, h.u)
+            if e:
+                z = self._zeta_powers.get(e)
+                if z is None:
+                    z = self._zeta_powers[e] = (self.zeta ** e).value
+                val = self.field._mul(val, z)
+        return val
 
     def __call__(self, g, h):
         self.group._check(g, h)
-        val = self.tau(g.t, h.t)
-        if self.group.rank:
-            e = bilinear_exponent(self.matrix, g.u, h.u)
-            if e:
-                val = val * self._zeta_pow(e)
-        return val
+        return Scalar(self.field, self.raw(g, h))
 
     @property
     def is_normalized(self):
         """lambda(1, g) = lambda(g, 1) = 1, i.e. identity row/column trivial."""
-        one = self.field.one
-        for i in range(self.group.torsion.size):
-            if self.tau(0, i) != one or self.tau(i, 0) != one:
-                return False
-        return True
+        row, column = self.raw_table[:self._size], self.raw_table[::self._size]
+        return all(v == self.field.raw_one for v in row + column)
 
     def to_json(self):
         obj = {}
-        table = {}
+        table = {f"({i},{j})": val.to_json()
+                 for (i, j), val in self.torsion_table.items()}
         one = self.field.one
-        for (i, j), val in sorted(self.torsion_table.items()):
-            if val != one:
-                table[f"({i},{j})"] = val.to_json()
         if table:
             obj["torsion_table"] = table
         if self.zeta != one or any(any(row) for row in self.matrix):
@@ -195,16 +200,16 @@ def validate_cocycle(group, cocycle, box_radius=3):
     Completeness of the reduction used here: over the box, the identity ratio
     for the triple (g, h, k) depends only on the torsion coordinates and the
     two pairing offsets beta(u_g, u_h) and beta(u_h, u_k), because the
-    bilinear part cancels identically, a degree-2 polynomial identity
-    B(u,v) + B(u+v,w) - B(v,w) - B(u,v+w) = 0 that holds for every bilinear
-    form B (the code asserts it for every witness triple it uses rather than
-    assuming it).  The validator therefore enumerates the achievable offset
-    pairs with free-coordinate witnesses, sharing the middle coordinate so
-    joint achievability is exact, and then checks every torsion triple
-    against every achievable pair.  This checks exactly the same set of
-    identities as brute-force enumeration of the box, at a fraction of the
-    cost; counterexamples are reconstructed from the stored witnesses and
-    re-verified by direct evaluation before being returned.
+    bilinear part cancels identically: B(u,v) + B(u+v,w) - B(v,w) - B(u,v+w)
+    expands by linearity in each argument into terms that cancel in pairs,
+    for every bilinear form B and every witness.  The validator therefore
+    enumerates the achievable offset pairs with free-coordinate witnesses,
+    sharing the middle coordinate so joint achievability is exact, and then
+    checks every torsion triple against every achievable pair.  This checks
+    exactly the same set of identities as brute-force enumeration of the
+    box, at a fraction of the cost; counterexamples are reconstructed from
+    the stored witnesses and re-verified by direct evaluation before being
+    returned.
     """
     tor = group.torsion
     zero_u = (0,) * group.rank
@@ -214,55 +219,58 @@ def validate_cocycle(group, cocycle, box_radius=3):
         L = group.pairing_order
         M = group.pairing_matrix
         box = free_box(group, box_radius)
+        firsts = {}
+
+        def witnesses(form):
+            # beta(u, v) = u . (M v) and beta(v, u) = (v^T M) . u: the first
+            # u of the box for each residue of the linear form mod L
+            form = tuple(x % L for x in form)
+            if form not in firsts:
+                wit = firsts[form] = {}
+                for u in box:
+                    wit.setdefault(sum(map(operator.mul, u, form)) % L, u)
+            return firsts[form]
+
         pairs = {}
         for v in box:
-            c1_wit = {}
-            c2_wit = {}
-            for u in box:
-                c1_wit.setdefault(bilinear_exponent(M, u, v) % L, u)
-                c2_wit.setdefault(bilinear_exponent(M, v, u) % L, u)
+            c1_wit = witnesses([sum(map(operator.mul, row, v)) for row in M])
+            c2_wit = witnesses([sum(map(operator.mul, col, v))
+                                for col in zip(*M)])
             for c1, uw in c1_wit.items():
                 for c2, ww in c2_wit.items():
                     pairs.setdefault((c1, c2), (uw, v, ww))
 
-    def vec_add(u, v):
-        return tuple(x + y for x, y in zip(u, v))
-
-    N = cocycle.matrix
-    tau = cocycle.tau
+    n, table = tor.size, tor.table
+    mul = cocycle.field._mul
+    raw = cocycle.raw_table
+    rows = [raw[x * n:x * n + n] for x in range(n)]
     checked = 0
-    keys = tor.keys()
+    # rows[x][y] = tau(x, y); right_i[w] is the key of w times c_i * zvec
     for (c1, c2), (uw, vw, ww) in pairs.items():
-        certify(bilinear_exponent(N, uw, vw)
-                + bilinear_exponent(N, vec_add(uw, vw), ww)
-                - bilinear_exponent(N, vw, ww)
-                - bilinear_exponent(N, uw, vec_add(vw, ww)) == 0,
-                "the bilinear part must cancel in the cocycle identity")
-        shift1 = group._target_multiple(c1)
-        shift2 = group._target_multiple(c2)
-        for x in keys:
-            for y in keys:
-                txy = tau(x, y)
-                xy = tor.mul_key(tor.mul_key(x, y), shift1)
-                for z in keys:
-                    checked += 1
-                    lhs = txy * tau(xy, z)
-                    yz = tor.mul_key(tor.mul_key(y, z), shift2)
-                    rhs = tau(y, z) * tau(x, yz)
-                    if lhs != rhs:
-                        g = group.from_key(x, uw)
-                        h = group.from_key(y, vw)
-                        k = group.from_key(z, ww)
-                        direct_lhs = cocycle(g, h) * cocycle(group.mul(g, h), k)
-                        direct_rhs = cocycle(h, k) * cocycle(g, group.mul(h, k))
-                        certify(direct_lhs != direct_rhs,
-                                "a counterexample must fail the cocycle "
-                                "identity when evaluated directly")
-                        return ValidationResult(
-                            False,
-                            CounterexampleTriple(g, h, k, direct_lhs,
-                                                 direct_rhs),
-                            checked)
+        right1 = [row[group._target_multiple(c1)] for row in table]
+        right2 = [row[group._target_multiple(c2)] for row in table]
+        yzs = [[right2[w] for w in row] for row in table]
+        for x, rx in enumerate(rows):
+            for y, ry in enumerate(rows):
+                txy = rx[y]
+                lhs = [mul(txy, v) for v in rows[right1[table[x][y]]]]
+                rhs = [mul(a, rx[yz]) for a, yz in zip(ry, yzs[y])]
+                if lhs == rhs:
+                    checked += n
+                    continue
+                z = next(z for z in range(n) if lhs[z] != rhs[z])
+                g = group.from_key(x, uw)
+                h = group.from_key(y, vw)
+                k = group.from_key(z, ww)
+                direct_lhs = cocycle(g, h) * cocycle(group.mul(g, h), k)
+                direct_rhs = cocycle(h, k) * cocycle(g, group.mul(h, k))
+                certify(direct_lhs != direct_rhs,
+                        "a counterexample must fail the cocycle "
+                        "identity when evaluated directly")
+                return ValidationResult(
+                    False, CounterexampleTriple(g, h, k, direct_lhs,
+                                                direct_rhs),
+                    checked + z + 1)
     return ValidationResult(True, None, checked)
 
 

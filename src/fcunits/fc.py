@@ -593,11 +593,11 @@ class QuotientConstruction:
 def _random_group_element(group, rng):
     u = tuple(rng.randint(-3, 3) for _ in range(group.rank))
     t = rng.randrange(group.torsion.size)
-    s = Fraction(0)
+    s = 0
     if group.prufer is not None:
         q, levels = group.prufer
         den = q ** min(2, levels)
-        s = Fraction(rng.randrange(den), den)
+        s = rng.randrange(den) * (group.prufer_modulus // den)
     return group.from_key(t, u, s)
 
 

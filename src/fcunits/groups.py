@@ -2,7 +2,9 @@
 
 An element is a triple (u, t, s): free coordinates u in Z^r, a key t of
 the finite torsion part T, and, for abelian T, an optional Pruefer
-coordinate s, a reduced fraction s/q^k mod 1 of Z(q^infinity).  T has one
+coordinate of Z(q^infinity) truncated at q^levels, held as the int
+numerator s of s/Q mod 1, Q = q^levels the group's ``prufer_modulus``
+(1 without a Pruefer part, so s is then 0).  T has one
 representation whatever its source: the keys 0..|T|-1, key 0 the
 identity, multiplied through a precomputed product table with inverse
 and order lists.  T comes from
@@ -16,14 +18,16 @@ An abelian T may receive a central pairing from the free part:
 (u, a)(v, b) = (u+v, a + b + beta(u, v)) with
 beta(u, v) = (sum_{i<j} M[i][j] u_i v_j) * zvec, M strictly upper
 triangular.  Without one the group is the direct product Z^r x T; a plain
-finite group is the rank-0 case.  Coordinates appear only at the edges:
-JSON, ``Group.element(t=...)`` and element reprs.  Every representable
-group is an FC-group with conjugacy classes bounded in closed form.
+finite group is the rank-0 case.  Coordinates and Pruefer fractions
+appear only at the edges: JSON, ``Group.element`` and element reprs.
+Every representable group is an FC-group with conjugacy classes bounded
+in closed form.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -38,7 +42,6 @@ from .errors import (
 )
 
 MAX_TORSION = 64
-_ZERO = Fraction(0)
 
 
 def _lcm(a, b):
@@ -57,7 +60,7 @@ def bilinear_exponent(M, u, v):
 
 
 class Element:
-    """One group element: free coordinates, torsion key, Pruefer fraction."""
+    """One group element: free coordinates, torsion key, Pruefer numerator."""
 
     __slots__ = ("group", "u", "t", "s")
 
@@ -93,7 +96,7 @@ class Element:
 
     def __repr__(self):
         return (f"El(u={list(self.u)}, t={self.group.torsion.coords(self.t)}, "
-                f"s={self.s})")
+                f"s={Fraction(self.s, self.group.prufer_modulus)})")
 
 
 class _Torsion:
@@ -358,6 +361,7 @@ class Group:
             self.prufer = (q, levels)
         else:
             self.prufer = None
+        self.prufer_modulus = q ** levels if prufer is not None else 1
         self.identity = self.from_key(0)
 
     # --- basic law ---------------------------------------------------------
@@ -373,13 +377,14 @@ class Group:
 
     def mul(self, a, b):
         self._check(a, b)
-        u = tuple(x + y for x, y in zip(a.u, b.u))
-        t = self.torsion.mul_key(a.t, b.t)
+        table = self.torsion.table
+        t = table[a.t][b.t]
         M = self.pairing_matrix
         c = bilinear_exponent(M, a.u, b.u) if M else 0
         if c:
-            t = self.torsion.mul_key(t, self._target_multiple(c))
-        return Element(self, u, t, (a.s + b.s) % 1)
+            t = table[t][self._target_multiple(c)]
+        return Element(self, tuple(map(operator.add, a.u, b.u)), t,
+                       (a.s + b.s) % self.prufer_modulus)
 
     def inv(self, a):
         self._check(a)
@@ -389,7 +394,7 @@ class Group:
         c = bilinear_exponent(M, u, a.u) if M else 0  # so a^-1 * a = 1
         if c:
             t = self.torsion.mul_key(t, self._target_multiple(-c))
-        return Element(self, u, t, (-a.s) % 1)
+        return Element(self, u, t, -a.s % self.prufer_modulus)
 
     def power(self, a, n):
         if n < 0:
@@ -412,7 +417,7 @@ class Group:
     def element(self, u=None, t=None, s=0):
         """The element with free coordinates u, torsion part t in its input
         form (coordinates for invariants, a key for a table) and Pruefer
-        coordinate s, each checked."""
+        coordinate s, a fraction mod 1, each checked."""
         u = self._zero_u if u is None else tuple(int(x) for x in u)
         if len(u) != self.rank:
             raise InstanceFormatError(
@@ -432,11 +437,14 @@ class Group:
             if den != 1 or k > levels:
                 raise InstanceFormatError(
                     f"Pruefer coordinate {s} is not s/{q}^k with k <= {levels}")
-        return Element(self, u, t, s)
+        return Element(self, u, t, s.numerator * self.prufer_modulus
+                       // s.denominator)
 
-    def from_key(self, t, u=None, s=_ZERO):
+    def from_key(self, t, u=None, s=0):
         """The element with torsion key t, free part u (zero by default) and
-        Pruefer fraction s, unchecked: for callers that already hold keys."""
+        Pruefer numerator s, the int in range(prufer_modulus) that stands
+        for s / prufer_modulus mod 1; unchecked, for callers that already
+        hold keys."""
         return Element(self, self._zero_u if u is None else u, t, s)
 
     def element_order(self, a):
@@ -445,7 +453,8 @@ class Group:
             return math.inf
         o = self.torsion.order_key(a.t)
         if a.s:
-            o = _lcm(o, a.s.denominator)
+            Q = self.prufer_modulus
+            o = _lcm(o, Q // math.gcd(a.s, Q))
         return o
 
     def is_finite(self):
@@ -469,9 +478,9 @@ class Group:
         q, levels = self.prufer
         if prufer_level is None:
             prufer_level = levels
-        den = q ** min(prufer_level, levels)
-        return [self.from_key(k, s=Fraction(num, den))
-                for k in keys for num in range(den)]
+        step = q ** (levels - min(prufer_level, levels))
+        return [self.from_key(k, s=s) for k in keys
+                for s in range(0, self.prufer_modulus, step)]
 
     def generators(self, prufer_level=None):
         """Canonical labeled generators: free, then torsion, then Pruefer."""
@@ -483,7 +492,7 @@ class Group:
         if self.prufer is not None:
             q, levels = self.prufer
             level = levels if prufer_level is None else min(prufer_level, levels)
-            out.append(("p", self.from_key(0, s=Fraction(1, q ** level))))
+            out.append(("p", self.from_key(0, s=q ** (levels - level))))
         return out
 
     # --- structure -----------------------------------------------------------
@@ -574,7 +583,8 @@ class Group:
             return a
         obj = {"u": list(el.u), "a": a}
         if el.s:
-            obj["prufer"] = f"{el.s.numerator}/{el.s.denominator}"
+            s = Fraction(el.s, self.prufer_modulus)
+            obj["prufer"] = f"{s.numerator}/{s.denominator}"
         return obj
 
 

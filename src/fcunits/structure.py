@@ -251,10 +251,11 @@ class FiniteSubalgebra:
         n = len(subgroup)
         field = algebra.field
         table = {}
+        lam, gmul = algebra.cocycle.raw, algebra.group.mul
         for i, g in enumerate(subgroup.elements):
             for j, h in enumerate(subgroup.elements):
-                gh = algebra.group.mul(g, h)
-                table[(i, j)] = {subgroup.index_of[gh]: algebra.cocycle(g, h)}
+                table[(i, j)] = {subgroup.index_of[gmul(g, h)]:
+                                 Scalar(field, lam(g, h))}
         one = [field.zero] * n
         one[subgroup.index_of[algebra.group.identity]] = field.one
         labels = [f"u[{g!r}]" for g in subgroup.elements]

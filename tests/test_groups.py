@@ -356,11 +356,10 @@ def drawn_groups(draw):
 def drawn_element(data, g):
     u = tuple(data.draw(st.integers(-3, 3)) for _ in range(g.rank))
     t = data.draw(st.integers(0, g.torsion.size - 1))
-    s = Fraction(0)
+    s = 0
     if g.prufer:
         q, levels = g.prufer
-        s = Fraction(data.draw(st.integers(0, q ** levels - 1)),
-                     q ** levels)
+        s = data.draw(st.integers(0, q ** levels - 1))
     return g.from_key(t, u, s)
 
 
@@ -371,3 +370,53 @@ def test_the_law_is_associative_on_drawn_triples(data):
     for _ in range(4):
         a, b, c = (drawn_element(data, g) for _ in range(3))
         assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
+
+
+# --- the Pruefer numerator against the fraction law --------------------------
+
+
+def ref_prufer(g, el):
+    """The Pruefer coordinate the numerator stands for, a Fraction mod 1."""
+    return Fraction(el.s, g.prufer[0] ** g.prufer[1])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_int_prufer_matches_the_fraction_law(data):
+    q, levels = data.draw(st.sampled_from([(2, 3), (3, 2)]))
+    rank = data.draw(st.integers(0, 2))
+    pairing = {} if rank < 2 or data.draw(st.booleans()) else {
+        "pairing_matrix": [[0, 1], [0, 0]], "pairing_target": (1, 0)}
+    g = Group(rank, InvariantsTorsion((2, 3)), prufer=(q, levels), **pairing)
+    assert g.prufer_modulus == q ** levels
+    a, b = drawn_element(data, g), drawn_element(data, g)
+    fa = ref_prufer(g, a)
+    assert ref_prufer(g, g.mul(a, b)) == (fa + ref_prufer(g, b)) % 1
+    assert ref_prufer(g, g.inv(a)) == -fa % 1
+    assert g.mul(g.inv(a), a) == g.identity
+    order = math.inf if any(a.u) else math.lcm(
+        g.torsion.order_key(a.t), fa.denominator)
+    assert g.element_order(a) == order
+    obj = {"u": list(a.u), "a": list(g.torsion.coords(a.t))}
+    if fa:
+        obj["prufer"] = f"{fa.numerator}/{fa.denominator}"
+    assert g.element_to_json(a) == obj
+    assert repr(a) == (f"El(u={list(a.u)}, t={g.torsion.coords(a.t)}, "
+                       f"s={fa})")
+    assert g.element(a.u, g.torsion.coords(a.t), fa) == a
+    assert g.element(a.u, g.torsion.coords(a.t), fa + 3) == a
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_the_law_stores_int_prufer_numerators(data):
+    # a Fraction equal to an int hashes and compares like it, so only the
+    # type shows which law produced the coordinate
+    g = data.draw(drawn_groups())
+    a, b = drawn_element(data, g), drawn_element(data, g)
+    made = [g.mul(a, b), g.inv(a), g.power(a, 3), g.identity,
+            g.element(a.u, g.torsion.coords(a.t), ref_prufer(g, a)
+                      if g.prufer else 0)]
+    made += g.torsion_elements() + [el for _, el in g.generators()]
+    for el in made:
+        assert type(el.s) is int and 0 <= el.s < g.prufer_modulus
