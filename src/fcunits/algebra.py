@@ -255,9 +255,10 @@ def try_invert(algebra, x, decomposition=None, support_cap=64):
         W = None
     if W is not None:
         M = left_regular_matrix(algebra, W, x)
-        rhs = [algebra.field.zero] * len(W)
-        rhs[W.index_of[algebra.group.identity]] = algebra.field.one
-        sol = linalg.solve(algebra.field, M, rhs)
+        field = algebra.field
+        rhs = [field.raw_zero] * len(W)
+        rhs[W.index_of[algebra.group.identity]] = field.raw_one
+        sol = linalg.solve(field, M, rhs)
         if sol is None:
             return InversionResult(
                 "not-unit", None, "regular-representation",
@@ -265,8 +266,8 @@ def try_invert(algebra, x, decomposition=None, support_cap=64):
                 f"of the {len(W)}-element subgroup generated by the support; "
                 f"the full algebra is a free module over it, so x has no "
                 f"right inverse anywhere")
-        y = AlgebraElement(algebra,
-                           {w: s for w, s in zip(W.elements, sol) if s})
+        y = AlgebraElement(algebra, {w: Scalar(field, s)
+                                     for w, s in zip(W.elements, sol)})
         return _verified_unit(algebra, x, y, "regular-representation",
                               "solved x * y = 1 in the support subalgebra")
     if decomposition is not None:
@@ -364,7 +365,7 @@ def unit_commutator(algebra, x, y, x_inv=None, y_inv=None):
 
 
 def left_regular_matrix(algebra, subgroup, x):
-    """Matrix of y -> x * y on the basis units of a finite subgroup."""
+    """Raw matrix of y -> x * y on the basis units of a finite subgroup."""
     for g in x.terms:
         if g not in subgroup:
             raise SupportNotInSubgroup(f"{g!r} lies outside the subgroup")
@@ -378,7 +379,7 @@ def left_regular_matrix(algebra, subgroup, x):
         for j, w in enumerate(subgroup.elements):
             i = subgroup.index_of[gmul(g, w)]
             M[i][j] = add(M[i][j], mul(a, lam(g, w)))
-    return [[Scalar(field, field.reduce(v)) for v in row] for row in M]
+    return [list(map(field.reduce, row)) for row in M]
 
 
 def averaging_idempotent(algebra, elements, weights=None):

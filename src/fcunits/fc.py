@@ -69,10 +69,10 @@ from .fields import (
 )
 from .groups import Element, finite_subgroup, group_to_json, make_group
 from .structure import (
+    FiniteSubalgebra,
     corner_algebra,
     fields_decomposition,
     primitive_idempotents,
-    subalgebra_from_units,
 )
 
 ORBIT_SIZE_CAP = 1000
@@ -198,7 +198,7 @@ class Instance:
             sub = finite_subgroup(self.group, elements)
             key = frozenset(sub.elements)
             if key not in self._subalgebras:
-                self._subalgebras[key] = subalgebra_from_units(
+                self._subalgebras[key] = FiniteSubalgebra(
                     self.algebra(), sub)
             self._subalgebras[given] = self._subalgebras[key]
         return self._subalgebras[given]
@@ -297,12 +297,16 @@ def _fc_note(group):
             f"(class size bound {cert['max_class_size_bound']})")
 
 
-def _decomposition_summary(report):
+def _decomposition_summary(report, field):
+    """The report as JSON; a radical witness has raw ``field`` values."""
     out = {"is_sum_of_fields": report.is_sum_of_fields}
     if report.reason:
         out["reason"] = report.reason
-        if report.witness is not None:
-            out["witness"] = report.witness
+        witness = report.witness
+        if report.reason == "nonzero radical":
+            witness = list(map(field.value_to_json, witness))
+        if witness is not None:
+            out["witness"] = witness
     else:
         out["components"] = [{"dim": c.dim, "description": c.description}
                              for c in report.components]
@@ -528,7 +532,7 @@ def check_theorem3(inst, seed=0):
     else:
         S = inst.subalgebra_over([group.from_key(k) for k in odd_keys])
         report = fields_decomposition(S.fd, seed=seed)
-        summary = _decomposition_summary(report)
+        summary = _decomposition_summary(report, S.fd.field)
         c3 = ConditionReport("T3.3", report.is_sum_of_fields, summary)
         evidence["decompositions"] = summary
 
@@ -735,7 +739,7 @@ def check_theorem4(inst, seed=0):
 
     commutative, pair = fd.is_commutative()
     report = fields_decomposition(fd, seed=seed)
-    summary = _decomposition_summary(report)
+    summary = _decomposition_summary(report, field)
     evidence["decompositions"] = summary
     c3 = ConditionReport("T4.3", report.is_sum_of_fields, summary)
 
@@ -1037,8 +1041,8 @@ def check_theorem5_truncated(inst, level=None, seed=0):
             e_H = None
             c4 = ConditionReport("T5.4", False, {"failure": str(exc)})
         if e_H is not None:
-            f_vec = S.fd.sub(list(S.fd.one), S.from_ambient(e_H))
-            if not any(f_vec):
+            f_vec = S.fd.sub(S.fd.one, S.from_ambient(e_H))
+            if S.fd.is_zero(f_vec):
                 c4 = ConditionReport(
                     "T5.4", True,
                     {"averaging_idempotent": e_H, "complement": "zero"})
@@ -1048,7 +1052,8 @@ def check_theorem5_truncated(inst, level=None, seed=0):
                 c4 = ConditionReport(
                     "T5.4", rep.is_sum_of_fields,
                     {"averaging_idempotent": e_H,
-                     "complement_decomposition": _decomposition_summary(rep)},
+                     "complement_decomposition":
+                         _decomposition_summary(rep, corner.fd.field)},
                     note="evaluated at the truncation level")
 
     evidence["decompositions"]["component_counts_by_level"] = \
@@ -1269,5 +1274,5 @@ def structure_report(inst, level=None, seed=0):
             out["idempotent_count"] = count_idempotents(fd, seed=seed)
         except (DimensionTooLarge, TooLargeToCount):
             out["idempotent_count"] = "above-cap"
-    out["decomposition"] = _decomposition_summary(report)
+    out["decomposition"] = _decomposition_summary(report, fd.field)
     return _jsonify(out)

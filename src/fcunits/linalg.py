@@ -1,23 +1,20 @@
 """Exact dense linear algebra over the scalar fields.
 
-Matrices are lists of rows of Scalars from a single field.  Dimensions are
-capped upstream (subalgebras stay at 64 basis elements or fewer), so plain
-Gaussian elimination with first-nonzero pivoting is all we need.
+Vectors are lists, and matrices lists of rows, of canonical raw values of
+a single field (see `fields`).  Dimensions are capped upstream
+(subalgebras stay at 64 basis elements or fewer), so plain Gaussian
+elimination with first-nonzero pivoting is all we need.
 
-`SpanBasis` is the one Gaussian elimination: it takes and returns Scalar
-vectors, but keeps its echelon rows and coordinate combinations as raw
-field values and eliminates with the field's raw operations (see
-`fields`), reducing each coordinate once per elimination.  `rref` reads
-the reduced echelon form off a `SpanBasis` of the rows, and the
-whole-matrix routines (`rank`, `solve`, `kernel_basis`) read their
-answers off `rref`.
+`SpanBasis` is the one Gaussian elimination: it eliminates with the
+field's raw operations, reducing each coordinate once per elimination,
+and hands back canonical values.  `rref` reads the reduced echelon form
+off a `SpanBasis` of the rows, and the whole-matrix routines (`solve`,
+`kernel_basis`) read their answers off `rref`.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-
-from .fields import Scalar
 
 
 def rref(field, rows):
@@ -31,13 +28,9 @@ def rref(field, rows):
     for row in rows:
         S.add(row)
     echelon = sorted(zip(S._leads, S._rows))
-    R = [[Scalar(field, x) for x in row] for _, row in echelon]
-    R += [[field.zero] * ncols for _ in range(len(rows) - len(R))]
+    R = [row for _, row in echelon]
+    R += [[field.raw_zero] * ncols for _ in range(len(rows) - len(R))]
     return R, [lead for lead, _ in echelon]
-
-
-def rank(field, rows):
-    return len(rref(field, rows)[1])
 
 
 def solve(field, rows, rhs):
@@ -50,7 +43,7 @@ def solve(field, rows, rhs):
     R, pivots = rref(field, aug)
     if n in pivots:
         return None
-    x = [field.zero] * n
+    x = [field.raw_zero] * n
     for i, col in enumerate(pivots):
         x[col] = R[i][n]
     return x
@@ -64,10 +57,10 @@ def kernel_basis(field, rows, ncols):
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [field.zero] * ncols
-        vec[free] = field.one
+        vec = [field.raw_zero] * ncols
+        vec[free] = field.raw_one
         for i, col in enumerate(pivots):
-            vec[col] = -R[i][free]
+            vec[col] = field.reduce(field.raw_neg(R[i][free]))
         basis.append(vec)
     return basis
 
@@ -83,8 +76,8 @@ class SpanBasis:
     `add` inserts a vector and reports whether the span grew; `coordinates`
     expresses a vector as a combination of the *inserted* vectors (the ones
     for which add returned True), or returns None when it lies outside.
-    Vectors are lists of Scalars; the rows and combinations kept inside are
-    raw field values.
+    The rows and combinations kept inside are canonical raw values, and
+    so are the coordinates handed back.
     """
 
     def __init__(self, field, ambient_dim):
@@ -105,7 +98,7 @@ class SpanBasis:
         so the coefficients can all be read off vec before eliminating."""
         field = self.field
         zero = field.raw_zero
-        v = [c.value for c in vec]
+        v = vec
         coeffs = [v[lead] for lead in self._leads]
         for c, row in zip(coeffs, self._rows):
             if c != zero:
@@ -123,7 +116,7 @@ class SpanBasis:
             if c != zero:
                 out = list(map(field.raw_add, out,
                                map(field.raw_mul, repeat(c), combo)))
-        return [Scalar(field, x) for x in map(field.reduce, out)]
+        return list(map(field.reduce, out))
 
     def contains(self, vec):
         zero = self.field.raw_zero

@@ -62,6 +62,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from . import linalg
 from .errors import (
@@ -89,17 +90,18 @@ SPLITTER_ATTEMPTS = 500
 class FDAlgebra:
     """Associative unital algebra by sparse structure constants.
 
-    `table[(i, j)]` maps basis index pairs to {k: scalar} dictionaries with
-    e_i e_j = sum_k scalar * e_k; absent pairs multiply to zero.  `labels`
+    `table[(i, j)]` maps basis index pairs to {k: c} dictionaries with
+    e_i e_j = sum_k c * e_k; absent pairs multiply to zero.  `labels`
     name the basis vectors in diagnostics.
 
-    Vectors are lists of Scalars wherever they cross the public methods,
-    but products are computed on raw field values (see `fields`): the table
-    is compiled into raw form on first use, so it must not be mutated after
-    construction.  The object caches what depends only on the table: the
-    compiled rows, the trace vector, `is_commutative`, the certified
-    results of `primitive_idempotents` and `fields_decomposition` per seed,
-    and the certified `block_structure`.
+    Table cells, `one` and every vector the methods take and return are
+    canonical raw field values (see `fields`); a vector is a list of them.
+    Over GF(p^k) the raw zero is a tuple, which is truthy, so a vector is
+    zero by `is_zero`, never by `any`.  The table is compiled on first use,
+    so it must not be mutated after construction.  The object caches what
+    depends only on the table: the compiled rows, the trace vector,
+    `is_commutative`, the certified results of `primitive_idempotents` and
+    `fields_decomposition` per seed, and the certified `block_structure`.
     """
 
     def __init__(self, field, dim, table, one, labels=None):
@@ -116,24 +118,18 @@ class FDAlgebra:
         self._blocks = None             # certified BlockStructure
 
     def _compiled(self):
-        """The table as, per left index i, a list of (j, [(k, raw), ...])."""
+        """The table as, per left index i, a list of (j, [(k, c), ...])."""
         if self._rows is None:
             zero = self.field.raw_zero
             rows = [[] for _ in range(self.dim)]
             for (i, j), cell in self.table.items():
-                terms = [(k, s.value) for k, s in cell.items()
-                         if s.value != zero]
+                terms = [(k, c) for k, c in cell.items() if c != zero]
                 if terms:
                     rows[i].append((j, terms))
             self._rows = rows
         return self._rows
 
-    def _scalars(self, raw):
-        field = self.field
-        return [Scalar(field, v) for v in raw]
-
-    def _mul_raw(self, x, y):
-        """The product of two canonical raw vectors, canonical."""
+    def mul(self, x, y):
         field = self.field
         add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
         out = [zero] * self.dim
@@ -150,57 +146,52 @@ class FDAlgebra:
         return list(map(field.reduce, out))
 
     def zero_vec(self):
-        return [self.field.zero] * self.dim
+        return [self.field.raw_zero] * self.dim
 
     def basis_vec(self, i):
         v = self.zero_vec()
-        v[i] = self.field.one
+        v[i] = self.field.raw_one
         return v
 
     def add(self, x, y):
-        return [a + b for a, b in zip(x, y)]
+        return list(map(self.field.reduce, map(self.field.raw_add, x, y)))
 
     def sub(self, x, y):
-        return [a - b for a, b in zip(x, y)]
+        return list(map(self.field.reduce, map(self.field.raw_sub, x, y)))
 
     def scale(self, x, c):
-        return [a * c for a in x]
-
-    def mul(self, x, y):
-        return self._scalars(self._mul_raw([c.value for c in x],
-                                           [c.value for c in y]))
+        field = self.field
+        return list(map(field.reduce, map(field.raw_mul, x, repeat(c))))
 
     def power(self, x, n):
-        result = [c.value for c in self.one]
-        base = [c.value for c in x]
+        result = self.one
         while n:
             if n & 1:
-                result = self._mul_raw(result, base)
+                result = self.mul(result, x)
             n >>= 1
             if n:
-                base = self._mul_raw(base, base)
-        return self._scalars(result)
+                x = self.mul(x, x)
+        return list(result)
 
     def is_zero(self, x):
-        return not any(x)
+        zero = self.field.raw_zero
+        return all(c == zero for c in x)
 
     def is_idempotent(self, x):
-        v = [c.value for c in x]
-        return self._mul_raw(v, v) == v
+        return self.mul(x, x) == x
 
     def left_mult_matrix(self, x):
         field = self.field
         add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
         # column j is x e_j, so entry (k, j) collects x_i * table[(i, j)][k]
         M = [[zero] * self.dim for _ in range(self.dim)]
-        for c, row in zip(x, self._compiled()):
-            xi = c.value
+        for xi, row in zip(x, self._compiled()):
             if xi == zero:
                 continue
             for j, terms in row:
                 for k, s in terms:
                     M[k][j] = add(M[k][j], mul(xi, s))
-        return [self._scalars(map(field.reduce, r)) for r in M]
+        return [list(map(field.reduce, r)) for r in M]
 
     def trace_vector(self):
         """tr[i] = trace of left multiplication by basis vector i."""
@@ -212,15 +203,15 @@ class FDAlgebra:
                     for k, s in terms:
                         if k == j:
                             tr[i] = field.raw_add(tr[i], s)
-            self._trace_vector = self._scalars(map(field.reduce, tr))
+            self._trace_vector = list(map(field.reduce, tr))
         return self._trace_vector
 
     def trace_of_left_mult(self, x):
         field = self.field
         acc = field.raw_zero
         for c, t in zip(x, self.trace_vector()):
-            acc = field.raw_add(acc, field.raw_mul(c.value, t.value))
-        return Scalar(field, field.reduce(acc))
+            acc = field.raw_add(acc, field.raw_mul(c, t))
+        return field.reduce(acc)
 
     def is_commutative(self):
         """(True, None), or False and the labels of the first basis pair
@@ -238,13 +229,10 @@ class FDAlgebra:
         return self._commutative
 
 
-def subalgebra_from_units(algebra, subgroup):
-    """The span of the basis units of a finite subgroup, as an FDAlgebra
-    plus maps to and from the ambient twisted algebra."""
-    return FiniteSubalgebra(algebra, subgroup)
-
-
 class FiniteSubalgebra:
+    """The span of the basis units of a finite subgroup, as an FDAlgebra
+    plus maps between its raw vectors and the ambient algebra's elements."""
+
     def __init__(self, algebra, subgroup):
         self.algebra = algebra
         self.subgroup = subgroup
@@ -254,21 +242,22 @@ class FiniteSubalgebra:
         lam, gmul = algebra.cocycle.raw, algebra.group.mul
         for i, g in enumerate(subgroup.elements):
             for j, h in enumerate(subgroup.elements):
-                table[(i, j)] = {subgroup.index_of[gmul(g, h)]:
-                                 Scalar(field, lam(g, h))}
-        one = [field.zero] * n
-        one[subgroup.index_of[algebra.group.identity]] = field.one
+                table[(i, j)] = {subgroup.index_of[gmul(g, h)]: lam(g, h)}
+        one = [field.raw_zero] * n
+        one[subgroup.index_of[algebra.group.identity]] = field.raw_one
         labels = [f"u[{g!r}]" for g in subgroup.elements]
         self.fd = FDAlgebra(field, n, table, one, labels)
 
     def to_ambient(self, vec):
+        field = self.algebra.field
         return self.algebra.element(
-            [(g, c) for g, c in zip(self.subgroup.elements, vec) if c])
+            [(g, Scalar(field, c)) for g, c in zip(self.subgroup.elements, vec)
+             if c != field.raw_zero])
 
     def from_ambient(self, el):
         vec = self.fd.zero_vec()
         for g, c in el.terms.items():
-            vec[self.subgroup.index_of[g]] = c
+            vec[self.subgroup.index_of[g]] = c.value
         return vec
 
 
@@ -315,11 +304,13 @@ def ideal_nilpotency_index(fd, span):
 
 def linear_combination(fd, coeffs, vectors):
     """sum_i coeffs[i] * vectors[i], a vector of fd."""
+    field = fd.field
+    add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
     out = fd.zero_vec()
     for c, v in zip(coeffs, vectors):
-        if c:
-            out = [a + c * x for a, x in zip(out, v)]
-    return out
+        if c != zero:
+            out = list(map(add, out, map(mul, repeat(c), v)))
+    return list(map(field.reduce, out))
 
 
 class Subquotient:
@@ -331,7 +322,7 @@ class Subquotient:
     parent's basis as candidates; a corner e A e has no ideal and takes the
     vectors e b e (b e when the parent is commutative).  `project` gives
     the coordinates of a parent vector of the span modulo the ideal;
-    `lift` (alias `embed`) maps back.
+    `lift` maps back.
     """
 
     def __init__(self, parent, ideal_span, candidates, one):
@@ -339,11 +330,12 @@ class Subquotient:
         S = self._span = linalg.SpanBasis(parent.field, parent.dim)
         self.ideal_basis = [list(v) for v in ideal_span if S.add(v)]
         self.basis = [v for v in candidates if S.add(v)]
+        zero = parent.field.raw_zero
         table = {}
         for i, bi in enumerate(self.basis):
             for j, bj in enumerate(self.basis):
                 prod = self.project(parent.mul(bi, bj))
-                cell = {k: c for k, c in enumerate(prod) if c}
+                cell = {k: c for k, c in enumerate(prod) if c != zero}
                 if cell:
                     table[(i, j)] = cell
         self.fd = FDAlgebra(parent.field, len(self.basis), table,
@@ -357,8 +349,6 @@ class Subquotient:
 
     def lift(self, vec):
         return linear_combination(self.parent, vec, self.basis)
-
-    embed = lift
 
 
 def quotient_algebra(fd, ideal_span):
@@ -380,68 +370,74 @@ def corner_algebra(fd, e):
 
 
 def minimal_polynomial(fd, x):
-    """Monic minimal polynomial of x, constant-first coefficient list."""
-    S = linalg.SpanBasis(fd.field, fd.dim)
-    p = list(fd.one)
+    """Monic minimal polynomial of x, a polynomial of `fields` (a tuple of
+    raw values, constant first)."""
+    field = fd.field
+    S = linalg.SpanBasis(field, fd.dim)
+    p = fd.one
     while S.add(p):
         p = fd.mul(p, x)
-    coords = S.coordinates(p)
-    return [-c for c in coords] + [fd.field.one]
+    neg = [field.reduce(field.raw_neg(c)) for c in S.coordinates(p)]
+    return tuple(neg) + (field.raw_one,)
 
 
 def poly_eval_fd(fd, coeffs, x):
-    """Evaluate a scalar-coefficient polynomial at an algebra element."""
+    """Evaluate a polynomial of `fields` at an algebra element."""
+    zero = fd.field.raw_zero
     result = fd.zero_vec()
     for c in reversed(coeffs):
         result = fd.mul(result, x)
-        if c:
+        if c != zero:
             result = fd.add(result, fd.scale(fd.one, c))
     return result
 
 
-def characteristic_polynomial(fld, M):
-    """char poly of a square matrix, constant-first, via Hessenberg form."""
+def characteristic_polynomial(field, M):
+    """char poly of a square matrix of raw values via Hessenberg form, a
+    polynomial of `fields` (monic, so of length n + 1)."""
+    add, sub, mul = field.raw_add, field.raw_sub, field.raw_mul
+    reduce, zero, one = field.reduce, field.raw_zero, field.raw_one
     n = len(M)
-    zero, one = fld.zero, fld.one
     H = [list(row) for row in M]
     for col in range(n - 2):
-        piv = next((i for i in range(col + 1, n) if H[i][col]), None)
+        piv = next((i for i in range(col + 1, n) if H[i][col] != zero), None)
         if piv is None:
             continue
         if piv != col + 1:
             H[piv], H[col + 1] = H[col + 1], H[piv]
             for row in H:
                 row[piv], row[col + 1] = row[col + 1], row[piv]
+        inv = field.raw_inv(H[col + 1][col])
         for i in range(col + 2, n):
-            if not H[i][col]:
+            if H[i][col] == zero:
                 continue
-            f = H[i][col] / H[col + 1][col]
-            H[i] = [a - f * b for a, b in zip(H[i], H[col + 1])]
+            f = reduce(mul(H[i][col], inv))
+            H[i] = [reduce(sub(a, mul(f, b))) for a, b in zip(H[i], H[col + 1])]
             for row in H:
-                row[col + 1] = row[col + 1] + f * row[i]
+                row[col + 1] = reduce(add(row[col + 1], mul(f, row[i])))
     # char polys of leading principal minors of the Hessenberg form:
     # p_m = (t - H[m-1][m-1]) p_{m-1}
     #       - sum_k H[k-1][m-1] * (prod_{j=k}^{m-1} H[j][j-1]) * p_{k-1}
     polys = [[one]]
     for m in range(1, n + 1):
         prev = polys[m - 1]
-        cur = [zero] + list(prev)
+        cur = [zero] + prev
         h = H[m - 1][m - 1]
-        if h:
+        if h != zero:
             for k in range(len(prev)):
-                cur[k] = cur[k] - h * prev[k]
+                cur[k] = sub(cur[k], mul(h, prev[k]))
         run = one
         for i in range(m - 1, 0, -1):
-            run = run * H[i][i - 1]
-            if not run:
+            run = reduce(mul(run, H[i][i - 1]))
+            if run == zero:
                 break
-            coeff = run * H[i - 1][m - 1]
-            if coeff:
+            coeff = reduce(mul(run, H[i - 1][m - 1]))
+            if coeff != zero:
                 pi = polys[i - 1]
                 for k in range(len(pi)):
-                    cur[k] = cur[k] - coeff * pi[k]
-        polys.append(cur)
-    return polys[n]
+                    cur[k] = sub(cur[k], mul(coeff, pi[k]))
+        polys.append(list(map(reduce, cur)))
+    return tuple(polys[n])
 
 
 # --- radical ------------------------------------------------------------------
@@ -455,14 +451,23 @@ class RadicalResult:
     certificate: dict
 
 
+def _raw_power(field, c, n):
+    """c^n for a canonical raw value c and n >= 1, canonical."""
+    out = c
+    for bit in bin(n)[3:]:
+        out = field.reduce(field.raw_mul(out, out))
+        if bit == "1":
+            out = field.reduce(field.raw_mul(out, c))
+    return out
+
+
 def _frobenius_pullback(field, vectors, twist_power):
     """Undo an eta = xi^(p^twist) substitution componentwise."""
-    s = getattr(field, "degree", 1)
-    e = (-twist_power) % s
+    e = (-twist_power) % getattr(field, "degree", 1)
     if e == 0:
         return vectors
     back = field.characteristic ** e
-    return [[c ** back if c else c for c in vec] for vec in vectors]
+    return [[_raw_power(field, c, back) for c in vec] for vec in vectors]
 
 
 def _semilinear_kernel(field, images, twist_power):
@@ -537,7 +542,7 @@ def _radical_raw(fd):
         basis, method = _radical_commutative_char_p(fd)
     else:
         basis, method = _radical_noncommutative_char_p(fd)
-    return [v for v in basis if any(v)], method
+    return [v for v in basis if not fd.is_zero(v)], method
 
 
 def jacobson_radical(fd):
@@ -547,8 +552,8 @@ def jacobson_radical(fd):
     the same: two-sided ideal, nilpotent by explicit powering, identity not
     inside, and a rerun on the quotient algebra comes back zero.
     """
-    raw, method = _radical_raw(fd)
-    S = span_of(fd, raw)
+    candidate, method = _radical_raw(fd)
+    S = span_of(fd, candidate)
     basis = [list(r) for r in S.inserted]
     certify(_is_ideal(fd, basis), "radical candidate is not an ideal")
     index = ideal_nilpotency_index(fd, basis)
@@ -572,7 +577,7 @@ def jacobson_radical(fd):
 
 def _nonscalar_vector(fd, vectors):
     one_span = linalg.SpanBasis(fd.field, fd.dim)
-    one_span.add(list(fd.one))
+    one_span.add(fd.one)
     for v in vectors:
         if not one_span.contains(v):
             return v
@@ -585,9 +590,9 @@ def _lagrange_idempotents(fd, b, m, roots):
     combination of the powers b^0 .. b^(n-1), which cost n - 1 products."""
     field = fd.field
     add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
-    powers, b = [[c.value for c in fd.one]], [c.value for c in b]
+    powers = [fd.one]
     for _ in roots[1:]:
-        powers.append(fd._mul_raw(powers[-1], b))
+        powers.append(fd.mul(powers[-1], b))
     out = []
     for c in roots:
         linear = (field.reduce(field.raw_neg(c)), field.raw_one)
@@ -599,7 +604,7 @@ def _lagrange_idempotents(fd, b, m, roots):
             coeff = field.reduce(mul(a, scale))
             if coeff != zero:
                 acc = [add(x, mul(coeff, y)) for x, y in zip(acc, power)]
-        out.append(fd._scalars(map(field.reduce, acc)))
+        out.append(list(map(field.reduce, acc)))
     return out
 
 
@@ -611,7 +616,7 @@ def _primitive_idempotents_finite(fd):
     b = _nonscalar_vector(fd, fixed)
     if b is None:
         return [list(fd.one)]
-    m = tuple(c.value for c in minimal_polynomial(fd, b))
+    m = minimal_polynomial(fd, b)
     roots = poly_roots(fd.field, m)
     certify(len(roots) == len(m) - 1, "a q-fixed element splits over GF(q)")
     idempotents = _lagrange_idempotents(fd, b, m, roots)
@@ -622,13 +627,8 @@ def _primitive_idempotents_finite(fd):
     for e in idempotents:
         corner = corner_algebra(fd, e)
         for sub in _primitive_idempotents_finite(corner.fd):
-            prims.append(corner.embed(sub))
+            prims.append(corner.lift(sub))
     return prims
-
-
-def _rational_factors(m):
-    """The factors of a minimal polynomial over Q, given as Scalars."""
-    return poly_factor_rational(tuple(c.value for c in m))
 
 
 def _splitter_candidates(fd, rng):
@@ -638,7 +638,8 @@ def _splitter_candidates(fd, rng):
         for j in range(i + 1, fd.dim):
             yield fd.add(fd.basis_vec(i), fd.basis_vec(j))
     for _ in range(SPLITTER_ATTEMPTS):
-        yield [fd.field.from_int(rng.randint(-3, 3)) for _ in range(fd.dim)]
+        yield [fd.field._canonical(rng.randint(-3, 3))
+               for _ in range(fd.dim)]
 
 
 def _bezout_idempotent(fd, factors, cand):
@@ -657,8 +658,7 @@ def _bezout_idempotent(fd, factors, cand):
     g, h = power_product(factors[:1]), power_product(factors[1:])
     b = poly_inv_mod(field, h, g)
     certify(b is not None, "factor powers must be coprime")
-    return poly_eval_fd(fd, [Scalar(field, c)
-                             for c in poly_mul(field, b, h)], cand)
+    return poly_eval_fd(fd, poly_mul(field, b, h), cand)
 
 
 def _primitive_idempotents_rational(fd, rng):
@@ -675,7 +675,7 @@ def _primitive_idempotents_rational(fd, rng):
             Q.lift(qe) for qe in _primitive_idempotents_rational(Q.fd, rng)])
     for cand in _splitter_candidates(fd, rng):
         m = minimal_polynomial(fd, cand)
-        factors = _rational_factors(m)
+        factors = poly_factor_rational(m)
         if len(factors) < 2:
             if factors[0][1] == 1 and len(m) - 1 == fd.dim:
                 # irreducible minimal polynomial of full degree: a field
@@ -690,7 +690,7 @@ def _primitive_idempotents_rational(fd, rng):
                 continue
             corner = corner_algebra(fd, e)
             for sub in _primitive_idempotents_rational(corner.fd, rng):
-                prims.append(corner.embed(sub))
+                prims.append(corner.lift(sub))
         return prims
     raise ConditionsNotMet(
         "no splitting element found; the algebra resisted decomposition")
@@ -729,7 +729,7 @@ def primitive_idempotents(fd, seed=0):
         certify(k == 0 or fd.is_zero(fd.mul(total, e)),
                 "primitive idempotents are not orthogonal")
         total = fd.add(total, e)
-    certify(total == list(fd.one), "primitive idempotents do not sum to 1")
+    certify(total == fd.one, "primitive idempotents do not sum to 1")
     fd._primitives[seed] = prims = tuple(prims)
     return prims
 
@@ -854,20 +854,20 @@ def _block_structure(fd):
     bar = Q.fd if Q else fd
     # the center of A / J: the kernel of x -> ([x, b_j])_j, read off the
     # structure constants, one row per (j, k) coordinate of a commutator
-    zero = field.zero
+    zero, sub, reduce = field.raw_zero, field.raw_sub, field.reduce
     rows = []
     for j in range(bar.dim):
         for k in range(bar.dim):
-            row = [bar.table.get((i, j), {}).get(k, zero)
-                   - bar.table.get((j, i), {}).get(k, zero)
+            row = [reduce(sub(bar.table.get((i, j), {}).get(k, zero),
+                              bar.table.get((j, i), {}).get(k, zero)))
                    for i in range(bar.dim)]
-            if any(row):
+            if any(c != zero for c in row):
                 rows.append(row)
     center = linalg.kernel_basis(field, rows, bar.dim)
     Z = Subquotient(bar, [], center, bar.one)
     blocks, central = [], []
     for z in primitive_idempotents(Z.fd):
-        c = Z.embed(z)
+        c = Z.lift(z)
         d = span_of(Z.fd, [Z.fd.mul(z, Z.fd.basis_vec(k))
                            for k in range(Z.fd.dim)]).dim
         block_dim = span_of(bar, [bar.mul(bar.basis_vec(k), c)
@@ -933,10 +933,10 @@ def _field_certificate(corner, rng):
         if len(m) - 1 != target:
             continue
         if fd.field.is_finite():
-            if poly_irreducible(fd.field, tuple(c.value for c in m)):
+            if poly_irreducible(fd.field, m):
                 return cand, m
         else:
-            factors = _rational_factors(m)
+            factors = poly_factor_rational(m)
             if len(factors) == 1 and factors[0][1] == 1:
                 return cand, m
     raise ConditionsNotMet("no primitive element found for a field corner")
@@ -976,7 +976,7 @@ def _fields_decomposition(fd, seed):
         else:
             desc = f"degree-{corner.fd.dim} extension of Q"
         components.append(FieldComponent(
-            corner.fd.dim, desc, corner.embed(gen), m, e))
+            corner.fd.dim, desc, corner.lift(gen), m, e))
     return DecompositionReport(True, "", None, components, rad, prims)
 
 
@@ -993,8 +993,7 @@ def lift_idempotents(fd, ideal_span, xs):
             raise ConditionsNotMet("x is not idempotent modulo the ideal")
     ideal_nilpotency_index(fd, ideal_span)  # raises if not nilpotent
     p = fd.field.characteristic
-    three = fd.field.from_int(3)
-    two = fd.field.from_int(2)
+    three, two = fd.field._canonical(3), fd.field._canonical(2)
     bound = fd.dim.bit_length() + 3
     lifts = []
     for x in xs:

@@ -196,7 +196,7 @@ def exhaustive_idempotent_count(fd):
     """The enumeration the block count replaced, kept as a reference."""
     values = [x.value for x in fd.field.elements()]
     return sum(1 for combo in itertools.product(values, repeat=fd.dim)
-               if fd._mul_raw(list(combo), list(combo)) == list(combo))
+               if fd.is_idempotent(list(combo)))
 
 
 NONCOMMUTATIVE = {

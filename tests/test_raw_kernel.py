@@ -4,8 +4,12 @@ against the implementations it replaced.
 The reference functions below are the plain Scalar implementations the
 kernel replaced: the product loop over the structure table, the Scalar
 echelon reduction and the Scalar whole-matrix elimination behind `rref`.
-Every kernel result must equal the reference and consist of Scalars of
-the algebra's field with canonical values.  The algebras are twisted
+The kernel takes and returns canonical raw field values; only the
+harness converts, drawing Scalar vectors for the references, handing
+their raw values to the kernel, and wrapping each kernel result into
+Scalars, which must equal the reference.  The drawn vectors include the
+zero vector and vectors with one nonzero coordinate, since over GF(p^k)
+the raw zero is a truthy tuple.  The algebras are twisted
 group algebras of finite groups with random coboundary cocycles and
 bundled twisted cocycles, over GF(p), GF(p^k) and Q, together with
 quotients and corners built from them; the matrices are random, over
@@ -68,6 +72,7 @@ from fcunits.groups import (
 )
 from fcunits.structure import (
     FDAlgebra,
+    FiniteSubalgebra,
     Subquotient,
     _lagrange_idempotents,
     corner_algebra,
@@ -78,14 +83,24 @@ from fcunits.structure import (
     minimal_polynomial,
     primitive_idempotents,
     quotient_algebra,
-    subalgebra_from_units,
 )
+
+
+def raw(vec):
+    return [c.value for c in vec]
+
+
+def scalars(field, vec):
+    return [Scalar(field, c) for c in vec]
+
 
 # --- Scalar references ---------------------------------------------------------
 
 
 def ref_mul(fd, x, y):
-    out = [fd.field.zero] * fd.dim
+    """The product loop on Scalars, reading the raw table cells."""
+    field = fd.field
+    out = [field.zero] * fd.dim
     for i, xi in enumerate(x):
         if not xi:
             continue
@@ -97,12 +112,12 @@ def ref_mul(fd, x, y):
                 continue
             c = xi * yj
             for k, s in cell.items():
-                out[k] = out[k] + c * s
+                out[k] = out[k] + c * Scalar(field, s)
     return out
 
 
 def ref_power(fd, x, n):
-    result = list(fd.one)
+    result = scalars(fd.field, fd.one)
     for _ in range(n):
         result = ref_mul(fd, result, x)
     return result
@@ -221,7 +236,7 @@ def ref_solve(field, rows, rhs):
 def ref_count_idempotents(fd):
     return sum(1 for combo in itertools.product(fd.field.elements(),
                                                 repeat=fd.dim)
-               if ref_mul(fd, list(combo), list(combo)) == list(combo))
+               if ref_mul(fd, combo, combo) == list(combo))
 
 
 # --- algebras --------------------------------------------------------------------
@@ -242,11 +257,15 @@ def random_scalar(field, rng):
     return rng.choice(list(filter(None, field.elements())))
 
 
-def coboundary_algebra(group, field, rng):
+def coboundary_subalgebra(group, field, rng):
     mu = [random_scalar(field, rng) for _ in range(group.torsion.size)]
     alg = TwistedGroupAlgebra(group, field, coboundary(group, field, mu))
     whole = finite_subgroup(group, list(group.torsion_elements()))
-    return subalgebra_from_units(alg, whole).fd
+    return FiniteSubalgebra(alg, whole)
+
+
+def coboundary_algebra(group, field, rng):
+    return coboundary_subalgebra(group, field, rng).fd
 
 
 def bundled_algebra(name):
@@ -296,17 +315,28 @@ def raw_values(field):
 
 
 def vectors(fd):
-    # a third of the coordinates zero, so sparse vectors are common
-    value = st.one_of(st.just(fd.field.raw_zero), raw_values(fd.field))
-    return st.lists(value.map(fd.field.scalar), min_size=fd.dim,
-                    max_size=fd.dim)
+    """Scalar vectors of fd: the zero vector, one nonzero coordinate, or
+    a third of the coordinates zero, so sparse vectors are common."""
+    field = fd.field
+    zero = [field.zero] * fd.dim
+    value = st.one_of(st.just(field.raw_zero), raw_values(field))
+    nonzero = raw_values(field).filter(lambda c: c != field.raw_zero)
+
+    def single(i, c):
+        v = list(zero)
+        v[i] = field.scalar(c)
+        return v
+    return st.one_of(
+        st.just(zero),
+        st.builds(single, st.integers(0, fd.dim - 1), nonzero),
+        st.lists(value.map(field.scalar), min_size=fd.dim, max_size=fd.dim))
 
 
 def assert_canonical(field, vec):
+    """vec is a list of canonical raw values of field."""
     for c in vec:
-        assert isinstance(c, Scalar) and c.field == field
-        assert type(c.value) is type(field.raw_zero)
-        assert field._canonical(c.value) == c.value
+        assert type(c) is type(field.raw_zero)
+        assert field._canonical(c) == c
 
 
 # --- FDAlgebra ---------------------------------------------------------------------
@@ -316,36 +346,66 @@ def assert_canonical(field, vec):
 @given(st.data())
 def test_products_match_the_scalar_loop(data):
     fd = data.draw(st.sampled_from(ALGEBRAS))
+    F = fd.field
     x = data.draw(vectors(fd))
     y = data.draw(vectors(fd))
     n = data.draw(st.integers(0, 5))
-    product = fd.mul(x, y)
-    assert product == ref_mul(fd, x, y)
-    assert_canonical(fd.field, product)
-    power = fd.power(x, n)
-    assert power == ref_power(fd, x, n)
-    assert_canonical(fd.field, power)
-    for v in (x, product, fd.one, fd.zero_vec()):
-        assert fd.is_idempotent(v) == (ref_mul(fd, v, v) == v)
-    columns = [ref_mul(fd, x, fd.basis_vec(j)) for j in range(fd.dim)]
-    M = fd.left_mult_matrix(x)
-    assert M == [[col[i] for col in columns] for i in range(fd.dim)]
+    product = fd.mul(raw(x), raw(y))
+    assert scalars(F, product) == ref_mul(fd, x, y)
+    assert_canonical(F, product)
+    power = fd.power(raw(x), n)
+    assert scalars(F, power) == ref_power(fd, x, n)
+    assert_canonical(F, power)
+    for v in (x, y, scalars(F, product), scalars(F, fd.one),
+              scalars(F, fd.zero_vec())):
+        assert fd.is_idempotent(raw(v)) == (ref_mul(fd, v, v) == v)
+        assert fd.is_zero(raw(v)) == (not any(v))
+    columns = [ref_mul(fd, x, scalars(F, fd.basis_vec(j)))
+               for j in range(fd.dim)]
+    M = fd.left_mult_matrix(raw(x))
+    assert [scalars(F, row) for row in M] == \
+        [[col[i] for col in columns] for i in range(fd.dim)]
     for row in M:
-        assert_canonical(fd.field, row)
-    trace = fd.trace_of_left_mult(x)
-    assert trace == sum((M[i][i] for i in range(fd.dim)), fd.field.zero)
-    assert_canonical(fd.field, [trace])
+        assert_canonical(F, row)
+    trace = fd.trace_of_left_mult(raw(x))
+    assert Scalar(F, trace) == sum((Scalar(F, M[i][i]) for i in range(fd.dim)),
+                                   F.zero)
+    assert_canonical(F, [trace])
+
+
+EXTENSION_SUBALGEBRAS = [
+    coboundary_subalgebra(cayley(table), F, random.Random(7))
+    for F in (GF4, GF9)
+    for table in (cyclic_table(3), symmetric_group_3_table())]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_raw_zero_over_extension_fields(data):
+    # the raw zero of GF(4) and GF(9) is a truthy tuple, so every zero test
+    # must compare with it: is_zero, and the support to_ambient keeps
+    S = data.draw(st.sampled_from(EXTENSION_SUBALGEBRAS))
+    fd = S.fd
+    assert fd.is_zero(fd.zero_vec())
+    v = raw(data.draw(vectors(fd)))
+    support = {g for g, c in zip(S.subgroup.elements, v)
+               if c != fd.field.raw_zero}
+    element = S.to_ambient(v)
+    assert set(element.terms) == support
+    assert fd.is_zero(v) == (not support)
+    assert S.from_ambient(element) == v
 
 
 def test_idempotents_and_commutativity_match_the_scalar_loop():
     for fd in ALGEBRAS:
-        basis = [fd.basis_vec(i) for i in range(fd.dim)]
+        basis = [scalars(fd.field, fd.basis_vec(i)) for i in range(fd.dim)]
         commutative = all(ref_mul(fd, a, b) == ref_mul(fd, b, a)
                           for a, b in itertools.combinations(basis, 2))
         assert fd.is_commutative()[0] == commutative
         if commutative:
             for e in primitive_idempotents(fd):
-                assert fd.is_idempotent(e) and ref_mul(fd, e, e) == e
+                e = scalars(fd.field, e)
+                assert fd.is_idempotent(raw(e)) and ref_mul(fd, e, e) == e
         if fd.field.is_finite() and fd.field.size() ** fd.dim <= 1024:
             assert count_idempotents(fd) == ref_count_idempotents(fd)
 
@@ -361,22 +421,23 @@ def ref_is_commutative(fd):
          for i in range(fd.dim)]
     for i in range(fd.dim):
         for j in range(i + 1, fd.dim):
-            if fd._mul_raw(e[i], e[j]) != fd._mul_raw(e[j], e[i]):
+            if fd.mul(e[i], e[j]) != fd.mul(e[j], e[i]):
                 return False, (fd.labels[i], fd.labels[j])
     return True, None
 
 
 def ref_lagrange_idempotents(fd, b, roots):
     """prod_{j != i} (b - c_j) / (c_i - c_j) as a chain of n - 1 products
-    per root; roots are Scalars."""
+    per root; b and the roots are Scalars."""
+    one = scalars(fd.field, fd.one)
     out = []
     for ci in roots:
-        e = list(fd.one)
+        e = one
         for cj in roots:
             if cj == ci:
                 continue
-            factor = fd.sub(b, fd.scale(fd.one, cj))
-            e = fd.mul(e, fd.scale(factor, (ci - cj).inv()))
+            factor = [(x - cj * u) * (ci - cj).inv() for x, u in zip(b, one)]
+            e = ref_mul(fd, e, factor)
         out.append(e)
     return out
 
@@ -425,14 +486,14 @@ def test_table_commutativity_matches_on_drawn_tables(data):
     # witness position occur, and equal cells need not list terms alike
     field = data.draw(st.sampled_from(TABLE_FIELDS))
     dim = data.draw(st.integers(1, 4))
-    cell = st.dictionaries(st.integers(0, dim - 1),
-                           raw_values(field).map(field.scalar), max_size=2)
+    cell = st.dictionaries(st.integers(0, dim - 1), raw_values(field),
+                           max_size=2)
     table = {}
     for i, j in itertools.combinations_with_replacement(range(dim), 2):
         table[(i, j)] = data.draw(cell)
         mirror = dict(reversed(table[(i, j)].items()))
         table[(j, i)] = data.draw(st.one_of(st.just(mirror), cell))
-    fd = FDAlgebra(field, dim, table, [field.zero] * dim)
+    fd = FDAlgebra(field, dim, table, [field.raw_zero] * dim)
     assert fd.is_commutative() == ref_is_commutative(fd)
 
 
@@ -440,13 +501,13 @@ def assert_lagrange_matches(fd, coeffs):
     """b = sum_i c_i e_i over the primitive idempotents e_i has the
     distinct c_i as the roots of its minimal polynomial."""
     F = fd.field
-    b = linear_combination(fd, coeffs, primitive_idempotents(fd))
-    m = tuple(c.value for c in minimal_polynomial(fd, b))
-    roots = list(dict.fromkeys(c.value for c in coeffs))
+    b = linear_combination(fd, raw(coeffs), primitive_idempotents(fd))
+    m = minimal_polynomial(fd, b)
+    roots = list(dict.fromkeys(raw(coeffs)))
     assert len(m) - 1 == len(roots)
     got = _lagrange_idempotents(fd, b, m, roots)
-    assert got == ref_lagrange_idempotents(
-        fd, b, [Scalar(F, r) for r in roots])
+    assert [scalars(F, e) for e in got] == ref_lagrange_idempotents(
+        fd, scalars(F, b), scalars(F, roots))
     for e in got:
         assert_canonical(F, e)
 
@@ -491,12 +552,12 @@ def test_cached_structure_costs_no_products(name, monkeypatch):
     fd = klein_twisted_fd() if name == "klein" \
         else bundled_torsion_algebra(name)
     products = []
-    original = fd._mul_raw
+    original = fd.mul
 
     def counted(x, y):
         products.append(1)
         return original(x, y)
-    monkeypatch.setattr(fd, "_mul_raw", counted)
+    monkeypatch.setattr(fd, "mul", counted)
     commutative = fd.is_commutative()[0]
     report = fields_decomposition(fd)
     prims = primitive_idempotents(fd) if commutative else None
@@ -521,23 +582,24 @@ def test_span_basis_matches_the_scalar_reduction(data):
     S = linalg.SpanBasis(field, fd.dim)
     R = RefSpanBasis(field)
     for v in inputs:
-        assert S.add(v) == R.add(v)
-        assert S.inserted == R.inserted
+        assert S.add(raw(v)) == R.add(v)
+        assert S.inserted == [raw(w) for w in R.inserted]
         assert S.dim == len(R.rows)
     combo = [fd.field.scalar(c)
              for c in data.draw(st.lists(raw_values(field),
                                          min_size=len(inputs),
                                          max_size=len(inputs)))]
-    inside = fd.zero_vec()
+    inside = [field.zero] * fd.dim
     for c, v in zip(combo, inputs):
-        inside = fd.add(inside, fd.scale(v, c))
+        inside = [a + c * x for a, x in zip(inside, v)]
     for probe in (inside, data.draw(vectors(fd))):
-        coords = S.coordinates(probe)
-        assert coords == R.coordinates(probe)
-        assert S.contains(probe) == (coords is not None)
+        coords = S.coordinates(raw(probe))
+        ref = R.coordinates(probe)
+        assert coords == (None if ref is None else raw(ref))
+        assert S.contains(raw(probe)) == (coords is not None)
         if coords is not None:
             assert_canonical(field, coords)
-    assert S.contains(inside)
+    assert S.contains(raw(inside))
 
 
 # --- whole-matrix routines ----------------------------------------------------------
@@ -555,17 +617,20 @@ def test_rref_kernel_and_solve_match_the_scalar_elimination(data):
     # zero rows, wide, square and tall shapes, and the empty matrix
     rows = data.draw(st.lists(st.one_of(st.just([F.zero] * ncols), row),
                               max_size=7))
-    R, pivots = linalg.rref(F, rows)
-    assert (R, pivots) == ref_rref(F, rows)
+    raw_rows = [raw(r) for r in rows]
+    R, pivots = linalg.rref(F, raw_rows)
+    ref_R, ref_pivots = ref_rref(F, rows)
+    assert (R, pivots) == ([raw(r) for r in ref_R], ref_pivots)
     for r in R:
         assert_canonical(F, r)
-    kernel = linalg.kernel_basis(F, rows, ncols)
-    assert kernel == ref_kernel_basis(F, rows, ncols)
+    kernel = linalg.kernel_basis(F, raw_rows, ncols)
+    assert kernel == [raw(v) for v in ref_kernel_basis(F, rows, ncols)]
     for v in kernel:
         assert_canonical(F, v)
     rhs = data.draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
-    x = linalg.solve(F, rows, rhs)
-    assert x == ref_solve(F, rows, rhs)
+    x = linalg.solve(F, raw_rows, raw(rhs))
+    ref_x = ref_solve(F, rows, rhs)
+    assert x == (None if ref_x is None else raw(ref_x))
     if x is not None:
         assert_canonical(F, x)
 

@@ -6,8 +6,8 @@ and the triple loop of `validate_cocycle` compute on raw values.  The
 reference functions below are the plain Scalar implementations they
 replaced, reading lambda from the Scalar dict the cocycle was built from
 (`ref_lambda`), so they share no code with the raw table.  Every raw
-result must equal the reference: products and matrices as Scalars of the
-algebra's field, validation results down to `checked_identities` and the
+result must equal the reference: products as Scalars of the algebra's
+field, matrices as their canonical raw values, validation results down to `checked_identities` and the
 counterexample triple with its two sides.
 
 The groups carry a central pairing, a bilinear twist of the free part
@@ -35,7 +35,7 @@ from fcunits.cocycles import (
     validate_cocycle,
 )
 from fcunits.errors import CertificateFailed
-from fcunits.fields import gf, rationals
+from fcunits.fields import Scalar, gf, rationals
 from fcunits.groups import (
     Group,
     InvariantsTorsion,
@@ -233,7 +233,9 @@ def test_regular_matrices_match_the_scalar_loop(data):
     def lam(g, h):
         return ref_lambda(table, zeta, matrix, field, g, h)
 
-    got = left_regular_matrix(algebra, W, x)
+    # the matrix is raw values; wrapped, it must equal the Scalar loop's
+    got = [[Scalar(field, v) for v in row]
+           for row in left_regular_matrix(algebra, W, x)]
     assert got == ref_left_regular_matrix(algebra, W, lam, x)
     assert_scalars_of(field, (v for row in got for v in row))
 

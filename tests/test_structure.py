@@ -31,6 +31,7 @@ from fcunits.groups import (
 )
 from fcunits.structure import (
     FDAlgebra,
+    FiniteSubalgebra,
     block_structure,
     characteristic_polynomial,
     corner_algebra,
@@ -44,7 +45,6 @@ from fcunits.structure import (
     primitive_idempotents,
     quotient_algebra,
     span_of,
-    subalgebra_from_units,
 )
 
 
@@ -63,7 +63,7 @@ def whole_group(G):
 
 def group_algebra_fd(G, field, cocycle=None):
     alg = TwistedGroupAlgebra(G, field, cocycle or trivial_cocycle(G, field))
-    return subalgebra_from_units(alg, whole_group(G))
+    return FiniteSubalgebra(alg, whole_group(G))
 
 
 def carry_cocycle(G, field, n, c):
@@ -100,7 +100,8 @@ def dihedral_table(n):
 
 def exhaustive_idempotent_count(fd):
     count = 0
-    for combo in itertools.product(fd.field.elements(), repeat=fd.dim):
+    values = [x.value for x in fd.field.elements()]
+    for combo in itertools.product(values, repeat=fd.dim):
         if fd.is_idempotent(list(combo)):
             count += 1
     return count
@@ -116,7 +117,7 @@ def test_regular_representation_matrix():
     fd = sub.fd
     # basis is (u_1, u_g); u_g u_1 = u_g and u_g u_g = 2
     M = fd.left_mult_matrix(fd.basis_vec(1))
-    assert M == [[F.zero, F.scalar(2)], [F.one, F.zero]]
+    assert M == [[0, 2], [1, 0]]
 
 
 def test_subalgebra_ambient_round_trip():
@@ -126,7 +127,7 @@ def test_subalgebra_ambient_round_trip():
     x = sub.algebra.element(
         [(g, F.from_int(i + 1)) for i, g in enumerate(sub.subgroup.elements)])
     assert sub.to_ambient(sub.from_ambient(x)) == x
-    v = [F.from_int(i) for i in range(6)]
+    v = [F.from_int(i).value for i in range(6)]
     assert sub.from_ambient(sub.to_ambient(v)) == v
 
 
@@ -135,9 +136,9 @@ def test_trace_vector_matches_matrix_trace():
     fd = sub.fd
     rng = random.Random(2)
     for _ in range(10):
-        x = [F.from_int(rng.randrange(3)) for _ in range(fd.dim)]
+        x = [rng.randrange(3) for _ in range(fd.dim)]
         M = fd.left_mult_matrix(x)
-        diag = sum((M[i][i] for i in range(fd.dim)), F.zero)
+        diag = sum(M[i][i] for i in range(fd.dim)) % 3
         assert fd.trace_of_left_mult(x) == diag
 
 
@@ -164,7 +165,7 @@ def test_radical_gf2_c2_basis_frozen():
     F = gf(2)
     fd = group_algebra_fd(abelian([2]), F).fd
     rr = jacobson_radical(fd)
-    assert rr.basis == [[F.one, F.one]]
+    assert rr.basis == [[1, 1]]
     assert rr.nilpotency_index == 2
 
 
@@ -172,7 +173,7 @@ def test_radical_gf2_c6_basis_frozen():
     F = gf(2)
     fd = group_algebra_fd(cayley(cyclic_table(6)), F).fd
     rr = jacobson_radical(fd)
-    one, zero = F.one, F.zero
+    one, zero = F.raw_one, F.raw_zero
     assert rr.basis == [
         [one, zero, zero, one, zero, zero],
         [zero, one, zero, zero, one, zero],
@@ -198,7 +199,7 @@ def test_radical_frobenius_pullback_over_gf4():
     fd = group_algebra_fd(G, F, Cocycle(G, F, {(1, 1): w})).fd
     rr = jacobson_radical(fd)
     assert rr.method == "frobenius-kernel"
-    assert rr.basis == [[w * w, F.one]]
+    assert rr.basis == [[(w * w).value, F.raw_one]]
     nil = rr.basis[0]
     assert fd.is_zero(fd.mul(nil, nil))
 
@@ -209,7 +210,7 @@ def test_radical_noncommutative_s3():
     rr2 = jacobson_radical(fd2)
     assert rr2.method == "coefficient-chain"
     assert len(rr2.basis) == 1
-    assert structure.span_of(fd2, rr2.basis).contains([gf(2).one] * 6)
+    assert structure.span_of(fd2, rr2.basis).contains([1] * 6)
 
     fd3 = group_algebra_fd(cayley(table), gf(3)).fd
     rr3 = jacobson_radical(fd3)
@@ -250,10 +251,9 @@ def test_minimal_polynomial_frozen():
     F = gf(3)
     fd = group_algebra_fd(G, F, Cocycle(G, F, {(1, 1): F.scalar(2)})).fd
     u = fd.basis_vec(1)
-    assert minimal_polynomial(fd, u) == [F.one, F.zero, F.one]      # t^2 + 1
-    assert minimal_polynomial(fd, fd.scale(fd.one, F.scalar(2))) == \
-        [F.one, F.one]                                               # t + 1
-    assert minimal_polynomial(fd, fd.one) == [F.scalar(2), F.one]    # t - 1
+    assert minimal_polynomial(fd, u) == (1, 0, 1)                   # t^2 + 1
+    assert minimal_polynomial(fd, fd.scale(fd.one, 2)) == (1, 1)    # t + 1
+    assert minimal_polynomial(fd, fd.one) == (2, 1)                 # t - 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -261,11 +261,10 @@ def test_minimal_polynomial_frozen():
 def test_minimal_polynomial_annihilates(coeffs):
     F = gf(3)
     fd = group_algebra_fd(cayley(cyclic_table(4)), F).fd
-    x = [F.from_int(c) for c in coeffs]
-    m = minimal_polynomial(fd, x)
-    assert m[-1] == F.one
+    m = minimal_polynomial(fd, coeffs)
+    assert m[-1] == F.raw_one
     assert len(m) - 1 <= fd.dim
-    assert fd.is_zero(poly_eval_fd(fd, m, x))
+    assert fd.is_zero(poly_eval_fd(fd, m, coeffs))
 
 
 def poly_product(field, factors):
@@ -280,17 +279,10 @@ def poly_product(field, factors):
 
 
 def test_characteristic_polynomial_frozen():
-    F = gf(3)
-    M = [[F.zero, F.scalar(2)], [F.one, F.zero]]
-    assert characteristic_polynomial(F, M) == [F.one, F.zero, F.one]
-    F5 = gf(5)
-
-    def s(x):
-        return F5.from_int(x)
-
-    companion = [[s(0), s(0), s(-1)], [s(1), s(0), s(-2)], [s(0), s(1), s(0)]]
-    assert characteristic_polynomial(F5, companion) == \
-        [s(1), s(2), s(0), s(1)]                         # t^3 + 2t + 1
+    assert characteristic_polynomial(gf(3), [[0, 2], [1, 0]]) == (1, 0, 1)
+    companion = [[0, 0, 4], [1, 0, 3], [0, 1, 0]]           # -1, -2 mod 5
+    assert characteristic_polynomial(gf(5), companion) == \
+        (1, 2, 0, 1)                                      # t^3 + 2t + 1
 
 
 def test_characteristic_polynomial_triangular():
@@ -302,7 +294,9 @@ def test_characteristic_polynomial_triangular():
               for j in range(n)] for i in range(n)]
         expected = poly_product(
             F, [[-M[i][i], F.one] for i in range(n)])
-        assert characteristic_polynomial(F, M) == expected
+        raw_M = [[c.value for c in row] for row in M]
+        assert characteristic_polynomial(F, raw_M) == \
+            tuple(c.value for c in expected)
 
 
 def test_poly_irreducible_finite():
@@ -329,7 +323,7 @@ def test_primitive_idempotents_gf3_c2_frozen():
     F = gf(3)
     fd = group_algebra_fd(cayley(cyclic_table(2)), F).fd
     prims = primitive_idempotents(fd)
-    got = {tuple(c.value for c in e) for e in prims}
+    got = {tuple(e) for e in prims}
     assert got == {(2, 2), (2, 1)}
 
 
@@ -348,8 +342,7 @@ def test_each_primitive_idempotent_certificate_fires(monkeypatch, pairs,
     split = primitive_idempotents(
         group_algebra_fd(cayley(cyclic_table(2)), F).fd)
     fd = group_algebra_fd(cayley(cyclic_table(2)), F).fd
-    family = [linear_combination(fd, [F.from_int(a), F.from_int(b)], split)
-              for a, b in pairs]
+    family = [linear_combination(fd, [a, b], split) for a, b in pairs]
     monkeypatch.setattr(structure, "_primitive_idempotents_finite",
                         lambda fd: family)
     with pytest.raises(CertificateFailed, match=message):
@@ -469,6 +462,68 @@ def test_broken_block_data_fails_its_certificates(monkeypatch, corrupt,
         block_structure(fd)
 
 
+def test_subquotient_rejects_vectors_outside_its_span():
+    # the corner of GF(5)[C4] at a primitive idempotent e is the line
+    # spanned by e, which holds neither 1 nor u; and the span of u alone
+    # does not hold the product u u = u^2
+    fd = group_algebra_fd(cayley(cyclic_table(4)), gf(5)).fd
+    corner = corner_algebra(fd, primitive_idempotents(fd)[0])
+    message = "vector outside the span of the ideal and the basis"
+    with pytest.raises(CertificateFailed, match=message):
+        corner.project(fd.basis_vec(1))
+    with pytest.raises(CertificateFailed, match=message):
+        structure.Subquotient(fd, [], [fd.basis_vec(1)], fd.one)
+
+
+def _radical_candidate(monkeypatch, make):
+    """Replace the first radical candidate by make(fd)."""
+    original = structure._radical_raw
+    calls = []
+
+    def replaced(fd):
+        basis, method = original(fd)
+        calls.append(fd)
+        return (make(fd) if len(calls) == 1 else basis), method
+
+    monkeypatch.setattr(structure, "_radical_raw", replaced)
+
+
+def test_radical_candidate_that_is_no_ideal_fails_its_certificate(
+        monkeypatch):
+    # in GF(3)[C3] the span of u is not closed under u * u = u^2
+    fd = group_algebra_fd(cayley(cyclic_table(3)), gf(3)).fd
+    _radical_candidate(monkeypatch, lambda fd: [fd.basis_vec(1)])
+    with pytest.raises(CertificateFailed,
+                       match="radical candidate is not an ideal"):
+        jacobson_radical(fd)
+
+
+def test_radical_candidate_with_the_identity_fails_its_certificate(
+        monkeypatch):
+    # the whole algebra is an ideal holding 1; only a wrong nilpotency
+    # proof lets it reach the identity check
+    fd = group_algebra_fd(cayley(cyclic_table(3)), gf(3)).fd
+    _radical_candidate(monkeypatch, lambda fd: [fd.basis_vec(i)
+                                                for i in range(fd.dim)])
+    monkeypatch.setattr(structure, "ideal_nilpotency_index",
+                        lambda fd, span: 2)
+    with pytest.raises(CertificateFailed,
+                       match="radical candidate contains the identity"):
+        jacobson_radical(fd)
+
+
+def test_lost_root_fails_the_splitting_certificate(monkeypatch):
+    # a q-fixed element of GF(5)[C4] has a minimal polynomial with all its
+    # roots in GF(5); dropping one must not pass for a split
+    fd = group_algebra_fd(cayley(cyclic_table(4)), gf(5)).fd
+    original = structure.poly_roots
+    monkeypatch.setattr(structure, "poly_roots",
+                        lambda F, m: original(F, m)[1:])
+    with pytest.raises(CertificateFailed,
+                       match="a q-fixed element splits over GF"):
+        primitive_idempotents(fd)
+
+
 # --- sum-of-fields reports --------------------------------------------------------
 
 
@@ -496,7 +551,7 @@ def test_gf5_c4_splits_into_lines():
         assert fd.is_idempotent(comp.idempotent)
         assert len(comp.min_poly) - 1 == comp.dim
         total = fd.add(total, comp.idempotent)
-    assert total == list(fd.one)
+    assert total == fd.one
 
 
 def test_gf2_c3_splits_line_plus_quadratic():
@@ -514,8 +569,7 @@ def test_rational_c3_decomposition():
     report = fields_decomposition(fd)
     assert report.is_sum_of_fields
     assert sorted(c.dim for c in report.components) == [1, 2]
-    prims = {tuple(c.value for c in comp.idempotent)
-             for comp in report.components}
+    prims = {tuple(comp.idempotent) for comp in report.components}
     third = Fraction(1, 3)
     assert prims == {(third, third, third),
                      (1 - third, -third, -third)}
@@ -602,7 +656,7 @@ def test_corner_algebra_identity():
     e = primitive_idempotents(fd)[0]
     corner = corner_algebra(fd, e)
     assert corner.fd.dim == 1
-    assert corner.embed(corner.fd.one) == e
+    assert corner.lift(corner.fd.one) == e
 
 
 def test_noncommutative_corner_stays_two_sided():
@@ -615,13 +669,13 @@ def test_noncommutative_corner_stays_two_sided():
     fd = S.fd
     one, s = (S.subgroup.index_of[G.from_key(k)] for k in (0, 1))
     e = fd.scale(fd.add(fd.basis_vec(one), fd.basis_vec(s)),
-                 F.from_int(2).inv())
+                 F.from_int(2).inv().value)
     assert fd.is_idempotent(e)
     assert span_of(fd, [fd.mul(fd.basis_vec(i), e)
                         for i in range(fd.dim)]).dim == 3
     corner = corner_algebra(fd, e)
     assert corner.fd.dim == 2
-    assert corner.embed(corner.fd.one) == e
+    assert corner.lift(corner.fd.one) == e
     for v in corner.basis:
         assert fd.mul(e, v) == v == fd.mul(v, e)
 
@@ -630,7 +684,7 @@ def test_lift_idempotent_char_p():
     F = gf(2)
     fd = group_algebra_fd(cayley(cyclic_table(6)), F).fd
     rad = jacobson_radical(fd).basis
-    target = [F.zero, F.zero, F.one, F.zero, F.one, F.zero]   # u^2 + u^4
+    target = [0, 0, 1, 0, 1, 0]                               # u^2 + u^4
     assert fd.is_idempotent(target)
     x = fd.add(target, fd.add(fd.basis_vec(0), fd.basis_vec(3)))
     assert not fd.is_idempotent(x)
@@ -640,10 +694,10 @@ def test_lift_idempotent_char_p():
 def test_lift_idempotent_char0_newton():
     Q = rationals()
     # Q[t]/(t^2): basis (1, t)
-    table = {(0, 0): {0: Q.one}, (0, 1): {1: Q.one}, (1, 0): {1: Q.one}}
-    fd = FDAlgebra(Q, 2, table, [Q.one, Q.zero])
-    x = [Q.one, Q.one]
-    assert lift_idempotents(fd, [[Q.zero, Q.one]], [x]) == [list(fd.one)]
+    one, zero = Q.raw_one, Q.raw_zero
+    table = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}}
+    fd = FDAlgebra(Q, 2, table, [one, zero])
+    assert lift_idempotents(fd, [[zero, one]], [[one, one]]) == [fd.one]
 
 
 def test_lift_idempotent_guards():
