@@ -5,6 +5,12 @@ element, multiplied through the cocycle: u_g u_h = lambda(g, h) u_{gh}.
 Everything stays sparse; only operations that genuinely need a dense view
 (inversion through the regular representation) build matrices, and those
 work inside a finite subgroup.
+
+`AlgebraElement.terms` maps each group element of the support to its
+coefficient as a canonical raw field value (see `fields`), and every
+product, sum and inverse computes on raw values.  Scalars cross only at
+the API: `element`, `scalar` and `scale` take them (or ints), and `coeff`
+returns one.
 """
 
 from __future__ import annotations
@@ -41,7 +47,8 @@ class AlgebraElement:
 
     def __init__(self, algebra, terms):
         self.algebra = algebra
-        self.terms = {g: c for g, c in terms.items() if c}
+        zero = algebra.field.raw_zero
+        self.terms = {g: c for g, c in terms.items() if c != zero}
 
     def _check(self, other):
         if other.algebra is not self.algebra:
@@ -61,13 +68,17 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check(other)
+        field = self.algebra.field
+        add, reduce, zero = field.raw_add, field.reduce, field.raw_zero
         out = dict(self.terms)
         for g, c in other.terms.items():
-            out[g] = out.get(g, self.algebra.field.zero) + c
+            out[g] = reduce(add(out.get(g, zero), c))
         return AlgebraElement(self.algebra, out)
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, {g: -c for g, c in self.terms.items()})
+        field = self.algebra.field
+        return AlgebraElement(self.algebra, {
+            g: field.reduce(field.raw_neg(c)) for g, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -75,12 +86,11 @@ class AlgebraElement:
         return self + (-other)
 
     def scale(self, s):
-        if isinstance(s, int):
-            s = self.algebra.field.from_int(s)
-        if s.field != self.algebra.field:
-            raise FieldMismatch("scaling by a scalar from another field")
-        return AlgebraElement(self.algebra,
-                              {g: c * s for g, c in self.terms.items()})
+        field = self.algebra.field
+        mul, reduce = field.raw_mul, field.reduce
+        s = self.algebra._raw_value(s)
+        return AlgebraElement(self.algebra, {
+            g: reduce(mul(c, s)) for g, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (Scalar, int)):
@@ -93,13 +103,11 @@ class AlgebraElement:
         add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
         lam, gmul = alg.cocycle.raw, alg.group.mul
         out = {}
-        for g, cg in self.terms.items():
-            a = cg.value
-            for h, ch in other.terms.items():
+        for g, a in self.terms.items():
+            for h, b in other.terms.items():
                 gh = gmul(g, h)
-                out[gh] = add(out.get(gh, zero),
-                              mul(mul(a, ch.value), lam(g, h)))
-        return AlgebraElement(alg, {g: Scalar(field, field.reduce(c))
+                out[gh] = add(out.get(gh, zero), mul(mul(a, b), lam(g, h)))
+        return AlgebraElement(alg, {g: field.reduce(c)
                                     for g, c in out.items()})
 
     def __rmul__(self, other):
@@ -121,7 +129,9 @@ class AlgebraElement:
         return result
 
     def coeff(self, g):
-        return self.terms.get(g, self.algebra.field.zero)
+        """The coefficient of u_g, as a Scalar."""
+        field = self.algebra.field
+        return Scalar(field, self.terms.get(g, field.raw_zero))
 
     def support(self):
         return sorted(self.terms, key=lambda g: g.sort_key())
@@ -136,16 +146,15 @@ class AlgebraElement:
         group = self.algebra.group
         field = self.algebra.field
         return [{"g": group.element_to_json(g),
-                 "c": field.value_to_json(c.value)}
-                for g in self.support()
-                for c in (self.terms[g],)]
+                 "c": field.value_to_json(self.terms[g])}
+                for g in self.support()]
 
     def __repr__(self):
         if not self.terms:
             return "0"
         bits = []
         for g in self.support():
-            bits.append(f"{self.terms[g].value!r}*u[{g!r}]")
+            bits.append(f"{self.terms[g]!r}*u[{g!r}]")
         return " + ".join(bits)
 
 
@@ -169,36 +178,42 @@ class TwistedGroupAlgebra:
         self.field = field
         self.cocycle = cocycle
         self.zero = AlgebraElement(self, {})
-        self.one = AlgebraElement(self, {group.identity: field.one})
+        self.one = AlgebraElement(self, {group.identity: field.raw_one})
+
+    def _raw_value(self, s):
+        """The raw value of a Scalar of the field or of an int."""
+        if isinstance(s, int):
+            return self.field.from_int(s).value
+        if s.field != self.field:
+            raise FieldMismatch("a scalar from another field")
+        return s.value
 
     def basis_unit(self, g):
         self.group._check(g)
-        return AlgebraElement(self, {g: self.field.one})
+        return AlgebraElement(self, {g: self.field.raw_one})
 
     def scalar(self, s):
-        if isinstance(s, int):
-            s = self.field.from_int(s)
-        return AlgebraElement(self, {self.group.identity: s})
+        return AlgebraElement(self, {self.group.identity: self._raw_value(s)})
 
     def element(self, pairs):
+        field = self.field
+        add, reduce, zero = field.raw_add, field.reduce, field.raw_zero
         terms = {}
-        zero = self.field.zero
         for g, c in pairs:
             self.group._check(g)
-            if isinstance(c, int):
-                c = self.field.from_int(c)
-            terms[g] = terms.get(g, zero) + c
+            terms[g] = reduce(add(terms.get(g, zero), self._raw_value(c)))
         return AlgebraElement(self, terms)
 
     def basis_unit_inverse(self, g):
         """u_g^(-1) = lambda(g^-1, g)^(-1) u_{g^-1}."""
         gi = self.group.inv(g)
-        return AlgebraElement(self, {gi: self.cocycle(gi, g).inv()})
+        return AlgebraElement(
+            self, {gi: self.field.raw_inv(self.cocycle.raw(gi, g))})
 
     def basis_commutator(self, a, b):
         """[u_a, u_b] = u_a^-1 u_b^-1 u_a u_b, as a single scaled unit."""
         c = commutator_scalar(self.cocycle, a, b)
-        return AlgebraElement(self, {self.group.commutator(a, b): c})
+        return AlgebraElement(self, {self.group.commutator(a, b): c.value})
 
     def is_central(self, x, box_radius=1):
         """Exact centrality: commuting with every u_g over the radius-1 box
@@ -244,9 +259,12 @@ def try_invert(algebra, x, decomposition=None, support_cap=64):
     """
     if not x:
         return InversionResult("not-unit", None, "zero", "the zero element")
+    field = algebra.field
     if len(x.terms) == 1:
         (g, c), = x.terms.items()
-        y = algebra.basis_unit_inverse(g).scale(c.inv())
+        gi = algebra.group.inv(g)
+        lam = field.reduce(field.raw_mul(c, algebra.cocycle.raw(gi, g)))
+        y = AlgebraElement(algebra, {gi: field.raw_inv(lam)})
         return _verified_unit(algebra, x, y, "monomial",
                               "scaled basis units invert term by term")
     try:
@@ -255,7 +273,6 @@ def try_invert(algebra, x, decomposition=None, support_cap=64):
         W = None
     if W is not None:
         M = left_regular_matrix(algebra, W, x)
-        field = algebra.field
         rhs = [field.raw_zero] * len(W)
         rhs[W.index_of[algebra.group.identity]] = field.raw_one
         sol = linalg.solve(field, M, rhs)
@@ -266,8 +283,7 @@ def try_invert(algebra, x, decomposition=None, support_cap=64):
                 f"of the {len(W)}-element subgroup generated by the support; "
                 f"the full algebra is a free module over it, so x has no "
                 f"right inverse anywhere")
-        y = AlgebraElement(algebra, {w: Scalar(field, s)
-                                     for w, s in zip(W.elements, sol)})
+        y = AlgebraElement(algebra, dict(zip(W.elements, sol)))
         return _verified_unit(algebra, x, y, "regular-representation",
                               "solved x * y = 1 in the support subalgebra")
     if decomposition is not None:
@@ -296,7 +312,7 @@ def _corner_inverse(algebra, e, y):
         ref = w_test.support()
         if not ref:
             continue
-        gamma = w_test.terms[ref[0]]
+        gamma = w_test.coeff(ref[0])
         base = e.coeff(ref[0])
         if not base:
             continue
@@ -374,8 +390,7 @@ def left_regular_matrix(algebra, subgroup, x):
     add, mul = field.raw_add, field.raw_mul
     M = [[field.raw_zero] * n for _ in range(n)]
     lam, gmul = algebra.cocycle.raw, algebra.group.mul
-    for g, cg in x.terms.items():
-        a = cg.value
+    for g, a in x.terms.items():
         for j, w in enumerate(subgroup.elements):
             i = subgroup.index_of[gmul(g, w)]
             M[i][j] = add(M[i][j], mul(a, lam(g, w)))

@@ -132,14 +132,12 @@ def _oracle_section(raw, inst, seed):
             checks[key] = {"oracle": oracle_value, "skipped": str(exc)}
 
     decomposition = fields_decomposition(S.fd, seed=seed)
-    prims = decomposition.primitives
-    commutative = prims is not None
+    commutative = decomposition.primitives is not None
     against("radical_dimension", rep.radical_dimension,
             lambda: len((decomposition.radical if commutative
                          else block_structure(S.fd).radical).basis))
     against("idempotent_count", rep.idempotent_count,
-            lambda: 2 ** len(prims) if commutative
-            else count_idempotents(S.fd, seed=seed))
+            lambda: count_idempotents(S.fd, seed=seed))
     against("unit_count", rep.unit_count,
             lambda: _commutative_unit_count(S.fd, decomposition,
                                             rep.field_size, seed)

@@ -11,9 +11,11 @@ A cocycle in the representable family is a product of two parts:
 Cross terms between free and torsion coordinates are identically 1.  The
 cocycle identity lambda(g,h) lambda(gh,k) = lambda(h,k) lambda(g,hk) is
 checked by `validate_cocycle` over a box of free coordinates and the whole
-torsion part.  Kernels read the raw values (`Cocycle.raw`, `raw_table`);
-Scalars appear only where a value leaves as one (`Cocycle.__call__`,
-`tau`, `torsion_table`) and in JSON.
+torsion part.  The algebra layer and the validator read canonical raw
+values (`Cocycle.raw`, `raw_table`) and compute with the field's raw
+operators; Scalars appear only where a value crosses the API
+(`Cocycle.__call__`, `tau`, `torsion_table`, the derived scalars below)
+and in JSON.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ class Cocycle:
                 z = self._zeta_powers.get(e)
                 if z is None:
                     z = self._zeta_powers[e] = (self.zeta ** e).value
-                val = self.field._mul(val, z)
+                val = self.field.reduce(self.field.raw_mul(val, z))
         return val
 
     def __call__(self, g, h):
@@ -241,7 +243,7 @@ def validate_cocycle(group, cocycle, box_radius=3):
                     pairs.setdefault((c1, c2), (uw, v, ww))
 
     n, table = tor.size, tor.table
-    mul = cocycle.field._mul
+    mul, reduce = cocycle.field.raw_mul, cocycle.field.reduce
     raw = cocycle.raw_table
     rows = [raw[x * n:x * n + n] for x in range(n)]
     checked = 0
@@ -253,8 +255,8 @@ def validate_cocycle(group, cocycle, box_radius=3):
         for x, rx in enumerate(rows):
             for y, ry in enumerate(rows):
                 txy = rx[y]
-                lhs = [mul(txy, v) for v in rows[right1[table[x][y]]]]
-                rhs = [mul(a, rx[yz]) for a, yz in zip(ry, yzs[y])]
+                lhs = [reduce(mul(txy, v)) for v in rows[right1[table[x][y]]]]
+                rhs = [reduce(mul(a, rx[yz])) for a, yz in zip(ry, yzs[y])]
                 if lhs == rhs:
                     checked += n
                     continue

@@ -1,20 +1,20 @@
 """Exact coefficient arithmetic: GF(p), GF(p^k) with explicit modulus, and Q,
 and polynomials over them.
 
-Scalars are small immutable wrappers around a canonical raw value (int mod p,
-coefficient tuple, or Fraction).  All arithmetic is exact; there are no floats
-anywhere in this package.
+A field element is a canonical raw value: an int in [0, p), a coefficient
+tuple, or a Fraction.  All arithmetic is exact; there are no floats anywhere
+in this package.
 
-Every field also exposes its arithmetic on raw values, for kernels that
-would otherwise spend their time wrapping and unwrapping Scalars:
-`raw_add`, `raw_sub`, `raw_mul`, `raw_neg`, `raw_inv`, `raw_zero`,
-`raw_one` and `reduce`.  A kernel combines raw values with the first four
-and applies `reduce` once to each value it hands back, which makes that
-value canonical again.  Over GF(p) the four are plain int operations and
-`reduce` is the one `% p`, so a long sum of products is reduced once;
+Every field has one set of operators, on raw values: `raw_add`, `raw_sub`,
+`raw_mul`, `raw_neg` and `raw_inv`, the constants `raw_zero` and
+`raw_one`, and `reduce`.  A computation combines raw values with the first
+four and applies `reduce` once to each value it hands back, which makes
+that value canonical again.  Over GF(p) the four are plain int operations
+and `reduce` is the one `% p`, so a long sum of products is reduced once;
 over GF(p^k) and Q they are exact and `reduce` is the identity.
 `raw_inv`, any test against `raw_zero`, and `raw_mul` over GF(p^k) take
-canonical values.
+canonical values.  A `Scalar` wraps one canonical value where it crosses
+the API and JSON boundary; its operators are `reduce` of the raw ones.
 
 Polynomials over a field are tuples of its canonical raw values, constant
 coefficient first, trailing zeros stripped.  The `poly_*` routines compute
@@ -596,12 +596,14 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Scalar(self.field, self.field._add(self.value, other.value))
+        F = self.field
+        return Scalar(F, F.reduce(F.raw_add(self.value, other.value)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.field, self.field._neg(self.value))
+        F = self.field
+        return Scalar(F, F.reduce(F.raw_neg(self.value)))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -616,17 +618,16 @@ class Scalar:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-            return Scalar(self.field, self.field._mul(self.value, other.value))
-        return NotImplemented
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        F = self.field
+        return Scalar(F, F.reduce(F.raw_mul(self.value, other.value)))
 
     __rmul__ = __mul__
 
     def inv(self):
-        return Scalar(self.field, self.field._inv(self.value))
+        return Scalar(self.field, self.field.raw_inv(self.value))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -660,10 +661,7 @@ class Scalar:
         return hash((self.field, self.value))
 
     def __bool__(self):
-        return self.value != self.field.zero.value
-
-    def is_zero(self):
-        return not self
+        return self.value != self.field.raw_zero
 
     def sort_key(self):
         return self.field.value_sort_key(self.value)
@@ -696,9 +694,6 @@ class Field:
         self.raw_one = self._one_value()
         self.zero = Scalar(self, self.raw_zero)
         self.one = Scalar(self, self.raw_one)
-
-    def raw_inv(self, a):
-        return self._inv(a)
 
     def reduce(self, a):
         return a
@@ -766,16 +761,7 @@ class PrimeField(Field):
     def from_int(self, n):
         return Scalar(self, n % self.p)
 
-    def _add(self, a, b):
-        return (a + b) % self.p
-
-    def _neg(self, a):
-        return (-a) % self.p
-
-    def _mul(self, a, b):
-        return (a * b) % self.p
-
-    def _inv(self, a):
+    def raw_inv(self, a):
         if a == 0:
             raise DivisionByZero(f"0 has no inverse in {self.shortname()}")
         return pow(a, self.p - 2, self.p)
@@ -828,7 +814,7 @@ class ExtensionField(Field):
         self.degree = k
         self.modulus = modulus
         self.characteristic = p
-        self._log = None        # built on first _mul or _inv
+        self._log = None        # built on first raw_mul or raw_inv
         self._exp = None
         super().__init__()
 
@@ -860,22 +846,22 @@ class ExtensionField(Field):
     def from_int(self, n):
         return Scalar(self, self._canonical(n))
 
-    def _add(self, a, b):
+    def raw_add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
-    def _sub(self, a, b):
+    def raw_sub(self, a, b):
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
-    def _neg(self, a):
+    def raw_neg(self, a):
         return tuple((-x) % self.p for x in a)
 
-    def _mul(self, a, b):
+    def raw_mul(self, a, b):
         log = self._log or self._build_tables()
         if a == self.raw_zero or b == self.raw_zero:
             return self.raw_zero
         return self._exp[log[a] + log[b]]
 
-    def _inv(self, a):
+    def raw_inv(self, a):
         log = self._log or self._build_tables()
         if a == self.raw_zero:
             raise DivisionByZero(f"0 has no inverse in {self.shortname()}")
@@ -921,8 +907,6 @@ class ExtensionField(Field):
                     in zip(powers, powers[1:] + powers[:1])),
                 f"the exp table of {self.shortname()} is not the walk of "
                 f"its generator")
-
-    raw_add, raw_sub, raw_mul, raw_neg = _add, _sub, _mul, _neg
 
     def elements(self):
         for coeffs in itertools.product(range(self.p), repeat=self.k):
@@ -972,16 +956,7 @@ class RationalField(Field):
     def from_int(self, n):
         return Scalar(self, Fraction(n))
 
-    def _add(self, a, b):
-        return a + b
-
-    def _neg(self, a):
-        return -a
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _inv(self, a):
+    def raw_inv(self, a):
         if a == 0:
             raise DivisionByZero("0 has no inverse in Q")
         return 1 / a

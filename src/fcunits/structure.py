@@ -32,7 +32,8 @@ unlike `assert`, also runs under `python -O`.
 Each structural fact of a commutative algebra has one path:
 `fields_decomposition` certifies the radical and the primitive idempotents
 once and returns them in its report, which is where report builders read
-the radical, the primitive count and the idempotent count from.  Both
+the radical and the primitive count from, and `count_idempotents` the
+idempotent count 2^(number of primitives).  Both
 are kept on the immutable `FDAlgebra`, so a repeated request costs no
 products; `jacobson_radical` is not kept and recertifies on every call.
 The primitive idempotents are certified orthogonal by prefix sums, one
@@ -65,16 +66,17 @@ from fractions import Fraction
 from itertools import repeat
 
 from . import linalg
+from .algebra import AlgebraElement
 from .errors import (
     ConditionsNotMet,
     DimensionTooLarge,
     IdealNotNilpotent,
     NotCommutative,
+    SupportNotInSubgroup,
     TooLargeToCount,
     certify,
 )
 from .fields import (
-    Scalar,
     poly_divmod,
     poly_factor_rational,
     poly_inv_mod,
@@ -249,15 +251,15 @@ class FiniteSubalgebra:
         self.fd = FDAlgebra(field, n, table, one, labels)
 
     def to_ambient(self, vec):
-        field = self.algebra.field
-        return self.algebra.element(
-            [(g, Scalar(field, c)) for g, c in zip(self.subgroup.elements, vec)
-             if c != field.raw_zero])
+        return AlgebraElement(self.algebra, dict(zip(self.subgroup.elements,
+                                                     vec)))
 
     def from_ambient(self, el):
-        vec = self.fd.zero_vec()
-        for g, c in el.terms.items():
-            vec[self.subgroup.index_of[g]] = c.value
+        """The vector of an element supported on the subgroup."""
+        zero = self.fd.field.raw_zero
+        vec = [el.terms.get(g, zero) for g in self.subgroup.elements]
+        if len(el.terms) != sum(c != zero for c in vec):
+            raise SupportNotInSubgroup("the support leaves the subgroup")
         return vec
 
 
@@ -735,11 +737,12 @@ def primitive_idempotents(fd, seed=0):
 
 
 def count_idempotents(fd, seed=0):
-    """Number of idempotents: 2^(number of primitives) when commutative,
-    the closed form of `BlockStructure.idempotent_count` otherwise."""
+    """Number of idempotents: 2^(number of primitives) of the kept
+    `fields_decomposition` when commutative, the closed form of
+    `BlockStructure.idempotent_count` otherwise."""
     comm, _ = fd.is_commutative()
     if comm:
-        return 2 ** len(primitive_idempotents(fd, seed))
+        return 2 ** len(fields_decomposition(fd, seed).primitives)
     return block_structure(fd).idempotent_count()
 
 

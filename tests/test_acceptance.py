@@ -123,7 +123,7 @@ def test_acceptance_02_torsion_unit_inversion_suite():
             u = algebra.basis_unit(g)
             power = u ** d
             assert list(power.terms) == [inst.group.identity]
-            lam = power.terms[inst.group.identity]
+            lam = power.coeff(inst.group.identity)
             not_invertible = 0
             for alpha in scalars:
                 x = u - algebra.scalar(alpha)

@@ -417,8 +417,8 @@ def test_crossed_product_factor_set_values_gf7():
     for idx in range(3):
         cp = fc.build_crossed_product(inst, component_index=idx)
         e = cp.idempotent
-        g0, c0 = next(iter(e.terms.items()))
-        eigen = (uz * e).terms[g0] * c0.inv()
+        g0 = e.support()[0]
+        eigen = (uz * e).coeff(g0) * e.coeff(g0).inv()
         # u_z acts on the component as multiplication by a cube root of 1
         assert uz * e == e.scale(eigen)
         seen.add(int(eigen.to_json()))

@@ -5,9 +5,11 @@ and the sparse product `AlgebraElement.__mul__`, `left_regular_matrix`
 and the triple loop of `validate_cocycle` compute on raw values.  The
 reference functions below are the plain Scalar implementations they
 replaced, reading lambda from the Scalar dict the cocycle was built from
-(`ref_lambda`), so they share no code with the raw table.  Every raw
-result must equal the reference: products as Scalars of the algebra's
-field, matrices as their canonical raw values, validation results down to `checked_identities` and the
+(`ref_lambda`), so they share no code with the raw table; they read the
+coefficients of an element through `coeff`, the Scalar edge of the raw
+terms.  Every raw result must equal the reference: products term by term,
+with every term a nonzero canonical raw value, matrices as their canonical
+raw values, validation results down to `checked_identities` and the
 counterexample triple with its two sides.
 
 The groups carry a central pairing, a bilinear twist of the free part
@@ -23,11 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcunits import cocycles
-from fcunits.algebra import (
-    AlgebraElement,
-    TwistedGroupAlgebra,
-    left_regular_matrix,
-)
+from fcunits.algebra import TwistedGroupAlgebra, left_regular_matrix
 from fcunits.cocycles import (
     Cocycle,
     coboundary,
@@ -116,24 +114,25 @@ def ref_lambda(table, zeta, matrix, field, g, h):
 
 
 def ref_mul(algebra, lam, x, y):
-    """The Scalar product loop of `AlgebraElement.__mul__`."""
+    """The Scalar product loop of `AlgebraElement.__mul__`, on the
+    coefficients read through `coeff`."""
     group, zero = algebra.group, algebra.field.zero
     out = {}
-    for g, cg in x.terms.items():
-        for h, ch in y.terms.items():
+    for g in x.terms:
+        for h in y.terms:
             gh = group.mul(g, h)
-            out[gh] = out.get(gh, zero) + cg * ch * lam(g, h)
-    return AlgebraElement(algebra, out)
+            out[gh] = out.get(gh, zero) + x.coeff(g) * y.coeff(h) * lam(g, h)
+    return algebra.element(out.items())
 
 
 def ref_left_regular_matrix(algebra, subgroup, lam, x):
     """The Scalar loop of `left_regular_matrix`."""
     n = len(subgroup)
     M = [[algebra.field.zero] * n for _ in range(n)]
-    for g, cg in x.terms.items():
+    for g in x.terms:
         for j, w in enumerate(subgroup.elements):
             i = subgroup.index_of[algebra.group.mul(g, w)]
-            M[i][j] = M[i][j] + cg * lam(g, w)
+            M[i][j] = M[i][j] + x.coeff(g) * lam(g, w)
     return M
 
 
@@ -193,9 +192,10 @@ def box_elements(group):
             for s in range(group.prufer_modulus)]
 
 
-def assert_scalars_of(field, values):
+def assert_canonical(field, values):
+    """Each value is a canonical raw value of the field."""
     for v in values:
-        assert v.field is field and field.scalar(v.value) == v
+        assert type(v) is type(field.raw_zero) and field.scalar(v).value == v
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -215,7 +215,12 @@ def test_products_match_the_scalar_loop(data):
         y = drawn_element(data, algebra, elements)
         got = x * y
         assert got == ref_mul(algebra, lam, x, y)
-        assert_scalars_of(field, got.terms.values())
+        assert_canonical(field, got.terms.values())
+        assert field.raw_zero not in got.terms.values()
+        for g in elements:
+            c = got.coeff(g)
+            assert isinstance(c, Scalar) and c.field is field
+            assert c.value == got.terms.get(g, field.raw_zero)
         g, h = (data.draw(st.sampled_from(elements)) for _ in range(2))
         assert coc(g, h) == lam(g, h)
 
@@ -234,10 +239,10 @@ def test_regular_matrices_match_the_scalar_loop(data):
         return ref_lambda(table, zeta, matrix, field, g, h)
 
     # the matrix is raw values; wrapped, it must equal the Scalar loop's
-    got = [[Scalar(field, v) for v in row]
-           for row in left_regular_matrix(algebra, W, x)]
+    M = left_regular_matrix(algebra, W, x)
+    assert_canonical(field, (v for row in M for v in row))
+    got = [[Scalar(field, v) for v in row] for row in M]
     assert got == ref_left_regular_matrix(algebra, W, lam, x)
-    assert_scalars_of(field, (v for row in got for v in row))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -20,6 +20,7 @@ from fcunits.errors import (
     DimensionTooLarge,
     IdealNotNilpotent,
     NotCommutative,
+    SupportNotInSubgroup,
     TooLargeToCount,
 )
 from fcunits.fields import gf, poly_irreducible, rationals
@@ -129,6 +130,11 @@ def test_subalgebra_ambient_round_trip():
     assert sub.to_ambient(sub.from_ambient(x)) == x
     v = [F.from_int(i).value for i in range(6)]
     assert sub.from_ambient(sub.to_ambient(v)) == v
+    # a proper subgroup's vector has no coordinate for a unit outside it
+    c3 = FiniteSubalgebra(sub.algebra,
+                          finite_subgroup(G, [G.element(t=(0, 1))]))
+    with pytest.raises(SupportNotInSubgroup):
+        c3.from_ambient(sub.algebra.basis_unit(G.element(t=(1, 0))))
 
 
 def test_trace_vector_matches_matrix_trace():
@@ -707,6 +713,52 @@ def test_lift_idempotent_guards():
         lift_idempotents(fd, [], [fd.basis_vec(1)])
     with pytest.raises(IdealNotNilpotent):
         lift_idempotents(fd, [list(fd.one)], [list(fd.one)])
+
+
+# --- the splitting and lifting certificates can fire ---------------------------
+# Q[C2] splits at u, whose minimal polynomial is (t - 1)(t + 1), through
+# the Bezout idempotent (1 + u) / 2.  In GF(2)[C2] the radical is spanned
+# by 1 + u, and u is idempotent modulo it and lifts to u^2 = 1.
+
+
+def _no_bezout_inverse(monkeypatch):
+    monkeypatch.setattr(structure, "poly_inv_mod", lambda F, a, m: None)
+    primitive_idempotents(group_algebra_fd(abelian([2]), rationals()).fd)
+
+
+def _bezout_returns_its_candidate(monkeypatch):
+    monkeypatch.setattr(structure, "_bezout_idempotent",
+                        lambda fd, factors, cand: cand)
+    primitive_idempotents(group_algebra_fd(abelian([2]), rationals()).fd)
+
+
+def _lift_never_idempotent(monkeypatch):
+    fd = group_algebra_fd(abelian([2]), gf(2)).fd
+    rad = jacobson_radical(fd).basis
+    # idempotent from the 20th test on, far past the bound of 5 steps, so
+    # the loop ends even where the certificate does not run
+    tests = itertools.count()
+    monkeypatch.setattr(fd, "is_idempotent", lambda x: next(tests) >= 20)
+    lift_idempotents(fd, rad, [fd.basis_vec(1)])
+
+
+def _lift_to_zero(monkeypatch):
+    fd = group_algebra_fd(abelian([2]), gf(2)).fd
+    rad = jacobson_radical(fd).basis
+    monkeypatch.setattr(fd, "power", lambda x, n: fd.zero_vec())
+    lift_idempotents(fd, rad, [fd.basis_vec(1)])
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_no_bezout_inverse, "factor powers must be coprime"),
+    (_bezout_returns_its_candidate, "Bezout idempotent failed"),
+    (_lift_never_idempotent, "idempotent lifting failed to converge"),
+    (_lift_to_zero, "lift drifted from x modulo the ideal"),
+], ids=["coprime", "bezout", "converge", "drift"])
+def test_broken_splitting_and_lifting_fail_their_certificates(
+        monkeypatch, corrupt, message):
+    with pytest.raises(CertificateFailed, match=message):
+        corrupt(monkeypatch)
 
 
 def test_block_structure_proves_nilpotency_once(monkeypatch):
