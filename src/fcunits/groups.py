@@ -42,6 +42,9 @@ from .errors import (
 )
 
 MAX_TORSION = 64
+# the largest free rank a JSON group may declare; checked before the group
+# allocates anything per free coordinate
+MAX_RANK = 8
 
 
 def _lcm(a, b):
@@ -704,6 +707,9 @@ def make_group(obj):
     (rank,) = int_entries([obj.get("rank")], "central-extension 'rank'")
     if rank < 0:
         raise InstanceFormatError("central-extension needs int 'rank' >= 0")
+    if rank > MAX_RANK:
+        raise InstanceFormatError(
+            f"central-extension 'rank' {rank} exceeds the cap {MAX_RANK}")
     tor_spec = obj.get("torsion")
     if not isinstance(tor_spec, dict):
         raise InstanceFormatError("central-extension needs a 'torsion' object")

@@ -38,6 +38,8 @@ are kept on the immutable `FDAlgebra`, so a repeated request costs no
 products; `jacobson_radical` is not kept and recertifies on every call.
 The primitive idempotents are certified orthogonal by prefix sums, one
 product (e_1 + ... + e_(k-1)) e_k = 0 per idempotent, not one per pair.
+When there are dim of them, certified nonzero, they form a basis, and each
+field component is the line K e with generator e: no corner is built.
 
 Idempotents of a noncommutative algebra A over GF(q) are counted from its
 blocks, not by enumerating vectors (Ronyai, J. Symbolic Comput. 9, 1990;
@@ -102,8 +104,11 @@ class FDAlgebra:
     zero by `is_zero`, never by `any`.  The table is compiled on first use,
     so it must not be mutated after construction.  The object caches what
     depends only on the table: the compiled rows, the trace vector,
-    `is_commutative`, the certified results of `primitive_idempotents` and
-    `fields_decomposition` per seed, and the certified `block_structure`.
+    `is_commutative`, the basis powers b_i^n per exponent n (which the
+    Frobenius radical and the fixed space of x -> x^q share over a prime
+    field with p >= dim), the certified results of `primitive_idempotents`
+    and `fields_decomposition` per seed, and the certified
+    `block_structure`.
     """
 
     def __init__(self, field, dim, table, one, labels=None):
@@ -115,6 +120,7 @@ class FDAlgebra:
         self._trace_vector = None
         self._rows = None
         self._commutative = None
+        self._basis_powers = {}         # n -> [b_i^n]
         self._primitives = {}           # seed -> certified primitive set
         self._decompositions = {}       # seed -> certified report
         self._blocks = None             # certified BlockStructure
@@ -166,14 +172,24 @@ class FDAlgebra:
         return list(map(field.reduce, map(field.raw_mul, x, repeat(c))))
 
     def power(self, x, n):
-        result = self.one
-        while n:
-            if n & 1:
+        """x^n for n >= 0 by left-to-right binary powering from x, a fresh
+        list; n = 0 gives a copy of `one`."""
+        if n == 0:
+            return list(self.one)
+        result = list(x)
+        for bit in bin(n)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
                 result = self.mul(result, x)
-            n >>= 1
-            if n:
-                x = self.mul(x, x)
-        return list(result)
+        return result
+
+    def basis_powers(self, n):
+        """[b_i^n for each basis vector b_i], computed once per n and kept;
+        callers must not mutate the lists."""
+        if n not in self._basis_powers:
+            self._basis_powers[n] = [self.power(self.basis_vec(i), n)
+                                     for i in range(self.dim)]
+        return self._basis_powers[n]
 
     def is_zero(self, x):
         zero = self.field.raw_zero
@@ -507,7 +523,7 @@ def _radical_commutative_char_p(fd):
     while pm < fd.dim:
         pm *= p
         m += 1
-    images = [fd.power(fd.basis_vec(i), pm) for i in range(fd.dim)]
+    images = fd.basis_powers(pm)
     # the standard basis makes coefficient vectors and algebra vectors agree
     basis = _semilinear_kernel(fd.field, images, m)
     return basis, "frobenius-kernel"
@@ -612,8 +628,8 @@ def _lagrange_idempotents(fd, b, m, roots):
 
 def _primitive_idempotents_finite(fd):
     q = fd.field.size()
-    images = [fd.sub(fd.power(fd.basis_vec(i), q), fd.basis_vec(i))
-              for i in range(fd.dim)]
+    images = [fd.sub(x, fd.basis_vec(i))
+              for i, x in enumerate(fd.basis_powers(q))]
     fixed = _semilinear_kernel(fd.field, images, 0)
     b = _nonscalar_vector(fd, fixed)
     if b is None:
@@ -969,6 +985,28 @@ def _fields_decomposition(fd, seed):
     if rad.basis:
         return DecompositionReport(False, "nonzero radical",
                                    rad.basis[0], [], rad, prims)
+    split = _line_components if len(prims) == fd.dim else _corner_components
+    return DecompositionReport(True, "", None, split(fd, prims, seed),
+                               rad, prims)
+
+
+def _line_components(fd, prims, seed):
+    """The components of an algebra with fd.dim primitive idempotents.
+    Nonzero orthogonal idempotents are linearly independent, so these form
+    a basis and each corner is the line K e, a field of degree 1 generated
+    by e with minimal polynomial t - 1; no corner algebra is built."""
+    certify(not any(fd.is_zero(e) for e in prims),
+            "primitive idempotents are nonzero")
+    field = fd.field
+    desc = (f"GF({field.size()}^1)" if field.is_finite()
+            else "degree-1 extension of Q")
+    line = (field.reduce(field.raw_neg(field.raw_one)), field.raw_one)
+    return [FieldComponent(1, desc, e, line, e) for e in prims]
+
+
+def _corner_components(fd, prims, seed):
+    """One component per primitive e: the corner algebra e A e, certified
+    a field by `_field_certificate`."""
     rng = random.Random(seed)
     components = []
     for e in prims:
@@ -980,7 +1018,7 @@ def _fields_decomposition(fd, seed):
             desc = f"degree-{corner.fd.dim} extension of Q"
         components.append(FieldComponent(
             corner.fd.dim, desc, corner.lift(gen), m, e))
-    return DecompositionReport(True, "", None, components, rad, prims)
+    return components
 
 
 # --- idempotent lifting ----------------------------------------------------------

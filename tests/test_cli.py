@@ -10,6 +10,7 @@ import pytest
 
 from fcunits import cli
 from fcunits.fc import instance_from_json
+from fcunits.groups import MAX_RANK
 
 INSTANCES = resources.files("fcunits") / "instances"
 
@@ -240,6 +241,21 @@ def test_analyze_rejects_non_integer_group_data(bad, tmp_path, capsys):
         assert rc == 2, what
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("rank", [MAX_RANK + 1, 10 ** 30])
+def test_analyze_rejects_a_rank_above_the_cap(rank, tmp_path, capsys):
+    # checked before the group allocates anything per free coordinate
+    raw = cli.bundled_instance("gf3_c2_twisted")
+    path = tmp_path / "rank.json"
+    path.write_text(json.dumps({**raw, "cocycle": {}, "group": {
+        "kind": "central-extension", "rank": rank,
+        "torsion": {"invariants": [2]}}}), encoding="utf-8")
+    rc, out, err = run(["analyze", str(path), "--verdict"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == (f"error: central-extension 'rank' {rank} exceeds the "
+                   f"cap {MAX_RANK}\n")
 
 
 @pytest.mark.parametrize("bad", [2.5, "2", True])

@@ -9,6 +9,7 @@ import fcunits.fc as fc
 from fcunits.algebra import try_invert
 from fcunits.errors import (
     CapExceeded,
+    CertificateFailed,
     ConditionsNotMet,
     InapplicableCharacteristic,
     InapplicableTorsion,
@@ -16,7 +17,7 @@ from fcunits.errors import (
     NoSquareRoot,
     NotUnitError,
 )
-from fcunits.groups import symmetric_group_3_table
+from fcunits.groups import _CyclicCosets, symmetric_group_3_table
 
 
 def mk(obj):
@@ -291,6 +292,22 @@ def test_quotient_with_nontrivial_square_root():
     assert qc.quotient_cocycle.torsion_table == {}
     img = qc.project(inst.algebra().basis_unit(a))
     assert img == qc.quotient_algebra.scalar(qc.mu_root)
+
+
+def test_projection_that_keeps_the_ideal_generator_fails(monkeypatch):
+    # a coset factorization that forgets the power of a sends u_a to 1,
+    # so u_a - mu_root projects to 1 - omega^2, which is not zero
+    inst = mk({
+        "field": {"kind": "prime-power", "p": 2, "k": 2, "modulus": [1, 1, 1]},
+        "group": {"kind": "central-extension", "rank": 2,
+                  "torsion": {"invariants": [2]}},
+        "cocycle": {"torsion_table": {"(1,1)": [0, 1]}},
+    })
+    monkeypatch.setattr(_CyclicCosets, "factor",
+                        lambda self, el: (self.project(el), 0))
+    with pytest.raises(CertificateFailed,
+                       match="the ideal generator must project to zero"):
+        fc.build_quotient_algebra(inst, a=inst.group.element(t=(1,)))
 
 
 def test_quotient_keeps_a_pairing_outside_the_involution():

@@ -468,6 +468,44 @@ def test_broken_block_data_fails_its_certificates(monkeypatch, corrupt,
         block_structure(fd)
 
 
+def _merge_first_two_central_idempotents(monkeypatch):
+    original = structure.primitive_idempotents
+
+    def merged(fd, seed=0):
+        e = original(fd, seed)
+        return (fd.add(e[0], e[1]),) + e[2:]
+
+    monkeypatch.setattr(structure, "primitive_idempotents", merged)
+
+
+def _every_lift_is_one(monkeypatch):
+    monkeypatch.setattr(structure, "lift_idempotents",
+                        lambda fd, ideal_span, xs: [list(fd.one) for _ in xs])
+
+
+@pytest.mark.parametrize("table, field, corrupt, message", [
+    # GF(7)[S3] = M2(GF(7)) + GF(7) + GF(7): the merged first two blocks
+    # have dimension 5 over a center of dimension 2
+    (symmetric_group_3_table(), gf(7), _merge_first_two_central_idempotents,
+     "is no full matrix algebra"),
+    # GF(2)[S3] = GF(2)[C2] + M2(GF(2)), J of dimension 1: with 1 for both
+    # lifts, dim f_i J f_j = 1 for the pair of sizes 2 and 1
+    (symmetric_group_3_table(), gf(2), _every_lift_is_one,
+     "is not a multiple of"),
+    # GF(3)[S3] has two 1 x 1 blocks and J of dimension 4: with 1 for both
+    # lifts, each of the four couplings counts all of J
+    (symmetric_group_3_table(), gf(3), _every_lift_is_one,
+     "do not add up to the radical"),
+], ids=["block-dimension", "coupling-divisibility", "coupling-sum"])
+def test_broken_block_shapes_fail_their_certificates(monkeypatch, table,
+                                                     field, corrupt,
+                                                     message):
+    fd = group_algebra_fd(cayley(table), field).fd
+    corrupt(monkeypatch)
+    with pytest.raises(CertificateFailed, match=message):
+        block_structure(fd)
+
+
 def test_subquotient_rejects_vectors_outside_its_span():
     # the corner of GF(5)[C4] at a primitive idempotent e is the line
     # spanned by e, which holds neither 1 nor u; and the span of u alone
@@ -558,6 +596,101 @@ def test_gf5_c4_splits_into_lines():
         assert len(comp.min_poly) - 1 == comp.dim
         total = fd.add(total, comp.idempotent)
     assert total == fd.one
+
+
+LINE_CASES = [(4, 5), (6, 7), (8, 17), (16, 257)]
+
+
+@pytest.mark.parametrize("n, q", LINE_CASES,
+                         ids=[f"c{n}-gf{q}" for n, q in LINE_CASES])
+def test_cyclic_algebra_splits_into_lines_in_closed_form(n, q):
+    # n | q - 1, so GF(q)[C_n] is the sum of n copies of GF(q), one per
+    # n-th root of unity, and each component is the line through its
+    # primitive idempotent
+    fd = group_algebra_fd(cayley(cyclic_table(n)), gf(q)).fd
+    report = fields_decomposition(fd)
+    assert report.is_sum_of_fields
+    assert [(c.dim, c.description) for c in report.components] == \
+        [(1, f"GF({q}^1)")] * n
+    assert count_idempotents(fd) == 2 ** n
+    for comp in report.components:
+        assert comp.generator == comp.idempotent
+        assert comp.min_poly == (q - 1, 1)
+
+
+@pytest.mark.parametrize("n, q", LINE_CASES,
+                         ids=[f"c{n}-gf{q}" for n, q in LINE_CASES])
+def test_line_components_match_the_corner_path(monkeypatch, n, q):
+    def shapes():
+        fd = group_algebra_fd(cayley(cyclic_table(n)), gf(q)).fd
+        return [(c.dim, c.description)
+                for c in fields_decomposition(fd).components]
+
+    lines = shapes()
+    corners = []
+    original = structure.corner_algebra
+    monkeypatch.setattr(structure, "corner_algebra",
+                        lambda fd, e: corners.append(e) or original(fd, e))
+    monkeypatch.setattr(structure, "_line_components",
+                        structure._corner_components)
+    assert shapes() == lines
+    assert len(corners) == n
+
+
+def test_zero_idempotent_in_a_full_primitive_set_fails(monkeypatch):
+    # [e1 + e2, 0, e3, e4] in GF(5)[C4] passes the idempotent, orthogonal
+    # and sum-to-1 certificates and has dim entries, but e1 + e2 is no line
+    original = structure._primitive_idempotents_finite
+
+    def merged(fd):
+        e = original(fd)
+        return [fd.add(e[0], e[1]), fd.zero_vec()] + e[2:]
+
+    monkeypatch.setattr(structure, "_primitive_idempotents_finite", merged)
+    fd = group_algebra_fd(cayley(cyclic_table(4)), gf(5)).fd
+    with pytest.raises(CertificateFailed,
+                       match="primitive idempotents are nonzero"):
+        fields_decomposition(fd)
+
+
+@pytest.mark.parametrize("n, q", [(4, 5), (16, 257)],
+                         ids=["c4-gf5", "c16-gf257"])
+def test_radical_reuses_the_fixed_space_powers(monkeypatch, n, q):
+    # over a prime field with p >= dim the Frobenius radical and the fixed
+    # space of x -> x^q both read the powers b_i^p
+    fd = group_algebra_fd(cayley(cyclic_table(n)), gf(q)).fd
+    assert len(primitive_idempotents(fd)) == n
+    calls = []
+    original = fd.power
+    monkeypatch.setattr(fd, "power",
+                        lambda x, k: calls.append(k) or original(x, k))
+    rad = jacobson_radical(fd)
+    assert rad.basis == [] and rad.certificate["quotient_radical_zero"]
+    assert calls == []
+
+
+POWER_ALGEBRAS = {
+    "m2-gf3": lambda: klein_twisted_fd()[0].fd,
+    "c3-gf4": lambda: group_algebra_fd(cayley(cyclic_table(3)),
+                                       gf(2, 2, modulus=[1, 1, 1])).fd,
+    "s3-gf5": lambda: group_algebra_fd(cayley(symmetric_group_3_table()),
+                                       gf(5)).fd,
+}
+
+
+@pytest.mark.parametrize("name", POWER_ALGEBRAS)
+def test_power_matches_repeated_products(name):
+    fd = POWER_ALGEBRAS[name]()
+    rng = random.Random(7)
+    elements = [x.value for x in fd.field.elements()]
+    x = [rng.choice(elements) for _ in range(fd.dim)]
+    expected = list(fd.one)
+    for n in range(11):
+        got = fd.power(x, n)
+        assert got == expected
+        # a fresh list: n = 0 copies one, n = 1 copies x
+        assert got is not x and got is not fd.one
+        expected = fd.mul(expected, x)
 
 
 def test_gf2_c3_splits_line_plus_quadratic():

@@ -9,7 +9,10 @@ call site in src/fcunits/ in turn is made a no-op (the call is replaced
 by one to a function that ignores its arguments), and the tier-1 suite
 runs on the copy, stopping at its first failure.  A site whose no-op
 passes the whole suite survives: no test depends on that certificate.
-Each site prints as killed or SURVIVED; the survivors are listed last.
+A no-op certificate can turn a loop infinite, so a suite that runs past
+SITE_TIMEOUT seconds is stopped and the site counts as killed.  Each site
+prints as killed, killed (timeout) or SURVIVED; the survivors are listed
+last.
 """
 
 import os
@@ -24,6 +27,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 CALL = re.compile(r"\bcertify\(")
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",
                                 ".pytest_cache", "bench", "BENCH_*")
+SITE_TIMEOUT = 300
 
 
 def sites(root):
@@ -46,15 +50,18 @@ def main(args):
             lines[n - 1] = CALL.sub("(lambda *a, **k: None)(", lines[n - 1],
                                     count=1)
             target.write_text("".join(lines))
-            run = subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", "-x",
-                 "-p", "no:cacheprovider", *args],
-                cwd=copy, env=env, capture_output=True)
+            try:
+                run = subprocess.run(
+                    [sys.executable, "-m", "pytest", "-q", "-x",
+                     "-p", "no:cacheprovider", *args],
+                    cwd=copy, env=env, capture_output=True,
+                    timeout=SITE_TIMEOUT)
+                outcome = "killed" if run.returncode else "SURVIVED"
+            except subprocess.TimeoutExpired:
+                outcome = "killed (timeout)"
             target.write_text(original)
-            killed = run.returncode != 0
-            print(f"{rel}:{n} {'killed' if killed else 'SURVIVED'}",
-                  flush=True)
-            if not killed:
+            print(f"{rel}:{n} {outcome}", flush=True)
+            if outcome == "SURVIVED":
                 survivors.append(f"{rel}:{n}")
     print("survivors:", " ".join(survivors) or "none")
 
