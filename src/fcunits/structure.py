@@ -985,12 +985,14 @@ def _fields_decomposition(fd, seed):
     if rad.basis:
         return DecompositionReport(False, "nonzero radical",
                                    rad.basis[0], [], rad, prims)
-    split = _line_components if len(prims) == fd.dim else _corner_components
-    return DecompositionReport(True, "", None, split(fd, prims, seed),
-                               rad, prims)
+    if len(prims) == fd.dim:
+        components = _line_components(fd, prims)
+    else:
+        components = _corner_components(fd, prims, seed)
+    return DecompositionReport(True, "", None, components, rad, prims)
 
 
-def _line_components(fd, prims, seed):
+def _line_components(fd, prims):
     """The components of an algebra with fd.dim primitive idempotents.
     Nonzero orthogonal idempotents are linearly independent, so these form
     a basis and each corner is the line K e, a field of degree 1 generated

@@ -632,7 +632,8 @@ def test_line_components_match_the_corner_path(monkeypatch, n, q):
     monkeypatch.setattr(structure, "corner_algebra",
                         lambda fd, e: corners.append(e) or original(fd, e))
     monkeypatch.setattr(structure, "_line_components",
-                        structure._corner_components)
+                        lambda fd, prims: structure._corner_components(
+                            fd, prims, 0))
     assert shapes() == lines
     assert len(corners) == n
 
