@@ -33,11 +33,13 @@ Each structural fact of a commutative algebra has one path:
 `fields_decomposition` certifies the radical and the primitive idempotents
 once and returns them in its report, which is where report builders read
 the radical and the primitive count from, and `count_idempotents` the
-idempotent count 2^(number of primitives).  Both
-are kept on the immutable `FDAlgebra`, so a repeated request costs no
-products; `jacobson_radical` is not kept and recertifies on every call.
-The primitive idempotents are certified orthogonal by prefix sums, one
-product (e_1 + ... + e_(k-1)) e_k = 0 per idempotent, not one per pair.
+idempotent count 2^(number of primitives).  Both are kept on the
+immutable `FDAlgebra`, so a repeated request costs no products;
+`jacobson_radical` is not kept and recertifies on every call.  The
+primitive idempotents come from one Chinese-remainder step and one
+corner recursion over every field, and are certified orthogonal by
+prefix sums, one product (e_1 + ... + e_(k-1)) e_k = 0 per idempotent,
+not one per pair.
 When there are dim of them, certified nonzero, they form a basis, and each
 field component is the line K e with generator e: no corner is built.
 
@@ -64,7 +66,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
 
 from . import linalg
@@ -399,17 +400,6 @@ def minimal_polynomial(fd, x):
     return tuple(neg) + (field.raw_one,)
 
 
-def poly_eval_fd(fd, coeffs, x):
-    """Evaluate a polynomial of `fields` at an algebra element."""
-    zero = fd.field.raw_zero
-    result = fd.zero_vec()
-    for c in reversed(coeffs):
-        result = fd.mul(result, x)
-        if c != zero:
-            result = fd.add(result, fd.scale(fd.one, c))
-    return result
-
-
 def characteristic_polynomial(field, M):
     """char poly of a square matrix of raw values via Hessenberg form, a
     polynomial of `fields` (monic, so of length n + 1)."""
@@ -602,51 +592,55 @@ def _nonscalar_vector(fd, vectors):
     return None
 
 
-def _lagrange_idempotents(fd, b, m, roots):
-    """The idempotents L_i(b) for the distinct roots c_i of b's minimal
-    polynomial m (raw values): L_i is m / (t - c_i) scaled to 1 at c_i, a
-    combination of the powers b^0 .. b^(n-1), which cost n - 1 products."""
+def _crt_idempotents(fd, b, m, moduli):
+    """E_g(b) for pairwise coprime moduli g (factor powers allowed) whose
+    product is b's minimal polynomial m up to a constant: E_g = (m / g)
+    ((m / g)^-1 mod g) is 1 mod g and 0 mod the others (von zur Gathen and
+    Gerhard, Modern Computer Algebra, 5.4).  deg E_g < deg m, so E_g(b)
+    combines b^0 .. b^(deg m - 1), which cost deg m - 1 products."""
     field = fd.field
-    add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
     powers = [fd.one]
-    for _ in roots[1:]:
+    for _ in range(len(m) - 2):
         powers.append(fd.mul(powers[-1], b))
     out = []
-    for c in roots:
-        linear = (field.reduce(field.raw_neg(c)), field.raw_one)
-        quot, _ = poly_divmod(field, m, linear)
-        _, at_c = poly_divmod(field, quot, linear)
-        scale = field.raw_inv(at_c[0])
-        acc = [zero] * fd.dim
-        for a, power in zip(quot, powers):
-            coeff = field.reduce(mul(a, scale))
-            if coeff != zero:
-                acc = [add(x, mul(coeff, y)) for x, y in zip(acc, power)]
-        out.append(list(map(field.reduce, acc)))
+    for g in moduli:
+        h, _ = poly_divmod(field, m, g)
+        s = poly_inv_mod(field, h, g)
+        certify(s is not None, "factor powers must be coprime")
+        out.append(linear_combination(fd, poly_mul(field, s, h), powers))
     return out
 
 
+def _split_corners(fd, idempotents, split):
+    """The primitive idempotents under orthogonal idempotents summing to 1:
+    `split` of each nonzero one's corner algebra, lifted back to fd."""
+    prims = []
+    for e in idempotents:
+        if fd.is_zero(e):
+            continue
+        corner = corner_algebra(fd, e)
+        prims.extend(corner.lift(sub) for sub in split(corner.fd))
+    return prims
+
+
 def _primitive_idempotents_finite(fd):
-    q = fd.field.size()
+    field = fd.field
+    q = field.size()
     images = [fd.sub(x, fd.basis_vec(i))
               for i, x in enumerate(fd.basis_powers(q))]
-    fixed = _semilinear_kernel(fd.field, images, 0)
+    fixed = _semilinear_kernel(field, images, 0)
     b = _nonscalar_vector(fd, fixed)
     if b is None:
         return [list(fd.one)]
     m = minimal_polynomial(fd, b)
-    roots = poly_roots(fd.field, m)
+    roots = poly_roots(field, m)
     certify(len(roots) == len(m) - 1, "a q-fixed element splits over GF(q)")
-    idempotents = _lagrange_idempotents(fd, b, m, roots)
+    linear = [(field.reduce(field.raw_neg(c)), field.raw_one) for c in roots]
+    idempotents = _crt_idempotents(fd, b, m, linear)
     if len(roots) == fd.dim:
         # every corner is 1-dimensional and would embed e back as itself
         return idempotents
-    prims = []
-    for e in idempotents:
-        corner = corner_algebra(fd, e)
-        for sub in _primitive_idempotents_finite(corner.fd):
-            prims.append(corner.lift(sub))
-    return prims
+    return _split_corners(fd, idempotents, _primitive_idempotents_finite)
 
 
 def _splitter_candidates(fd, rng):
@@ -660,26 +654,8 @@ def _splitter_candidates(fd, rng):
                for _ in range(fd.dim)]
 
 
-def _bezout_idempotent(fd, factors, cand):
-    """e(cand) for the polynomial e = b h over Q, where g is the first
-    factor power of cand's minimal polynomial, h the product of the others
-    and b = h^-1 mod g (extended Euclid), so e = 1 mod g and e = 0 mod h."""
-    field = fd.field
-
-    def power_product(pairs):
-        out = (field.raw_one,)
-        for f, e in pairs:
-            for _ in range(e):
-                out = poly_mul(field, out, tuple(map(Fraction, f)))
-        return out
-
-    g, h = power_product(factors[:1]), power_product(factors[1:])
-    b = poly_inv_mod(field, h, g)
-    certify(b is not None, "factor powers must be coprime")
-    return poly_eval_fd(fd, poly_mul(field, b, h), cand)
-
-
 def _primitive_idempotents_rational(fd, rng):
+    field = fd.field
     if fd.dim == 1:
         return [list(fd.one)]
     rad, _ = _radical_raw(fd)
@@ -699,17 +675,15 @@ def _primitive_idempotents_rational(fd, rng):
                 # irreducible minimal polynomial of full degree: a field
                 return [list(fd.one)]
             continue
-        # split off the first factor power through a Bezout identity
-        e1 = _bezout_idempotent(fd, factors, cand)
-        certify(fd.is_idempotent(e1), "Bezout idempotent failed")
-        prims = []
-        for e in (e1, fd.sub(fd.one, e1)):
-            if fd.is_zero(e):
-                continue
-            corner = corner_algebra(fd, e)
-            for sub in _primitive_idempotents_rational(corner.fd, rng):
-                prims.append(corner.lift(sub))
-        return prims
+        # split off the first factor power g against its cofactor m / g
+        f, power = factors[0]
+        g = (field.raw_one,)
+        for _ in range(power):
+            g = poly_mul(field, g, f)
+        pair = _crt_idempotents(fd, cand, m, [g, poly_divmod(field, m, g)[0]])
+        certify(fd.is_idempotent(pair[0]), "Bezout idempotent failed")
+        return _split_corners(fd, pair, lambda corner:
+                              _primitive_idempotents_rational(corner, rng))
     raise ConditionsNotMet(
         "no splitting element found; the algebra resisted decomposition")
 
@@ -717,14 +691,14 @@ def _primitive_idempotents_rational(fd, rng):
 def primitive_idempotents(fd, seed=0):
     """The complete set of primitive idempotents of a commutative algebra.
 
-    Finite fields split along the fixed space of x -> x^q, which works with
-    or without a radical present; the rationals factor minimal polynomials
-    of candidate elements over Z (`fields.poly_factor_rational`) and split
-    off Bezout idempotents, which also tolerates nilpotents because coprime
-    factor powers still satisfy a Bezout identity.  The returned family is
-    verified orthogonal, idempotent, and complete before being handed back,
-    and kept on `fd` per seed, so a later call returns the same certified
-    tuple.
+    Finite fields split along the fixed space of x -> x^q, with or without
+    a radical; the rationals factor the minimal polynomials of candidates
+    over Z (`fields.poly_factor_rational`).  Both take one Chinese-remainder
+    step (`_crt_idempotents`, which tolerates nilpotents: coprime factor
+    powers are moduli like any other) and one corner recursion
+    (`_split_corners`).  The returned family is verified orthogonal,
+    idempotent, and complete before being handed back, and kept on `fd`
+    per seed, so a later call returns the same certified tuple.
     """
     if seed in fd._primitives:
         return fd._primitives[seed]

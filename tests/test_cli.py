@@ -289,6 +289,56 @@ def test_analyze_rejects_non_integer_field_and_cocycle_data(bad, tmp_path,
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+OMIT = object()
+
+
+def _with_value(obj, keys, value):
+    """A copy of obj with the value at the key path `keys` set, or removed
+    when value is OMIT."""
+    obj = json.loads(json.dumps(obj))
+    inner = obj
+    for key in keys[:-1]:
+        inner = inner[key]
+    if value is OMIT:
+        inner.pop(keys[-1], None)
+    else:
+        inner[keys[-1]] = value
+    return obj
+
+
+@pytest.mark.parametrize("name, keys, equivalent", [
+    ("gf3_c2_twisted", ["cocycle"], {}),
+    ("gf3_c2_twisted", ["cocycle", "bilinear"], OMIT),
+    ("heisenberg_gf2", ["group", "pairing"], OMIT),
+    ("gf3_c2_trivial", ["group", "prufer"], OMIT),
+    ("z2_to_c3_gf7", ["caps"], OMIT),
+    ("gf3_c2_trivial", ["name"], OMIT),
+], ids=["cocycle", "bilinear", "pairing", "prufer", "caps", "name"])
+def test_null_reads_as_its_documented_equivalent(name, keys, equivalent,
+                                                 tmp_path, capsys):
+    """A null cocycle is the trivial cocycle {}; a null bilinear part,
+    pairing, prufer, caps or name is omitted (README, input format)."""
+    path = tmp_path / "instance.json"
+    runs = []
+    for value in (None, equivalent):
+        obj = _with_value(cli.bundled_instance(name), keys, value)
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        runs.append(run(["analyze", str(path), "--verdict", "--structure"],
+                        capsys))
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1]
+
+
+def test_null_torsion_table_exits_two(tmp_path, capsys):
+    obj = _with_value(cli.bundled_instance("gf3_c2_twisted"),
+                      ["cocycle", "torsion_table"], None)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    rc, out, err = run(["analyze", str(path), "--verdict"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "error: cocycle torsion_table must be an object: None\n"
+
+
 def test_analyze_validates_the_cocycle_once(monkeypatch, capsys):
     from fcunits import algebra, fc
 

@@ -373,6 +373,13 @@ def test_oracle_certificate_failure_exits_one(monkeypatch, capsys):
     assert "not a power of 3" in capsys.readouterr().err
 
 
+def test_exact_log_fails_its_certificate_off_the_powers():
+    assert oracle._exact_log(27, 3) == 3
+    with pytest.raises(CertificateFailed, match="is not a power of") as exc:
+        oracle._exact_log(2, 3)
+    assert str(exc.value).startswith("2 is not a power of 3:")
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from([2, 3, 5]), st.sampled_from([2, 3, 4]),
        st.integers(0, 30))

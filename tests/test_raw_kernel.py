@@ -24,8 +24,9 @@ on the polynomial layer and against inverses by the half-extended
 Euclidean algorithm, `ref_poly_inv_mod`, which the tables replaced.
 
 Commutativity read off the compiled table is checked against the product
-loop it replaced, `ref_is_commutative`, and the Lagrange idempotents built
-from the powers of b against the n(n-1)-product chain they replaced,
+loop it replaced, `ref_is_commutative`, and the Lagrange idempotents,
+built by `_crt_idempotents` on the moduli t - c_i from the powers of b,
+against the n(n-1)-product chain they replaced,
 `ref_lagrange_idempotents`, on the torsion subalgebras of every valid
 bundled instance and on drawn tables and elements.  On the commutative
 ones, the corner at each primitive idempotent e, spanned by the products
@@ -52,7 +53,7 @@ from fcunits.algebra import TwistedGroupAlgebra
 from fcunits.cocycles import coboundary
 from fcunits.fc import instance_from_json
 from fcunits import fields
-from fcunits.errors import DivisionByZero
+from fcunits.errors import CertificateFailed, DivisionByZero
 from fcunits.fields import (
     Scalar,
     gf,
@@ -74,7 +75,7 @@ from fcunits.structure import (
     FDAlgebra,
     FiniteSubalgebra,
     Subquotient,
-    _lagrange_idempotents,
+    _crt_idempotents,
     corner_algebra,
     count_idempotents,
     fields_decomposition,
@@ -508,7 +509,8 @@ def assert_lagrange_matches(fd, coeffs):
     m = minimal_polynomial(fd, b)
     roots = list(dict.fromkeys(raw(coeffs)))
     assert len(m) - 1 == len(roots)
-    got = _lagrange_idempotents(fd, b, m, roots)
+    linear = [(F.reduce(F.raw_neg(c)), F.raw_one) for c in roots]
+    got = _crt_idempotents(fd, b, m, linear)
     assert [scalars(F, e) for e in got] == ref_lagrange_idempotents(
         fd, scalars(F, b), scalars(F, roots))
     for e in got:
@@ -890,3 +892,21 @@ def test_corrupted_exp_table_fails_its_certificate_under_optimized_python(
                           env=env)
     assert proc.returncode == 1, proc.stderr
     assert message in proc.stdout
+
+
+def test_repeated_power_fails_the_table_certificate(monkeypatch):
+    """A generator whose powers repeat before q - 1 steps names the field
+    and the count it missed; a fresh field object builds its own tables."""
+    original = fields.ExtensionField._certify_tables
+
+    def repeat_a_power(self, g, powers):
+        powers[5] = powers[6]
+        return original(self, g, powers)
+
+    monkeypatch.setattr(fields.ExtensionField, "_certify_tables",
+                        repeat_a_power)
+    F = fields.ExtensionField(3, 2, (1, 0, 1))
+    with pytest.raises(CertificateFailed,
+                       match="are not q - 1 distinct nonzero elements") as exc:
+        F.one * F.one
+    assert "the generator of GF(3^2) are" in str(exc.value)

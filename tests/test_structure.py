@@ -42,7 +42,6 @@ from fcunits.structure import (
     lift_idempotents,
     linear_combination,
     minimal_polynomial,
-    poly_eval_fd,
     primitive_idempotents,
     quotient_algebra,
     span_of,
@@ -270,7 +269,10 @@ def test_minimal_polynomial_annihilates(coeffs):
     m = minimal_polynomial(fd, coeffs)
     assert m[-1] == F.raw_one
     assert len(m) - 1 <= fd.dim
-    assert fd.is_zero(poly_eval_fd(fd, m, coeffs))
+    powers = [fd.one]
+    for _ in m[1:]:
+        powers.append(fd.mul(powers[-1], coeffs))
+    assert fd.is_zero(linear_combination(fd, m, powers))
 
 
 def poly_product(field, factors):
@@ -568,6 +570,54 @@ def test_lost_root_fails_the_splitting_certificate(monkeypatch):
         primitive_idempotents(fd)
 
 
+def test_crt_idempotents_split_off_a_nilpotent_factor_power():
+    # Q[t] / (t^3 - t^2) on the basis 1, t, t^2: b = t has minimal
+    # polynomial t^2 (t - 1), whose factor power t^2 carries the nilpotent
+    # part; E_(t^2) = 1 - t^2 and E_(t - 1) = t^2
+    F = rationals()
+    table = {(i, j): {min(i + j, 2): F.raw_one}
+             for i in range(3) for j in range(3)}
+    fd = FDAlgebra(F, 3, table, [F.raw_one, F.raw_zero, F.raw_zero])
+    b = fd.basis_vec(1)
+    m = minimal_polynomial(fd, b)
+    assert m == (0, 0, -1, 1)
+    got = structure._crt_idempotents(fd, b, m, [(0, 0, 1), (-1, 1)])
+    assert got == [[1, 0, -1], [0, 0, 1]]
+    e, f = got
+    assert fd.is_idempotent(e) and fd.is_idempotent(f)
+    assert fd.is_zero(fd.mul(e, f))
+    assert fd.add(e, f) == fd.one
+
+
+# The order in which the corner recursion hands out primitives, and so the
+# order of the field components, on algebras that do not split into
+# lines.  Finite primitives are written as the digits of their
+# coordinates.
+ORDER_PINS = [
+    ([7], gf(2), [3, 1, 3], ["1110100", "1111111", "1001011"]),
+    ([8], gf(3), [2, 2, 1, 2, 1],
+     ["10201020", "11012202", "21212121", "12022101", "22222222"]),
+    ([21], gf(2), [3, 6, 1, 3, 6, 2],
+     ["100101110010111001011", "000001010010011001011",
+      "111111111111111111111", "111010011101001110100",
+      "011010011001001010000", "011011011011011011011"]),
+    ([6], rationals(), [1, 1, 2, 2],
+     ["1/6 1/6 1/6 1/6 1/6 1/6", "1/6 -1/6 1/6 -1/6 1/6 -1/6",
+      "1/3 1/6 -1/6 -1/3 -1/6 1/6", "1/3 -1/6 -1/6 1/3 -1/6 -1/6"]),
+]
+
+
+@pytest.mark.parametrize("invariants, field, dims, prims", ORDER_PINS,
+                         ids=["gf2-c7", "gf3-c8", "gf2-c21", "q-c6"])
+def test_components_and_primitives_keep_their_order(invariants, field, dims,
+                                                    prims):
+    fd = group_algebra_fd(abelian(invariants), field).fd
+    assert [c.dim for c in fields_decomposition(fd).components] == dims
+    sep = "" if field.is_finite() else " "
+    assert [sep.join(map(str, e)) for e in primitive_idempotents(fd)] \
+        == prims
+
+
 # --- sum-of-fields reports --------------------------------------------------------
 
 
@@ -861,8 +911,8 @@ def _no_bezout_inverse(monkeypatch):
 
 
 def _bezout_returns_its_candidate(monkeypatch):
-    monkeypatch.setattr(structure, "_bezout_idempotent",
-                        lambda fd, factors, cand: cand)
+    monkeypatch.setattr(structure, "_crt_idempotents",
+                        lambda fd, b, m, moduli: [b, fd.sub(fd.one, b)])
     primitive_idempotents(group_algebra_fd(abelian([2]), rationals()).fd)
 
 
