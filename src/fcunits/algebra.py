@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from . import linalg
 from .cocycles import (
     commutator_scalar,
+    generator_box,
     trivial_cocycle,
     validate_cocycle,
 )
@@ -215,12 +216,11 @@ class TwistedGroupAlgebra:
         c = commutator_scalar(self.cocycle, a, b)
         return AlgebraElement(self, {self.group.commutator(a, b): c.value})
 
-    def is_central(self, x, box_radius=1):
+    def is_central(self, x):
         """Exact centrality: commuting with every u_g over the radius-1 box
         already covers a generating set (Pruefer coordinates commute with
         everything because the cocycle never sees them)."""
-        from .cocycles import generator_box
-        for g in generator_box(self.group, box_radius):
+        for g in generator_box(self.group, 1):
             if not x.commutes_with(self.basis_unit(g)):
                 return False, g
         return True, None

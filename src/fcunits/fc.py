@@ -50,6 +50,7 @@ from .errors import (
     CapExceeded,
     CharacteristicDividesOrder,
     ConditionsNotMet,
+    DimensionTooLarge,
     InapplicableCharacteristic,
     InapplicableTorsion,
     InfiniteOrder,
@@ -58,6 +59,7 @@ from .errors import (
     NoSquareRoot,
     NotUnitError,
     SubgroupTooLarge,
+    TooLargeToCount,
     certify,
 )
 from .fields import (
@@ -70,7 +72,9 @@ from .fields import (
 from .groups import Element, finite_subgroup, group_to_json, make_group
 from .structure import (
     FiniteSubalgebra,
+    block_structure,
     corner_algebra,
+    count_idempotents,
     fields_decomposition,
     primitive_idempotents,
 )
@@ -1242,9 +1246,6 @@ def verdict(inst, seed=0):
 def structure_report(inst, level=None, seed=0):
     """Radical, idempotent counts, and decomposition of the torsion
     subalgebra (truncated for Pruefer components)."""
-    from .errors import DimensionTooLarge, TooLargeToCount
-    from .structure import block_structure, count_idempotents
-
     group = inst.group
     lvl = 0
     if group.prufer is not None:

@@ -5,10 +5,10 @@ structural question this module answers (radical, semisimplicity, primitive
 idempotents, sum-of-fields certificates) is asked of a finite-dimensional
 algebra: the span of the basis units of a finite subgroup, or a quotient or
 corner of one.  Those are carried around as `FDAlgebra` objects, plain
-structure-constant algebras over one of the scalar fields; quotients and
-corners are both built as a `Subquotient`.  The corner e A e of a
-commutative algebra is A e, spanned by the products b_i e, which cost one
-sparse row each; a noncommutative corner is spanned by the e b_i e.
+structure-constant algebras over one of the scalar fields.  A quotient,
+or a noncommutative corner e A e, is built as a `Subquotient`; the corner
+A e of a commutative algebra is held in the parent's coordinates, as its
+identity e and its `corner_basis` of products b_i e.
 
 Radical computation picks its method by field and shape:
 
@@ -39,9 +39,8 @@ immutable `FDAlgebra`, so a repeated request costs no products;
 primitive idempotents come from one Chinese-remainder step and one
 corner recursion over every field, and are certified orthogonal by
 prefix sums, one product (e_1 + ... + e_(k-1)) e_k = 0 per idempotent,
-not one per pair.
-When there are dim of them, certified nonzero, they form a basis, and each
-field component is the line K e with generator e: no corner is built.
+not one per pair.  Each field component is a corner A e; when there are
+dim primitives, certified nonzero, every corner is the line K e.
 
 Idempotents of a noncommutative algebra A over GF(q) are counted from its
 blocks, not by enumerating vectors (Ronyai, J. Symbolic Comput. 9, 1990;
@@ -385,15 +384,30 @@ def corner_algebra(fd, e):
     return Subquotient(fd, [], candidates, e)
 
 
+def corner_basis(fd, e):
+    """The corner A e of a commutative algebra in fd's own coordinates: the
+    products b_i e independent of the earlier ones, keyed by i in index
+    order, which are the basis `corner_algebra` picks.  e is the corner's
+    identity, and (b_i e)^n = b_i^n e."""
+    S = linalg.SpanBasis(fd.field, fd.dim)
+    products = ((i, fd.mul(fd.basis_vec(i), e)) for i in range(fd.dim))
+    return {i: v for i, v in products if S.add(v)}
+
+
+def _standard_basis(fd):
+    """`corner_basis(fd, fd.one)` without its products."""
+    return {i: fd.basis_vec(i) for i in range(fd.dim)}
+
+
 # --- minimal and characteristic polynomials ----------------------------------
 
 
-def minimal_polynomial(fd, x):
+def minimal_polynomial(fd, x, e=None):
     """Monic minimal polynomial of x, a polynomial of `fields` (a tuple of
-    raw values, constant first)."""
+    raw values, constant first); of x in the corner A e if e is given."""
     field = fd.field
     S = linalg.SpanBasis(field, fd.dim)
-    p = fd.one
+    p = fd.one if e is None else e
     while S.add(p):
         p = fd.mul(p, x)
     neg = [field.reduce(field.raw_neg(c)) for c in S.coordinates(p)]
@@ -503,10 +517,6 @@ def _trace_form_kernel(fd):
     return linalg.kernel_basis(fd.field, rows, fd.dim)
 
 
-def _radical_char0(fd):
-    return _trace_form_kernel(fd), "trace-form"
-
-
 def _radical_commutative_char_p(fd):
     p = fd.field.characteristic
     m, pm = 0, 1
@@ -545,7 +555,7 @@ def _radical_noncommutative_char_p(fd):
 def _radical_raw(fd):
     comm, _ = fd.is_commutative()
     if fd.field.characteristic == 0:
-        basis, method = _radical_char0(fd)
+        basis, method = _trace_form_kernel(fd), "trace-form"
     elif comm:
         basis, method = _radical_commutative_char_p(fd)
     else:
@@ -583,23 +593,14 @@ def jacobson_radical(fd):
 # --- idempotents ---------------------------------------------------------------
 
 
-def _nonscalar_vector(fd, vectors):
-    one_span = linalg.SpanBasis(fd.field, fd.dim)
-    one_span.add(fd.one)
-    for v in vectors:
-        if not one_span.contains(v):
-            return v
-    return None
-
-
-def _crt_idempotents(fd, b, m, moduli):
+def _crt_idempotents(fd, e, b, m, moduli):
     """E_g(b) for pairwise coprime moduli g (factor powers allowed) whose
-    product is b's minimal polynomial m up to a constant: E_g = (m / g)
-    ((m / g)^-1 mod g) is 1 mod g and 0 mod the others (von zur Gathen and
-    Gerhard, Modern Computer Algebra, 5.4).  deg E_g < deg m, so E_g(b)
-    combines b^0 .. b^(deg m - 1), which cost deg m - 1 products."""
+    product is b's minimal polynomial m in A e up to a constant:
+    E_g = (m / g) ((m / g)^-1 mod g) is 1 mod g and 0 mod the others (von
+    zur Gathen and Gerhard, Modern Computer Algebra, 5.4).  deg E_g < deg m,
+    so E_g(b) combines e = b^0 .. b^(deg m - 1), deg m - 1 products."""
     field = fd.field
-    powers = [fd.one]
+    powers = [e]
     for _ in range(len(m) - 2):
         powers.append(fd.mul(powers[-1], b))
     out = []
@@ -612,78 +613,86 @@ def _crt_idempotents(fd, b, m, moduli):
 
 
 def _split_corners(fd, idempotents, split):
-    """The primitive idempotents under orthogonal idempotents summing to 1:
-    `split` of each nonzero one's corner algebra, lifted back to fd."""
-    prims = []
-    for e in idempotents:
-        if fd.is_zero(e):
-            continue
-        corner = corner_algebra(fd, e)
-        prims.extend(corner.lift(sub) for sub in split(corner.fd))
-    return prims
+    """The primitive idempotents under orthogonal idempotents summing to a
+    corner's identity: split(fd, e, corner_basis(fd, e)) per nonzero e."""
+    return [prim for e in idempotents if not fd.is_zero(e)
+            for prim in split(fd, e, corner_basis(fd, e))]
 
 
-def _primitive_idempotents_finite(fd):
+def _primitive_idempotents_finite(fd, e, basis):
+    """The primitive idempotents of the corner A e over GF(q), given by e
+    and its `corner_basis`: a q-fixed element b of A e outside K e splits e
+    along the roots of b's minimal polynomial."""
     field = fd.field
-    q = field.size()
-    images = [fd.sub(x, fd.basis_vec(i))
-              for i, x in enumerate(fd.basis_powers(q))]
-    fixed = _semilinear_kernel(field, images, 0)
-    b = _nonscalar_vector(fd, fixed)
+    powers = fd.basis_powers(field.size())
+    # (b_i e)^q - b_i e = b_i^q e - b_i e, with no product when e = 1
+    images = [fd.sub(powers[i] if e is fd.one else fd.mul(powers[i], e), v)
+              for i, v in basis.items()]
+    vectors = list(basis.values())
+    fixed = (linear_combination(fd, xi, vectors)
+             for xi in _semilinear_kernel(field, images, 0))
+    line = span_of(fd, [e])
+    b = next((x for x in fixed if not line.contains(x)), None)
     if b is None:
-        return [list(fd.one)]
-    m = minimal_polynomial(fd, b)
+        return [list(e)]
+    m = minimal_polynomial(fd, b, e)
     roots = poly_roots(field, m)
     certify(len(roots) == len(m) - 1, "a q-fixed element splits over GF(q)")
     linear = [(field.reduce(field.raw_neg(c)), field.raw_one) for c in roots]
-    idempotents = _crt_idempotents(fd, b, m, linear)
-    if len(roots) == fd.dim:
-        # every corner is 1-dimensional and would embed e back as itself
+    idempotents = _crt_idempotents(fd, e, b, m, linear)
+    if len(roots) == len(basis):
+        # every corner is the line through its idempotent
         return idempotents
     return _split_corners(fd, idempotents, _primitive_idempotents_finite)
 
 
-def _splitter_candidates(fd, rng):
-    for i in range(fd.dim):
-        yield fd.basis_vec(i)
-    for i in range(fd.dim):
-        for j in range(i + 1, fd.dim):
-            yield fd.add(fd.basis_vec(i), fd.basis_vec(j))
+def _splitter_candidates(fd, basis, rng):
+    """The vectors of `basis`, their pairwise sums, random combinations."""
+    yield from basis
+    for i, j in itertools.combinations(range(len(basis)), 2):
+        yield fd.add(basis[i], basis[j])
     for _ in range(SPLITTER_ATTEMPTS):
-        yield [fd.field._canonical(rng.randint(-3, 3))
-               for _ in range(fd.dim)]
+        coeffs = [fd.field._canonical(rng.randint(-3, 3)) for _ in basis]
+        yield linear_combination(fd, coeffs, basis)
 
 
 def _primitive_idempotents_rational(fd, rng):
-    field = fd.field
-    if fd.dim == 1:
-        return [list(fd.one)]
+    """Over Q the radical is computed once, for the whole algebra: a corner
+    of a semisimple algebra is semisimple, so `_split_rational` needs none.
+    Idempotents lift uniquely along a nil ideal in a commutative algebra,
+    so the primitive set of the quotient by the radical pulls back."""
     rad, _ = _radical_raw(fd)
-    if rad:
-        # idempotents lift uniquely along a nil ideal in a commutative
-        # algebra, so the quotient's primitive set pulls back wholesale
-        span = span_of(fd, rad)
-        basis = [list(r) for r in span.inserted]
-        Q = quotient_algebra(fd, basis)
-        return lift_idempotents(fd, basis, [
-            Q.lift(qe) for qe in _primitive_idempotents_rational(Q.fd, rng)])
-    for cand in _splitter_candidates(fd, rng):
-        m = minimal_polynomial(fd, cand)
+    Q = quotient_algebra(fd, rad) if rad else None
+    A = Q.fd if Q else fd
+    prims = _split_rational(A, A.one, _standard_basis(A), rng)
+    if not Q:
+        return prims
+    return lift_idempotents(fd, Q.ideal_basis, [Q.lift(qe) for qe in prims])
+
+
+def _split_rational(fd, e, basis, rng):
+    """The primitive idempotents of the corner A e of a semisimple algebra
+    over Q, given by e and its `corner_basis`: a candidate whose minimal
+    polynomial factors splits e at its first factor."""
+    if len(basis) == 1:
+        return [list(e)]
+    field = fd.field
+    for cand in _splitter_candidates(fd, list(basis.values()), rng):
+        m = minimal_polynomial(fd, cand, e)
         factors = poly_factor_rational(m)
         if len(factors) < 2:
-            if factors[0][1] == 1 and len(m) - 1 == fd.dim:
+            if len(m) - 1 == len(basis):
                 # irreducible minimal polynomial of full degree: a field
-                return [list(fd.one)]
+                return [list(e)]
             continue
-        # split off the first factor power g against its cofactor m / g
-        f, power = factors[0]
-        g = (field.raw_one,)
-        for _ in range(power):
-            g = poly_mul(field, g, f)
-        pair = _crt_idempotents(fd, cand, m, [g, poly_divmod(field, m, g)[0]])
+        # split off the first factor g against its cofactor m / g; m is
+        # squarefree, as A e is semisimple
+        g = tuple(map(field._canonical, factors[0][0]))
+        pair = _crt_idempotents(fd, e, cand, m,
+                                [g, poly_divmod(field, m, g)[0]])
         certify(fd.is_idempotent(pair[0]), "Bezout idempotent failed")
-        return _split_corners(fd, pair, lambda corner:
-                              _primitive_idempotents_rational(corner, rng))
+        return _split_corners(fd, pair, lambda fd, e, basis:
+                              _split_rational(fd, e, basis, rng))
     raise ConditionsNotMet(
         "no splitting element found; the algebra resisted decomposition")
 
@@ -693,12 +702,11 @@ def primitive_idempotents(fd, seed=0):
 
     Finite fields split along the fixed space of x -> x^q, with or without
     a radical; the rationals factor the minimal polynomials of candidates
-    over Z (`fields.poly_factor_rational`).  Both take one Chinese-remainder
-    step (`_crt_idempotents`, which tolerates nilpotents: coprime factor
-    powers are moduli like any other) and one corner recursion
-    (`_split_corners`).  The returned family is verified orthogonal,
-    idempotent, and complete before being handed back, and kept on `fd`
-    per seed, so a later call returns the same certified tuple.
+    over Z (`fields.poly_factor_rational`), modulo the radical.  Both take
+    one Chinese-remainder step (`_crt_idempotents`) per level of one
+    corner recursion (`_split_corners`).  The returned family is verified
+    orthogonal, idempotent, and complete before being handed back, and kept
+    on `fd` per seed, so a later call returns the same certified tuple.
     """
     if seed in fd._primitives:
         return fd._primitives[seed]
@@ -708,7 +716,7 @@ def primitive_idempotents(fd, seed=0):
             f"primitive idempotents need a commutative algebra; "
             f"{witness[0]} and {witness[1]} do not commute", witness)
     if fd.field.is_finite():
-        prims = _primitive_idempotents_finite(fd)
+        prims = _primitive_idempotents_finite(fd, fd.one, _standard_basis(fd))
     else:
         prims = _primitive_idempotents_rational(fd, random.Random(seed))
     # Orthogonality by prefix sums, one product per idempotent after the
@@ -916,13 +924,13 @@ class DecompositionReport:
     primitives: tuple = None           # None when noncommutative
 
 
-def _field_certificate(corner, rng):
-    """A generator of the corner whose minimal polynomial is irreducible of
-    full degree, certifying the corner is a field."""
-    fd = corner.fd
-    target = fd.dim
-    for cand in _splitter_candidates(fd, rng):
-        m = minimal_polynomial(fd, cand)
+def _field_certificate(fd, e, basis, rng):
+    """A generator of the corner A e spanned by `basis` whose minimal
+    polynomial is irreducible of full degree, certifying the corner is a
+    field."""
+    target = len(basis)
+    for cand in _splitter_candidates(fd, basis, rng):
+        m = minimal_polynomial(fd, cand, e)
         if len(m) - 1 != target:
             continue
         if fd.field.is_finite():
@@ -959,42 +967,30 @@ def _fields_decomposition(fd, seed):
     if rad.basis:
         return DecompositionReport(False, "nonzero radical",
                                    rad.basis[0], [], rad, prims)
-    if len(prims) == fd.dim:
-        components = _line_components(fd, prims)
-    else:
-        components = _corner_components(fd, prims, seed)
+    # nonzero orthogonal idempotents are linearly independent, so dim of
+    # them are a basis and every corner is the line through its idempotent
+    lines = len(prims) == fd.dim
+    rng = random.Random(seed)
+    components = [_field_component(fd, e, [e] if lines else
+                                   list(corner_basis(fd, e).values()), rng)
+                  for e in prims]
     return DecompositionReport(True, "", None, components, rad, prims)
 
 
-def _line_components(fd, prims):
-    """The components of an algebra with fd.dim primitive idempotents.
-    Nonzero orthogonal idempotents are linearly independent, so these form
-    a basis and each corner is the line K e, a field of degree 1 generated
-    by e with minimal polynomial t - 1; no corner algebra is built."""
-    certify(not any(fd.is_zero(e) for e in prims),
-            "primitive idempotents are nonzero")
+def _field_component(fd, e, basis, rng):
+    """The field component at a primitive idempotent e: the corner A e
+    spanned by `basis`.  A line K e has generator e and minimal polynomial
+    t - 1; a larger corner is certified a field by `_field_certificate`."""
+    certify(not fd.is_zero(e), "primitive idempotents are nonzero")
     field = fd.field
-    desc = (f"GF({field.size()}^1)" if field.is_finite()
-            else "degree-1 extension of Q")
-    line = (field.reduce(field.raw_neg(field.raw_one)), field.raw_one)
-    return [FieldComponent(1, desc, e, line, e) for e in prims]
-
-
-def _corner_components(fd, prims, seed):
-    """One component per primitive e: the corner algebra e A e, certified
-    a field by `_field_certificate`."""
-    rng = random.Random(seed)
-    components = []
-    for e in prims:
-        corner = corner_algebra(fd, e)
-        gen, m = _field_certificate(corner, rng)
-        if fd.field.is_finite():
-            desc = f"GF({fd.field.size()}^{corner.fd.dim})"
-        else:
-            desc = f"degree-{corner.fd.dim} extension of Q"
-        components.append(FieldComponent(
-            corner.fd.dim, desc, corner.lift(gen), m, e))
-    return components
+    d = len(basis)
+    if d == 1:
+        gen, m = e, (field.reduce(field.raw_neg(field.raw_one)), field.raw_one)
+    else:
+        gen, m = _field_certificate(fd, e, basis, rng)
+    desc = (f"GF({field.size()}^{d})" if field.is_finite()
+            else f"degree-{d} extension of Q")
+    return FieldComponent(d, desc, gen, m, e)
 
 
 # --- idempotent lifting ----------------------------------------------------------

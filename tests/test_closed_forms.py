@@ -1,0 +1,97 @@
+"""Field decompositions of commutative group algebras against closed forms,
+on algebras too large for the exhaustive oracle.
+
+Over GF(q), for a finite abelian group T whose order q is prime to, the
+group algebra GF(q)[T] is a sum of fields: for each d dividing the
+exponent of T there are n_d / o_d components of degree o_d, where n_d
+counts the elements of order d and o_d is the order of q modulo d.  So
+there are sum_d n_d / o_d primitive idempotents and 2 to that many
+idempotents.  Over Q, Q[C_n] has one component of degree phi(d) for each
+d dividing n (Perlis and Walker, Trans. AMS 68, 1950).
+
+The expected values are computed here from the group's invariants with
+the standard library alone, never by calling `structure`.
+"""
+
+import itertools
+import math
+from collections import Counter
+
+import pytest
+
+from fcunits.algebra import TwistedGroupAlgebra
+from fcunits.fields import gf, rationals
+from fcunits.groups import finite_subgroup, make_group
+from fcunits.structure import (
+    FiniteSubalgebra,
+    count_idempotents,
+    fields_decomposition,
+)
+
+
+def group_algebra_fd(invariants, field):
+    G = make_group({"kind": "central-extension", "rank": 0,
+                    "torsion": {"invariants": list(invariants)}})
+    sub = finite_subgroup(G, list(G.torsion_elements()))
+    return FiniteSubalgebra(TwistedGroupAlgebra(G, field), sub).fd
+
+
+def element_orders(invariants):
+    """n_d: the number of elements of each order d in the product of the
+    cyclic groups C_m, m in invariants."""
+    orders = Counter()
+    for x in itertools.product(*(range(m) for m in invariants)):
+        orders[math.lcm(*(m // math.gcd(xi, m)
+                          for xi, m in zip(x, invariants)))] += 1
+    return orders
+
+
+def order_mod(q, d):
+    """The least k >= 1 with q^k = 1 modulo d."""
+    k, power = 1, q % d
+    while power != 1 % d:
+        k, power = k + 1, power * q % d
+    return k
+
+
+def finite_degrees(invariants, q):
+    """The multiset of component degrees of GF(q)[T]."""
+    degrees = Counter()
+    for d, n in element_orders(invariants).items():
+        o = order_mod(q, d)
+        assert n % o == 0
+        degrees[o] += n // o
+    return degrees
+
+
+def phi(n):
+    return sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
+
+
+@pytest.mark.parametrize("invariants, q", [
+    ([63], 2), ([35], 3), ([45], 2), ([60], 7), ([4, 6], 5),
+], ids=["gf2-c63", "gf3-c35", "gf2-c45", "gf7-c60", "gf5-c4xc6"])
+def test_finite_group_algebra_matches_the_cyclotomic_count(invariants, q):
+    fd = group_algebra_fd(invariants, gf(q))
+    report = fields_decomposition(fd)
+    assert report.is_sum_of_fields
+    expected = finite_degrees(invariants, q)
+    primitives = sum(expected.values())
+    assert Counter(c.dim for c in report.components) == expected
+    assert {c.description for c in report.components} == \
+        {f"GF({q}^{o})" for o in expected}
+    assert len(report.primitives) == primitives
+    assert count_idempotents(fd) == 2 ** primitives
+
+
+@pytest.mark.parametrize("n", [12])
+def test_rational_cyclic_group_algebra_matches_perlis_walker(n):
+    fd = group_algebra_fd([n], rationals())
+    report = fields_decomposition(fd)
+    assert report.is_sum_of_fields
+    expected = Counter(phi(d) for d in range(1, n + 1) if n % d == 0)
+    assert Counter(c.dim for c in report.components) == expected
+    assert Counter(c.description for c in report.components) == \
+        Counter({f"degree-{k} extension of Q": v
+                 for k, v in expected.items()})
+    assert count_idempotents(fd) == 2 ** sum(expected.values())

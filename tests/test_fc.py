@@ -743,10 +743,10 @@ def test_l5_screen_splits_with_the_run_seed(monkeypatch, capsys):
     from fcunits import structure
 
     # T4 reuses the L5 screen's split only when both use the run's seed;
-    # an L5 split under seed 0 would double the calls under seed 1
+    # an L5 split under seed 0 would double the calls under seed 1 (the
+    # corner recursion splits Q[C3] = Q + Q(w) in three calls)
     monkeypatch.setenv("FC_UNITS_SEED", "1")
-    rational = _calls(monkeypatch, structure,
-                      "_primitive_idempotents_rational")
+    rational = _calls(monkeypatch, structure, "_split_rational")
     _analyze_bundled("c3_z_rationals", "--verdict")
     assert len(rational) == 3
     capsys.readouterr()

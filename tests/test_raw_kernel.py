@@ -510,7 +510,7 @@ def assert_lagrange_matches(fd, coeffs):
     roots = list(dict.fromkeys(raw(coeffs)))
     assert len(m) - 1 == len(roots)
     linear = [(F.reduce(F.raw_neg(c)), F.raw_one) for c in roots]
-    got = _crt_idempotents(fd, b, m, linear)
+    got = _crt_idempotents(fd, fd.one, b, m, linear)
     assert [scalars(F, e) for e in got] == ref_lagrange_idempotents(
         fd, scalars(F, b), scalars(F, roots))
     for e in got:

@@ -352,7 +352,7 @@ def test_each_primitive_idempotent_certificate_fires(monkeypatch, pairs,
     fd = group_algebra_fd(cayley(cyclic_table(2)), F).fd
     family = [linear_combination(fd, [a, b], split) for a, b in pairs]
     monkeypatch.setattr(structure, "_primitive_idempotents_finite",
-                        lambda fd: family)
+                        lambda fd, e, basis: family)
     with pytest.raises(CertificateFailed, match=message):
         primitive_idempotents(fd)
 
@@ -581,7 +581,7 @@ def test_crt_idempotents_split_off_a_nilpotent_factor_power():
     b = fd.basis_vec(1)
     m = minimal_polynomial(fd, b)
     assert m == (0, 0, -1, 1)
-    got = structure._crt_idempotents(fd, b, m, [(0, 0, 1), (-1, 1)])
+    got = structure._crt_idempotents(fd, fd.one, b, m, [(0, 0, 1), (-1, 1)])
     assert got == [[1, 0, -1], [0, 0, 1]]
     e, f = got
     assert fd.is_idempotent(e) and fd.is_idempotent(f)
@@ -604,11 +604,32 @@ ORDER_PINS = [
     ([6], rationals(), [1, 1, 2, 2],
      ["1/6 1/6 1/6 1/6 1/6 1/6", "1/6 -1/6 1/6 -1/6 1/6 -1/6",
       "1/3 1/6 -1/6 -1/3 -1/6 1/6", "1/3 -1/6 -1/6 1/3 -1/6 -1/6"]),
+    # splits that nest corners several levels deep
+    ([15], gf(2), [1, 2, 4, 4, 4],
+     ["111111111111111", "011011011011011", "011110101100100",
+      "011110111101111", "000100110101111"]),
+    ([45], gf(2), [1, 2, 6, 12, 4, 4, 4, 12],
+     ["111111111111111111111111111111111111111111111",
+      "011011011011011011011011011011011011011011011",
+      "000100100000100100000100100000100100000100100",
+      "000100100100100000100000100100000000100000000",
+      "011110101100100011110101100100011110101100100",
+      "011110111101111011110111101111011110111101111",
+      "000100110101111000100110101111000100110101111",
+      "000000000100000000100100000100000100100100100"]),
+    ([12], rationals(), [1, 1, 2, 2, 2, 4],
+     ["1/12 1/12 1/12 1/12 1/12 1/12 1/12 1/12 1/12 1/12 1/12 1/12",
+      "1/12 -1/12 1/12 -1/12 1/12 -1/12 1/12 -1/12 1/12 -1/12 1/12 -1/12",
+      "1/6 1/12 -1/12 -1/6 -1/12 1/12 1/6 1/12 -1/12 -1/6 -1/12 1/12",
+      "1/6 0 -1/6 0 1/6 0 -1/6 0 1/6 0 -1/6 0",
+      "1/6 -1/12 -1/12 1/6 -1/12 -1/12 1/6 -1/12 -1/12 1/6 -1/12 -1/12",
+      "1/3 0 1/6 0 -1/6 0 -1/3 0 -1/6 0 1/6 0"]),
 ]
 
 
 @pytest.mark.parametrize("invariants, field, dims, prims", ORDER_PINS,
-                         ids=["gf2-c7", "gf3-c8", "gf2-c21", "q-c6"])
+                         ids=["gf2-c7", "gf3-c8", "gf2-c21", "q-c6",
+                              "gf2-c15", "gf2-c45", "q-c12"])
 def test_components_and_primitives_keep_their_order(invariants, field, dims,
                                                     prims):
     fd = group_algebra_fd(abelian(invariants), field).fd
@@ -616,6 +637,24 @@ def test_components_and_primitives_keep_their_order(invariants, field, dims,
     sep = "" if field.is_finite() else " "
     assert [sep.join(map(str, e)) for e in primitive_idempotents(fd)] \
         == prims
+
+
+@pytest.mark.parametrize("invariants, field", [([21], gf(2)),
+                                               ([6], rationals())],
+                         ids=["gf2-c21", "q-c6"])
+def test_commutative_split_builds_no_subquotient(monkeypatch, invariants,
+                                                 field):
+    # the corners of a commutative split are held in the algebra's own
+    # coordinates, as an idempotent and its corner basis
+    fd = group_algebra_fd(abelian(invariants), field).fd
+    built = []
+    original = structure.Subquotient.__init__
+    monkeypatch.setattr(structure.Subquotient, "__init__",
+                        lambda self, *args: built.append(args)
+                        or original(self, *args))
+    assert len(primitive_idempotents(fd)) < fd.dim
+    assert fields_decomposition(fd).is_sum_of_fields
+    assert built == []
 
 
 # --- sum-of-fields reports --------------------------------------------------------
@@ -671,21 +710,26 @@ def test_cyclic_algebra_splits_into_lines_in_closed_form(n, q):
 @pytest.mark.parametrize("n, q", LINE_CASES,
                          ids=[f"c{n}-gf{q}" for n, q in LINE_CASES])
 def test_line_components_match_the_corner_path(monkeypatch, n, q):
-    def shapes():
-        fd = group_algebra_fd(cayley(cyclic_table(n)), gf(q)).fd
-        return [(c.dim, c.description)
-                for c in fields_decomposition(fd).components]
-
-    lines = shapes()
-    corners = []
-    original = structure.corner_algebra
-    monkeypatch.setattr(structure, "corner_algebra",
-                        lambda fd, e: corners.append(e) or original(fd, e))
-    monkeypatch.setattr(structure, "_line_components",
-                        lambda fd, prims: structure._corner_components(
-                            fd, prims, 0))
-    assert shapes() == lines
+    # the all-lines shortcut computes no corner basis, and gives the
+    # components that the corner bases would
+    fd = group_algebra_fd(cayley(cyclic_table(n)), gf(q)).fd
+    bases = []
+    original = structure.corner_basis
+    monkeypatch.setattr(structure, "corner_basis",
+                        lambda fd, e: bases.append(e) or original(fd, e))
+    report = fields_decomposition(fd)
+    assert bases == []
+    rng = random.Random(0)
+    corners = [structure._field_component(
+        fd, e, list(original(fd, e).values()), rng)
+        for e in report.primitives]
     assert len(corners) == n
+
+    def shapes(components):
+        return [(c.dim, c.description, c.generator, c.min_poly)
+                for c in components]
+
+    assert shapes(corners) == shapes(report.components)
 
 
 def test_zero_idempotent_in_a_full_primitive_set_fails(monkeypatch):
@@ -693,8 +737,8 @@ def test_zero_idempotent_in_a_full_primitive_set_fails(monkeypatch):
     # and sum-to-1 certificates and has dim entries, but e1 + e2 is no line
     original = structure._primitive_idempotents_finite
 
-    def merged(fd):
-        e = original(fd)
+    def merged(fd, one, basis):
+        e = original(fd, one, basis)
         return [fd.add(e[0], e[1]), fd.zero_vec()] + e[2:]
 
     monkeypatch.setattr(structure, "_primitive_idempotents_finite", merged)
@@ -912,7 +956,7 @@ def _no_bezout_inverse(monkeypatch):
 
 def _bezout_returns_its_candidate(monkeypatch):
     monkeypatch.setattr(structure, "_crt_idempotents",
-                        lambda fd, b, m, moduli: [b, fd.sub(fd.one, b)])
+                        lambda fd, e, b, m, moduli: [b, fd.sub(e, b)])
     primitive_idempotents(group_algebra_fd(abelian([2]), rationals()).fd)
 
 
