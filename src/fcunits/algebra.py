@@ -217,13 +217,16 @@ class TwistedGroupAlgebra:
         return AlgebraElement(self, {self.group.commutator(a, b): c.value})
 
     def is_central(self, x):
-        """Exact centrality: commuting with every u_g over the radius-1 box
-        already covers a generating set (Pruefer coordinates commute with
-        everything because the cocycle never sees them)."""
-        for g in generator_box(self.group, 1):
-            if not x.commutes_with(self.basis_unit(g)):
-                return False, g
-        return True, None
+        """(True, None), or (False, g) for the first u_g of the radius-1 box
+        that x does not commute with.  Testing the free and torsion
+        generator units first is exact: up to scalars, they and their
+        inverses multiply to every u_g with Pruefer coordinate 0, and Pruefer
+        units are central.  The box is scanned only for the witness."""
+        if all(x.commutes_with(self.basis_unit(g))
+               for _, g in self.group.generators() if not g.s):
+            return True, None
+        return next((False, g) for g in generator_box(self.group, 1)
+                    if not x.commutes_with(self.basis_unit(g)))
 
 
 # --- inversion -----------------------------------------------------------------
@@ -397,12 +400,13 @@ def left_regular_matrix(algebra, subgroup, x):
     return [list(map(field.reduce, row)) for row in M]
 
 
-def averaging_idempotent(algebra, elements, weights=None):
+def averaging_idempotent(algebra, elements, weights=None, sub=None):
     """(1/|H|) sum of weighted units over a finite subgroup H.
 
     Raises CharacteristicDividesOrder when |H| is not invertible in K and
     ConditionsNotMet when the weighted average fails to be idempotent
-    (weights must make the twisted units multiplicative on H).
+    (weights must make the twisted units multiplicative on H), squared in
+    the coordinates of ``sub`` when given, a finite subalgebra holding H.
     """
     n = len(elements)
     try:
@@ -414,15 +418,17 @@ def averaging_idempotent(algebra, elements, weights=None):
     if weights is None:
         weights = {h: algebra.field.one for h in elements}
     x = algebra.element([(h, weights[h] * inv_n) for h in elements])
-    if not x.is_idempotent():
+    if not (sub.fd.is_idempotent(sub.from_ambient(x)) if sub
+            else x.is_idempotent()):
         raise ConditionsNotMet(
             "the weighted average over H is not idempotent")
     return x
 
 
-def prufer_idempotent_chain(algebra, levels):
+def prufer_idempotent_chain(algebra, levels, sub=None):
     """Averaging idempotents e_j over the level-j cyclic subgroups of the
-    Pruefer part; e_j e_{j+1} = e_{j+1} = e_{j+1} e_j."""
+    Pruefer part, certified in ``sub`` when given (see
+    `averaging_idempotent`); e_j e_{j+1} = e_{j+1} = e_{j+1} e_j."""
     group = algebra.group
     if group.prufer is None:
         raise ConditionsNotMet("the group has no Pruefer component")
@@ -435,5 +441,5 @@ def prufer_idempotent_chain(algebra, levels):
         step = q ** (max_levels - j)
         els = [group.from_key(0, s=s)
                for s in range(0, group.prufer_modulus, step)]
-        chain.append(averaging_idempotent(algebra, els))
+        chain.append(averaging_idempotent(algebra, els, sub=sub))
     return chain

@@ -12,7 +12,8 @@ meets the torsion part:
 * ``check_theorem5_truncated``: a Pruefer q-power component makes the
   torsion subalgebra carry infinitely many idempotents; the hypotheses
   are intrinsically infinite, so the checker emits truncated evidence and
-  never claims a decision.
+  never claims a decision.  Its per-level evidence is read off one
+  certified split of the top truncation level.
 
 ``verdict`` routes an instance to the right checker after the necessary
 screens (torsion subalgebra commutative, its idempotents central, torsion
@@ -24,6 +25,7 @@ exposed as operations and verify themselves before returning.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -70,6 +72,7 @@ from .fields import (
     solve_power_equation,
 )
 from .groups import Element, finite_subgroup, group_to_json, make_group
+from .linalg import kernel_basis
 from .structure import (
     FiniteSubalgebra,
     block_structure,
@@ -331,17 +334,39 @@ def _centrality_failure(algebra, key, items, to_unit=None):
 def _primitive_counts_by_level(inst, levels, seed, keys=None):
     """Primitive-idempotent counts of the torsion subalgebra at Pruefer
     levels 1..levels, restricted to the finite torsion keys in ``keys``
-    when given; stops at the first level whose subgroup is too large."""
-    counts = []
-    for j in range(1, levels + 1):
-        els = [h for h in inst.group.torsion_elements(j)
-               if keys is None or h.t in keys]
+    when given; stops at the first level whose subgroup is too large.
+
+    All are read off the split of the top level that builds.  Lemma: if
+    B is a subalgebra of a commutative A with the same identity and e_i
+    are A's primitive idempotents, B meets span(e_i) in the span of B's,
+    each the sum of the e_i it covers.  Proof: take x = sum c_i e_i in B,
+    f primitive in B and f e_i != 0.  Then x f - c_i f kills f e_i: no
+    unit of the local ring B f, it is nilpotent, and so 0 as it lies in
+    span(e_k).  So x f = c_i f and x = sum_f x f.  B_j is spanned by the
+    level-j units, so its count is the kernel dimension of the e_i's
+    coordinates at the other units, whose reduced basis must be the 0/1
+    class vectors."""
+    q, top = inst.group.prufer
+    for L in range(levels, 0, -1):
         try:
-            S = inst.subalgebra_over(els)
+            S = inst.subalgebra_over(h for h in inst.group.torsion_elements(L)
+                                     if keys is None or h.t in keys)
         except SubgroupTooLarge:
-            break
-        counts.append(len(primitive_idempotents(S.fd, seed=seed)))
-    return counts
+            continue
+        field, prims = S.fd.field, primitive_idempotents(S.fd, seed=seed)
+        counts = []
+        for j in range(1, L + 1):
+            classes = kernel_basis(field, [
+                [e[k] for e in prims] for k, h in
+                enumerate(S.subgroup.elements) if h.s % q ** (top - j)],
+                len(prims))
+            certify(classes and all(c.count(field.raw_one) == 1 and
+                                    c.count(field.raw_zero) == len(c) - 1
+                                    for c in zip(*classes)),
+                    "level classes are no 0/1 partition of the primitives")
+            counts.append(len(classes))
+        return counts
+    return []
 
 
 # --- necessary screens -----------------------------------------------------------
@@ -1038,7 +1063,7 @@ def check_theorem5_truncated(inst, level=None, seed=0):
                  "idempotent is 1 and its complement cuts the zero algebra")
     else:
         try:
-            e_H = averaging_idempotent(algebra, comm.elements)
+            e_H = averaging_idempotent(algebra, comm.elements, sub=S)
         except (CharacteristicDividesOrder, ConditionsNotMet) as exc:
             e_H = None
             c4 = ConditionReport("T5.4", False, {"failure": str(exc)})
@@ -1061,10 +1086,11 @@ def check_theorem5_truncated(inst, level=None, seed=0):
     evidence["decompositions"]["component_counts_by_level"] = \
         _primitive_counts_by_level(inst, lvl, seed)
 
-    chain = prufer_idempotent_chain(algebra, lvl)
-    chain_ok = all(chain[k] * chain[k + 1] == chain[k + 1]
-                   and chain[k + 1] * chain[k] == chain[k + 1]
-                   for k in range(len(chain) - 1))
+    # the chain lies in S; delta below can leave it, so stays ambient
+    chain = prufer_idempotent_chain(algebra, lvl, S)
+    vecs = list(map(S.from_ambient, chain))
+    chain_ok = all(S.fd.mul(a, b) == b == S.fd.mul(b, a)
+                   for a, b in zip(vecs, vecs[1:]))
     distinct = len({_element_key(e) for e in chain}) == len(chain)
     evidence["decompositions"]["idempotent_chain"] = {
         "length": len(chain), "absorbing": chain_ok, "distinct": distinct}
@@ -1076,9 +1102,8 @@ def check_theorem5_truncated(inst, level=None, seed=0):
             if la >= lb:
                 continue
             delta = algebra.one - algebra.basis_commutator(a, b)
-            ok = all(not (chain[i] - chain[j]) * delta
-                     for i in range(len(chain))
-                     for j in range(i + 1, len(chain)))
+            ok = all(not (a - b) * delta
+                     for a, b in itertools.combinations(chain, 2))
             identities.append({"pair": [la, lb], "all_pairs_annihilate": ok})
     evidence["decompositions"]["difference_annihilation"] = identities
 

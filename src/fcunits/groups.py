@@ -280,27 +280,28 @@ class FiniteSubgroup:
 
 
 def finite_subgroup(group, generators, cap=MAX_TORSION):
-    """Close a generator list under multiplication and inversion."""
+    """Close a generator list under multiplication (elements have finite
+    order) one element at a time: one in the closure H so far is skipped,
+    a new g gives <H, g> as the cosets H r, r closed under those kept."""
     for g in generators:
         if g.group is not group:
             raise GroupMismatch("generator from a different group")
         if group.element_order(g) == math.inf:
             raise InfiniteOrder(f"{g!r} generates an infinite subgroup")
-    seen = {group.identity}
-    frontier = [group.identity]
-    gens = [g for g in generators] + [g.inv() for g in generators]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
+    seen, kept = {group.identity}, []
+    for g in generators:
+        if g in seen:
+            continue
+        kept.append(g)
+        H, reps = list(seen), [group.identity]
+        for r in reps:
+            for y in (r * s for s in kept):
                 if y not in seen:
-                    seen.add(y)
+                    reps.append(y)
+                    seen.update(h * y for h in H)
                     if len(seen) > cap:
                         raise SubgroupTooLarge(
                             f"subgroup closure exceeds the cap {cap}")
-                    nxt.append(y)
-        frontier = nxt
     return FiniteSubgroup(group, seen, generators)
 
 

@@ -106,9 +106,9 @@ class FDAlgebra:
     depends only on the table: the compiled rows, the trace vector,
     `is_commutative`, the basis powers b_i^n per exponent n (which the
     Frobenius radical and the fixed space of x -> x^q share over a prime
-    field with p >= dim), the certified results of `primitive_idempotents`
-    and `fields_decomposition` per seed, and the certified
-    `block_structure`.
+    field with p >= dim), the candidate of `_radical_raw`, the certified
+    results of `primitive_idempotents` and `fields_decomposition` per
+    seed, and the certified `block_structure`.
     """
 
     def __init__(self, field, dim, table, one, labels=None):
@@ -121,6 +121,7 @@ class FDAlgebra:
         self._rows = None
         self._commutative = None
         self._basis_powers = {}         # n -> [b_i^n]
+        self._raw_radical = None        # (candidate, method), read-only
         self._primitives = {}           # seed -> certified primitive set
         self._decompositions = {}       # seed -> certified report
         self._blocks = None             # certified BlockStructure
@@ -384,13 +385,16 @@ def corner_algebra(fd, e):
     return Subquotient(fd, [], candidates, e)
 
 
-def corner_basis(fd, e):
+def corner_basis(fd, e, indices=None):
     """The corner A e of a commutative algebra in fd's own coordinates: the
     products b_i e independent of the earlier ones, keyed by i in index
     order, which are the basis `corner_algebra` picks.  e is the corner's
-    identity, and (b_i e)^n = b_i^n e."""
+    identity, and (b_i e)^n = b_i^n e.  Only the ``indices`` are tried when
+    given, the keys of the basis of a corner A e' with e under e': for any
+    other i, b_i e' and so b_i e = (b_i e') e depend on earlier ones."""
     S = linalg.SpanBasis(fd.field, fd.dim)
-    products = ((i, fd.mul(fd.basis_vec(i), e)) for i in range(fd.dim))
+    products = ((i, fd.mul(fd.basis_vec(i), e))
+                for i in (range(fd.dim) if indices is None else indices))
     return {i: v for i, v in products if S.add(v)}
 
 
@@ -553,14 +557,16 @@ def _radical_noncommutative_char_p(fd):
 
 
 def _radical_raw(fd):
-    comm, _ = fd.is_commutative()
-    if fd.field.characteristic == 0:
-        basis, method = _trace_form_kernel(fd), "trace-form"
-    elif comm:
-        basis, method = _radical_commutative_char_p(fd)
-    else:
-        basis, method = _radical_noncommutative_char_p(fd)
-    return [v for v in basis if not fd.is_zero(v)], method
+    if fd._raw_radical is None:
+        comm, _ = fd.is_commutative()
+        if fd.field.characteristic == 0:
+            basis, method = _trace_form_kernel(fd), "trace-form"
+        elif comm:
+            basis, method = _radical_commutative_char_p(fd)
+        else:
+            basis, method = _radical_noncommutative_char_p(fd)
+        fd._raw_radical = [v for v in basis if not fd.is_zero(v)], method
+    return fd._raw_radical
 
 
 def jacobson_radical(fd):
@@ -577,7 +583,7 @@ def jacobson_radical(fd):
     index = ideal_nilpotency_index(fd, basis)
     certify(not S.contains(fd.one),
             "radical candidate contains the identity")
-    # the quotient by an empty candidate is fd itself
+    # the quotient by an empty candidate is fd itself, its candidate kept
     qfd = quotient_algebra(fd, basis).fd if basis else fd
     qraw, _ = _radical_raw(qfd)
     certify(not qraw, "quotient still has a radical; candidate too small")
@@ -612,11 +618,12 @@ def _crt_idempotents(fd, e, b, m, moduli):
     return out
 
 
-def _split_corners(fd, idempotents, split):
+def _split_corners(fd, idempotents, basis, split):
     """The primitive idempotents under orthogonal idempotents summing to a
-    corner's identity: split(fd, e, corner_basis(fd, e)) per nonzero e."""
+    corner's identity: split(fd, e, corner_basis(fd, e, basis)) per
+    nonzero e, ``basis`` the corner's own."""
     return [prim for e in idempotents if not fd.is_zero(e)
-            for prim in split(fd, e, corner_basis(fd, e))]
+            for prim in split(fd, e, corner_basis(fd, e, basis))]
 
 
 def _primitive_idempotents_finite(fd, e, basis):
@@ -643,7 +650,8 @@ def _primitive_idempotents_finite(fd, e, basis):
     if len(roots) == len(basis):
         # every corner is the line through its idempotent
         return idempotents
-    return _split_corners(fd, idempotents, _primitive_idempotents_finite)
+    return _split_corners(fd, idempotents, basis,
+                          _primitive_idempotents_finite)
 
 
 def _splitter_candidates(fd, basis, rng):
@@ -691,7 +699,7 @@ def _split_rational(fd, e, basis, rng):
         pair = _crt_idempotents(fd, e, cand, m,
                                 [g, poly_divmod(field, m, g)[0]])
         certify(fd.is_idempotent(pair[0]), "Bezout idempotent failed")
-        return _split_corners(fd, pair, lambda fd, e, basis:
+        return _split_corners(fd, pair, basis, lambda fd, e, basis:
                               _split_rational(fd, e, basis, rng))
     raise ConditionsNotMet(
         "no splitting element found; the algebra resisted decomposition")

@@ -670,6 +670,47 @@ def test_noncommutative_structure_report_certifies_the_radical_once(
     assert len(seen) == 1
 
 
+def _box_scan(algebra, x):
+    """Centrality against every u_g of the radius-1 box, in box order."""
+    from fcunits.cocycles import generator_box
+
+    for g in generator_box(algebra.group, 1):
+        if not x.commutes_with(algebra.basis_unit(g)):
+            return False, g
+    return True, None
+
+
+def test_centrality_by_generators_matches_the_box_scan():
+    from fcunits import cli
+    from fcunits.errors import NotCommutative
+    from fcunits.structure import primitive_idempotents
+
+    names = [n for n in cli.bundled_names() if n != "broken_cocycle"] \
+        + [f"lemma3/{n}" for n in cli.bundled_names("lemma3")]
+    assert len(names) == 31
+    outcomes = []
+    for name in names:
+        inst = mk(cli.bundled_instance(name))
+        algebra, group = inst.algebra(), inst.group
+        items = [algebra.basis_unit(h)
+                 for h in group.torsion_elements(inst.prufer_level)]
+        # the elements the L5 screen splits, at the level it splits them
+        p = inst.field.characteristic
+        level = int(group.prufer is not None and p != group.prufer[0])
+        S = inst.subalgebra_over(
+            h for h in group.torsion_elements(level)
+            if p == 0 or group.element_order(h) % p)
+        try:
+            items += map(S.to_ambient, primitive_idempotents(S.fd))
+        except NotCommutative:
+            pass
+        for x in items:
+            outcomes.append(algebra.is_central(x))
+            assert outcomes[-1] == _box_scan(algebra, x), name
+    # both answers occur, so the box scan after a failing generator runs
+    assert {ok for ok, _ in outcomes} == {True, False}
+
+
 def _calls(monkeypatch, owner, name):
     """Record the first argument of every call of owner.name."""
     seen = []
@@ -693,14 +734,13 @@ def _analyze_bundled(name, *flags):
 def test_one_subalgebra_and_one_split_per_fact(monkeypatch, capsys):
     from fcunits import structure
 
-    # the verdict (L5 screen, T5 truncation levels 1..3) and the structure
-    # section share the subalgebras over C2, C4 and C8; the parent built 7
-    # and made 54 finite splits
+    # the L5 screen builds and splits C2; T5 reads its truncation levels
+    # off the split of C16, which the structure section shares
     builds = _calls(monkeypatch, structure.FiniteSubalgebra, "__init__")
     splits = _calls(monkeypatch, structure, "_primitive_idempotents_finite")
     _analyze_bundled("prufer2_gf257", "--verdict", "--structure")
-    assert len(builds) == 4
-    assert len(splits) == 4
+    assert len(builds) == 2
+    assert len(splits) == 2
     # the L5 screen and T4 split the same 3-dimensional algebra, once
     builds.clear()
     rational = _calls(monkeypatch, structure,
@@ -714,8 +754,7 @@ def test_one_subalgebra_and_one_split_per_fact(monkeypatch, capsys):
 def test_each_subgroup_is_closed_once(monkeypatch, capsys):
     from fcunits import cli
 
-    # the verdict and the structure section ask for C2, C4, C8 and C16 by
-    # seven element lists
+    # the verdict and the structure section ask for C2 and C16
     closures = []
     original = fc.finite_subgroup
 
@@ -726,7 +765,7 @@ def test_each_subgroup_is_closed_once(monkeypatch, capsys):
     monkeypatch.setattr(fc, "finite_subgroup", counted)
     _analyze_bundled("prufer2_gf257", "--verdict", "--structure")
     capsys.readouterr()
-    assert len(closures) == len(set(closures)) == 4
+    assert len(closures) == len(set(closures)) == 2
     closures.clear()
     inst = mk(cli.bundled_instance("prufer2_gf257"))
     S = inst.torsion_subalgebra(4)

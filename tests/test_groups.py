@@ -219,6 +219,55 @@ def test_finite_subgroup_closure():
         finite_subgroup(g, [g.element((), 4)], cap=2)
 
 
+def _bfs_closure(group, generators):
+    """The closure by breadth-first search over the generators and their
+    inverses."""
+    seen = {group.identity}
+    frontier = [group.identity]
+    gens = list(generators) + [g.inv() for g in generators]
+    while frontier:
+        frontier = [y for y in (x * g for x in frontier for g in gens)
+                    if y not in seen and not seen.add(y)]
+    return seen
+
+
+def test_finite_subgroup_matches_a_breadth_first_closure():
+    s3, heis = s3_group(), heisenberg_mod2()
+    prufer = make_group({"kind": "central-extension", "rank": 0,
+                         "torsion": {"invariants": [2, 3]},
+                         "prufer": {"q": 2, "levels": 3}})
+    cases = [
+        (s3, [s3.element((), k) for k in range(6)]),
+        (s3, [s3.element((), 4), s3.element((), 1), s3.element((), 4)]),
+        (heis, [heis.element((0, 0), (1,))]),
+        (prufer, prufer.torsion_elements(3)),
+        (prufer, [prufer.element(t=(1, 0)), prufer.element(t=(0, 1))]),
+        (prufer, [prufer.element(t=(1, 1), s=Fraction(3, 8))]),
+        (prufer, []),
+    ]
+    for group, gens in cases:
+        sub = finite_subgroup(group, gens)
+        expected = _bfs_closure(group, gens)
+        assert sub.elements == tuple(sorted(expected,
+                                            key=lambda e: e.sort_key()))
+        assert sub.generators == tuple(gens)
+
+
+def test_closing_a_listed_subgroup_takes_few_products(monkeypatch):
+    # the 16 elements of C16 in order: the first nonidentity one generates
+    # them, so every later one is skipped (a closure over all 32 elements
+    # and inverses took 512 products)
+    g = make_group({"kind": "central-extension", "rank": 0,
+                    "torsion": {"invariants": []},
+                    "prufer": {"q": 2, "levels": 4}})
+    products = []
+    original = Group.mul
+    monkeypatch.setattr(Group, "mul", lambda self, a, b:
+                        products.append(1) or original(self, a, b))
+    assert len(finite_subgroup(g, g.torsion_elements(4))) == 16
+    assert len(products) <= 2 * 16
+
+
 def test_group_mismatch_detected():
     g1 = heisenberg_mod2()
     g2 = heisenberg_mod2()

@@ -732,6 +732,40 @@ def test_line_components_match_the_corner_path(monkeypatch, n, q):
     assert shapes(corners) == shapes(report.components)
 
 
+@pytest.mark.parametrize("invariants, field", [([15], gf(2)), ([12], gf(3)),
+                                               ([12], rationals())],
+                         ids=["gf2-c15", "gf3-c12", "q-c12"])
+def test_corner_basis_over_its_parent_indices_is_the_same(invariants, field):
+    # for e under e', only the indices that corner_basis(fd, e') picked can
+    # be picked for e; GF(3)[C12] has a radical
+    fd = group_algebra_fd(abelian(invariants), field).fd
+    prims = primitive_idempotents(fd)
+    for e, f in itertools.combinations(prims, 2):
+        parent = structure.corner_basis(fd, fd.add(e, f))
+        assert len(parent) < fd.dim
+        for child in (e, f):
+            assert structure.corner_basis(fd, child, parent) \
+                == structure.corner_basis(fd, child)
+
+
+def test_rational_split_runs_the_trace_form_once(monkeypatch):
+    # the radical candidate, its rerun for an empty candidate and the
+    # rational split read one trace-form kernel, kept on the algebra
+    from fcunits import fc
+
+    calls = []
+    original = structure._trace_form_kernel
+    monkeypatch.setattr(structure, "_trace_form_kernel",
+                        lambda fd: calls.append(fd) or original(fd))
+    rep = fc.structure_report(fc.instance_from_json({
+        "field": {"kind": "rationals"},
+        "group": {"kind": "central-extension", "rank": 1,
+                  "torsion": {"invariants": [12]}},
+        "cocycle": {}}))
+    assert rep["primitive_idempotents"] == 6
+    assert len(calls) == 1
+
+
 def test_zero_idempotent_in_a_full_primitive_set_fails(monkeypatch):
     # [e1 + e2, 0, e3, e4] in GF(5)[C4] passes the idempotent, orthogonal
     # and sum-to-1 certificates and has dim entries, but e1 + e2 is no line
