@@ -160,7 +160,7 @@ class AlgebraElement:
 
 
 class TwistedGroupAlgebra:
-    def __init__(self, group, field, cocycle=None, validate=True, box_radius=2):
+    def __init__(self, group, field, cocycle=None, validate=True):
         if cocycle is None:
             cocycle = trivial_cocycle(group, field)
         if cocycle.group is not group:
@@ -171,7 +171,7 @@ class TwistedGroupAlgebra:
             raise NotNormalized(
                 "the algebra needs lambda(1,g) = lambda(g,1) = 1")
         if validate:
-            res = validate_cocycle(group, cocycle, box_radius=box_radius)
+            res = validate_cocycle(group, cocycle)
             if not res.valid:
                 raise InvalidCocycle(res.counterexample.describe(),
                                      res.counterexample)
@@ -250,7 +250,7 @@ def _verified_unit(algebra, x, y, strategy, certificate):
     return InversionResult("unit", y, strategy, certificate)
 
 
-def try_invert(algebra, x, decomposition=None, support_cap=64):
+def try_invert(algebra, x, decomposition=None):
     """Decide invertibility of x where the supported strategies apply.
 
     Unit results always carry an inverse that has been verified two-sided.
@@ -271,7 +271,7 @@ def try_invert(algebra, x, decomposition=None, support_cap=64):
         return _verified_unit(algebra, x, y, "monomial",
                               "scaled basis units invert term by term")
     try:
-        W = finite_subgroup(algebra.group, list(x.terms), cap=support_cap)
+        W = finite_subgroup(algebra.group, list(x.terms))
     except (InfiniteOrder, SubgroupTooLarge):
         W = None
     if W is not None:

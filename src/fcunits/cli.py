@@ -20,7 +20,7 @@ from .fc import instance_from_json, probe_conjugates, structure_report, \
     verdict
 from .oracle import oracle_report, predicted_unit_count
 from .structure import block_structure, count_idempotents, \
-    fields_decomposition, quotient_algebra
+    fields_decomposition, jacobson_radical
 
 TOOL_NAME = "fcunits"
 TOOL_VERSION = __version__
@@ -110,14 +110,13 @@ def _orbit_section(inst, labels, depth):
     return out
 
 
-def _commutative_unit_count(fd, decomposition, field_size, seed):
+def _commutative_unit_count(fd, field_size, seed):
     """|K|^dim J * prod(|K|^d_i - 1) over the field components of A / J."""
-    radical = decomposition.radical.basis
-    if radical:
-        decomposition = fields_decomposition(
-            quotient_algebra(fd, radical).fd, seed=seed)
-    return predicted_unit_count(field_size, len(radical),
-                                [c.dim for c in decomposition.components])
+    rad = jacobson_radical(fd)
+    bar = rad.quotient.fd if rad.quotient else fd
+    return predicted_unit_count(
+        field_size, len(rad.basis),
+        [c.dim for c in fields_decomposition(bar, seed=seed).components])
 
 
 def _oracle_section(raw, inst, seed):
@@ -131,16 +130,14 @@ def _oracle_section(raw, inst, seed):
         except FcunitsError as exc:
             checks[key] = {"oracle": oracle_value, "skipped": str(exc)}
 
-    decomposition = fields_decomposition(S.fd, seed=seed)
-    commutative = decomposition.primitives is not None
+    # outside `against`, so that a failing decomposition ends the run
+    commutative = fields_decomposition(S.fd, seed=seed).primitives is not None
     against("radical_dimension", rep.radical_dimension,
-            lambda: len((decomposition.radical if commutative
-                         else block_structure(S.fd).radical).basis))
+            lambda: len(jacobson_radical(S.fd).basis))
     against("idempotent_count", rep.idempotent_count,
             lambda: count_idempotents(S.fd, seed=seed))
     against("unit_count", rep.unit_count,
-            lambda: _commutative_unit_count(S.fd, decomposition,
-                                            rep.field_size, seed)
+            lambda: _commutative_unit_count(S.fd, rep.field_size, seed)
             if commutative else block_structure(S.fd).unit_count())
     agree = all(c["structural"] == c["oracle"]
                 for c in checks.values() if "structural" in c)

@@ -75,10 +75,10 @@ from .groups import Element, finite_subgroup, group_to_json, make_group
 from .linalg import kernel_basis
 from .structure import (
     FiniteSubalgebra,
-    block_structure,
     corner_algebra,
     count_idempotents,
     fields_decomposition,
+    jacobson_radical,
     primitive_idempotents,
 )
 
@@ -186,14 +186,9 @@ class Instance:
     def prufer_level(self):
         """The Pruefer truncation level ``caps.truncation_level``, clamped
         to the group's Pruefer levels, or None without a Pruefer part."""
-        return self.clamped_prufer_level(self.caps.truncation_level)
-
-    def clamped_prufer_level(self, level):
-        """``level`` capped at the group's Pruefer levels, or None without
-        a Pruefer part."""
         if self.group.prufer is None:
             return None
-        return min(level, self.group.prufer[1])
+        return min(self.caps.truncation_level, self.group.prufer[1])
 
     def torsion_subalgebra(self, prufer_level=0):
         return self.subalgebra_over(self.group.torsion_elements(prufer_level))
@@ -331,12 +326,28 @@ def _centrality_failure(algebra, key, items, to_unit=None):
     return None
 
 
+def _fitting_level(inst, level=None, keys=None):
+    """(L, subalgebra) for the largest level L <= ``level`` (clamped, or the
+    instance's) whose torsion subgroup, over the torsion keys in ``keys``
+    when given, fits MAX_TORSION; SubgroupTooLarge if not even level 1."""
+    level = min(level, inst.group.prufer[1]) if level else inst.prufer_level
+    while True:
+        try:
+            return level, inst.subalgebra_over(
+                h for h in inst.group.torsion_elements(level)
+                if keys is None or h.t in keys)
+        except SubgroupTooLarge:
+            if level <= 1:
+                raise
+            level -= 1
+
+
 def _primitive_counts_by_level(inst, levels, seed, keys=None):
     """Primitive-idempotent counts of the torsion subalgebra at Pruefer
-    levels 1..levels, restricted to the finite torsion keys in ``keys``
-    when given; stops at the first level whose subgroup is too large.
+    levels 1..L, L the `_fitting_level` of ``levels``, restricted to the
+    finite torsion keys in ``keys`` when given; [] when no level fits.
 
-    All are read off the split of the top level that builds.  Lemma: if
+    All are read off the split of level L.  Lemma: if
     B is a subalgebra of a commutative A with the same identity and e_i
     are A's primitive idempotents, B meets span(e_i) in the span of B's,
     each the sum of the e_i it covers.  Proof: take x = sum c_i e_i in B,
@@ -347,26 +358,23 @@ def _primitive_counts_by_level(inst, levels, seed, keys=None):
     coordinates at the other units, whose reduced basis must be the 0/1
     class vectors."""
     q, top = inst.group.prufer
-    for L in range(levels, 0, -1):
-        try:
-            S = inst.subalgebra_over(h for h in inst.group.torsion_elements(L)
-                                     if keys is None or h.t in keys)
-        except SubgroupTooLarge:
-            continue
-        field, prims = S.fd.field, primitive_idempotents(S.fd, seed=seed)
-        counts = []
-        for j in range(1, L + 1):
-            classes = kernel_basis(field, [
-                [e[k] for e in prims] for k, h in
-                enumerate(S.subgroup.elements) if h.s % q ** (top - j)],
-                len(prims))
-            certify(classes and all(c.count(field.raw_one) == 1 and
-                                    c.count(field.raw_zero) == len(c) - 1
-                                    for c in zip(*classes)),
-                    "level classes are no 0/1 partition of the primitives")
-            counts.append(len(classes))
-        return counts
-    return []
+    try:
+        L, S = _fitting_level(inst, levels, keys)
+    except SubgroupTooLarge:
+        return []
+    field, prims = S.fd.field, primitive_idempotents(S.fd, seed=seed)
+    counts = []
+    for j in range(1, L + 1):
+        classes = kernel_basis(field, [
+            [e[k] for e in prims] for k, h in
+            enumerate(S.subgroup.elements) if h.s % q ** (top - j)],
+            len(prims))
+        certify(classes and all(c.count(field.raw_one) == 1 and
+                                c.count(field.raw_zero) == len(c) - 1
+                                for c in zip(*classes)),
+                "level classes are no 0/1 partition of the primitives")
+        counts.append(len(classes))
+    return counts
 
 
 # --- necessary screens -----------------------------------------------------------
@@ -988,7 +996,7 @@ def check_theorem5_truncated(inst, level=None, seed=0):
 
     A Pruefer component makes the torsion subalgebra's idempotent count
     unbounded, so the governing conditions are intrinsically infinite.
-    The checker evaluates a truncation and always returns EvidenceOnly.
+    The checker evaluates the `_fitting_level` and returns EvidenceOnly.
     """
     algebra = inst.algebra()
     group, field, cocycle = inst.group, inst.field, inst.cocycle
@@ -1004,7 +1012,7 @@ def check_theorem5_truncated(inst, level=None, seed=0):
             f"characteristic {p} divides a finite torsion order")
     if not group.torsion.is_abelian:
         raise InapplicableTorsion("the finite torsion part is nonabelian")
-    lvl = inst.clamped_prufer_level(level) if level else inst.prufer_level
+    lvl, S = _fitting_level(inst, level)
     notes = [READING_NOTE, _fc_note(group),
              f"all evidence truncated at Pruefer level {lvl} "
              f"(subgroup of order {q}^{lvl}); the hypotheses are "
@@ -1054,7 +1062,6 @@ def check_theorem5_truncated(inst, level=None, seed=0):
         note="checked on the radius-1 generator box; the full commutator "
              "comparison is not finitely decidable")
 
-    S = inst.torsion_subalgebra(lvl)
     if len(comm.elements) == 1:
         c4 = ConditionReport(
             "T5.4", True,
@@ -1270,20 +1277,17 @@ def verdict(inst, seed=0):
 
 def structure_report(inst, level=None, seed=0):
     """Radical, idempotent counts, and decomposition of the torsion
-    subalgebra (truncated for Pruefer components)."""
-    group = inst.group
-    lvl = 0
-    if group.prufer is not None:
-        lvl = inst.clamped_prufer_level(level) if level else inst.prufer_level
-    S = inst.torsion_subalgebra(lvl)
+    subalgebra, at the `_fitting_level` of a Pruefer component."""
+    out = {}
+    if inst.group.prufer is None:
+        S = inst.torsion_subalgebra()
+    else:
+        out["prufer_level"], S = _fitting_level(inst, level)
     fd = S.fd
-    out = {"torsion_dimension": fd.dim}
-    if group.prufer is not None:
-        out["prufer_level"] = lvl
+    out["torsion_dimension"] = fd.dim
     report = fields_decomposition(fd, seed=seed)
-    commutative = report.primitives is not None
     try:
-        rad = report.radical if commutative else block_structure(fd).radical
+        rad = jacobson_radical(fd)
         out["radical"] = {"dimension": len(rad.basis),
                           "method": rad.method,
                           "nilpotency_index": rad.nilpotency_index}
@@ -1293,7 +1297,7 @@ def structure_report(inst, level=None, seed=0):
         out["idempotent_count"] = count_idempotents(fd, seed=seed)
     except (DimensionTooLarge, TooLargeToCount):
         out["idempotent_count"] = "above-cap"
-    if commutative:
+    if report.primitives is not None:
         out["primitive_idempotents"] = len(report.primitives)
     out["decomposition"] = _decomposition_summary(report, fd.field)
     return _jsonify(out)

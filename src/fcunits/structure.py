@@ -34,8 +34,8 @@ Each structural fact of a commutative algebra has one path:
 once and returns them in its report, which is where report builders read
 the radical and the primitive count from, and `count_idempotents` the
 idempotent count 2^(number of primitives).  Both are kept on the
-immutable `FDAlgebra`, so a repeated request costs no products;
-`jacobson_radical` is not kept and recertifies on every call.  The
+immutable `FDAlgebra`, so a repeated request costs no products, and so
+is the certified `jacobson_radical` of any algebra, with its A / J.  The
 primitive idempotents come from one Chinese-remainder step and one
 corner recursion over every field, and are certified orthogonal by
 prefix sums, one product (e_1 + ... + e_(k-1)) e_k = 0 per idempotent,
@@ -106,9 +106,9 @@ class FDAlgebra:
     depends only on the table: the compiled rows, the trace vector,
     `is_commutative`, the basis powers b_i^n per exponent n (which the
     Frobenius radical and the fixed space of x -> x^q share over a prime
-    field with p >= dim), the candidate of `_radical_raw`, the certified
-    results of `primitive_idempotents` and `fields_decomposition` per
-    seed, and the certified `block_structure`.
+    field with p >= dim), the candidate of `_radical_raw`, and what is
+    certified: `jacobson_radical`, `block_structure`, and the results of
+    `primitive_idempotents` and `fields_decomposition` per seed.
     """
 
     def __init__(self, field, dim, table, one, labels=None):
@@ -122,6 +122,7 @@ class FDAlgebra:
         self._commutative = None
         self._basis_powers = {}         # n -> [b_i^n]
         self._raw_radical = None        # (candidate, method), read-only
+        self._radical = None            # certified RadicalResult
         self._primitives = {}           # seed -> certified primitive set
         self._decompositions = {}       # seed -> certified report
         self._blocks = None             # certified BlockStructure
@@ -471,10 +472,12 @@ def characteristic_polynomial(field, M):
 
 @dataclass
 class RadicalResult:
+    """A certified radical J of A: a reduced basis, its method, the least k
+    with J^k = 0 and the `Subquotient` A / J (None when J = 0)."""
     basis: list
     method: str
     nilpotency_index: int
-    certificate: dict
+    quotient: Subquotient = None
 
 
 def _raw_power(field, c, n):
@@ -570,12 +573,14 @@ def _radical_raw(fd):
 
 
 def jacobson_radical(fd):
-    """The Jacobson radical with a verified certificate.
+    """The Jacobson radical with a verified certificate, kept on `fd`.
 
     Whatever method produced the candidate span, the certificate check is
     the same: two-sided ideal, nilpotent by explicit powering, identity not
     inside, and a rerun on the quotient algebra comes back zero.
     """
+    if fd._radical is not None:
+        return fd._radical
     candidate, method = _radical_raw(fd)
     S = span_of(fd, candidate)
     basis = [list(r) for r in S.inserted]
@@ -584,16 +589,11 @@ def jacobson_radical(fd):
     certify(not S.contains(fd.one),
             "radical candidate contains the identity")
     # the quotient by an empty candidate is fd itself, its candidate kept
-    qfd = quotient_algebra(fd, basis).fd if basis else fd
-    qraw, _ = _radical_raw(qfd)
+    Q = quotient_algebra(fd, basis) if basis else None
+    qraw, _ = _radical_raw(Q.fd if Q else fd)
     certify(not qraw, "quotient still has a radical; candidate too small")
-    certificate = {
-        "two_sided_ideal": True,
-        "nilpotency_index": index,
-        "contains_identity": False,
-        "quotient_radical_zero": True,
-    }
-    return RadicalResult(basis, method, index, certificate)
+    fd._radical = RadicalResult(basis, method, index, Q)
+    return fd._radical
 
 
 # --- idempotents ---------------------------------------------------------------
@@ -665,17 +665,15 @@ def _splitter_candidates(fd, basis, rng):
 
 
 def _primitive_idempotents_rational(fd, rng):
-    """Over Q the radical is computed once, for the whole algebra: a corner
-    of a semisimple algebra is semisimple, so `_split_rational` needs none.
-    Idempotents lift uniquely along a nil ideal in a commutative algebra,
-    so the primitive set of the quotient by the radical pulls back."""
-    rad, _ = _radical_raw(fd)
-    Q = quotient_algebra(fd, rad) if rad else None
+    """Over Q the radical is the certified one of the whole algebra: a
+    corner of a semisimple algebra is semisimple, so `_split_rational`
+    needs none.  Idempotents lift uniquely along a nil ideal in a
+    commutative algebra, so the primitive set of A / J pulls back."""
+    rad = jacobson_radical(fd)
+    Q = rad.quotient
     A = Q.fd if Q else fd
     prims = _split_rational(A, A.one, _standard_basis(A), rng)
-    if not Q:
-        return prims
-    return lift_idempotents(fd, Q.ideal_basis, [Q.lift(qe) for qe in prims])
+    return lift_idempotents(fd, rad, list(map(Q.lift, prims))) if Q else prims
 
 
 def _split_rational(fd, e, basis, rng):
@@ -760,9 +758,10 @@ class BlockStructure:
     """A finite algebra A read through its radical J and the blocks of
     A / J = sum_i M_{n_i}(GF(q^{d_i})).
 
-    `blocks` holds (n_i, d_i) and `coupling[i][j]` is dim f_i J f_j for
-    idempotent lifts f_i of the central idempotents of A / J.  Over the
-    rationals only the radical is decided, and `blocks` is None.
+    `radical` is the record `jacobson_radical` keeps on A, `blocks`
+    holds (n_i, d_i) and `coupling[i][j]` is dim f_i J f_j for idempotent
+    lifts f_i of the central idempotents of A / J.  Over the rationals
+    only the radical is decided, and `blocks` is None.
     """
     field_size: int
     radical: RadicalResult
@@ -859,7 +858,7 @@ def _block_structure(fd):
     field = fd.field
     if not field.is_finite():
         return BlockStructure(None, rad)
-    Q = quotient_algebra(fd, rad.basis) if rad.basis else None
+    Q = rad.quotient
     bar = Q.fd if Q else fd
     # the center of A / J: the kernel of x -> ([x, b_j])_j, read off the
     # structure constants, one row per (j, k) coordinate of a commutator
@@ -889,7 +888,7 @@ def _block_structure(fd):
         central.append(c)
     lifts = central
     if Q:
-        lifts = lift_idempotents(fd, rad.basis, [Q.lift(c) for c in central])
+        lifts = lift_idempotents(fd, rad, [Q.lift(c) for c in central])
     for f in lifts:
         certify(fd.is_idempotent(f), "block idempotent lift is not idempotent")
     certify(sum(n * n * d for n, d in blocks) == bar.dim,
@@ -955,10 +954,10 @@ def fields_decomposition(fd, seed=0):
     """Decide whether the algebra is a finite direct sum of fields, with a
     certificate either way.
 
-    A commutative algebra's report also carries the certified radical and
-    primitive idempotents the decision rests on, so callers that need them
-    read them here instead of computing them again; 2^len(primitives) is
-    its idempotent count.  Both are None for a noncommutative algebra.
+    A commutative algebra's report also carries the certified radical,
+    the record `jacobson_radical` keeps, and the primitive idempotents the
+    decision rests on; 2^len(primitives) is its idempotent count.  Both
+    are None for a noncommutative algebra.
     The report is kept on `fd` per seed once its certificates have passed.
     """
     if seed not in fd._decompositions:
@@ -1004,15 +1003,14 @@ def _field_component(fd, e, basis, rng):
 # --- idempotent lifting ----------------------------------------------------------
 
 
-def lift_idempotents(fd, ideal_span, xs):
-    """Lift each x with x^2 - x in the ideal to an honest idempotent
-    congruent to x modulo the ideal.  The ideal must be nilpotent, which is
-    proved once for the whole list."""
-    S = span_of(fd, ideal_span)
+def lift_idempotents(fd, rad, xs):
+    """Lift each x with x^2 - x in the radical to an honest idempotent
+    congruent to x modulo it.  ``rad`` is the certified `RadicalResult` of
+    fd, whose certificate has already proved the radical nilpotent."""
+    S = span_of(fd, rad.basis)
     for x in xs:
         if not S.contains(fd.sub(fd.mul(x, x), x)):
             raise ConditionsNotMet("x is not idempotent modulo the ideal")
-    ideal_nilpotency_index(fd, ideal_span)  # raises if not nilpotent
     p = fd.field.characteristic
     three, two = fd.field._canonical(3), fd.field._canonical(2)
     bound = fd.dim.bit_length() + 3

@@ -644,7 +644,8 @@ def test_structure_report_shapes():
 def test_structure_report_certifies_each_fact_once(monkeypatch):
     from fcunits import cli, structure
 
-    calls = {"primitive_idempotents": 0, "jacobson_radical": 0}
+    # the radical is certified where its ideal test runs
+    calls = {"primitive_idempotents": 0, "_is_ideal": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(structure, name),
                     **kwargs):
@@ -655,7 +656,7 @@ def test_structure_report_certifies_each_fact_once(monkeypatch):
             monkeypatch.setattr(fc, name, counted)
     rep = fc.structure_report(mk(cli.bundled_instance("lemma3/c4_gf25")))
     assert rep["primitive_idempotents"] == 4
-    assert calls == {"primitive_idempotents": 1, "jacobson_radical": 1}
+    assert calls == {"primitive_idempotents": 1, "_is_ideal": 1}
 
 
 def test_noncommutative_structure_report_certifies_the_radical_once(
@@ -776,6 +777,61 @@ def test_each_subgroup_is_closed_once(monkeypatch, capsys):
     assert inst.subalgebra_over([generator]) is S
     assert inst.subalgebra_over([generator]) is S
     assert len(closures) == 2
+
+
+def _quotient_builds(monkeypatch):
+    """Record the parent of every Subquotient built modulo an ideal."""
+    from fcunits import structure
+
+    parents = []
+    original = structure.Subquotient.__init__
+
+    def counted(self, parent, ideal_span, candidates, one):
+        ideal_span = list(ideal_span)
+        if ideal_span:
+            parents.append(parent)
+        original(self, parent, ideal_span, candidates, one)
+    monkeypatch.setattr(structure.Subquotient, "__init__", counted)
+    return parents
+
+
+def _analyze_spec(tmp_path, spec, *flags):
+    from fcunits import cli
+
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert cli.main(["analyze", str(path), *flags]) == 0
+
+
+def test_one_radical_proof_and_quotient_per_algebra(monkeypatch, tmp_path,
+                                                    capsys):
+    from fcunits import cli, structure
+
+    # GF(3)[S3] x Z: T3 and the structure section's blocks read the one
+    # certified radical, its A / J and its nilpotency proof
+    spec = cli.bundled_instance("s3_z_gf5")
+    spec["field"]["p"] = 3
+    quotients = _calls(monkeypatch, structure, "quotient_algebra")
+    proofs = _calls(monkeypatch, structure, "ideal_nilpotency_index")
+    builds = _quotient_builds(monkeypatch)
+    _analyze_spec(tmp_path, spec, "--verdict", "--structure")
+    assert len(quotients) == len(proofs) == len(builds) == 1
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_oracle_unit_count_reads_the_kept_quotient(monkeypatch, tmp_path,
+                                                   capsys, p):
+    # GF(p)[C6] has a radical; the oracle's unit count splits the A / J
+    # that the structure section's radical certificate built
+    builds = _quotient_builds(monkeypatch)
+    _analyze_spec(tmp_path, {
+        "field": {"kind": "prime-power", "p": p},
+        "group": {"kind": "central-extension", "rank": 0,
+                  "torsion": {"invariants": [6]}},
+        "cocycle": {}}, "--structure", "--oracle")
+    report = json.loads(capsys.readouterr().out)
+    assert report["sections"]["oracle"]["agree"] is True
+    assert len(builds) == 1
 
 
 def test_l5_screen_splits_with_the_run_seed(monkeypatch, capsys):

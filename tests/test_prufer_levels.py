@@ -9,12 +9,14 @@ made to fire.
 """
 
 import itertools
+import json
 import math
 from collections import Counter
 
 import pytest
 
 import fcunits.fc as fc
+from fcunits import cli
 from fcunits.errors import CertificateFailed, ConditionsNotMet
 from fcunits.groups import MAX_TORSION
 from fcunits.structure import primitive_idempotents
@@ -138,6 +140,47 @@ def test_top_level_above_the_cap_steps_down():
     # C64 x C2 is above the cap at level 1 already
     assert fc._primitive_counts_by_level(
         prufer_instance(3, 2, 2, 2, (64,)), 2, 0) == []
+
+
+def test_truncation_above_the_cap_runs_at_the_largest_level_that_fits(
+        tmp_path, capsys):
+    # C_{3^4} over GF(7) has 81 elements, above MAX_TORSION: T5 and the
+    # structure section both run at level 3, as a truncation_level 3 run
+    def sections(truncation, *flags):
+        path = tmp_path / f"level{truncation}.json"
+        path.write_text(json.dumps({
+            "field": {"kind": "prime-power", "p": 7},
+            "group": {"kind": "central-extension", "rank": 1,
+                      "torsion": {"invariants": []},
+                      "prufer": {"q": 3, "levels": 4}},
+            "cocycle": {}, "caps": {"truncation_level": truncation}}),
+            encoding="utf-8")
+        assert cli.main(["analyze", str(path), *flags]) == 0
+        return json.loads(capsys.readouterr().out)["sections"]
+
+    both = sections(4, "--verdict", "--structure")
+    assert both["structure"] == sections(4, "--structure")["structure"] \
+        == sections(3, "--structure")["structure"]
+    assert both["structure"]["prufer_level"] == 3
+    assert both["verdict"] == sections(4, "--verdict")["verdict"]
+    assert both["verdict"]["theorem"] == "T5-truncated"
+    assert "truncated at Pruefer level 3 " in both["verdict"]["notes"][2]
+    assert both["verdict"]["evidence"]["decompositions"][
+        "component_counts_by_level"] == closed_form_counts(7, 3, 3)
+
+
+def test_no_level_that_fits_still_refuses_the_run(tmp_path, capsys):
+    # C64 x C2 is above the cap at level 1 already
+    path = tmp_path / "c64.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "prime-power", "p": 3},
+        "group": {"kind": "central-extension", "rank": 1,
+                  "torsion": {"invariants": [64]},
+                  "prufer": {"q": 2, "levels": 2}},
+        "cocycle": {}}), encoding="utf-8")
+    for flag in ("--verdict", "--structure"):
+        assert cli.main(["analyze", str(path), flag]) == 1
+        assert "exceeds the cap 64" in capsys.readouterr().err
 
 
 def _merge(field, vectors):

@@ -185,7 +185,6 @@ def test_radical_gf2_c6_basis_frozen():
         [zero, zero, one, zero, zero, one],
     ]
     assert rr.nilpotency_index == 2
-    assert rr.certificate["quotient_radical_zero"]
 
 
 def test_radical_rationals_trace_form():
@@ -794,7 +793,7 @@ def test_radical_reuses_the_fixed_space_powers(monkeypatch, n, q):
     monkeypatch.setattr(fd, "power",
                         lambda x, k: calls.append(k) or original(x, k))
     rad = jacobson_radical(fd)
-    assert rad.basis == [] and rad.certificate["quotient_radical_zero"]
+    assert rad.basis == []
     assert calls == []
 
 
@@ -951,7 +950,7 @@ def test_noncommutative_corner_stays_two_sided():
 def test_lift_idempotent_char_p():
     F = gf(2)
     fd = group_algebra_fd(cayley(cyclic_table(6)), F).fd
-    rad = jacobson_radical(fd).basis
+    rad = jacobson_radical(fd)
     target = [0, 0, 1, 0, 1, 0]                               # u^2 + u^4
     assert fd.is_idempotent(target)
     x = fd.add(target, fd.add(fd.basis_vec(0), fd.basis_vec(3)))
@@ -965,16 +964,53 @@ def test_lift_idempotent_char0_newton():
     one, zero = Q.raw_one, Q.raw_zero
     table = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}}
     fd = FDAlgebra(Q, 2, table, [one, zero])
-    assert lift_idempotents(fd, [[zero, one]], [[one, one]]) == [fd.one]
+    rad = jacobson_radical(fd)
+    assert rad.basis == [[zero, one]]
+    assert lift_idempotents(fd, rad, [[one, one]]) == [fd.one]
+
+
+def test_rational_split_reads_the_certified_radical(monkeypatch):
+    # Q[s, t] / (s^2 - 1, t^2) on the basis s^a t^b: J = (t) and
+    # A / J = Q[C2] = Q + Q, so two primitives lift along J
+    Q = rationals()
+    one = Q.raw_one
+    monomials = [(a, b) for a in (0, 1) for b in (0, 1)]
+    table = {(i, j): {monomials.index(((a + c) % 2, b + d)): one}
+             for i, (a, b) in enumerate(monomials)
+             for j, (c, d) in enumerate(monomials) if b + d < 2}
+    fd = FDAlgebra(Q, 4, table, [one] + [Q.raw_zero] * 3)
+    quotients, proofs = [], []
+    for name, seen in (("quotient_algebra", quotients),
+                       ("ideal_nilpotency_index", proofs)):
+        original = getattr(structure, name)
+        monkeypatch.setattr(structure, name,
+                            lambda fd, span, _o=original, _s=seen:
+                            _s.append(fd) or _o(fd, span))
+    assert len(jacobson_radical(fd).basis) == 2
+    prims = primitive_idempotents(fd)
+    assert len(prims) == 2
+    assert not fields_decomposition(fd).is_sum_of_fields
+    assert quotients == proofs == [fd]
 
 
 def test_lift_idempotent_guards():
     F = gf(3)
     fd = group_algebra_fd(cayley(cyclic_table(2)), F).fd
     with pytest.raises(ConditionsNotMet):
-        lift_idempotents(fd, [], [fd.basis_vec(1)])
+        lift_idempotents(fd, jacobson_radical(fd), [fd.basis_vec(1)])
+
+
+def test_non_nilpotent_radical_candidate_fails_its_certificate(
+        monkeypatch):
+    # (1 + u) / 2 is an idempotent of GF(3)[C2] = GF(3) + GF(3), so its
+    # span is an ideal whose powers never shrink
+    fd = group_algebra_fd(cayley(cyclic_table(2)), gf(3)).fd
+    e = fd.scale(fd.add(fd.basis_vec(0), fd.basis_vec(1)),
+                 fd.field.from_int(2).inv().value)
+    assert fd.is_idempotent(e)
+    _radical_candidate(monkeypatch, lambda fd: [e])
     with pytest.raises(IdealNotNilpotent):
-        lift_idempotents(fd, [list(fd.one)], [list(fd.one)])
+        jacobson_radical(fd)
 
 
 # --- the splitting and lifting certificates can fire ---------------------------
@@ -996,7 +1032,7 @@ def _bezout_returns_its_candidate(monkeypatch):
 
 def _lift_never_idempotent(monkeypatch):
     fd = group_algebra_fd(abelian([2]), gf(2)).fd
-    rad = jacobson_radical(fd).basis
+    rad = jacobson_radical(fd)
     # idempotent from the 20th test on, far past the bound of 5 steps, so
     # the loop ends even where the certificate does not run
     tests = itertools.count()
@@ -1006,7 +1042,7 @@ def _lift_never_idempotent(monkeypatch):
 
 def _lift_to_zero(monkeypatch):
     fd = group_algebra_fd(abelian([2]), gf(2)).fd
-    rad = jacobson_radical(fd).basis
+    rad = jacobson_radical(fd)
     monkeypatch.setattr(fd, "power", lambda x, n: fd.zero_vec())
     lift_idempotents(fd, rad, [fd.basis_vec(1)])
 
@@ -1034,8 +1070,8 @@ def test_block_structure_proves_nilpotency_once(monkeypatch):
     monkeypatch.setattr(structure, "ideal_nilpotency_index", counted)
     fd = group_algebra_fd(cayley(dihedral_table(6)), gf(3)).fd
     assert len(block_structure(fd).blocks) == 4
-    # one proof inside jacobson_radical, one for lifting all four blocks
-    assert len(calls) <= 2
+    # one proof, inside jacobson_radical; lifting the blocks reuses it
+    assert len(calls) == 1
 
 
 def test_commutativity_witness_names_basis_units():
@@ -1062,8 +1098,10 @@ def _undersized_radical(monkeypatch):
 
 
 def test_undersized_radical_candidate_fails_its_certificate(monkeypatch):
+    # the radical is kept, so the unpatched run has an algebra of its own
+    assert len(jacobson_radical(
+        group_algebra_fd(cayley(cyclic_table(3)), gf(3)).fd).basis) == 2
     fd = group_algebra_fd(cayley(cyclic_table(3)), gf(3)).fd
-    assert len(jacobson_radical(fd).basis) == 2
     _undersized_radical(monkeypatch)
     with pytest.raises(CertificateFailed, match="candidate too small"):
         jacobson_radical(fd)
@@ -1072,8 +1110,9 @@ def test_undersized_radical_candidate_fails_its_certificate(monkeypatch):
 def test_empty_radical_candidate_fails_its_certificate(monkeypatch):
     # GF(2)[C2] has radical span(1 + u), which squares to zero, so the
     # undersized candidate is empty
+    assert len(jacobson_radical(
+        group_algebra_fd(cayley(cyclic_table(2)), gf(2)).fd).basis) == 1
     fd = group_algebra_fd(cayley(cyclic_table(2)), gf(2)).fd
-    assert len(jacobson_radical(fd).basis) == 1
     _undersized_radical(monkeypatch)
     with pytest.raises(CertificateFailed, match="candidate too small"):
         jacobson_radical(fd)
