@@ -16,8 +16,8 @@ from importlib import resources
 
 from . import __version__
 from .errors import FcunitsError, InstanceFormatError
-from .fc import instance_from_json, probe_conjugates, structure_report, \
-    verdict
+from .fc import _CAP_RANGES, instance_from_json, probe_conjugates, \
+    structure_report, verdict
 from .oracle import oracle_report, predicted_unit_count
 from .structure import block_structure, count_idempotents, \
     fields_decomposition, jacobson_radical
@@ -145,6 +145,12 @@ def _oracle_section(raw, inst, seed):
 
 
 def cmd_analyze(args):
+    for flag, cap in (("level", "truncation_level"), ("depth", "orbit_depth")):
+        lo, hi = _CAP_RANGES[cap]
+        value = getattr(args, flag)
+        if value is not None and not lo <= value <= hi:
+            raise InstanceFormatError(
+                f"--{flag} must be an int in [{lo}, {hi}], got {value}")
     raw, inst = _load_instance_file(args.instance)
     res = inst.validate()
     if not res.valid:

@@ -21,7 +21,7 @@ coefficient first, trailing zeros stripped.  The `poly_*` routines compute
 on them with the raw ops and one `reduce` per output coefficient, for every
 field alike.  GF(p^k) is built on them over GF(p): an element is the
 zero-padded k-tuple of its residue modulo a monic modulus, which
-`poly_irreducible` (Rabin's test) checks.  Addition is coordinatewise.
+`poly_irreducible` checks.  Addition is coordinatewise.
 Multiplication and inversion read discrete-logarithm tables (K. Huber,
 "Some comments on Zech's logarithms", IEEE Trans. IT 36, 1990): on first
 use a field walks the powers of a generator g of its multiplicative group
@@ -29,7 +29,11 @@ once on the polynomial layer, certifies the walk, and from then on a
 product is exp[log a + log b] and an inverse exp[(q - 1) - log a].  Values
 stay coefficient tuples, so element order, sort keys and JSON do not
 depend on the tables.  Rational polynomials are factored on the same
-layer, over Z by the modular route (`poly_factor_rational`).
+layer, over Z by the modular route (`poly_factor_rational`), which splits
+modulo p by the distinct-degree splitting (`_distinct_degree`) that tests
+irreducibility over every finite field.  Roots stay a sweep over the
+elements (`poly_roots`): at the bundled field sizes it measured faster
+than gcd(a, x^q - x) followed by a degree-1 split.
 
 Finite fields are capped at 2^16 elements and extension degree 8, which
 keeps every exhaustive search (root finding, discrete logs, unit scans)
@@ -184,24 +188,63 @@ def poly_inv_mod(F, a, m):
     return tuple(F.reduce(F.raw_mul(x, c)) for x in s1)
 
 
-def poly_irreducible(F, m):
-    """Rabin's irreducibility test over a finite field F of size q.
+def _frobenius_rows(F, f):
+    """The rows x^(q j) mod f, j < deg f, of the F-linear map a -> a^q
+    modulo a monic f over a finite field F of size q, each as a tuple of
+    deg f coefficients: x^q mod f by `poly_powmod`, then each row the one
+    before times x^q mod f."""
+    n, zero = len(f) - 1, F.raw_zero
+    xq = poly_powmod(F, (zero, F.raw_one), F.size(), f)
+    rows = [(F.raw_one,) + (zero,) * (n - 1)]
+    for _ in range(n - 1):
+        r = poly_divmod(F, poly_mul(F, rows[-1], xq), f)[1]
+        rows.append(r + (zero,) * (n - len(r)))
+    return rows
 
-    m of degree n >= 1 is irreducible exactly when x^(q^n) = x (mod m) and
-    gcd(x^(q^(n/r)) - x, m) = 1 for every prime r dividing n.  M. O. Rabin,
-    "Probabilistic algorithms in finite fields", SIAM J. Comput. 9 (1980).
-    """
+
+def _frobenius(F, rows, a):
+    """a^q modulo the f of `rows`, for a of degree below deg f."""
+    add, mul, zero = F.raw_add, F.raw_mul, F.raw_zero
+    out = [zero] * len(rows)
+    for c, row in zip(a, rows):
+        if c != zero:
+            out = [add(x, mul(c, y)) for x, y in zip(out, row)]
+    return poly_trim(F, list(map(F.reduce, out)))
+
+
+def _distinct_degree(F, f):
+    """[(d, g_d)] for a monic f over a finite field F of size q, x^(q^d)
+    run through the Frobenius rows of f: for a squarefree f, g_d is the
+    product of the irreducible factors of f of degree d."""
+    rows, x = _frobenius_rows(F, f), (F.raw_zero, F.raw_one)
+    h, g, out, d = x, f, [], 0
+    while 2 * (d + 1) <= len(g) - 1:
+        d += 1
+        h = _frobenius(F, rows, h)
+        u = poly_gcd(F, g, poly_sub(F, h, x))
+        if len(u) > 1:
+            out.append((d, u))
+            g = poly_divmod(F, g, u)[0]
+    if len(g) > 1:
+        out.append((len(g) - 1, g))
+    return out
+
+
+def poly_irreducible(F, m):
+    """Whether m is irreducible over F: over a finite field, when splitting
+    m made monic by distinct degrees finds one factor of full degree (a
+    reducible m, squarefree or not, has a factor of degree <= deg m / 2,
+    found at that step); over Q, when `poly_factor_rational` finds one
+    factor, of multiplicity 1."""
     n = len(m) - 1
-    if n < 2:
-        return n == 1
-    x = (F.raw_zero, F.raw_one)
-    frobenius = [x]                     # frobenius[i] = x^(q^i) mod m
-    for _ in range(n):
-        frobenius.append(poly_powmod(F, frobenius[-1], F.size(), m))
-    if frobenius[n] != x:
+    if n < 1:
         return False
-    return all(len(poly_gcd(F, poly_sub(F, frobenius[n // r], x), m)) == 1
-               for r in prime_factors(n))
+    if not F.is_finite():
+        factors = poly_factor_rational(m)
+        return len(factors) == 1 and factors[0][1] == 1
+    c = F.raw_inv(m[-1])
+    m = tuple(F.reduce(F.raw_mul(x, c)) for x in m)
+    return _distinct_degree(F, m) == [(n, m)]
 
 
 def poly_roots(F, a):
@@ -224,12 +267,12 @@ def poly_roots(F, a):
 # `poly_factor_rational` clears denominators, splits off the squarefree
 # parts by Yun's algorithm, and factors each part by the modular route of
 # H. Zassenhaus, "On Hensel factorization I", J. Number Theory 1 (1969):
-# factor modulo a small prime p by distinct- and equal-degree splitting
-# (D. Cantor and H. Zassenhaus, Math. Comp. 36, 1981), Hensel-lift the
-# factors modulo p^(2^k) past the Mignotte bound, and recombine subsets of
-# them by trial division.  Integer polynomials are int tuples in the layout
-# above; `_Residues(m)` is Z/m and `_ZZ` is Z on the raw interface, so the
-# poly_* routines run over GF(p), Z/p^(2^k) and Z alike.
+# factor over GF(p) for a small prime p by distinct- and equal-degree
+# splitting (D. Cantor and H. Zassenhaus, Math. Comp. 36, 1981), Hensel-lift
+# the factors modulo p^(2^k) past the Mignotte bound, and recombine subsets
+# of them by trial division.  Integer polynomials are int tuples in the
+# layout above; `_Residues(m)` is Z/p^(2^k) and `_ZZ` is Z on the raw
+# interface, so the poly_* routines run over them as over GF(p).
 
 _FACTOR_PRIMES = 5      # good primes whose modular factor counts are compared
 
@@ -344,73 +387,28 @@ def _zz_squarefree(f):
     return out
 
 
-def _frobenius_rows(p, f):
-    """The rows x^(p j) mod f, j < deg f, of the GF(p)-linear map a -> a^p
-    modulo a monic f, each as a list of deg f coefficients."""
-    n = len(f) - 1
-    rows, r = [], [1] + [0] * (n - 1)
-    for _ in range(n):
-        rows.append(r)
-        for _ in range(p):
-            top = r[-1]
-            r = [0] + r[:-1]
-            if top:
-                r = [(x - top * c) % p for x, c in zip(r, f)]
-    return rows
-
-
-def _frobenius(p, rows, a):
-    """a^p modulo the f of `rows`, for a of degree below deg f."""
-    out = [0] * len(rows)
-    for c, row in zip(a, rows):
-        if c:
-            out = [x + c * y for x, y in zip(out, row)]
-    n = len(out)
-    while n and out[n - 1] % p == 0:
-        n -= 1
-    return tuple(x % p for x in out[:n])
-
-
-def _distinct_degree(R, f):
-    """[(d, g_d)] for a monic squarefree f over GF(p): g_d is the product
-    of the irreducible factors of f of degree d, and x^(p^d) runs through
-    the Frobenius rows of f."""
-    p, rows, x = R.m, _frobenius_rows(R.m, f), (0, 1)
-    h, g, out, d = x, f, [], 0
-    while 2 * (d + 1) <= len(g) - 1:
-        d += 1
-        h = _frobenius(p, rows, h)
-        u = poly_gcd(R, g, poly_sub(R, h, x))
-        if len(u) > 1:
-            out.append((d, u))
-            g = poly_divmod(R, g, u)[0]
-    if len(g) > 1:
-        out.append((len(g) - 1, g))
-    return out
-
-
-def _equal_degree(R, g, d, rng):
+def _equal_degree(F, g, d, rng):
     """The monic irreducible factors of g, a monic product of distinct
-    irreducibles of degree d over GF(p) for an odd p: a random a splits g
-    at gcd(a^((p^d - 1) / 2) - 1, g) with probability about 1/2.  The power
-    is (a^(1 + p + ... + p^(d-1)))^((p - 1) / 2), its first factor built by
-    b -> b^p a on the Frobenius rows of g."""
-    n, p = len(g) - 1, R.m
+    irreducibles of degree d over F = GF(p) for an odd p: a random a splits
+    g at gcd(a^((p^d - 1) / 2) - 1, g) with probability about 1/2.  The
+    power is (a^(1 + p + ... + p^(d-1)))^((p - 1) / 2), its first factor
+    built by b -> b^p a on the Frobenius rows of g."""
+    n, p = len(g) - 1, F.p
     if n == d:
         return [g]
-    rows = _frobenius_rows(p, g)
+    rows = _frobenius_rows(F, g)
     while True:
-        a = poly_trim(R, [rng.randrange(p) for _ in range(n)])
+        a = poly_trim(F, [rng.randrange(p) for _ in range(n)])
         if len(a) < 2:
             continue
         b = a
         for _ in range(d - 1):
-            b = poly_divmod(R, poly_mul(R, _frobenius(p, rows, b), a), g)[1]
-        w = poly_powmod(R, b, (p - 1) // 2, g)
-        u = poly_gcd(R, g, poly_sub(R, w, (1,)))
+            b = poly_divmod(F, poly_mul(F, _frobenius(F, rows, b), a), g)[1]
+        w = poly_powmod(F, b, (p - 1) // 2, g)
+        u = poly_gcd(F, g, poly_sub(F, w, (1,)))
         if 1 < len(u) <= n:
-            return (_equal_degree(R, u, d, rng)
-                    + _equal_degree(R, poly_divmod(R, g, u)[0], d, rng))
+            return (_equal_degree(F, u, d, rng)
+                    + _equal_degree(F, poly_divmod(F, g, u)[0], d, rng))
 
 
 def _hensel_step(R, f, g, h, s, t):
@@ -523,14 +521,14 @@ def _zz_factor_squarefree(f):
         p += 2
         if not is_prime(p) or f[-1] % p == 0:
             continue
-        R = _Residues(p)
+        F = PrimeField(p)
         c = pow(f[-1], -1, p)
         fp = tuple(x * c % p for x in f)
-        if len(poly_gcd(R, fp, poly_trim(R, [x % p for x in
+        if len(poly_gcd(F, fp, poly_trim(F, [x % p for x in
                                              _zz_derivative(fp)]))) > 1:
             continue
         tried += 1
-        parts = _distinct_degree(R, fp)
+        parts = _distinct_degree(F, fp)
         count, sums = 0, 1
         for d, g in parts:
             for _ in range((len(g) - 1) // d):
@@ -540,16 +538,16 @@ def _zz_factor_squarefree(f):
         if degrees == 1 | 1 << n:     # no factor degree between 0 and n
             return [f]
         if best is None or count < best[0]:
-            best = (count, R, parts)
-    _, R, parts = best
-    rng = random.Random(R.m)
-    modular = sorted(a for d, g in parts for a in _equal_degree(R, g, d, rng))
+            best = (count, p, parts)
+    _, p, parts = best
+    F, rng = PrimeField(p), random.Random(p)
+    modular = sorted(a for d, g in parts for a in _equal_degree(F, g, d, rng))
     # twice lc(f) times Mignotte's 2^n ||f||_2, ||f||_2 <= sqrt(n + 1) |f|_max
     bound = 2 * (math.isqrt(n + 1) + 1) * 2 ** n * max(map(abs, f)) * f[-1]
-    k, M = 0, R.m
+    k, M = 0, p
     while M <= bound:
         k, M = k + 1, M * M
-    return _recombine(f, _hensel_lift(R.m, k, f, modular), M, degrees)
+    return _recombine(f, _hensel_lift(p, k, f, modular), M, degrees)
 
 
 def poly_factor_rational(a):
@@ -1050,18 +1048,18 @@ def _rational_sqrt(fr):
 
 
 def solve_power_equation(field, n, target):
-    """All x in the field with x^n = target, as a set of Scalars.
-
-    Finite fields are solved by exhaustion (the construction cap keeps them
-    at 2^16 elements or fewer).  Over the rationals only n = 1 and n = 2 are
-    supported; larger n raises UnsupportedRationalDegree.
-    """
+    """All x in the field with x^n = target, as a set of Scalars: over a
+    finite field the roots of x^n - target by the `poly_roots` sweep, over
+    the rationals only for n = 1 and n = 2 (larger n raises
+    UnsupportedRationalDegree)."""
     if not isinstance(n, int) or n < 1:
         raise InstanceFormatError(f"exponent must be a positive int, got {n!r}")
     if not isinstance(target, Scalar) or target.field != field:
         raise FieldMismatch("target scalar does not belong to the field")
     if field.is_finite():
-        return {x for x in field.elements() if x ** n == target}
+        a = ((field.reduce(field.raw_neg(target.value)),)
+             + (field.raw_zero,) * (n - 1) + (field.raw_one,))
+        return {Scalar(field, x) for x in poly_roots(field, a)}
     if n == 1:
         return {target}
     if n == 2:

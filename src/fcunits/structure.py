@@ -938,15 +938,8 @@ def _field_certificate(fd, e, basis, rng):
     target = len(basis)
     for cand in _splitter_candidates(fd, basis, rng):
         m = minimal_polynomial(fd, cand, e)
-        if len(m) - 1 != target:
-            continue
-        if fd.field.is_finite():
-            if poly_irreducible(fd.field, m):
-                return cand, m
-        else:
-            factors = poly_factor_rational(m)
-            if len(factors) == 1 and factors[0][1] == 1:
-                return cand, m
+        if len(m) - 1 == target and poly_irreducible(fd.field, m):
+            return cand, m
     raise ConditionsNotMet("no primitive element found for a field corner")
 
 

@@ -117,6 +117,37 @@ def test_analyze_structure_level_override(capsys):
     assert section["torsion_dimension"] == 4
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--level", -2), ("--level", 0), ("--level", 9),
+    ("--depth", -1), ("--depth", 13),
+])
+def test_analyze_rejects_an_override_outside_its_cap_range(flag, value,
+                                                           tmp_path, capsys):
+    # the same ranges as truncation_level and orbit_depth in an instance
+    target = tmp_path / "report.json"
+    rc, out, err = run(["analyze", path_of("prufer2_gf257"), "--structure",
+                        "--orbits", "f1", flag, str(value),
+                        "--out", str(target)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} must be an int in [")
+    assert err.count("\n") == 1
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("flag, value, key, expected", [
+    ("--level", 1, "prufer_level", 1), ("--level", 8, "prufer_level", 6),
+    ("--depth", 0, "depth", 0), ("--depth", 12, "depth", 12),
+])
+def test_analyze_accepts_an_override_at_its_cap_range_edges(flag, value, key,
+                                                            expected, capsys):
+    section = "structure" if flag == "--level" else "orbits"
+    rc, out, _ = run(["analyze", path_of("prufer2_gf257"), "--structure",
+                      "--orbits", "f1", flag, str(value)], capsys)
+    assert rc == 0
+    assert json.loads(out)["sections"][section][key] == expected
+
+
 def test_analyze_orbit_section(capsys):
     rc, out, _ = run(["analyze", path_of("heisenberg_gf2"),
                       "--orbits", "f1", "t1", "--depth", "4"], capsys)

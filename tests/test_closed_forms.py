@@ -9,6 +9,13 @@ there are sum_d n_d / o_d primitive idempotents and 2 to that many
 idempotents.  Over Q, Q[C_n] has one component of degree phi(d) for each
 d dividing n (Perlis and Walker, Trans. AMS 68, 1950).
 
+A twisted cyclic algebra K_lambda C_n is K[x]/(x^n - mu), with mu the power
+scalar of the generator.  Over GF(q) with p not dividing n, let r be the
+order of mu and w a primitive (n r)-th root of unity with w^n = mu: the
+roots of x^n - mu are w^j for j in {1 + t r mod n r : t < n}, and the
+component degrees are the orbit sizes of j -> q j on that set.  When p
+divides n, x^n - mu has a repeated root and the radical is nonzero.
+
 The expected values are computed here from the group's invariants with
 the standard library alone, never by calling `structure`.
 """
@@ -20,6 +27,9 @@ from collections import Counter
 import pytest
 
 from fcunits.algebra import TwistedGroupAlgebra
+from fcunits.cli import bundled_instance, bundled_names
+from fcunits.cocycles import power_scalar
+from fcunits.fc import instance_from_json
 from fcunits.fields import gf, rationals
 from fcunits.groups import finite_subgroup, make_group
 from fcunits.structure import (
@@ -95,3 +105,38 @@ def test_rational_cyclic_group_algebra_matches_perlis_walker(n):
         Counter({f"degree-{k} extension of Q": v
                  for k, v in expected.items()})
     assert count_idempotents(fd) == 2 ** sum(expected.values())
+
+
+def twisted_cyclic_degrees(n, q, r):
+    """The multiset of component degrees of GF(q)[x]/(x^n - mu), mu of
+    order r, p not dividing n: the orbit sizes of j -> q j modulo n r on
+    {1 + t r : t < n}."""
+    left, degrees = {(1 + t * r) % (n * r) for t in range(n)}, Counter()
+    while left:
+        j, size = left.pop(), 1
+        k = j * q % (n * r)
+        while k != j:
+            left.remove(k)
+            k, size = k * q % (n * r), size + 1
+        degrees[size] += 1
+    return degrees
+
+
+@pytest.mark.parametrize("name", bundled_names("lemma3"))
+def test_twisted_cyclic_algebra_matches_the_root_orbits(name):
+    inst = instance_from_json(bundled_instance(f"lemma3/{name}"))
+    (n,) = inst.group.torsion.invariants
+    field = inst.field
+    q, p = field.size(), field.characteristic
+    mu = power_scalar(inst.cocycle, inst.group.element(t=(1,)))
+    r = next(k for k in range(1, q) if mu ** k == field.one)
+    report = fields_decomposition(inst.torsion_subalgebra().fd)
+    if n % p == 0:
+        assert not report.is_sum_of_fields
+        assert report.reason == "nonzero radical"
+        return
+    assert report.is_sum_of_fields
+    expected = twisted_cyclic_degrees(n, q, r)
+    assert Counter(c.dim for c in report.components) == expected
+    assert {c.description for c in report.components} == \
+        {f"GF({q}^{o})" for o in expected}

@@ -701,13 +701,28 @@ def ref_pxgcd(a, b, p):
     return r0, s0, t0
 
 
-def ref_is_irreducible(m, p):
+def ref_remainder(F, a, b):
+    """a modulo a monic b, by schoolbook division on F's raw ops."""
+    r = list(a)
+    while len(r) >= len(b):
+        c, shift = r[-1], len(r) - len(b)
+        for i, y in enumerate(b):
+            r[shift + i] = F.reduce(F.raw_sub(r[shift + i], F.raw_mul(c, y)))
+        while r and r[-1] == F.raw_zero:
+            r.pop()
+    return r
+
+
+def ref_is_irreducible(F, m):
+    """m of positive degree over a finite field F has no monic divisor of
+    degree between 1 and deg m / 2, by trial division."""
     k = len(m) - 1
+    values = [s.value for s in F.elements()]
     for d in range(1, k // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            if not ref_pdivmod(m, tuple(tail) + (1,), p)[1]:
+        for tail in itertools.product(values, repeat=d):
+            if not ref_remainder(F, m, tuple(tail) + (F.raw_one,)):
                 return False
-    return True
+    return k >= 1
 
 
 def ref_ext_mul(F, a, b):
@@ -765,13 +780,33 @@ def test_extension_arithmetic_matches_the_tuple_helpers(data):
     assert F._canonical(raw) == ref_ext_canonical(F, raw)
 
 
-def test_rabin_agrees_with_trial_division():
-    for p, degree in ((2, 4), (3, 4)):
-        F = gf(p)
-        for n in range(1, degree + 1):
-            for tail in itertools.product(range(p), repeat=n):
-                m = tail + (1,)
-                assert poly_irreducible(F, m) == ref_is_irreducible(m, p)
+@pytest.mark.parametrize("F, degree", [
+    (gf(2), 4), (gf(3), 4), (EXTENSIONS[0], 4), (EXTENSIONS[2], 3),
+    (EXTENSIONS[1], 3),
+], ids=["gf2", "gf3", "gf4", "gf8", "gf9"])
+def test_poly_irreducible_agrees_with_trial_division(F, degree):
+    # every monic polynomial up to `degree`, squares and other repeated
+    # factors among them, and each one times the last nonzero element,
+    # which over GF(3), GF(4), GF(8) and GF(9) is not 1
+    values = [s.value for s in F.elements()]
+    c = values[-1]
+    for n in range(1, degree + 1):
+        for tail in itertools.product(values, repeat=n):
+            m = tail + (F.raw_one,)
+            expected = ref_is_irreducible(F, m)
+            assert poly_irreducible(F, m) == expected
+            scaled = tuple(F.reduce(F.raw_mul(c, x)) for x in m)
+            assert poly_irreducible(F, scaled) == expected
+
+
+def test_poly_irreducible_on_repeated_factors_and_over_q():
+    assert not poly_irreducible(gf(2), (1, 0, 1))           # (x + 1)^2
+    assert not poly_irreducible(gf(2), (1, 0, 1, 0, 1))     # (x^2 + x + 1)^2
+    assert poly_irreducible(Q, tuple(map(Fraction, (-2, 0, 1))))
+    assert not poly_irreducible(Q, tuple(map(Fraction, (-1, 0, 1))))
+    assert not poly_irreducible(Q, tuple(map(Fraction, (1, 0, 2, 0, 1))))
+    assert poly_irreducible(Q, tuple(map(Fraction, (3, 2))))
+    assert not poly_irreducible(Q, (Fraction(5),))
 
 
 def ref_poly_inv_mod(F, a, m):

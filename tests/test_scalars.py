@@ -114,11 +114,15 @@ def test_cube_roots_of_unity_gf7():
 
 
 def test_solution_count_bounded_by_degree():
-    # spec invariant: |solutions of x^n = t| <= n, checked exhaustively
-    for field in (gf(5), gf(7), gf(3, 2, [1, 0, 1])):
+    # spec invariant: |solutions of x^n = t| <= n, checked exhaustively,
+    # and the solutions are those a brute-force scan finds
+    for field in (gf(5), gf(7), gf(3, 2, [1, 0, 1]), gf(2, 3, [1, 1, 0, 1])):
         for n in range(1, 13):
             for target in field.elements():
-                assert len(solve_power_equation(field, n, target)) <= max(n, 1)
+                roots = solve_power_equation(field, n, target)
+                assert len(roots) <= max(n, 1)
+                assert roots == {x for x in field.elements()
+                                 if x ** n == target}
 
 
 def test_rational_roots():
