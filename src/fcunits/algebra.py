@@ -13,10 +13,6 @@ the API: `element`, `scalar` and `scale` take them (or ints), and `coeff`
 returns one.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 from . import linalg
 from .cocycles import (
     commutator_scalar,
@@ -232,12 +228,12 @@ class TwistedGroupAlgebra:
 # --- inversion -----------------------------------------------------------------
 
 
-@dataclass
 class InversionResult:
-    status: str                 # "unit" | "not-unit" | "unknown"
-    inverse: AlgebraElement | None
-    strategy: str
-    certificate: str
+    def __init__(self, status, inverse, strategy, certificate):
+        self.status = status            # "unit" | "not-unit" | "unknown"
+        self.inverse = inverse          # AlgebraElement | None
+        self.strategy = strategy
+        self.certificate = certificate
 
     @property
     def is_unit(self):

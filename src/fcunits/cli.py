@@ -16,7 +16,7 @@ from importlib import resources
 
 from . import __version__
 from .errors import FcunitsError, InstanceFormatError
-from .fc import _CAP_RANGES, instance_from_json, probe_conjugates, \
+from .fc import _check_cap, instance_from_json, probe_conjugates, \
     structure_report, verdict
 from .oracle import oracle_report, predicted_unit_count
 from .structure import block_structure, count_idempotents, \
@@ -146,11 +146,7 @@ def _oracle_section(raw, inst, seed):
 
 def cmd_analyze(args):
     for flag, cap in (("level", "truncation_level"), ("depth", "orbit_depth")):
-        lo, hi = _CAP_RANGES[cap]
-        value = getattr(args, flag)
-        if value is not None and not lo <= value <= hi:
-            raise InstanceFormatError(
-                f"--{flag} must be an int in [{lo}, {hi}], got {value}")
+        _check_cap(f"--{flag}", cap, getattr(args, flag))
     raw, inst = _load_instance_file(args.instance)
     res = inst.validate()
     if not res.valid:

@@ -18,12 +18,9 @@ operators; Scalars appear only where a value crosses the API
 and in JSON.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import (
     ConditionsNotMet,
@@ -160,13 +157,13 @@ def cocycle_from_json(group, field, obj):
 # --- validation ---------------------------------------------------------------
 
 
-@dataclass
 class CounterexampleTriple:
-    g: object
-    h: object
-    k: object
-    lhs: object
-    rhs: object
+    def __init__(self, g, h, k, lhs, rhs):
+        self.g = g
+        self.h = h
+        self.k = k
+        self.lhs = lhs
+        self.rhs = rhs
 
     def describe(self):
         return (f"lambda(g,h) lambda(gh,k) = {self.lhs!r} but "
@@ -174,11 +171,11 @@ class CounterexampleTriple:
                 f"g={self.g!r}, h={self.h!r}, k={self.k!r}")
 
 
-@dataclass
 class ValidationResult:
-    valid: bool
-    counterexample: CounterexampleTriple | None = None
-    checked_identities: int = 0
+    def __init__(self, valid, counterexample=None, checked_identities=0):
+        self.valid = valid
+        self.counterexample = counterexample    # CounterexampleTriple | None
+        self.checked_identities = checked_identities
 
 
 def free_box(group, radius):
@@ -363,14 +360,15 @@ def commutator_scalar(cocycle, a, b):
     return val
 
 
-@dataclass
 class ScalarOrbit:
     """The condition-4 value set {lambda(h,h^-1)^-1 lambda(h^-1,g)
     lambda(h^-1 g, h)} with h over the (truncated) torsion part."""
-    g: object
-    values: frozenset
-    cardinality: int
-    truncated: bool
+
+    def __init__(self, g, values, cardinality, truncated):
+        self.g = g
+        self.values = values                    # frozenset
+        self.cardinality = cardinality
+        self.truncated = truncated
 
 
 def condition4_set(cocycle, g, prufer_level=None):

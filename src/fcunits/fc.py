@@ -29,7 +29,6 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -98,11 +97,11 @@ def canonical_json(obj):
 # --- instances -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Caps:
-    box_radius: int = 3
-    orbit_depth: int = 6
-    truncation_level: int = 3
+    def __init__(self, box_radius=3, orbit_depth=6, truncation_level=3):
+        self.box_radius = box_radius
+        self.orbit_depth = orbit_depth
+        self.truncation_level = truncation_level
 
     def to_json(self):
         return {"box_radius": self.box_radius,
@@ -112,6 +111,14 @@ class Caps:
 
 _CAP_RANGES = {"box_radius": (1, 6), "orbit_depth": (0, ORBIT_DEPTH_CAP),
                "truncation_level": (1, 8)}
+
+
+def _check_cap(name, cap, value):
+    """InstanceFormatError unless ``value`` is None or in ``cap``'s range."""
+    lo, hi = _CAP_RANGES[cap]
+    if value is not None and not lo <= value <= hi:
+        raise InstanceFormatError(
+            f"{name} must be an int in [{lo}, {hi}], got {value}")
 
 
 def _caps_from_json(obj):
@@ -254,12 +261,12 @@ def _jsonify(obj):
 # --- verdict containers ---------------------------------------------------------
 
 
-@dataclass
 class ConditionReport:
-    cid: str
-    passed: bool | None
-    witness: object = None
-    note: str = ""
+    def __init__(self, cid, passed, witness=None, note=""):
+        self.cid = cid
+        self.passed = passed            # True | False | None
+        self.witness = witness
+        self.note = note
 
     def to_json(self):
         out = {"id": self.cid, "pass": self.passed}
@@ -270,13 +277,13 @@ class ConditionReport:
         return out
 
 
-@dataclass
 class Verdict:
-    result: str                  # FC | NotFC | EvidenceOnly | Inapplicable
-    theorem: str | None          # T3 | T4 | T5-truncated | necessary-only
-    conditions: list
-    notes: list
-    evidence: dict
+    def __init__(self, result, theorem, conditions, notes, evidence):
+        self.result = result    # FC | NotFC | EvidenceOnly | Inapplicable
+        self.theorem = theorem  # T3 | T4 | T5-truncated | necessary-only, None
+        self.conditions = conditions
+        self.notes = notes
+        self.evidence = evidence
 
     def to_json(self):
         return {"result": self.result,
@@ -330,6 +337,7 @@ def _fitting_level(inst, level=None, keys=None):
     """(L, subalgebra) for the largest level L <= ``level`` (clamped, or the
     instance's) whose torsion subgroup, over the torsion keys in ``keys``
     when given, fits MAX_TORSION; SubgroupTooLarge if not even level 1."""
+    _check_cap("level", "truncation_level", level)
     level = min(level, inst.group.prufer[1]) if level else inst.prufer_level
     while True:
         try:
@@ -585,17 +593,18 @@ def check_theorem3(inst, seed=0):
 # --- quotient by a central involution ----------------------------------------------
 
 
-@dataclass
 class QuotientConstruction:
-    base: TwistedGroupAlgebra
-    involution: object
-    mu_root: Scalar
-    cosets: object
-    quotient_group: object
-    quotient_cocycle: Cocycle
-    quotient_algebra: TwistedGroupAlgebra
-    ideal_generator: AlgebraElement
-    checks: dict
+    def __init__(self, base, involution, mu_root, cosets, quotient_group,
+                 quotient_cocycle, quotient_algebra, ideal_generator, checks):
+        self.base = base                            # TwistedGroupAlgebra
+        self.involution = involution
+        self.mu_root = mu_root                      # Scalar
+        self.cosets = cosets
+        self.quotient_group = quotient_group
+        self.quotient_cocycle = quotient_cocycle    # Cocycle
+        self.quotient_algebra = quotient_algebra    # TwistedGroupAlgebra
+        self.ideal_generator = ideal_generator      # AlgebraElement
+        self.checks = checks
 
     def project(self, x):
         """The algebra map with kernel generated by u_a - mu_root."""
@@ -814,17 +823,18 @@ def check_theorem4(inst, seed=0):
 # --- crossed product -----------------------------------------------------------
 
 
-@dataclass
 class CrossedProduct:
-    algebra: TwistedGroupAlgebra
-    torsion: object                 # FiniteSubalgebra over t(G)
-    component: object               # FieldComponent of the torsion algebra
-    idempotent: AlgebraElement      # e, central, cuts the component
-    quotient: object                # H = G / t(G), free abelian
-    cosets: object
-    sigma_labels: dict
-    checked_radius: int
-    checked_triples: int
+    def __init__(self, algebra, torsion, component, idempotent, quotient,
+                 cosets, sigma_labels, checked_radius, checked_triples):
+        self.algebra = algebra          # TwistedGroupAlgebra
+        self.torsion = torsion          # FiniteSubalgebra over t(G)
+        self.component = component      # FieldComponent of the torsion algebra
+        self.idempotent = idempotent    # e, central, cuts the component
+        self.quotient = quotient        # H = G / t(G), free abelian
+        self.cosets = cosets
+        self.sigma_labels = sigma_labels
+        self.checked_radius = checked_radius
+        self.checked_triples = checked_triples
 
     def rep(self, h):
         return self.cosets.rep(h)
@@ -1122,12 +1132,12 @@ def check_theorem5_truncated(inst, level=None, seed=0):
 # --- commutator orders and orbit probes ---------------------------------------------
 
 
-@dataclass
 class CommutatorOrderReport:
-    group_order: int
-    unit_order: int | None
-    equal: bool
-    scalar: Scalar
+    def __init__(self, group_order, unit_order, equal, scalar):
+        self.group_order = group_order
+        self.unit_order = unit_order    # int | None
+        self.equal = equal
+        self.scalar = scalar            # Scalar
 
     def to_json(self):
         return {"group_commutator_order": self.group_order,
@@ -1163,11 +1173,11 @@ def _element_key(x):
     return frozenset(x.terms.items())
 
 
-@dataclass
 class OrbitProbe:
-    sizes: list
-    stabilized: bool
-    capped: bool
+    def __init__(self, sizes, stabilized, capped):
+        self.sizes = sizes
+        self.stabilized = stabilized
+        self.capped = capped
 
     def to_json(self):
         return {"sizes_by_depth": list(self.sizes),
@@ -1187,6 +1197,7 @@ def probe_conjugates(inst, x, depth=None):
         depth = inst.caps.orbit_depth
     if depth > ORBIT_DEPTH_CAP:
         raise CapExceeded(f"orbit depth cap is {ORBIT_DEPTH_CAP}")
+    _check_cap("depth", "orbit_depth", depth)
     res = try_invert(algebra, x)
     if not res.is_unit:
         raise NotUnitError(f"orbit probing needs a unit: {res.certificate}")

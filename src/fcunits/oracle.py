@@ -21,7 +21,6 @@ element.
 
 import itertools
 import json
-from dataclasses import asdict, dataclass
 
 from .errors import (
     CapExceeded,
@@ -254,19 +253,25 @@ class _IndexAlgebra:
 # --- the exhaustive sweep ----------------------------------------------------------
 
 
-@dataclass
 class OracleReport:
-    dimension: int
-    field_size: int
-    algebra_size: int
-    commutative: bool
-    unit_count: int
-    idempotent_count: int
-    nilpotent_count: int
-    radical_dimension: int
+    def __init__(self, dimension, field_size, algebra_size, commutative,
+                 unit_count, idempotent_count, nilpotent_count,
+                 radical_dimension):
+        self.dimension = dimension
+        self.field_size = field_size
+        self.algebra_size = algebra_size
+        self.commutative = commutative
+        self.unit_count = unit_count
+        self.idempotent_count = idempotent_count
+        self.nilpotent_count = nilpotent_count
+        self.radical_dimension = radical_dimension
 
     def to_json(self):
-        return asdict(self)
+        """The fields by name, in the order `__init__` sets them."""
+        return dict(vars(self))
+
+    def __eq__(self, other):
+        return isinstance(other, OracleReport) and vars(self) == vars(other)
 
 
 def _exact_log(value, base):

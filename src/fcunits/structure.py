@@ -59,12 +59,9 @@ and the count it makes rest on one certification.  Over Q the counts are
 not decided.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from itertools import repeat
 
 from . import linalg
@@ -470,14 +467,15 @@ def characteristic_polynomial(field, M):
 # --- radical ------------------------------------------------------------------
 
 
-@dataclass
 class RadicalResult:
     """A certified radical J of A: a reduced basis, its method, the least k
     with J^k = 0 and the `Subquotient` A / J (None when J = 0)."""
-    basis: list
-    method: str
-    nilpotency_index: int
-    quotient: Subquotient = None
+
+    def __init__(self, basis, method, nilpotency_index, quotient=None):
+        self.basis = basis
+        self.method = method
+        self.nilpotency_index = nilpotency_index
+        self.quotient = quotient
 
 
 def _raw_power(field, c, n):
@@ -753,7 +751,6 @@ def count_idempotents(fd, seed=0):
 # --- Wedderburn blocks ----------------------------------------------------------
 
 
-@dataclass
 class BlockStructure:
     """A finite algebra A read through its radical J and the blocks of
     A / J = sum_i M_{n_i}(GF(q^{d_i})).
@@ -763,10 +760,12 @@ class BlockStructure:
     lifts f_i of the central idempotents of A / J.  Over the rationals
     only the radical is decided, and `blocks` is None.
     """
-    field_size: int
-    radical: RadicalResult
-    blocks: list = None
-    coupling: list = None
+
+    def __init__(self, field_size, radical, blocks=None, coupling=None):
+        self.field_size = field_size
+        self.radical = radical
+        self.blocks = blocks
+        self.coupling = coupling
 
     def _decided(self):
         if self.blocks is None:
@@ -912,23 +911,24 @@ def _block_structure(fd):
 # --- sum-of-fields certificates ------------------------------------------------
 
 
-@dataclass
 class FieldComponent:
-    dim: int
-    description: str
-    generator: list
-    min_poly: list
-    idempotent: list
+    def __init__(self, dim, description, generator, min_poly, idempotent):
+        self.dim = dim
+        self.description = description
+        self.generator = generator
+        self.min_poly = min_poly
+        self.idempotent = idempotent
 
 
-@dataclass
 class DecompositionReport:
-    is_sum_of_fields: bool
-    reason: str
-    witness: object
-    components: list
-    radical: RadicalResult = None      # None when noncommutative
-    primitives: tuple = None           # None when noncommutative
+    def __init__(self, is_sum_of_fields, reason, witness, components,
+                 radical=None, primitives=None):
+        self.is_sum_of_fields = is_sum_of_fields
+        self.reason = reason
+        self.witness = witness
+        self.components = components
+        self.radical = radical          # None when noncommutative
+        self.primitives = primitives    # tuple, None when noncommutative
 
 
 def _field_certificate(fd, e, basis, rng):

@@ -1,8 +1,9 @@
 """The package runs on the standard library alone.
 
 Every import in src/fcunits names fcunits itself or a standard library
-module, and a rational analysis runs to its golden report in a process
-where importing sympy fails.
+module other than `dataclasses`, a CLI start loads neither `dataclasses`
+nor `inspect`, and a rational analysis runs to its golden report in a
+process where importing sympy fails.
 """
 
 import ast
@@ -15,6 +16,8 @@ import fcunits
 
 SRC = pathlib.Path(fcunits.__file__).resolve().parent
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+# importing dataclasses costs every CLI start more than the records it builds
+FORBIDDEN = {"dataclasses"}
 
 
 def imported_modules(path):
@@ -31,9 +34,22 @@ def test_every_import_is_fcunits_or_the_standard_library():
     outside = {(path.name, name)
                for path in sorted(SRC.glob("*.py"))
                for name in imported_modules(path)
-               if name.split(".")[0] not in sys.stdlib_module_names
-               and name.split(".")[0] not in {"fcunits", "__future__"}}
+               if name.split(".")[0] in FORBIDDEN
+               or (name.split(".")[0] not in sys.stdlib_module_names
+                   and name.split(".")[0] not in {"fcunits", "__future__"})}
     assert not outside
+
+
+def test_cli_start_loads_neither_dataclasses_nor_inspect():
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, fcunits.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 BLOCK_SYMPY = """\

@@ -607,6 +607,9 @@ def test_probe_rejects_non_units_and_deep_probes():
         fc.probe_conjugates(inst, nil)
     with pytest.raises(CapExceeded):
         fc.probe_conjugates(inst, algebra.one, depth=13)
+    with pytest.raises(InstanceFormatError,
+                       match=r"^depth must be an int in \[0, 12\], got -1$"):
+        fc.probe_conjugates(inst, algebra.one, depth=-1)
 
 
 def test_probe_stabilizes_on_central_unit():
@@ -639,6 +642,17 @@ def test_structure_report_shapes():
     assert rep2["prufer_level"] == 2
     assert rep2["torsion_dimension"] == 4
     assert rep2["primitive_idempotents"] == 4
+
+
+@pytest.mark.parametrize("level", [-2, 0, 9])
+def test_structure_report_rejects_a_level_outside_the_cap_range(level):
+    # None means the instance's own level; 0 does not
+    from fcunits import cli
+
+    inst = mk(cli.bundled_instance("prufer2_gf257"))
+    with pytest.raises(InstanceFormatError, match=(
+            rf"^level must be an int in \[1, 8\], got {level}$")):
+        fc.structure_report(inst, level=level)
 
 
 def test_structure_report_certifies_each_fact_once(monkeypatch):
