@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from importlib import resources
 
 from . import __version__
 from .errors import FcunitsError, InstanceFormatError
@@ -29,11 +28,14 @@ TOOL_VERSION = __version__
 def bundled_instance(name):
     """Parsed JSON of a bundled instance, e.g. 'heisenberg_gf2' or
     'lemma3/c6_gf25'."""
+    # imported here, as it brings some 30 modules into every CLI start
+    from importlib import resources
     path = resources.files("fcunits") / "instances" / f"{name}.json"
     return json.loads(path.read_text(encoding="utf-8"))
 
 
 def bundled_names(subdir=None):
+    from importlib import resources
     root = resources.files("fcunits") / "instances"
     if subdir is not None:
         root = root / subdir

@@ -8,15 +8,24 @@ and idempotent counts by enumeration.  It shares only ``fields`` (and
 structural modules is cross-validation, not code agreeing with itself.
 
 The sweep codes each element of GF(q) as its index 0..q-1 in
-`field.elements()` order.  The field's raw operations are read once into
-q x q addition and multiplication tables and negation and inverse lists,
-so the cocycle is a table of indices, an algebra element a tuple of
-indices, and the sweep makes no field call.  Everything here is
-exponential in the dimension n.  ORACLE_SIZE_CAP bounds the q^2 entries
-of each table and the work, counted in product steps: a product costs
-n^2, the sweep makes a few per element, so q^n n^2 in all, and the
-noncommutative nil-ideal filter one per pair of a nilpotent and an
-element.
+`field.elements()` order and makes no field call: the cocycle is a table
+of indices, an algebra element a tuple of indices, and q x q addition and
+multiplication tables and negation and inverse lists come from the
+logarithms of one walk over a generator's powers and from one row of raw
+sums 1 + b, as a + b = a (1 + b / a).
+
+The sweep tests one vector of each line K* a, a != 0, the one whose
+first nonzero coordinate is 1, and multiplies the counts back out: c a
+is a unit, or nilpotent, exactly when a is; (c a)^2 = c a exactly when
+a^2 = c^-1 a, so a line holds at most one nonzero idempotent; and
+x (c y) = c (x y), so the noncommutative nil-ideal filter needs only the
+representatives y, each product scaled to its own line's representative.
+
+Everything here is exponential in the dimension n.  ORACLE_SIZE_CAP
+bounds the q^2 entries of each table and the work, counted in product
+steps as if every element were visited (the line sweep does 1/(q - 1) of
+it): q^n n^2, and n^2 more per pair of a nilpotent and an element in the
+noncommutative nil-ideal filter.
 """
 
 import itertools
@@ -112,35 +121,49 @@ def _table_key(key):
 class _FieldTables:
     """A finite field's arithmetic on the indices of `field.elements()`:
     q x q `add` and `mul` tables and `neg` and `inv` lists (inv[zero] is
-    None), read from the field's raw operations."""
+    None), read off the logarithms of one generator walk and off one row
+    of raw sums 1 + b."""
 
     def __init__(self, field):
         values = [s.value for s in field.elements()]
         self.index = index = {v: i for i, v in enumerate(values)}
-        self.zero, self.one = index[field.raw_zero], index[field.raw_one]
-        reduce = field.reduce
+        q, zero = len(values), index[field.raw_zero]
+        self.zero, self.one = zero, index[field.raw_one]
 
-        def row(op, a):
-            return [index[reduce(op(a, b))] for b in values]
+        exp = [index[v] for v in _generator_powers(field, values)]
+        log = [q - 1] * q       # zero's q - 1 reads the zero after a window
+        for i, x in enumerate(exp):
+            log[x] = i
+        exp2 = exp + exp        # row a in log order: its window at log a
+        self.mul = mul = [
+            list(map((exp2[la:la + q - 1] + [zero]).__getitem__, log))
+            if x != zero else [zero] * q for x, la in enumerate(log)]
+        self.inv = inv = [exp[-la % (q - 1)] if x != zero else None
+                          for x, la in enumerate(log)]
+        one_plus = [index[field.reduce(field.raw_add(field.raw_one, b))]
+                    for b in values]
+        self.add = [list(map(mul[a].__getitem__,
+                             map(one_plus.__getitem__, mul[inv[a]])))
+                    if a != zero else list(range(q)) for a in range(q)]
+        self.neg = mul[one_plus.index(zero)]
 
-        # a row computed with raw_add for each element outside the span of
-        # the earlier ones; the others as (g + x) + b = g + (x + b)
-        add = [None] * len(values)
-        for g, value in enumerate(values):
-            if add[g] is None:
-                add[g] = gen = row(field.raw_add, value)
-                walk = [x for x, r in enumerate(add) if r is not None]
-                for x in walk:      # the walk grows as it goes
-                    y = gen[x]
-                    if add[y] is None:
-                        add[y] = [gen[v] for v in add[x]]
-                        walk.append(y)
-        self.add = add
-        self.mul = [row(field.raw_mul, a) for a in values]
-        self.neg = [index[reduce(field.raw_neg(a))] for a in values]
-        self.inv = [None if i == self.zero
-                    else index[reduce(field.raw_inv(a))]
-                    for i, a in enumerate(values)]
+
+def _generator_powers(field, values):
+    """[g^0, ..., g^(q-2)] for the first g in `values` of order q - 1.  A
+    walk stops at 1 or after q - 1 steps; an element that a failed walk
+    passed lies in a proper cyclic subgroup, so it is not tried."""
+    one, zero, m = field.raw_one, field.raw_zero, len(values) - 1
+    passed = {zero}
+    for g in (v for v in values if v not in passed):
+        powers, x = [one], g
+        while x != one and len(powers) < m:
+            powers.append(x)
+            x = field.reduce(field.raw_mul(x, g))
+        if x == one and len(powers) == m == len(set(powers) - {zero}):
+            return powers
+        passed.update(powers)
+    certify(False, f"no element of {field.shortname()} has {m} distinct "
+            f"nonzero powers: its multiplicative group is not cyclic")
 
 
 def _cocycle_matrix(obj, group, field, tables):
@@ -207,10 +230,25 @@ class _IndexAlgebra:
                     out[k] = add[out[k]][mul[scaled[lam]][b[j]]]
         return tuple(out)
 
+    def scale(self, c, a):
+        return tuple(map(self.tables.mul[c].__getitem__, a))
+
+    def lines(self):
+        """One vector of each line K* a, a != 0: first nonzero entry one."""
+        t, n = self.tables, self.dim
+        for lead in range(n):
+            head = (t.zero,) * lead + (t.one,)
+            yield from (head + tail for tail in itertools.product(
+                range(len(t.mul)), repeat=n - lead - 1))
+
+    def representative(self, a):
+        """The vector of `lines` on the line of a, or zero for a = 0."""
+        t = self.tables
+        return self.scale(t.inv[next((x for x in a if x != t.zero), t.one)],
+                          a)
+
     def is_nilpotent(self, a, square):
         """a^(2^steps) == 0 by repeated squaring, given a^2 = square."""
-        if a == self.zero_vector:
-            return True
         power = square
         for _ in range(self.steps - 1):
             if power == self.zero_vector:
@@ -285,12 +323,15 @@ def _exact_log(value, base):
 
 
 def oracle_report(instance_json):
-    """Sweep every element of a finite K_lambda G and count everything.
+    """Sweep a finite K_lambda G line by line and count everything.
 
     Counts units (Gaussian rank test on the left multiplication matrix),
     idempotents, and nilpotents, and derives the radical from the
     nilpotent set: directly for commutative algebras, and through the
     largest-nil-ideal filter {x : x * y nilpotent for all y} otherwise.
+    Each test runs on one vector per line K* a, on the logarithm tables;
+    the module docstring's three facts about lines give the counts, and
+    the cap counts q^n n^2 product steps as before, so it reaches as far.
     """
     if not isinstance(instance_json, dict):
         raise InstanceFormatError("instance must be a JSON object")
@@ -314,38 +355,40 @@ def oracle_report(instance_json):
     algebra = _IndexAlgebra(group, tables, lam)
 
     commutative = algebra.is_commutative()
-    units = idempotents = 0
-    nilpotents = []
-    for a in itertools.product(range(q), repeat=algebra.dim):
+    unit_lines = idempotent_lines = 0
+    nilpotent_lines = []
+    for a in algebra.lines():
         square = algebra.mul(a, a)
-        if square == a:
-            idempotents += 1
+        # a^2 = mu a, mu != 0, for the one idempotent mu^-1 a of the line
+        mu = square[a.index(tables.one)]
+        if mu != tables.zero and square == algebra.scale(mu, a):
+            idempotent_lines += 1
         if algebra.is_nilpotent(a, square):
-            nilpotents.append(a)
+            nilpotent_lines.append(a)
         elif algebra.is_unit(a):
-            units += 1
+            unit_lines += 1
+    nilpotents = 1 + (q - 1) * len(nilpotent_lines)
 
     if commutative:
-        radical = nilpotents
+        radical_lines = len(nilpotent_lines)
     else:
         # the largest nil ideal: x with the whole right translate x*A nil
-        steps *= 1 + len(nilpotents)
+        steps *= 1 + nilpotents
         if steps > ORACLE_SIZE_CAP:
             raise CapExceeded(
-                f"the sweep and the nil-ideal filter over {len(nilpotents)} "
+                f"the sweep and the nil-ideal filter over {nilpotents} "
                 f"nilpotents take {steps} product steps, above the oracle "
                 f"cap {ORACLE_SIZE_CAP}")
-        nil = set(nilpotents)
-        radical = [x for x in nilpotents
-                   if all(algebra.mul(x, y) in nil for y in itertools.product(
-                       range(q), repeat=algebra.dim))]
-    radical_dim = _exact_log(len(radical), q)
+        nil = {algebra.zero_vector, *nilpotent_lines}
+        radical_lines = sum(1 for x in nilpotent_lines if all(
+            algebra.representative(algebra.mul(x, y)) in nil
+            for y in algebra.lines()))
 
     return OracleReport(
         dimension=algebra.dim, field_size=q, algebra_size=total,
-        commutative=commutative, unit_count=units,
-        idempotent_count=idempotents, nilpotent_count=len(nilpotents),
-        radical_dimension=radical_dim)
+        commutative=commutative, unit_count=(q - 1) * unit_lines,
+        idempotent_count=1 + idempotent_lines, nilpotent_count=nilpotents,
+        radical_dimension=_exact_log(1 + (q - 1) * radical_lines, q))
 
 
 def predicted_unit_count(field_size, radical_dimension, component_dims):

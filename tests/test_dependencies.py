@@ -1,9 +1,9 @@
 """The package runs on the standard library alone.
 
 Every import in src/fcunits names fcunits itself or a standard library
-module other than `dataclasses`, a CLI start loads neither `dataclasses`
-nor `inspect`, and a rational analysis runs to its golden report in a
-process where importing sympy fails.
+module other than `dataclasses`, a CLI start loads none of `dataclasses`,
+`inspect` and `importlib.resources`, and a rational analysis runs to its
+golden report in a process where importing sympy fails.
 """
 
 import ast
@@ -50,6 +50,19 @@ def test_cli_start_loads_neither_dataclasses_nor_inspect():
         capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_cli_start_does_not_load_importlib_resources():
+    # -S: a site .pth file may load importlib.resources before any import
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, fcunits.cli; "
+         "print('importlib.resources' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 BLOCK_SYMPY = """\

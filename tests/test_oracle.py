@@ -14,6 +14,7 @@ import importlib.util
 import itertools
 import json
 import pathlib
+from collections import Counter
 from importlib import resources
 
 import pytest
@@ -222,6 +223,43 @@ def test_oracle_agrees_on_a_noncommutative_table(spec):
     assert rep.unit_count == blocks.unit_count()
 
 
+GF4 = {"kind": "prime-power", "p": 2, "k": 2, "modulus": [1, 1, 1]}
+OMEGA, OMEGA2 = [0, 1], [1, 1]
+
+
+def local_counts(q, order):
+    """K_lambda P for a p-group P over GF(q) of characteristic p is local
+    with residue field GF(q): its radical has codimension 1."""
+    return {"radical_dimension": order - 1, "idempotent_count": 2,
+            "nilpotent_count": q ** (order - 1),
+            "unit_count": (q - 1) * q ** (order - 1)}
+
+
+P_GROUP_ALGEBRAS = {
+    "gf2-c4": (finite_instance({"kind": "prime-power", "p": 2}, [4]), 2, 4),
+    "gf2-c8": (finite_instance({"kind": "prime-power", "p": 2}, [8]), 2, 8),
+    "gf3-c3-carry": (finite_instance({"kind": "prime-power", "p": 3}, [3],
+                                     carry_table(3, 2)), 3, 3),
+    "gf4-c2": (finite_instance(GF4, [2]), 4, 2),
+    # a carry twist by omega on the first factor and by omega^2 on the
+    # second, positions (a1, a2) in the order (0,0), (0,1), (1,0), (1,1);
+    # at (3,3) the two cancel
+    "gf4-c2xc2-twisted": (finite_instance(GF4, [2, 2], {
+        "(2,2)": OMEGA, "(2,3)": OMEGA, "(3,2)": OMEGA,
+        "(1,1)": OMEGA2, "(1,3)": OMEGA2, "(3,1)": OMEGA2}), 4, 4),
+    "gf2-d4": (cayley_spec(dihedral_table(4), 2), 2, 8),
+}
+
+
+@pytest.mark.parametrize("spec, q, order", P_GROUP_ALGEBRAS.values(),
+                         ids=P_GROUP_ALGEBRAS.keys())
+def test_oracle_counts_a_p_group_algebra_as_local(spec, q, order):
+    rep = oracle_report(spec)
+    assert rep.algebra_size == q ** order
+    assert {key: getattr(rep, key) for key in local_counts(q, order)} \
+        == local_counts(q, order)
+
+
 @pytest.mark.parametrize("spec, units", [
     (cayley_spec(symmetric_group_3_table(), 2, 2, [1, 1, 1]), 2160),
     (cayley_spec(symmetric_group_3_table(), 5), 7680),
@@ -361,10 +399,11 @@ def test_non_object_cocycle_parts_are_format_errors(cocycle, tmp_path,
 def test_oracle_certificate_failure_exits_one(monkeypatch, capsys):
     """A nilpotent set whose size is no power of q fails a certificate,
     which the CLI reports with exit 1 instead of a traceback."""
-    # over GF(3), {0, 1} as the nilpotent elements: 2 is not a power of 3
-    # (the indices of GF(3) are its values)
+    # over GF(3), the lines of (1, 0) and (1, 1) as the nilpotent ones:
+    # with zero that makes 5 elements, no power of 3 (the indices of GF(3)
+    # are its values)
     monkeypatch.setattr(oracle._IndexAlgebra, "is_nilpotent",
-                        lambda self, a, square: a[0] in (0, 1) and a[1] == 0)
+                        lambda self, a, square: a in ((1, 0), (1, 1)))
     path = str(resources.files("fcunits") / "instances"
                / "gf3_c2_trivial.json")
     with pytest.raises(CertificateFailed, match="not a power of 3"):
@@ -554,15 +593,16 @@ def test_sweep_matches_the_reference_on_drawn_instances(shape, raw):
 
 
 def test_the_sweep_reads_the_field_only_into_its_tables(monkeypatch):
-    """The raw operations build the tables and nothing else: at most
-    4 q^2 calls for the 343 elements of GF(7)[C3]."""
-    calls = []
+    """The raw operations build the tables and nothing else, from one
+    generator walk and one row of sums: for the 343 elements of GF(7)[C3],
+    q additions, at most 3 q products, and no inverse."""
+    calls = Counter()
 
     def counting_field(field_spec):
         field = make_field(field_spec)
         for name in ("raw_add", "raw_mul", "raw_inv"):
-            def counted(*args, op=getattr(field, name)):
-                calls.append(op)
+            def counted(*args, op=getattr(field, name), name=name):
+                calls[name] += 1
                 return op(*args)
             setattr(field, name, counted)
         return field
@@ -570,4 +610,60 @@ def test_the_sweep_reads_the_field_only_into_its_tables(monkeypatch):
     monkeypatch.setattr(oracle, "make_field", counting_field)
     rep = oracle_report(cli.bundled_instance("lemma3/c3_gf7"))
     assert rep.algebra_size == 343
-    assert 0 < len(calls) <= 4 * rep.field_size ** 2
+    q = rep.field_size
+    assert calls["raw_add"] == q
+    assert 0 < calls["raw_mul"] <= 3 * q
+    assert calls["raw_inv"] == 0
+
+
+GF81 = cli.bundled_instance("lemma3/c2_gf81")["field"]
+
+
+@pytest.mark.parametrize("field_spec", DRAWN_FIELDS + [GF81],
+                         ids=lambda f: f"gf{f['p']}^{f.get('k', 1)}")
+def test_field_tables_match_the_raw_operations(field_spec):
+    field = make_field(field_spec)
+    tables = oracle._FieldTables(field)
+    values = [s.value for s in field.elements()]
+    assert [tables.index[v] for v in values] == list(range(len(values)))
+    assert values[tables.zero] == field.raw_zero
+    assert values[tables.one] == field.raw_one
+    for i, a in enumerate(values):
+        assert values[tables.neg[i]] == field.reduce(field.raw_neg(a))
+        if a == field.raw_zero:
+            assert tables.inv[i] is None
+        else:
+            assert values[tables.inv[i]] == field.reduce(field.raw_inv(a))
+        for j, b in enumerate(values):
+            assert values[tables.add[i][j]] == field.reduce(
+                field.raw_add(a, b))
+            assert values[tables.mul[i][j]] == field.reduce(
+                field.raw_mul(a, b))
+
+
+@pytest.mark.parametrize("product", [
+    # every walk closes early
+    lambda a, b: 1,
+    # a walk of q - 1 steps that never returns to 1
+    lambda a, b: 2,
+    # the walk of 2 returns to 1 after q - 1 steps, but through zero
+    lambda a, b: {(2, 2): 0, (0, 2): 3}.get((a, b), a * b),
+], ids=["back-to-1", "stuck-at-2", "through-zero"])
+def test_a_field_without_a_generator_fails_its_certificate(monkeypatch,
+                                                           product):
+    field = make_field({"kind": "prime-power", "p": 5})
+    monkeypatch.setattr(field, "raw_mul", product)
+    with pytest.raises(CertificateFailed,
+                       match="nonzero powers: its multiplicative group"):
+        oracle._FieldTables(field)
+
+
+def test_the_generator_walk_skips_what_it_passed(monkeypatch):
+    # modulo 71, 2 generates the 35 squares, among them 3, 4, 5 and 6:
+    # one walk of 34 products passes them, and 7 generates in 69 more
+    field = make_field({"kind": "prime-power", "p": 71})
+    calls = []
+    monkeypatch.setattr(field, "raw_mul",
+                        lambda a, b: calls.append(a) or a * b)
+    assert oracle._FieldTables(field).mul[2][36] == 1
+    assert len(calls) == 34 + 69
