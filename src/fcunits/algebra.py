@@ -13,6 +13,8 @@ the API: `element`, `scalar` and `scale` take them (or ints), and `coeff`
 returns one.
 """
 
+import operator
+
 from . import linalg
 from .cocycles import (
     commutator_scalar,
@@ -35,7 +37,7 @@ from .errors import (
     SupportNotInSubgroup,
     certify,
 )
-from .fields import Scalar
+from .fields import Scalar, power
 from .groups import finite_subgroup
 
 
@@ -115,15 +117,7 @@ class AlgebraElement:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("algebra elements support nonnegative powers only")
-        result = self.algebra.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, operator.mul, self.algebra.one)
 
     def coeff(self, g):
         """The coefficient of u_g, as a Scalar."""

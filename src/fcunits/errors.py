@@ -138,7 +138,8 @@ class NotCommutative(FcunitsError):
 
 class TooLargeToCount(FcunitsError):
     """A count that is not decided: the idempotents or units of a
-    noncommutative algebra over Q."""
+    noncommutative algebra over Q, or the infinitely many units of a
+    commutative one."""
 
 
 class IdealNotNilpotent(FcunitsError):

@@ -16,9 +16,11 @@ meets the torsion part:
   certified split of the top truncation level.
 
 ``verdict`` routes an instance to the right checker after the necessary
-screens (torsion subalgebra commutative, its idempotents central, torsion
-central over an infinite coefficient field) and packages the outcome as a
-deterministic JSON-able report.  NotFC verdicts always carry a concrete
+screens (L4: torsion subalgebra commutative; L6: torsion central over an
+infinite coefficient field) and packages the outcome as a deterministic
+JSON-able report.  The L5 screen, idempotents of the torsion subalgebra
+central, has no code: on this family it holds whenever L4 does (see
+`necessary_conditions`).  NotFC verdicts always carry a concrete
 witness.  The constructions the positive criteria rest on (the quotient
 by a central involution and the component-wise crossed product) are
 exposed as operations and verify themselves before returning.
@@ -414,39 +416,25 @@ def _torsion_commutativity_witness(inst):
     return None
 
 
-def necessary_conditions(inst, seed=0):
+def necessary_conditions(inst):
     """Violations of the screens every FC unit group must clear, as failed
     ConditionReports.
 
     The screens assume the ambient algebra is infinite.  Each violation
     carries a witness; an empty list means the instance survives to the
     criterion checkers.
+
+    The L5 screen, primitive idempotents of the torsion subalgebra
+    central, is not run: it cannot fail once L4 passes.  The cocycle is
+    tau(t_g, t_h) zeta^B(u_g, u_h) with no cross terms, and a torsion
+    element h has u_h = 0, so it commutes with every g once T is abelian
+    (beta(u, 0) = beta(0, u) = 0) and u_g u_h = tau(t_g, t_h) u_gh.  L4
+    passes exactly when T is abelian and tau symmetric, and then every
+    torsion unit is central, and so is all of K_lambda T.
     """
     group, field = inst.group, inst.cocycle.field
-    violations = []
     comm_violation = _torsion_commutativity_witness(inst)
-    if comm_violation is not None:
-        violations.append(comm_violation)
-    else:
-        # idempotents of the coprime-order torsion subalgebra must be
-        # central; the coprime part keeps the subalgebra semisimple, where
-        # the statement is a sound necessary condition
-        p = field.characteristic
-        level = 1 if group.prufer is not None else 0
-        if group.prufer is not None and p == group.prufer[0]:
-            level = 0
-        els = [h for h in group.torsion_elements(level)
-               if p == 0 or group.element_order(h) % p != 0]
-        if len(els) > 1:
-            S = inst.subalgebra_over(els)
-            fail = _centrality_failure(
-                inst.algebra(), "idempotent",
-                map(S.to_ambient, primitive_idempotents(S.fd, seed=seed)))
-            if fail is not None:
-                violations.append(ConditionReport(
-                    "L5.idempotents-central", False, fail,
-                    "a primitive idempotent of the torsion subalgebra "
-                    "moves under conjugation"))
+    violations = [] if comm_violation is None else [comm_violation]
     if not field.is_finite():
         if not group.torsion_is_central():
             bad = next(h for h in group.torsion_elements(prufer_level=0)
@@ -1252,7 +1240,7 @@ def verdict(inst, seed=0):
                           "finite and trivially FC; the criteria target "
                           "infinite algebras"],
             {"orbits": None, "decompositions": None})
-    violations = necessary_conditions(inst, seed=seed)
+    violations = necessary_conditions(inst)
     if violations:
         out = Verdict("NotFC", "necessary-only",
                       violations, base_notes,

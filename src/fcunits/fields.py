@@ -35,6 +35,10 @@ irreducibility over every finite field.  Roots stay a sweep over the
 elements (`poly_roots`): at the bundled field sizes it measured faster
 than gcd(a, x^q - x) followed by a degree-1 split.
 
+Every binary power in the package, of polynomials modulo m, scalars,
+algebra vectors and elements, and group elements, is one call of
+`power`, left-to-right square-and-multiply from its argument.
+
 Finite fields are capped at 2^16 elements and extension degree 8, which
 keeps every exhaustive search (root finding, discrete logs, unit scans)
 cheap and predictable.
@@ -151,17 +155,26 @@ def poly_divmod(F, a, b):
     return tuple(q), poly_trim(F, list(map(reduce, r[:db])))
 
 
+def power(x, n, mul, one):
+    """x^n for n >= 0 under the product `mul`, `one` when n = 0: left-to-
+    right square-and-multiply starting from x (von zur Gathen and Gerhard,
+    *Modern Computer Algebra*, ch. 4), the one binary-powering loop of
+    the package."""
+    if n == 0:
+        return one
+    out = x
+    for bit in bin(n)[3:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, x)
+    return out
+
+
 def poly_powmod(F, a, n, m):
     """a^n modulo m, for n >= 0 and m of positive degree."""
-    result = (F.raw_one,)
-    base = poly_divmod(F, a, m)[1]
-    while n:
-        if n & 1:
-            result = poly_divmod(F, poly_mul(F, result, base), m)[1]
-        n >>= 1
-        if n:
-            base = poly_divmod(F, poly_mul(F, base, base), m)[1]
-    return result
+    return power(poly_divmod(F, a, m)[1], n,
+                 lambda x, y: poly_divmod(F, poly_mul(F, x, y), m)[1],
+                 (F.raw_one,))
 
 
 def poly_gcd(F, a, b):
@@ -636,17 +649,9 @@ class Scalar:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        base = self
         if n < 0:
-            base = self.inv()
-            n = -n
-        result = self.field.one
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return power(self.inv(), -n, operator.mul, self.field.one)
+        return power(self, n, operator.mul, self.field.one)
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -30,6 +30,7 @@ import math
 import operator
 from fractions import Fraction
 
+from . import fields
 from .errors import (
     GroupMismatch,
     GroupValidationError,
@@ -357,8 +358,7 @@ class Group:
             if not torsion.is_abelian:
                 raise GroupValidationError(
                     "a Pruefer component requires an abelian torsion part")
-            from .fields import is_prime
-            if not is_prime(q):
+            if not fields.is_prime(q):
                 raise GroupValidationError(f"Pruefer parameter {q} not prime")
             if not 1 <= levels <= 12:
                 raise GroupValidationError("Pruefer levels must be 1..12")
@@ -403,14 +403,7 @@ class Group:
     def power(self, a, n):
         if n < 0:
             return self.power(self.inv(a), -n)
-        result = self.identity
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
+        return fields.power(a, n, self.mul, self.identity)
 
     def commutator(self, a, b):
         """[a, b] = a^-1 b^-1 a b."""

@@ -32,15 +32,17 @@ unlike `assert`, also runs under `python -O`.
 Each structural fact of a commutative algebra has one path:
 `fields_decomposition` certifies the radical and the primitive idempotents
 once and returns them in its report, which is where report builders read
-the radical and the primitive count from, and `count_idempotents` the
-idempotent count 2^(number of primitives).  Both are kept on the
-immutable `FDAlgebra`, so a repeated request costs no products, and so
-is the certified `jacobson_radical` of any algebra, with its A / J.  The
-primitive idempotents come from one Chinese-remainder step and one
-corner recursion over every field, and are certified orthogonal by
-prefix sums, one product (e_1 + ... + e_(k-1)) e_k = 0 per idempotent,
-not one per pair.  Each field component is a corner A e; when there are
-dim primitives, certified nonzero, every corner is the line K e.
+the radical and the primitive count from, `count_idempotents` the
+idempotent count 2^(number of primitives), and `count_units` the unit
+count q^(dim J) prod_i (q^(d_i) - 1) over the components of A / J.  The
+report is kept on the immutable `FDAlgebra`, so a repeated request costs
+no products, and so is the certified `jacobson_radical` of any algebra,
+with its A / J.  The primitive idempotents come from one
+Chinese-remainder step and one corner recursion over every field, and
+are certified orthogonal by prefix sums, one product
+(e_1 + ... + e_(k-1)) e_k = 0 per idempotent, not one per pair.  Each
+field component is a corner A e; when there are dim primitives,
+certified nonzero, every corner is the line K e.
 
 Idempotents of a noncommutative algebra A over GF(q) are counted from its
 blocks, not by enumerating vectors (Ronyai, J. Symbolic Comput. 9, 1990;
@@ -57,6 +59,14 @@ The same data give the unit count q^(dim J) prod_i |GL_{n_i}(GF(q_i))|.
 The result is kept on the `FDAlgebra`, so the radical a report prints
 and the count it makes rest on one certification.  Over Q the counts are
 not decided.
+
+Every power here (Frobenius powers of basis vectors and of raw field
+values) is one call of `fields.power`.  Idempotents lift along the radical
+by one Newton step e -> 3e^2 - 2e^3 in every characteristic (e^2 in
+characteristic 2, e^3 in characteristic 3).  Each step squares the defect
+e^2 - e, and the step stays in the commutative algebra K[x], where an
+idempotent congruent to x modulo the nil ideal (x^2 - x) is unique; so
+the lift does not depend on the iteration that reaches it.
 """
 
 import itertools
@@ -82,6 +92,7 @@ from .fields import (
     poly_irreducible,
     poly_mul,
     poly_roots,
+    power,
 )
 
 RADICAL_NONCOMMUTATIVE_DIM_CAP = 32
@@ -171,16 +182,8 @@ class FDAlgebra:
         return list(map(field.reduce, map(field.raw_mul, x, repeat(c))))
 
     def power(self, x, n):
-        """x^n for n >= 0 by left-to-right binary powering from x, a fresh
-        list; n = 0 gives a copy of `one`."""
-        if n == 0:
-            return list(self.one)
-        result = list(x)
-        for bit in bin(n)[3:]:
-            result = self.mul(result, result)
-            if bit == "1":
-                result = self.mul(result, x)
-        return result
+        """x^n for n >= 0 by `fields.power`, a fresh list."""
+        return list(power(x, n, self.mul, self.one))
 
     def basis_powers(self, n):
         """[b_i^n for each basis vector b_i], computed once per n and kept;
@@ -478,23 +481,17 @@ class RadicalResult:
         self.quotient = quotient
 
 
-def _raw_power(field, c, n):
-    """c^n for a canonical raw value c and n >= 1, canonical."""
-    out = c
-    for bit in bin(n)[3:]:
-        out = field.reduce(field.raw_mul(out, out))
-        if bit == "1":
-            out = field.reduce(field.raw_mul(out, c))
-    return out
-
-
 def _frobenius_pullback(field, vectors, twist_power):
     """Undo an eta = xi^(p^twist) substitution componentwise."""
     e = (-twist_power) % getattr(field, "degree", 1)
     if e == 0:
         return vectors
     back = field.characteristic ** e
-    return [[_raw_power(field, c, back) for c in vec] for vec in vectors]
+
+    def mul(x, y):
+        return field.reduce(field.raw_mul(x, y))
+    return [[power(c, back, mul, field.raw_one) for c in vec]
+            for vec in vectors]
 
 
 def _semilinear_kernel(field, images, twist_power):
@@ -746,6 +743,24 @@ def count_idempotents(fd, seed=0):
     if comm:
         return 2 ** len(fields_decomposition(fd, seed).primitives)
     return block_structure(fd).idempotent_count()
+
+
+def count_units(fd, seed=0):
+    """Number of units: q^(dim J) * prod_i (q^(d_i) - 1) over the field
+    components of the kept A / J when commutative, the closed form of
+    `BlockStructure.unit_count` otherwise."""
+    comm, _ = fd.is_commutative()
+    if not comm:
+        return block_structure(fd).unit_count()
+    q = fd.field.size()
+    if q is None:
+        raise TooLargeToCount("an algebra over Q has infinitely many units")
+    rad = jacobson_radical(fd)
+    bar = rad.quotient.fd if rad.quotient else fd
+    total = q ** len(rad.basis)
+    for c in fields_decomposition(bar, seed).components:
+        total *= q ** c.dim - 1
+    return total
 
 
 # --- Wedderburn blocks ----------------------------------------------------------
@@ -1004,22 +1019,25 @@ def lift_idempotents(fd, rad, xs):
     for x in xs:
         if not S.contains(fd.sub(fd.mul(x, x), x)):
             raise ConditionsNotMet("x is not idempotent modulo the ideal")
-    p = fd.field.characteristic
-    three, two = fd.field._canonical(3), fd.field._canonical(2)
     bound = fd.dim.bit_length() + 3
     lifts = []
     for x in xs:
         e = list(x)
         steps = 0
         while not fd.is_idempotent(e):
-            if p:
-                e = fd.power(e, p)
-            else:
-                e2 = fd.mul(e, e)
-                e = fd.sub(fd.scale(e2, three), fd.scale(fd.mul(e2, e), two))
+            e = _lift_step(fd, e)
             steps += 1
             certify(steps <= bound, "idempotent lifting failed to converge")
         certify(S.contains(fd.sub(e, x)),
                 "lift drifted from x modulo the ideal")
         lifts.append(e)
     return lifts
+
+
+def _lift_step(fd, e):
+    """One Newton step e -> 3e^2 - 2e^3 toward the idempotent of K[e]: the
+    defect e^2 - e becomes (e^2 - e)^2 (4e^2 - 4e - 3)."""
+    field = fd.field
+    e2 = fd.mul(e, e)
+    return fd.sub(fd.scale(e2, field._canonical(3)),
+                  fd.scale(fd.mul(e2, e), field._canonical(2)))

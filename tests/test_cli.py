@@ -434,6 +434,21 @@ def test_oracle_checks_the_unit_count_of_a_noncommutative_algebra(
     }
 
 
+def test_oracle_cross_check_ends_on_a_failed_certificate(monkeypatch,
+                                                       tmp_path, capsys):
+    from fcunits import structure
+
+    # only a cap skips a check; a failed certificate exits 1, as it does
+    # under --structure
+    monkeypatch.setattr(structure, "_is_ideal", lambda fd, span: False)
+    path = noncommutative_instance(tmp_path)
+    for flag in ("--structure", "--oracle"):
+        rc, out, err = run(["analyze", path, flag], capsys)
+        assert rc == 1, flag
+        assert out == ""
+        assert err == "error: radical candidate is not an ideal\n"
+
+
 def test_radical_cap_ends_as_above_cap_and_skipped(monkeypatch, tmp_path,
                                                    capsys):
     from fcunits import structure

@@ -709,7 +709,11 @@ def test_centrality_by_generators_matches_the_box_scan():
         algebra, group = inst.algebra(), inst.group
         items = [algebra.basis_unit(h)
                  for h in group.torsion_elements(inst.prufer_level)]
-        # the elements the L5 screen splits, at the level it splits them
+        # the invariant that makes an L5 screen redundant: once L4 passes,
+        # every torsion unit is central, so K_lambda T is central
+        if fc._torsion_commutativity_witness(inst) is None:
+            assert all(map(algebra.is_central, items)), name
+        # the coprime-order primitive idempotents, at Pruefer level 1
         p = inst.field.characteristic
         level = int(group.prufer is not None and p != group.prufer[0])
         S = inst.subalgebra_over(
@@ -749,14 +753,14 @@ def _analyze_bundled(name, *flags):
 def test_one_subalgebra_and_one_split_per_fact(monkeypatch, capsys):
     from fcunits import structure
 
-    # the L5 screen builds and splits C2; T5 reads its truncation levels
-    # off the split of C16, which the structure section shares
+    # T5 reads its truncation levels off the split of C16, which the
+    # structure section shares; nothing else is built or split
     builds = _calls(monkeypatch, structure.FiniteSubalgebra, "__init__")
     splits = _calls(monkeypatch, structure, "_primitive_idempotents_finite")
     _analyze_bundled("prufer2_gf257", "--verdict", "--structure")
-    assert len(builds) == 2
-    assert len(splits) == 2
-    # the L5 screen and T4 split the same 3-dimensional algebra, once
+    assert len(builds) == 1
+    assert len(splits) == 1
+    # T4 splits its 3-dimensional algebra once
     builds.clear()
     rational = _calls(monkeypatch, structure,
                       "_primitive_idempotents_rational")
@@ -769,7 +773,7 @@ def test_one_subalgebra_and_one_split_per_fact(monkeypatch, capsys):
 def test_each_subgroup_is_closed_once(monkeypatch, capsys):
     from fcunits import cli
 
-    # the verdict and the structure section ask for C2 and C16
+    # the verdict and the structure section both ask for C16
     closures = []
     original = fc.finite_subgroup
 
@@ -780,7 +784,7 @@ def test_each_subgroup_is_closed_once(monkeypatch, capsys):
     monkeypatch.setattr(fc, "finite_subgroup", counted)
     _analyze_bundled("prufer2_gf257", "--verdict", "--structure")
     capsys.readouterr()
-    assert len(closures) == len(set(closures)) == 2
+    assert len(closures) == len(set(closures)) == 1
     closures.clear()
     inst = mk(cli.bundled_instance("prufer2_gf257"))
     S = inst.torsion_subalgebra(4)
@@ -848,15 +852,15 @@ def test_oracle_unit_count_reads_the_kept_quotient(monkeypatch, tmp_path,
     assert len(builds) == 1
 
 
-def test_l5_screen_splits_with_the_run_seed(monkeypatch, capsys):
+def test_t4_splits_with_the_run_seed(monkeypatch, capsys):
     from fcunits import structure
 
-    # T4 reuses the L5 screen's split only when both use the run's seed;
-    # an L5 split under seed 0 would double the calls under seed 1 (the
+    # the structure section reuses T4's split only when both use the run's
+    # seed; a split under seed 0 would double the calls under seed 1 (the
     # corner recursion splits Q[C3] = Q + Q(w) in three calls)
     monkeypatch.setenv("FC_UNITS_SEED", "1")
     rational = _calls(monkeypatch, structure, "_split_rational")
-    _analyze_bundled("c3_z_rationals", "--verdict")
+    _analyze_bundled("c3_z_rationals", "--verdict", "--structure")
     assert len(rational) == 3
     capsys.readouterr()
 

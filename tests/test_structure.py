@@ -37,6 +37,7 @@ from fcunits.structure import (
     characteristic_polynomial,
     corner_algebra,
     count_idempotents,
+    count_units,
     fields_decomposition,
     jacobson_radical,
     lift_idempotents,
@@ -436,6 +437,16 @@ def test_count_idempotents_from_the_blocks(table, field, count, blocks,
     assert bs.blocks == blocks
     assert bs.coupling == coupling
     assert count_idempotents(fd) == count
+
+
+def test_count_units_from_the_radical_and_the_components():
+    # GF(2)[C6] = GF(2)[x]/(x - 1)^2 x GF(2)[x]/(x^2 + x + 1)^2: 2 * 12
+    assert count_units(group_algebra_fd(abelian([6]), gf(2)).fd) == 24
+    # GF(3)[S3]: J of dimension 4 over GF(3) + GF(3), 3^4 * 2 * 2
+    fd = group_algebra_fd(cayley(symmetric_group_3_table()), gf(3)).fd
+    assert count_units(fd) == 324
+    with pytest.raises(TooLargeToCount, match="infinitely many units"):
+        count_units(group_algebra_fd(abelian([2]), rationals()).fd)
 
 
 def test_noncommutative_count_above_the_radical_cap():
@@ -969,6 +980,25 @@ def test_lift_idempotent_char0_newton():
     assert lift_idempotents(fd, rad, [[one, one]]) == [fd.one]
 
 
+@pytest.mark.parametrize("table, p", [
+    (cyclic_table(14), 7), (cyclic_table(10), 5), (cyclic_table(15), 5),
+], ids=["c14-gf7", "c10-gf5", "c15-gf5"])
+def test_newton_lift_equals_the_frobenius_lift(table, p):
+    # both e -> 3e^2 - 2e^3 and e -> e^p stay in K[x], whose idempotent
+    # congruent to x modulo the nil ideal (x^2 - x) is unique
+    fd = group_algebra_fd(cayley(table), gf(p)).fd
+    rad = jacobson_radical(fd)
+    xs = [rad.quotient.lift(e)
+          for e in primitive_idempotents(rad.quotient.fd)]
+    assert not all(map(fd.is_idempotent, xs))
+    frobenius = []
+    for e in xs:
+        while not fd.is_idempotent(e):
+            e = fd.power(e, p)
+        frobenius.append(e)
+    assert lift_idempotents(fd, rad, xs) == frobenius
+
+
 def test_rational_split_reads_the_certified_radical(monkeypatch):
     # Q[s, t] / (s^2 - 1, t^2) on the basis s^a t^b: J = (t) and
     # A / J = Q[C2] = Q + Q, so two primitives lift along J
@@ -1043,7 +1073,7 @@ def _lift_never_idempotent(monkeypatch):
 def _lift_to_zero(monkeypatch):
     fd = group_algebra_fd(abelian([2]), gf(2)).fd
     rad = jacobson_radical(fd)
-    monkeypatch.setattr(fd, "power", lambda x, n: fd.zero_vec())
+    monkeypatch.setattr(structure, "_lift_step", lambda fd, e: fd.zero_vec())
     lift_idempotents(fd, rad, [fd.basis_vec(1)])
 
 

@@ -1,0 +1,157 @@
+"""Verdict routes that no bundled instance reaches, each run on a spec built
+here: L4's asymmetric-cocycle witness, both L6 witnesses, T5.3's scalar
+commutator violation, T5.4's averaging idempotent and complement, and the
+text summary of the structure, orbit and oracle sections.
+
+tau(a, b) = (-1)^(a_2 b_1) on C2 x C2 is the cocycle of the twisted pairs
+below: with keys a = 2 a_1 + a_2 it is -1 exactly at (1, 2), (1, 3),
+(3, 2) and (3, 3), so tau((0, 1), (1, 0)) = -1 while tau((1, 0), (0, 1))
+= 1.
+"""
+
+import json
+import math
+from collections import Counter
+
+from fcunits import cli
+from fcunits.groups import symmetric_group_3_table
+
+TAU_KEYS = ["(1,2)", "(1,3)", "(3,2)", "(3,3)"]
+
+
+def spec(field, torsion, rank=1, cocycle=None, **group):
+    return {"field": field, "cocycle": cocycle or {},
+            "group": {"kind": "central-extension", "rank": rank,
+                      "torsion": torsion, **group}}
+
+
+def conditions(tmp_path, instance, capsys):
+    """The verdict section of `analyze --verdict` and its conditions keyed
+    by id."""
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance), encoding="utf-8")
+    assert cli.main(["analyze", str(path), "--verdict"]) == 0
+    v = json.loads(capsys.readouterr().out)["sections"]["verdict"]
+    return v, {c["id"]: c for c in v["conditions"]}
+
+
+def gf(p):
+    return {"kind": "prime-power", "p": p}
+
+
+RATIONALS = {"kind": "rationals"}
+
+
+def test_l4_names_the_asymmetric_torsion_pair_and_its_values(tmp_path,
+                                                             capsys):
+    v, conds = conditions(tmp_path, spec(
+        gf(3), {"invariants": [2, 2]},
+        cocycle={"torsion_table": dict.fromkeys(TAU_KEYS, 2)}), capsys)
+    assert (v["result"], v["theorem"]) == ("NotFC", "necessary-only")
+    l4 = conds["L4.torsion-commutative"]
+    assert l4["pass"] is False
+    assert l4["witness"] == {
+        "pair": [{"a": [0, 1], "u": [0]}, {"a": [1, 0], "u": [0]}],
+        "values": [2, 1]}
+    assert "asymmetric on a torsion pair" in l4["note"]
+
+
+def test_l6_names_a_noncentral_torsion_element_over_q(tmp_path, capsys):
+    v, conds = conditions(tmp_path, spec(
+        RATIONALS, {"table": symmetric_group_3_table()}), capsys)
+    assert (v["result"], v["theorem"]) == ("NotFC", "necessary-only")
+    assert conds["L4.torsion-commutative"]["note"] == "t(G) is nonabelian"
+    l6 = conds["L6.torsion-central"]
+    assert l6["pass"] is False
+    assert l6["witness"] == {"element": {"a": 1, "u": [0]}}
+    assert "noncentral" in l6["note"]
+
+
+def test_l6_names_a_pair_against_a_central_torsion_element_over_q(
+        tmp_path, capsys):
+    v, conds = conditions(tmp_path, spec(
+        RATIONALS, {"invariants": [2, 2]},
+        cocycle={"torsion_table": dict.fromkeys(TAU_KEYS, -1)}), capsys)
+    assert (v["result"], v["theorem"]) == ("NotFC", "necessary-only")
+    assert conds["L4.torsion-commutative"]["witness"]["values"] == ["-1", "1"]
+    l6 = conds["L6.torsion-central"]
+    assert l6["pass"] is False
+    # t(G) is central in G, so the witness is a cocycle asymmetry
+    assert l6["witness"] == {
+        "pair": [{"a": [0, 1], "u": [-1]}, {"a": [1, 0], "u": [0]}],
+        "values": ["-1", "1"]}
+
+
+def test_t5_3_reports_scalar_commutators_of_the_bilinear_part(tmp_path,
+                                                              capsys):
+    # zeta = 2 has order 4 in GF(5), and the commutator scalar of
+    # (u, v) and (u', v') is zeta^(u v' - u' v)
+    v, conds = conditions(tmp_path, spec(
+        gf(5), {"invariants": []}, rank=2,
+        cocycle={"bilinear": {"zeta": 2, "matrix": [[0, 1], [0, 0]]}},
+        prufer={"q": 2, "levels": 2}), capsys)
+    assert (v["result"], v["theorem"]) == ("EvidenceOnly", "T5-truncated")
+    t53 = conds["T5.3"]
+    assert t53["pass"] is False
+    w = t53["witness"]
+    assert w["commutator_subgroup_order"] == 1
+    assert w["commutator_order_mismatches"] == []
+    for hit in w["scalar_commutator_violations"]:
+        (u1, v1), (u2, v2) = (g["u"] for g in hit["pair"])
+        assert hit["scalar"] == pow(2, (u1 * v2 - u2 * v1) % 4, 5) != 1
+    assert len(w["scalar_commutator_violations"]) == 3
+
+
+def components_of_cyclic(n, q):
+    """Component degrees of GF(q)[C_n], p prime to n: for each d | n,
+    phi(d) / o_d components of degree o_d, o_d the order of q mod d."""
+    degrees = Counter()
+    for d in range(1, n + 1):
+        if n % d == 0:
+            o = next(k for k in range(1, d + 1) if pow(q, k, d) == 1 % d)
+            phi = sum(math.gcd(k, d) == 1 for k in range(1, d + 1))
+            degrees[o] += phi // o
+    return degrees
+
+
+def test_t5_4_complement_has_the_components_nontrivial_on_h(tmp_path,
+                                                            capsys):
+    # T = C2 x C9 at truncation level 2, H = [G, G] = C2 from the pairing;
+    # (1 - e_H) K[T] keeps the characters nontrivial on H, one per
+    # character of C9, so it is GF(7)[C9] = 3 GF(7) + 2 GF(7^3)
+    instance = spec(gf(7), {"invariants": [2]}, rank=2,
+                    pairing={"matrix": [[0, 1], [0, 0]], "target_index": 0},
+                    prufer={"q": 3, "levels": 3})
+    instance["caps"] = {"truncation_level": 2}
+    v, conds = conditions(tmp_path, instance, capsys)
+    assert (v["result"], v["theorem"]) == ("EvidenceOnly", "T5-truncated")
+    assert conds["T5.3"]["witness"]["commutator_subgroup_order"] == 2
+    t54 = conds["T5.4"]
+    assert t54["pass"] is True
+    w = t54["witness"]
+    # e_H = (1 + t1) / 2, and 1/2 = 4 in GF(7)
+    assert w["averaging_idempotent"] == [
+        {"c": 4, "g": {"a": [0], "u": [0, 0]}},
+        {"c": 4, "g": {"a": [1], "u": [0, 0]}}]
+    dec = w["complement_decomposition"]
+    assert dec["is_sum_of_fields"] is True
+    assert Counter(c["dim"] for c in dec["components"]) \
+        == components_of_cyclic(9, 7) == Counter({1: 3, 3: 2})
+
+
+def test_human_summary_renders_structure_orbits_and_oracle(capsys):
+    from importlib import resources
+
+    path = resources.files("fcunits") / "instances" / "gf3_c2_twisted.json"
+    assert cli.main(["analyze", str(path), "--structure", "--orbits", "t1",
+                     "--oracle", "--human"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"fcunits {cli.TOOL_VERSION}  instance ")
+    assert lines[0].endswith("  seed 0  (GF(3)C2 with twisted square)")
+    assert lines[1:] == [
+        "structure: torsion dim 2, radical 0, idempotents 2",
+        "orbit u[t1]: sizes [1, 1] (stabilized)",
+        "oracle: |A| = 9, units 8, idempotents 2, radical dim 0, "
+        "cross-check agrees",
+    ]
+
