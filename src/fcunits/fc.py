@@ -51,7 +51,6 @@ from .cocycles import (
 )
 from .errors import (
     CapExceeded,
-    CharacteristicDividesOrder,
     ConditionsNotMet,
     DimensionTooLarge,
     InapplicableCharacteristic,
@@ -80,6 +79,7 @@ from .structure import (
     count_idempotents,
     fields_decomposition,
     jacobson_radical,
+    linear_combination,
     primitive_idempotents,
 )
 
@@ -363,28 +363,35 @@ def _primitive_counts_by_level(inst, levels, seed, keys=None):
     each the sum of the e_i it covers.  Proof: take x = sum c_i e_i in B,
     f primitive in B and f e_i != 0.  Then x f - c_i f kills f e_i: no
     unit of the local ring B f, it is nilpotent, and so 0 as it lies in
-    span(e_k).  So x f = c_i f and x = sum_f x f.  B_j is spanned by the
-    level-j units, so its count is the kernel dimension of the e_i's
-    coordinates at the other units, whose reduced basis must be the 0/1
-    class vectors."""
+    span(e_k).  So x f = c_i f and x = sum_f x f.  Level by level: the
+    primitives f_c of B_(j+1) are its classes of the e_i, and B_j meets
+    span(e_i) inside B_(j+1) meets span(e_i) = span(f_c).  An element of
+    span(f_c) lies in B_(j+1), so its coordinates vanish outside the
+    level-(j+1) units, and it lies in B_j exactly when they vanish at the
+    units of B_(j+1) outside B_j too.  So B_j's count is the kernel
+    dimension of the f_c's coordinates at those units alone, whose reduced
+    basis must be the 0/1 class vectors of the f_c."""
     q, top = inst.group.prufer
     try:
         L, S = _fitting_level(inst, levels, keys)
     except SubgroupTooLarge:
         return []
-    field, prims = S.fd.field, primitive_idempotents(S.fd, seed=seed)
-    counts = []
-    for j in range(1, L + 1):
-        classes = kernel_basis(field, [
-            [e[k] for e in prims] for k, h in
-            enumerate(S.subgroup.elements) if h.s % q ** (top - j)],
-            len(prims))
-        certify(classes and all(c.count(field.raw_one) == 1 and
-                                c.count(field.raw_zero) == len(c) - 1
-                                for c in zip(*classes)),
-                "level classes are no 0/1 partition of the primitives")
+    field = S.fd.field
+    classes = primitive_idempotents(S.fd, seed=seed)
+    counts = [len(classes)]
+    for j in range(L - 1, 0, -1):
+        kernel = kernel_basis(field, [
+            [f[k] for f in classes] for k, h in
+            enumerate(S.subgroup.elements)
+            if h.s % q ** (top - j) and not h.s % q ** (top - j - 1)],
+            len(classes))
+        certify(kernel and all(c.count(field.raw_one) == 1 and
+                               c.count(field.raw_zero) == len(c) - 1
+                               for c in zip(*kernel)),
+                "level classes are no 0/1 partition of the classes above")
+        classes = [linear_combination(S.fd, v, classes) for v in kernel]
         counts.append(len(classes))
-    return counts
+    return counts[::-1]
 
 
 # --- necessary screens -----------------------------------------------------------
@@ -1067,26 +1074,22 @@ def check_theorem5_truncated(inst, level=None, seed=0):
             note="the commutator subgroup is trivial, so the averaging "
                  "idempotent is 1 and its complement cuts the zero algebra")
     else:
-        try:
-            e_H = averaging_idempotent(algebra, comm.elements, sub=S)
-        except (CharacteristicDividesOrder, ConditionsNotMet) as exc:
-            e_H = None
-            c4 = ConditionReport("T5.4", False, {"failure": str(exc)})
-        if e_H is not None:
-            f_vec = S.fd.sub(S.fd.one, S.from_ambient(e_H))
-            if S.fd.is_zero(f_vec):
-                c4 = ConditionReport(
-                    "T5.4", True,
-                    {"averaging_idempotent": e_H, "complement": "zero"})
-            else:
-                corner = corner_algebra(S.fd, f_vec)
-                rep = fields_decomposition(corner.fd, seed=seed)
-                c4 = ConditionReport(
-                    "T5.4", rep.is_sum_of_fields,
-                    {"averaging_idempotent": e_H,
-                     "complement_decomposition":
-                         _decomposition_summary(rep, corner.fd.field)},
-                    note="evaluated at the truncation level")
+        # T is abelian, so H = G' = <c z>, z the pairing target and c the
+        # gcd of the pairing entries: |H| divides |T|, prime to char K.
+        # The cocycle identity at u_g = e_i, u_h = e_j, u_k = 0, inside
+        # every validated box, gives tau(M_ij z, t) = tau(0, t) = 1, and
+        # then tau(h + a, b) = tau(a, b) for h in H.  So the u_h multiply
+        # as H does, and e_H is idempotent.  1 - e_H != 0: its
+        # coefficient at h != 1 in H is -1/|H|.
+        e_H = averaging_idempotent(algebra, comm.elements, sub=S)
+        corner = corner_algebra(S.fd, S.fd.sub(S.fd.one, S.from_ambient(e_H)))
+        rep = fields_decomposition(corner.fd, seed=seed)
+        c4 = ConditionReport(
+            "T5.4", rep.is_sum_of_fields,
+            {"averaging_idempotent": e_H,
+             "complement_decomposition":
+                 _decomposition_summary(rep, corner.fd.field)},
+            note="evaluated at the truncation level")
 
     evidence["decompositions"]["component_counts_by_level"] = \
         _primitive_counts_by_level(inst, lvl, seed)
@@ -1126,12 +1129,6 @@ class CommutatorOrderReport:
         self.unit_order = unit_order    # int | None
         self.equal = equal
         self.scalar = scalar            # Scalar
-
-    def to_json(self):
-        return {"group_commutator_order": self.group_order,
-                "unit_commutator_order": self.unit_order,
-                "equal": self.equal,
-                "power_scalar": self.scalar.to_json()}
 
 
 def commutator_order_check(inst, a, b, certified=False):

@@ -38,8 +38,11 @@ count q^(dim J) prod_i (q^(d_i) - 1) over the components of A / J.  The
 report is kept on the immutable `FDAlgebra`, so a repeated request costs
 no products, and so is the certified `jacobson_radical` of any algebra,
 with its A / J.  The primitive idempotents come from one
-Chinese-remainder step and one corner recursion over every field, and
-are certified orthogonal by prefix sums, one product
+Chinese-remainder step and one corner recursion over every field.  Over
+GF(q) each step is certified by its splitter b: one product b e_r = r e_r
+per idempotent and the sum of the e_r, which together make the e_r
+orthogonal idempotents; over Q, where a step has no such relation, the
+lifted family is certified orthogonal by prefix sums, one product
 (e_1 + ... + e_(k-1)) e_k = 0 per idempotent, not one per pair.  Each
 field component is a corner A e; when there are dim primitives,
 certified nonzero, every corner is the line K e.
@@ -624,7 +627,15 @@ def _split_corners(fd, idempotents, basis, split):
 def _primitive_idempotents_finite(fd, e, basis):
     """The primitive idempotents of the corner A e over GF(q), given by e
     and its `corner_basis`: a q-fixed element b of A e outside K e splits e
-    along the roots of b's minimal polynomial."""
+    along the roots of b's minimal polynomial.
+
+    Each split is certified by its splitter: b e_r = r e_r for every root r
+    and sum_r e_r = e.  That makes the e_r orthogonal idempotents.  The
+    roots are distinct, so for r != s, (r - s) e_r e_s = b e_r e_s -
+    e_r b e_s = 0.  Next, e_r e = e_r: for r != 0 because e_r = r^-1 b e_r
+    and b lies in A e; for r = 0 because e_0 = e - sum_(s != 0) e_s.  So
+    e_r = e_r e = sum_s e_r e_s = e_r^2.  The check costs one product per
+    idempotent, with the often sparse b on the left."""
     field = fd.field
     powers = fd.basis_powers(field.size())
     # (b_i e)^q - b_i e = b_i^q e - b_i e, with no product when e = 1
@@ -642,6 +653,11 @@ def _primitive_idempotents_finite(fd, e, basis):
     certify(len(roots) == len(m) - 1, "a q-fixed element splits over GF(q)")
     linear = [(field.reduce(field.raw_neg(c)), field.raw_one) for c in roots]
     idempotents = _crt_idempotents(fd, e, b, m, linear)
+    for r, f in zip(roots, idempotents):
+        certify(fd.mul(b, f) == fd.scale(f, r),
+                "a split idempotent is no eigenvector of its splitter")
+    certify(linear_combination(fd, repeat(field.raw_one), idempotents) == e,
+            "the split idempotents do not sum to the corner identity")
     if len(roots) == len(basis):
         # every corner is the line through its idempotent
         return idempotents
@@ -663,12 +679,26 @@ def _primitive_idempotents_rational(fd, rng):
     """Over Q the radical is the certified one of the whole algebra: a
     corner of a semisimple algebra is semisimple, so `_split_rational`
     needs none.  Idempotents lift uniquely along a nil ideal in a
-    commutative algebra, so the primitive set of A / J pulls back."""
+    commutative algebra, so the primitive set of A / J pulls back.
+
+    The family is certified idempotent and orthogonal after the lift, by
+    prefix sums with one product per idempotent after the first: if
+    e_1 .. e_(k-1) are orthogonal idempotents, their sum s has e_i s = e_i
+    for i < k, so s e_k = 0 gives e_i e_k = e_i (s e_k) = 0, and e_k e_i =
+    e_i e_k because fd is commutative."""
     rad = jacobson_radical(fd)
     Q = rad.quotient
     A = Q.fd if Q else fd
     prims = _split_rational(A, A.one, _standard_basis(A), rng)
-    return lift_idempotents(fd, rad, list(map(Q.lift, prims))) if Q else prims
+    if Q:
+        prims = lift_idempotents(fd, rad, list(map(Q.lift, prims)))
+    total = fd.zero_vec()
+    for k, e in enumerate(prims):
+        certify(fd.is_idempotent(e), "primitive idempotent is not idempotent")
+        certify(k == 0 or fd.is_zero(fd.mul(total, e)),
+                "primitive idempotents are not orthogonal")
+        total = fd.add(total, e)
+    return prims
 
 
 def _split_rational(fd, e, basis, rng):
@@ -705,9 +735,11 @@ def primitive_idempotents(fd, seed=0):
     a radical; the rationals factor the minimal polynomials of candidates
     over Z (`fields.poly_factor_rational`), modulo the radical.  Both take
     one Chinese-remainder step (`_crt_idempotents`) per level of one
-    corner recursion (`_split_corners`).  The returned family is verified
-    orthogonal, idempotent, and complete before being handed back, and kept
-    on `fd` per seed, so a later call returns the same certified tuple.
+    corner recursion (`_split_corners`).  Each split step over GF(q), and
+    the whole lifted family over Q, is certified orthogonal and idempotent
+    where it is made; here the family is certified complete, sum 1, before
+    being handed back, and kept on `fd` per seed, so a later call returns
+    the same certified tuple.
     """
     if seed in fd._primitives:
         return fd._primitives[seed]
@@ -720,17 +752,8 @@ def primitive_idempotents(fd, seed=0):
         prims = _primitive_idempotents_finite(fd, fd.one, _standard_basis(fd))
     else:
         prims = _primitive_idempotents_rational(fd, random.Random(seed))
-    # Orthogonality by prefix sums, one product per idempotent after the
-    # first: if e_1 .. e_(k-1) are orthogonal idempotents, their sum s
-    # has e_i s = e_i for i < k, so s e_k = 0 gives e_i e_k = e_i (s e_k)
-    # = 0, and e_k e_i = e_i e_k because fd is commutative.
-    total = fd.zero_vec()
-    for k, e in enumerate(prims):
-        certify(fd.is_idempotent(e), "primitive idempotent is not idempotent")
-        certify(k == 0 or fd.is_zero(fd.mul(total, e)),
-                "primitive idempotents are not orthogonal")
-        total = fd.add(total, e)
-    certify(total == fd.one, "primitive idempotents do not sum to 1")
+    certify(linear_combination(fd, repeat(fd.field.raw_one), prims)
+            == fd.one, "primitive idempotents do not sum to 1")
     fd._primitives[seed] = prims = tuple(prims)
     return prims
 

@@ -31,7 +31,9 @@ against the n(n-1)-product chain they replaced,
 bundled instance and on drawn tables and elements.  On the commutative
 ones, the corner at each primitive idempotent e, spanned by the products
 b_i e, is checked against the two-sided corner e (b_i e) it replaced,
-`ref_corner`.  A second request for an algebra's primitive idempotents
+`ref_corner`, and every primitive family over GF(q), certified one split
+at a time by its splitter, against the whole-family check it replaced,
+`ref_family_defect`: pairwise idempotent, pairwise orthogonal, sum 1.  A second request for an algebra's primitive idempotents
 or field decomposition must cost no products, because the certified
 answer is kept on the algebra.
 """
@@ -550,6 +552,50 @@ def test_commutative_corners_match_the_two_sided_corner():
             assert corner.basis == ref.basis, name
             assert corner.fd.table == ref.fd.table, name
             assert corner.fd.one == ref.fd.one, name
+
+
+def ref_family_defect(fd, prims):
+    """The first failure of the whole family on Scalars: some e_i zero or
+    no idempotent, some pair with e_i e_j or e_j e_i nonzero, or a sum
+    other than 1; None when the family is a complete orthogonal set."""
+    zero = [fd.field.zero] * fd.dim
+    es = [scalars(fd.field, e) for e in prims]
+    for i, e in enumerate(es):
+        if e == zero or ref_mul(fd, e, e) != e:
+            return ("idempotent", i)
+        for f in es[i + 1:]:
+            if ref_mul(fd, e, f) != zero or ref_mul(fd, f, e) != zero:
+                return ("orthogonal", i)
+    total = zero
+    for e in es:
+        total = [a + b for a, b in zip(total, e)]
+    return None if total == scalars(fd.field, fd.one) else ("sum",)
+
+
+# p | n gives a radical (GF(3)[C3], GF(7)[C14], GF(2)[C12], GF(5)[C15]);
+# a degree above 1 leaves a corner that the first split does not cut to
+# lines, split again by the recursion (all but GF(3)[C3], which is local,
+# and GF(11)[C10], which splits into lines at once)
+CYCLIC_SPLITS = [(3, 4), (2, 12), (5, 15), (3, 3), (7, 14), (2, 7),
+                 (5, 8), (11, 10), (2, 15)]
+
+
+def test_finite_families_pass_the_whole_family_check():
+    finite = [(name, fd) for name, fd in zip(BUNDLED_NAMES, BUNDLED)
+              if fd.is_commutative()[0] and fd.field.is_finite()]
+    assert len(finite) == 29
+    rng = random.Random(25)
+    finite += [((p, n), coboundary_algebra(cayley(cyclic_table(n)), gf(p),
+                                           rng)) for p, n in CYCLIC_SPLITS]
+    for name, fd in finite:
+        assert ref_family_defect(fd, primitive_idempotents(fd)) is None, name
+    # the reference sees each defect
+    fd = bundled_algebra("gf3_c2_trivial")
+    e1, e2 = primitive_idempotents(fd)
+    assert ref_family_defect(fd, [fd.scale(e1, 2), e2])[0] == "idempotent"
+    assert ref_family_defect(fd, [e1, e1, e1, fd.add(e1, e2)])[0] \
+        == "orthogonal"
+    assert ref_family_defect(fd, [e1]) == ("sum",)
 
 
 @pytest.mark.parametrize("name", BUNDLED_NAMES + ["klein"])

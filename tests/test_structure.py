@@ -335,24 +335,51 @@ def test_primitive_idempotents_gf3_c2_frozen():
     assert got == {(2, 2), (2, 1)}
 
 
+EIGEN = "a split idempotent is no eigenvector of its splitter"
+SPLIT_SUM = "the split idempotents do not sum to the corner identity"
+
+
 @pytest.mark.parametrize("pairs, message", [
-    ([(2, 0), (0, 1)], "primitive idempotent is not idempotent"),
+    # 2 e_1 is no idempotent, and the family still sums to 1, so the
+    # second, e_2 - e_1, is no eigenvector
+    ([(2, 0), (-1, 1)], EIGEN),
     # idempotents with 3 e_1 + e_2 = 1 in GF(3), but the first two
-    # multiply to e_1, not 0
-    ([(1, 0), (1, 0), (1, 0), (1, 1)],
-     "primitive idempotents are not orthogonal"),
-    ([(1, 0)], "primitive idempotents do not sum to 1"),
+    # multiply to e_1, not 0; the second sits at the other root
+    ([(1, 0), (1, 0), (1, 0), (1, 1)], EIGEN),
+    ([(1, 0)], SPLIT_SUM),
 ], ids=["idempotent", "orthogonal", "sum-to-one"])
 def test_each_primitive_idempotent_certificate_fires(monkeypatch, pairs,
                                                      message):
-    # (a, b) is a e_1 + b e_2 in the split basis e_1, e_2 of GF(3)[C2]
-    F = gf(3)
+    # (a, b) is a e_1 + b e_2 in the split e_1, e_2 of GF(3)[C2] that the
+    # Chinese-remainder step makes, e_i at the i-th root of the splitter
+    fd = group_algebra_fd(cayley(cyclic_table(2)), gf(3)).fd
+    crt = structure._crt_idempotents
+
+    def bad_family(fd, e, b, m, moduli):
+        split = crt(fd, e, b, m, moduli)
+        return [linear_combination(fd, [fd.field._canonical(a),
+                                        fd.field._canonical(c)], split)
+                for a, c in pairs]
+    monkeypatch.setattr(structure, "_crt_idempotents", bad_family)
+    with pytest.raises(CertificateFailed, match=message):
+        primitive_idempotents(fd)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(2, 0), (0, 1)], "primitive idempotent is not idempotent"),
+    ([(1, 0), (1, 0)], "primitive idempotents are not orthogonal"),
+    ([(1, 0)], "primitive idempotents do not sum to 1"),
+], ids=["idempotent", "orthogonal", "sum-to-one"])
+def test_each_rational_family_certificate_fires(monkeypatch, pairs, message):
+    # (a, b) is a e_1 + b e_2 in the split e_1, e_2 of Q[C2]
+    F = rationals()
     split = primitive_idempotents(
         group_algebra_fd(cayley(cyclic_table(2)), F).fd)
     fd = group_algebra_fd(cayley(cyclic_table(2)), F).fd
-    family = [linear_combination(fd, [a, b], split) for a, b in pairs]
-    monkeypatch.setattr(structure, "_primitive_idempotents_finite",
-                        lambda fd, e, basis: family)
+    family = [linear_combination(fd, [F._canonical(a), F._canonical(b)],
+                                 split) for a, b in pairs]
+    monkeypatch.setattr(structure, "_split_rational",
+                        lambda fd, e, basis, rng: family)
     with pytest.raises(CertificateFailed, match=message):
         primitive_idempotents(fd)
 

@@ -1,7 +1,7 @@
 """Verdict routes that no bundled instance reaches, each run on a spec built
 here: L4's asymmetric-cocycle witness, both L6 witnesses, T5.3's scalar
-commutator violation, T5.4's averaging idempotent and complement, and the
-text summary of the structure, orbit and oracle sections.
+commutator violation, T5.4's averaging idempotent and complement, the
+invariant that leaves T5.4 no failure route, and the text summary of the structure, orbit and oracle sections.
 
 tau(a, b) = (-1)^(a_2 b_1) on C2 x C2 is the cocycle of the twisted pairs
 below: with keys a = 2 a_1 + a_2 it is -1 exactly at (1, 2), (1, 3),
@@ -9,11 +9,14 @@ below: with keys a = 2 a_1 + a_2 it is -1 exactly at (1, 2), (1, 3),
 = 1.
 """
 
+import itertools
 import json
 import math
 from collections import Counter
 
-from fcunits import cli
+from fcunits import cli, fc
+from fcunits.algebra import averaging_idempotent
+from fcunits.errors import ConditionsNotMet
 from fcunits.groups import symmetric_group_3_table
 
 TAU_KEYS = ["(1,2)", "(1,3)", "(3,2)", "(3,3)"]
@@ -137,6 +140,42 @@ def test_t5_4_complement_has_the_components_nontrivial_on_h(tmp_path,
     assert dec["is_sum_of_fields"] is True
     assert Counter(c["dim"] for c in dec["components"]) \
         == components_of_cyclic(9, 7) == Counter({1: 3, 3: 2})
+
+
+def test_every_valid_cocycle_is_trivial_on_the_commutator_subgroup():
+    # T5.4 averages over H = G' with no failure route: every normalized
+    # torsion table on C2 x C2 over GF(3) that validates with the pairing
+    # into key 1 multiplies the u_h as H does.  The same tables on the
+    # same group without the pairing include some that do not, so the
+    # check below can fail.
+    slots = [(a, b) for a in range(1, 4) for b in range(1, 4)]
+    twisted_on_h = Counter()
+    for values in itertools.product([1, 2], repeat=len(slots)):
+        table = {f"({a},{b})": v for (a, b), v in zip(slots, values)
+                 if v != 1}
+        for paired in (True, False):
+            group = {"kind": "central-extension", "rank": 2,
+                     "torsion": {"invariants": [2, 2]}}
+            if paired:
+                group["pairing"] = {"matrix": [[0, 1], [0, 0]],
+                                    "target_index": 1}
+            inst = fc.instance_from_json({
+                "field": gf(3), "group": group,
+                "cocycle": {"torsion_table": table},
+                "caps": {"box_radius": 1}})
+            if not inst.validate().valid:
+                continue
+            H = [inst.group.from_key(0), inst.group.from_key(1)]
+            if paired:
+                assert list(inst.group.commutator_subgroup().elements) == H
+            try:
+                averaging_idempotent(inst.algebra(), H)
+            except ConditionsNotMet:
+                twisted_on_h[paired] += 1
+            twisted_on_h[paired, "valid"] += 1
+    assert twisted_on_h[True] == 0
+    assert twisted_on_h[True, "valid"] == 2
+    assert twisted_on_h[False] == 8 and twisted_on_h[False, "valid"] == 16
 
 
 def test_human_summary_renders_structure_orbits_and_oracle(capsys):
