@@ -113,7 +113,7 @@ def _orbit_section(inst, labels, depth):
 
 
 def _oracle_section(raw, inst, seed):
-    rep = oracle_report(raw)
+    rep = oracle_report(raw, inst.field)
     S = inst.torsion_subalgebra()
     checks = {}
 

@@ -141,7 +141,7 @@ def cocycle_from_json(group, field, obj):
             i, j = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise InstanceFormatError(f"bad torsion table key {key!r}") from exc
-        table[(i, j)] = field.scalar(field.value_from_json(raw))
+        table[(i, j)] = Scalar(field, field.value_from_json(raw))
     zeta = None
     matrix = None
     if "bilinear" in obj and obj["bilinear"] is not None:
@@ -150,7 +150,7 @@ def cocycle_from_json(group, field, obj):
             raise InstanceFormatError("bilinear part needs a 'matrix'")
         matrix = bil["matrix"]
         if "zeta" in bil:
-            zeta = field.scalar(field.value_from_json(bil["zeta"]))
+            zeta = Scalar(field, field.value_from_json(bil["zeta"]))
     return Cocycle(group, field, table, zeta, matrix)
 
 

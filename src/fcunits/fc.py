@@ -939,7 +939,7 @@ def torsion_field_components(inst, seed=0):
 def _random_scalar(field, rng, nonzero=False):
     while True:
         if field.is_finite():
-            s = field.from_int(rng.randrange(field.size()))
+            s = Scalar(field, rng.randrange(field.size()))
         else:
             s = field.from_int(rng.randint(-3, 3))
         if s or not nonzero:

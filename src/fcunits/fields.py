@@ -1,9 +1,9 @@
 """Exact coefficient arithmetic: GF(p), GF(p^k) with explicit modulus, and Q,
 and polynomials over them.
 
-A field element is a canonical raw value: an int in [0, p), a coefficient
-tuple, or a Fraction.  All arithmetic is exact; there are no floats anywhere
-in this package.
+A field element is a canonical raw value: an int in [0, q) over GF(q), or
+a Fraction.  All arithmetic is exact; there are no floats anywhere in this
+package.
 
 Every field has one set of operators, on raw values: `raw_add`, `raw_sub`,
 `raw_mul`, `raw_neg` and `raw_inv`, the constants `raw_zero` and
@@ -12,28 +12,32 @@ four and applies `reduce` once to each value it hands back, which makes
 that value canonical again.  Over GF(p) the four are plain int operations
 and `reduce` is the one `% p`, so a long sum of products is reduced once;
 over GF(p^k) and Q they are exact and `reduce` is the identity.
-`raw_inv`, any test against `raw_zero`, and `raw_mul` over GF(p^k) take
-canonical values.  A `Scalar` wraps one canonical value where it crosses
-the API and JSON boundary; its operators are `reduce` of the raw ones.
+`raw_inv`, any test against `raw_zero`, and every operator over GF(p^k)
+take canonical values.  A `Scalar` wraps one canonical value where it
+crosses the API and JSON boundary; its operators are `reduce` of the raw
+ones.  An int handed to `from_int` or `scalar` means an integer, n * 1.
 
 Polynomials over a field are tuples of its canonical raw values, constant
 coefficient first, trailing zeros stripped.  The `poly_*` routines compute
 on them with the raw ops and one `reduce` per output coefficient, for every
-field alike.  GF(p^k) is built on them over GF(p): an element is the
-zero-padded k-tuple of its residue modulo a monic modulus, which
-`poly_irreducible` checks.  Addition is coordinatewise.
-Multiplication and inversion read discrete-logarithm tables (K. Huber,
-"Some comments on Zech's logarithms", IEEE Trans. IT 36, 1990): on first
-use a field walks the powers of a generator g of its multiplicative group
-once on the polynomial layer, certifies the walk, and from then on a
-product is exp[log a + log b] and an inverse exp[(q - 1) - log a].  Values
-stay coefficient tuples, so element order, sort keys and JSON do not
-depend on the tables.  Rational polynomials are factored on the same
-layer, over Z by the modular route (`poly_factor_rational`), which splits
-modulo p by the distinct-degree splitting (`_distinct_degree`) that tests
-irreducibility over every finite field.  Roots stay a sweep over the
-elements (`poly_roots`): at the bundled field sizes it measured faster
-than gcd(a, x^q - x) followed by a degree-1 split.
+field alike.  GF(p^k) is built on them over GF(p), modulo a monic
+modulus that `poly_irreducible` checks.  The raw value of an element is
+its code: the k coefficients of its residue, constant first, read as the
+base-p digits of an int, most significant first, so code order is
+coefficient order and `elements()` order.  JSON and `repr` keep the
+coefficient lists.  The operators read logarithm tables and Zech's
+logarithms log(1 + g^d) (K. Huber, "Some comments on Zech's logarithms",
+IEEE Trans. IT 36, 1990): the first one a field object is asked for walks
+the powers of a generator g of its multiplicative group, certifies the
+walk and the Zech list on the polynomial layer, and installs all five on
+the object; then a product is exp[log a + log b] and a sum a + b =
+a (1 + b / a) is exp[log a + zech[log b - log a]].  Rational polynomials
+are factored on the same layer, over Z by the modular route
+(`poly_factor_rational`), which splits modulo p by the distinct-degree
+splitting (`_distinct_degree`) that tests irreducibility over every
+finite field.  Roots stay a sweep over the elements (`poly_roots`): at the
+bundled field sizes it measured faster than gcd(a, x^q - x) followed by a
+degree-1 split.
 
 Every binary power in the package, of polynomials modulo m, scalars,
 algebra vectors and elements, and group elements, is one call of
@@ -46,6 +50,7 @@ cheap and predictable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -683,20 +688,13 @@ class Field:
 
     kind = None
 
-    # plain operators serve ints (GF(p), where values may leave [0, p)
-    # until `reduce`) and Fractions; extension fields override them
-    raw_add = staticmethod(operator.add)
-    raw_sub = staticmethod(operator.sub)
-    raw_mul = staticmethod(operator.mul)
-    raw_neg = staticmethod(operator.neg)
-
-    def __init__(self):
-        self._key = self._spec_key()
-        self._hash = hash(self._key)
-        self.raw_zero = self._zero_value()
-        self.raw_one = self._one_value()
-        self.zero = Scalar(self, self.raw_zero)
-        self.one = Scalar(self, self.raw_one)
+    def __init__(self, key, raw_zero, raw_one):
+        self._key = key
+        self._hash = hash(key)
+        self.raw_zero = raw_zero
+        self.raw_one = raw_one
+        self.zero = Scalar(self, raw_zero)
+        self.one = Scalar(self, raw_one)
 
     def reduce(self, a):
         return a
@@ -710,6 +708,9 @@ class Field:
     def scalar(self, raw):
         return Scalar(self, self._canonical(raw))
 
+    def from_int(self, n):
+        return Scalar(self, self._canonical(n))
+
     def size(self):
         return None
 
@@ -717,13 +718,28 @@ class Field:
         return self.size() is not None
 
     def elements(self):
-        raise TypeError(f"{self.shortname()} is not finite")
+        """A finite field's elements, by raw value 0 .. q - 1."""
+        if not self.is_finite():
+            raise TypeError(f"{self.shortname()} is not finite")
+        return (Scalar(self, v) for v in range(self.size()))
+
+    def value_sort_key(self, v):
+        return (v,)
 
     def __repr__(self):
         return self.shortname()
 
 
-class PrimeField(Field):
+class _PlainField(Field):
+    # ints (over GF(p) they may leave [0, p) until `reduce`) and Fractions
+
+    raw_add = staticmethod(operator.add)
+    raw_sub = staticmethod(operator.sub)
+    raw_mul = staticmethod(operator.mul)
+    raw_neg = staticmethod(operator.neg)
+
+
+class PrimeField(_PlainField):
     kind = "prime"
 
     def __init__(self, p):
@@ -732,13 +748,9 @@ class PrimeField(Field):
         if p > MAX_FIELD_SIZE:
             raise InstanceFormatError(
                 f"field size {p} exceeds the cap {MAX_FIELD_SIZE}")
-        self.p = p
-        self.characteristic = p
+        self.p = self.characteristic = p
         self.degree = 1
-        super().__init__()
-
-    def _spec_key(self):
-        return ("prime", self.p)
+        super().__init__(("prime", p), 0, 1)
 
     def reduce(self, a):
         return a % self.p
@@ -748,12 +760,6 @@ class PrimeField(Field):
 
     def size(self):
         return self.p
-
-    def _zero_value(self):
-        return 0
-
-    def _one_value(self):
-        return 1
 
     def _canonical(self, raw):
         if not isinstance(raw, int) or isinstance(raw, bool):
@@ -768,13 +774,6 @@ class PrimeField(Field):
         if a == 0:
             raise DivisionByZero(f"0 has no inverse in {self.shortname()}")
         return pow(a, self.p - 2, self.p)
-
-    def elements(self):
-        for v in range(self.p):
-            yield Scalar(self, v)
-
-    def value_sort_key(self, v):
-        return (v,)
 
     def value_to_json(self, v):
         return v
@@ -811,18 +810,11 @@ class ExtensionField(Field):
         if not poly_irreducible(base, modulus):
             raise ReducibleModulus(
                 f"modulus {list(modulus)} is reducible over GF({p})")
-        self.base = base
-        self.p = p
-        self.k = k
-        self.degree = k
-        self.modulus = modulus
-        self.characteristic = p
-        self._log = None        # built on first raw_mul or raw_inv
-        self._exp = None
-        super().__init__()
-
-    def _spec_key(self):
-        return ("extension", self.p, self.k, self.modulus)
+        self.base, self.modulus = base, modulus
+        self.p = self.characteristic = p
+        self.k = self.degree = k
+        self._places = [p ** (k - 1 - i) for i in range(k)]
+        super().__init__(("extension", p, k, modulus), 0, self._places[0])
 
     def shortname(self):
         return f"GF({self.p}^{self.k})"
@@ -830,45 +822,27 @@ class ExtensionField(Field):
     def size(self):
         return self.p ** self.k
 
-    def _zero_value(self):
-        return (0,) * self.k
+    def _code(self, poly):
+        """The code of a polynomial over GF(p) of degree below k."""
+        return sum(map(operator.mul, poly, self._places))
 
-    def _one_value(self):
-        return (1,) + (0,) * (self.k - 1)
+    def _digits(self, v):
+        """The k coefficients of the code v, constant first."""
+        return [v // d % self.p for d in self._places]
 
     def _canonical(self, raw):
         if isinstance(raw, int) and not isinstance(raw, bool):
-            return (raw % self.p,) + (0,) * (self.k - 1)
-        base = self.base
-        raw = poly_trim(base, [c % self.p for c in int_entries(
+            return raw % self.p * self.raw_one
+        raw = poly_trim(self.base, [c % self.p for c in int_entries(
             raw, "extension field scalar coefficients")])
-        if len(raw) > self.k:
-            raw = poly_divmod(base, raw, self.modulus)[1]
-        return raw + (0,) * (self.k - len(raw))
+        return self._code(poly_divmod(self.base, raw, self.modulus)[1])
 
-    def from_int(self, n):
-        return Scalar(self, self._canonical(n))
-
-    def raw_add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def raw_sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def raw_neg(self, a):
-        return tuple((-x) % self.p for x in a)
-
-    def raw_mul(self, a, b):
-        log = self._log or self._build_tables()
-        if a == self.raw_zero or b == self.raw_zero:
-            return self.raw_zero
-        return self._exp[log[a] + log[b]]
-
-    def raw_inv(self, a):
-        log = self._log or self._build_tables()
-        if a == self.raw_zero:
-            raise DivisionByZero(f"0 has no inverse in {self.shortname()}")
-        return self._exp[len(log) - log[a]]
+    def __getattr__(self, name):
+        # reached only until `_build_tables` installs all five operators
+        if name not in ("raw_add", "raw_sub", "raw_neg", "raw_mul", "raw_inv"):
+            raise AttributeError(name)
+        self._build_tables()
+        return vars(self)[name]
 
     def _poly_product(self, a, b):
         """a * b on the polynomial layer, for trimmed a and b."""
@@ -876,27 +850,66 @@ class ExtensionField(Field):
                            self.modulus)[1]
 
     def _build_tables(self):
-        """The log table of a generator g of the multiplicative group, and
-        its exp table exp[i] = g^i, stored twice over so that a sum of two
-        logarithms indexes it without a reduction mod q - 1.
-
-        g is the first element, in `elements()` order, that the prime
-        factors r of q - 1 show to have order q - 1 (g^((q-1)/r) != 1);
-        its powers are walked once on the polynomial layer."""
-        base, m, n = self.base, self.modulus, self.size() - 1
+        """Install the five raw operators on this object, as closures over
+        the tables of a generator g of order n = q - 1: `log[v]`, Z = 2n - 1
+        for v = 0; `exp[i]` = g^i for i < Z and 0 from Z on, so a product
+        or a negation needs no test for 0; and Zech's `zech[d]` =
+        log(1 + g^d), Z where 1 + g^d = 0, stored twice over so that a
+        difference of two logs indexes it as it stands.  g is the first
+        element whose order the prime factors r of n show (g^(n/r) != 1).
+        Times g is the k x k map over GF(p) whose column j is x^j g on the
+        polynomial layer; the powers of g are walked with it."""
+        base, m, k, n = self.base, self.modulus, self.k, self.size() - 1
         primes = prime_factors(n)
-        candidates = (poly_trim(base, s.value) for s in self.elements())
-        g = next(x for x in candidates
-                 if x and all(poly_powmod(base, x, n // r, m) != (1,)
-                              for r in primes))
-        powers = [(1,)]
-        for _ in range(n - 1):
-            powers.append(self._poly_product(powers[-1], g))
+        g = next(x for x in (poly_trim(base, self._digits(v))
+                             for v in range(1, n + 1))
+                 if all(poly_powmod(base, x, n // r, m) != (1,)
+                        for r in primes))
+        rows = list(zip(*(self._digits(self._code(self._poly_product(
+            (0,) * j + (1,), g))) for j in range(k))))
+        powers, v = [], [1] + [0] * (k - 1)
+        for _ in range(n):
+            powers.append(poly_trim(base, v))
+            v = [sum(map(operator.mul, row, v)) % self.p for row in rows]
         self._certify_tables(g, powers)
-        exp = [x + (0,) * (self.k - len(x)) for x in powers]
-        self._exp = exp + exp
-        self._log = {x: i for i, x in enumerate(exp)}
-        return self._log
+        codes = list(map(self._code, powers))
+        Z = 2 * n - 1
+        log = [Z] * (n + 1)
+        for i, c in enumerate(codes):
+            log[c] = i
+        exp = (codes + codes)[:Z] + [0] * (Z + 1)
+        # 1 + v adds 1 to the most significant digit of v, modulo p
+        zech = [log[(c + self.raw_one) % (n + 1)] for c in codes]
+        self._certify_zech(powers, zech)
+        zech += zech
+        minus = n // 2 if self.p > 2 else 0        # log(-1)
+
+        def raw_add(a, b):
+            if a and b:
+                la = log[a]
+                return exp[la + zech[log[b] - la]]
+            return a or b
+
+        def raw_sub(a, b):
+            lb = log[b] + minus             # log(-b), or past Z for b = 0
+            if a and b:
+                la = log[a]
+                return exp[la + zech[lb - la]]
+            return a or exp[lb]
+
+        def raw_neg(a):
+            return exp[log[a] + minus]
+
+        def raw_mul(a, b):
+            return exp[log[a] + log[b]]
+
+        def raw_inv(a):
+            if not a:
+                raise DivisionByZero(f"0 has no inverse in {self.shortname()}")
+            return exp[n - log[a]]
+
+        vars(self).update(raw_add=raw_add, raw_sub=raw_sub, raw_neg=raw_neg,
+                          raw_mul=raw_mul, raw_inv=raw_inv)
 
     def _certify_tables(self, g, powers):
         """powers[i] = g^i for i < q - 1, as trimmed polynomials, are q - 1
@@ -911,15 +924,19 @@ class ExtensionField(Field):
                 f"the exp table of {self.shortname()} is not the walk of "
                 f"its generator")
 
-    def elements(self):
-        for coeffs in itertools.product(range(self.p), repeat=self.k):
-            yield Scalar(self, coeffs)
-
-    def value_sort_key(self, v):
-        return v
+    def _certify_zech(self, powers, zech):
+        """zech[d] is the log of 1 + g^d for every d < n = q - 1, by the
+        certified powers, and reads 2n - 1, the log of 0, at d = n / 2 for
+        odd q and d = 0 for p = 2 only: there g^d = -1, as g has order n."""
+        n, one = len(powers), powers[0]
+        certify([d for d, z in enumerate(zech) if z == 2 * n - 1]
+                == [n // 2 if self.p > 2 else 0] and all(
+                    z == 2 * n - 1 or 0 <= z < n and powers[z] == poly_add(
+                        self.base, one, x) for z, x in zip(zech, powers)),
+                f"the Zech list of {self.shortname()} is not log(1 + g^d)")
 
     def value_to_json(self, v):
-        return list(v)
+        return self._digits(v)
 
     def value_from_json(self, obj):
         if not isinstance(obj, list) or len(obj) != self.k:
@@ -929,35 +946,23 @@ class ExtensionField(Field):
         return self._canonical(obj)
 
     def value_repr(self, v):
-        return str(list(v))
+        return str(self._digits(v))
 
 
-class RationalField(Field):
+class RationalField(_PlainField):
     kind = "rationals"
 
     def __init__(self):
         self.characteristic = 0
-        super().__init__()
-
-    def _spec_key(self):
-        return ("rationals",)
+        super().__init__(("rationals",), Fraction(0), Fraction(1))
 
     def shortname(self):
         return "Q"
-
-    def _zero_value(self):
-        return Fraction(0)
-
-    def _one_value(self):
-        return Fraction(1)
 
     def _canonical(self, raw):
         if isinstance(raw, Fraction):
             return raw
         return self.value_from_json(raw)
-
-    def from_int(self, n):
-        return Scalar(self, Fraction(n))
 
     def raw_inv(self, a):
         if a == 0:
@@ -988,14 +993,9 @@ class RationalField(Field):
         return str(v)
 
 
-_RATIONALS = None
-
-
+@functools.cache
 def rationals():
-    global _RATIONALS
-    if _RATIONALS is None:
-        _RATIONALS = RationalField()
-    return _RATIONALS
+    return RationalField()
 
 
 def gf(p, k=1, modulus=None):

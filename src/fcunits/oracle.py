@@ -6,6 +6,10 @@ dense vector arithmetic, a Gaussian-elimination unit test, and radical
 and idempotent counts by enumeration.  It shares only ``fields`` (and
 ``errors``) with the rest of the package, so agreement with the
 structural modules is cross-validation, not code agreeing with itself.
+`oracle_report` takes the field object the request already built from
+the same spec (`fcunits analyze --oracle` passes it), so a request
+builds and certifies one set of GF(p^k) tables; both sides would call
+the same `make_field` on that spec anyway.
 
 The sweep codes each element of GF(q) as its index 0..q-1 in
 `field.elements()` order and makes no field call: the cocycle is a table
@@ -322,8 +326,9 @@ def _exact_log(value, base):
     return d
 
 
-def oracle_report(instance_json):
-    """Sweep a finite K_lambda G line by line and count everything.
+def oracle_report(instance_json, field=None):
+    """Sweep a finite K_lambda G line by line and count everything, over
+    `field` when the caller already built it from the instance's spec.
 
     Counts units (Gaussian rank test on the left multiplication matrix),
     idempotents, and nilpotents, and derives the radical from the
@@ -338,7 +343,8 @@ def oracle_report(instance_json):
     for key in ("field", "group", "cocycle"):
         if key not in instance_json:
             raise InstanceFormatError(f"instance is missing {key!r}")
-    field = make_field(instance_json["field"])
+    if field is None:
+        field = make_field(instance_json["field"])
     if not field.is_finite():
         raise CapExceeded("the exhaustive oracle needs a finite field")
     group = _EnumeratedGroup.from_json(instance_json["group"])

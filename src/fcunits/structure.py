@@ -671,7 +671,7 @@ def _splitter_candidates(fd, basis, rng):
     for i, j in itertools.combinations(range(len(basis)), 2):
         yield fd.add(basis[i], basis[j])
     for _ in range(SPLITTER_ATTEMPTS):
-        coeffs = [fd.field._canonical(rng.randint(-3, 3)) for _ in basis]
+        coeffs = [fd.field.from_int(rng.randint(-3, 3)).value for _ in basis]
         yield linear_combination(fd, coeffs, basis)
 
 
@@ -1062,5 +1062,5 @@ def _lift_step(fd, e):
     defect e^2 - e becomes (e^2 - e)^2 (4e^2 - 4e - 3)."""
     field = fd.field
     e2 = fd.mul(e, e)
-    return fd.sub(fd.scale(e2, field._canonical(3)),
-                  fd.scale(fd.mul(e2, e), field._canonical(2)))
+    return fd.sub(fd.scale(e2, field.from_int(3).value),
+                  fd.scale(fd.mul(e2, e), field.from_int(2).value))

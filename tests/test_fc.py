@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 
@@ -488,6 +489,31 @@ def test_sampled_units_invert_by_decomposition():
         res = try_invert(algebra, x, decomposition=idems)
         assert res.status == "unit"
         assert res.strategy == "decomposition"
+        assert res.inverse * x == algebra.one
+
+
+def test_random_scalars_cover_an_extension_field():
+    # over GF(p^k) a drawn scalar is any element, not only an n * 1
+    from fcunits.fields import gf
+    F9 = gf(3, 2, [1, 0, 1])
+    rng = random.Random(5)
+    drawn = {fc._random_scalar(F9, rng, nonzero=True) for _ in range(200)}
+    assert drawn == {s for s in F9.elements() if s}
+
+
+def test_sampled_units_over_gf4_invert_by_decomposition():
+    inst = mk({
+        "field": {"kind": "prime-power", "p": 2, "k": 2,
+                  "modulus": [1, 1, 1]},
+        "group": {"kind": "central-extension", "rank": 1,
+                  "torsion": {"invariants": [3]}},
+        "cocycle": {},
+    })
+    units, idems = fc.sample_decomposed_units(inst, 8, seed=11)
+    algebra = inst.algebra()
+    for x in units:
+        res = try_invert(algebra, x, decomposition=idems)
+        assert res.status == "unit"
         assert res.inverse * x == algebra.one
 
 

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcunits import cli, oracle
+from fcunits import cli, fields, oracle
 from fcunits.errors import (
     CapExceeded,
     CertificateFailed,
@@ -614,6 +614,26 @@ def test_the_sweep_reads_the_field_only_into_its_tables(monkeypatch):
     assert calls["raw_add"] == q
     assert 0 < calls["raw_mul"] <= 3 * q
     assert calls["raw_inv"] == 0
+
+
+def test_an_oracle_request_builds_one_set_of_field_tables(monkeypatch,
+                                                         capsys):
+    """`analyze --oracle` hands the request's field to the oracle, so a
+    request over GF(81) builds its tables once; the call on JSON alone
+    builds a field of its own and reports the same counts."""
+    builds = []
+    original = fields.ExtensionField._build_tables
+    monkeypatch.setattr(fields.ExtensionField, "_build_tables",
+                        lambda self: builds.append(self) or original(self))
+    path = str(resources.files("fcunits") / "instances" / "lemma3"
+               / "c2_gf81.json")
+    assert cli.main(["analyze", path, "--oracle"]) == 0
+    assert json.loads(capsys.readouterr().out)["sections"]["oracle"]["agree"]
+    assert len(builds) == 1
+    spec = cli.bundled_instance("lemma3/c2_gf81")
+    assert oracle_report(spec, make_field(spec["field"])) \
+        == oracle_report(spec)
+    assert len(builds) == 3
 
 
 GF81 = cli.bundled_instance("lemma3/c2_gf81")["field"]

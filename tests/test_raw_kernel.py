@@ -8,8 +8,9 @@ The kernel takes and returns canonical raw field values; only the
 harness converts, drawing Scalar vectors for the references, handing
 their raw values to the kernel, and wrapping each kernel result into
 Scalars, which must equal the reference.  The drawn vectors include the
-zero vector and vectors with one nonzero coordinate, since over GF(p^k)
-the raw zero is a truthy tuple.  The algebras are twisted
+zero vector and vectors with one nonzero coordinate.  A raw value of
+GF(p^k) is an int code, read and written here only through the test's
+own `encode` and `decode`.  The algebras are twisted
 group algebras of finite groups with random coboundary cocycles and
 bundled twisted cocycles, over GF(p), GF(p^k) and Q, together with
 quotients and corners built from them; the matrices are random, over
@@ -39,6 +40,7 @@ answer is kept on the algebra.
 """
 
 import itertools
+import operator
 import os
 import pathlib
 import random
@@ -312,9 +314,7 @@ ALGEBRAS = _algebras()
 def raw_values(field):
     if field is Q:
         return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
-    if field.kind == "prime":
-        return st.integers(0, field.p - 1)
-    return st.tuples(*[st.integers(0, field.p - 1)] * field.k)
+    return st.integers(0, field.size() - 1)
 
 
 def vectors(fd):
@@ -327,19 +327,40 @@ def vectors(fd):
 
     def single(i, c):
         v = list(zero)
-        v[i] = field.scalar(c)
+        v[i] = Scalar(field, c)
         return v
     return st.one_of(
         st.just(zero),
         st.builds(single, st.integers(0, fd.dim - 1), nonzero),
-        st.lists(value.map(field.scalar), min_size=fd.dim, max_size=fd.dim))
+        st.lists(value.map(lambda c: Scalar(field, c)), min_size=fd.dim,
+                 max_size=fd.dim))
 
 
 def assert_canonical(field, vec):
-    """vec is a list of canonical raw values of field."""
+    """vec is a list of canonical raw values of field: ints in [0, q) over
+    a finite field, Fractions over Q."""
     for c in vec:
         assert type(c) is type(field.raw_zero)
-        assert field._canonical(c) == c
+        assert not field.is_finite() or 0 <= c < field.size()
+
+
+def encode(F, coeffs):
+    """The raw value over GF(p^k) of the residue with these coefficients,
+    constant first: the base-p number whose leading digit is the constant
+    coefficient."""
+    code = 0
+    for c in tuple(coeffs) + (0,) * (F.k - len(coeffs)):
+        code = code * F.p + c % F.p
+    return code
+
+
+def decode(F, code):
+    """The k coefficients of a raw value over GF(p^k), constant first."""
+    digits = []
+    for _ in range(F.k):
+        code, c = divmod(code, F.p)
+        digits.append(c)
+    return tuple(reversed(digits))
 
 
 # --- FDAlgebra ---------------------------------------------------------------------
@@ -385,9 +406,8 @@ EXTENSION_SUBALGEBRAS = [
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_raw_zero_over_extension_fields(data):
-    # the raw zero of GF(4) and GF(9) is a truthy tuple, so every zero test
-    # must compare with it: is_zero, the support to_ambient keeps, and the
-    # terms an ambient sum drops
+    # every zero test over GF(4) and GF(9) reads the raw zero: is_zero, the
+    # support to_ambient keeps, and the terms an ambient sum drops
     S = data.draw(st.sampled_from(EXTENSION_SUBALGEBRAS))
     fd = S.fd
     assert fd.is_zero(fd.zero_vec())
@@ -533,7 +553,7 @@ def test_lagrange_idempotents_match_on_drawn_elements(data):
     n = len(primitive_idempotents(fd))
     coeffs = data.draw(st.lists(raw_values(fd.field), min_size=n,
                                 max_size=n))
-    assert_lagrange_matches(fd, [fd.field.scalar(c) for c in coeffs])
+    assert_lagrange_matches(fd, [Scalar(fd.field, c) for c in coeffs])
 
 
 def ref_corner(fd, e):
@@ -636,7 +656,7 @@ def test_span_basis_matches_the_scalar_reduction(data):
         assert S.add(raw(v)) == R.add(v)
         assert S.inserted == [raw(w) for w in R.inserted]
         assert S.dim == len(R.rows)
-    combo = [fd.field.scalar(c)
+    combo = [Scalar(fd.field, c)
              for c in data.draw(st.lists(raw_values(field),
                                          min_size=len(inputs),
                                          max_size=len(inputs)))]
@@ -663,7 +683,8 @@ MATRIX_FIELDS = [gf(2), gf(7), GF4, GF9, Q]
 def test_rref_kernel_and_solve_match_the_scalar_elimination(data):
     F = data.draw(st.sampled_from(MATRIX_FIELDS))
     ncols = data.draw(st.integers(0, 7))
-    entry = st.one_of(st.just(F.raw_zero), raw_values(F)).map(F.scalar)
+    entry = st.one_of(st.just(F.raw_zero), raw_values(F)).map(
+        lambda c: Scalar(F, c))
     row = st.lists(entry, min_size=ncols, max_size=ncols)
     # zero rows, wide, square and tall shapes, and the empty matrix
     rows = data.draw(st.lists(st.one_of(st.just([F.zero] * ncols), row),
@@ -818,12 +839,15 @@ def test_extension_arithmetic_matches_the_tuple_helpers(data):
     F = data.draw(st.sampled_from(EXTENSIONS))
     a = data.draw(raw_values(F))
     b = data.draw(raw_values(F))
-    assert F.raw_mul(a, b) == ref_ext_mul(F, a, b)
-    if any(a):
-        assert F.raw_inv(a) == ref_ext_inv(F, a)
+    assert F.raw_mul(a, b) == encode(F, ref_ext_mul(F, decode(F, a),
+                                                    decode(F, b)))
+    if a:
+        assert F.raw_inv(a) == encode(F, ref_ext_inv(F, decode(F, a)))
     raw = data.draw(st.lists(st.integers(-2 * F.p, 2 * F.p),
                              max_size=2 * F.k + 1))
-    assert F._canonical(raw) == ref_ext_canonical(F, raw)
+    assert F._canonical(raw) == encode(F, ref_ext_canonical(F, raw))
+    assert F.value_to_json(F._canonical(raw)) == list(
+        ref_ext_canonical(F, raw))
 
 
 @pytest.mark.parametrize("F, degree", [
@@ -871,12 +895,13 @@ def ref_poly_inv_mod(F, a, m):
     return tuple(F.reduce(F.raw_mul(x, c)) for x in s1)
 
 
-# irreducible moduli over each field, for ref_poly_inv_mod
+# irreducible moduli over each field, for ref_poly_inv_mod; x^2 + x + w
+# over GF(4) and GF(9), for w the residue of x
 MODULI = [
     (gf(2), [(1, 1, 1), (1, 1, 0, 1)]),
     (gf(7), [(1, 0, 1), (2, 0, 0, 1)]),
-    (EXTENSIONS[0], [((0, 1), (1, 0), (1, 0))]),
-    (EXTENSIONS[1], [((0, 1), (1, 0), (1, 0))]),
+] + [(F, [tuple(encode(F, c) for c in ((0, 1), (1,), (1,)))])
+     for F in EXTENSIONS[:2]] + [
     (Q, [tuple(map(Fraction, m)) for m in ((-2, 0, 1), (-2, 0, 0, 1))]),
 ]
 
@@ -922,8 +947,8 @@ def bundled_extension_fields():
     return [make_field(spec) for _, spec in sorted(specs.items())]
 
 
-def padded(F, poly):
-    return poly + (0,) * (F.k - len(poly))
+def poly_of(F, code):
+    return poly_trim(F.base, decode(F, code))
 
 
 def test_extension_tables_match_the_polynomial_layer():
@@ -932,15 +957,86 @@ def test_extension_tables_match_the_polynomial_layer():
     for F in fields_seen:
         base = F.base
         values = [s.value for s in F.elements()]
+        assert values == list(range(F.size()))
+        assert [decode(F, v) for v in values] == list(
+            itertools.product(range(F.p), repeat=F.k))
         for a, b in itertools.product(values, repeat=2):
-            product = poly_divmod(base, poly_mul(base, poly_trim(base, a),
-                                                 poly_trim(base, b)),
+            product = poly_divmod(base, poly_mul(base, poly_of(F, a),
+                                                 poly_of(F, b)),
                                   F.modulus)[1]
-            assert F.raw_mul(a, b) == padded(F, product)
+            assert F.raw_mul(a, b) == encode(F, product)
         for a in values[1:]:
-            inverse = ref_poly_inv_mod(base, poly_trim(base, a), F.modulus)
-            assert F.raw_inv(a) == padded(F, inverse)
-        assert len(F._log) == F.size() - 1
+            inverse = ref_poly_inv_mod(base, poly_of(F, a), F.modulus)
+            assert F.raw_inv(a) == encode(F, inverse)
+
+
+def coordinatewise(F, op, a, b):
+    return encode(F, [op(x, y) for x, y in zip(decode(F, a), decode(F, b))])
+
+
+def assert_raw_operators(F, pairs):
+    """raw_add, raw_sub and raw_neg against the coordinatewise operations
+    mod p, raw_mul against the product on the polynomial layer, and
+    raw_inv against the half-extended Euclidean algorithm, on the pairs
+    and on every a of a pair with 0, itself and -a: a + (-a) reads the
+    one Zech entry log(1 + g^d) with 1 + g^d = 0."""
+    base, zero = F.base, F.raw_zero
+    values = sorted({v for pair in pairs for v in pair} | {zero})
+    pairs = list(pairs) + [
+        (a, b) for a in values
+        for b in (zero, a, coordinatewise(F, operator.sub, zero, a))]
+    for a, b in pairs:
+        assert F.raw_add(a, b) == coordinatewise(F, operator.add, a, b)
+        assert F.raw_sub(a, b) == coordinatewise(F, operator.sub, a, b)
+        product = poly_divmod(base, poly_mul(base, poly_of(F, a),
+                                             poly_of(F, b)), F.modulus)[1]
+        assert F.raw_mul(a, b) == encode(F, product)
+    for a in values:
+        assert F.raw_neg(a) == coordinatewise(F, operator.sub, zero, a)
+        if a:
+            inverse = ref_poly_inv_mod(base, poly_of(F, a), F.modulus)
+            assert F.raw_inv(a) == encode(F, inverse)
+        else:
+            with pytest.raises(DivisionByZero):
+                F.raw_inv(a)
+    minus_one = coordinatewise(F, operator.sub, zero, F.raw_one)
+    assert F.raw_add(F.raw_one, minus_one) == zero
+
+
+@pytest.mark.parametrize("F", bundled_extension_fields(), ids=str)
+def test_raw_operators_on_every_pair_of_a_bundled_extension_field(F):
+    assert_raw_operators(F, itertools.product(range(F.size()), repeat=2))
+
+
+@pytest.mark.parametrize("F", [gf(2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1]),
+                               gf(7, 3, [3, 0, 0, 1])], ids=str)
+def test_raw_operators_on_drawn_pairs_of_a_larger_extension_field(F):
+    rng = random.Random(F.size())
+    q = F.size()
+    assert_raw_operators(F, [(rng.randrange(q), rng.randrange(q))
+                             for _ in range(400)])
+
+
+def test_the_first_raw_operator_builds_the_tables_once(monkeypatch):
+    """The five raw operators of one field object share one table build,
+    on first use; another object of the same field builds its own."""
+    builds = []
+    original = fields.ExtensionField._build_tables
+
+    def counted(self):
+        builds.append(self)
+        return original(self)
+
+    monkeypatch.setattr(fields.ExtensionField, "_build_tables", counted)
+    F = fields.ExtensionField(3, 2, (1, 0, 1))
+    assert builds == []
+    x = F.scalar([1, 1])
+    assert [(-x) * x.inv() - x + x, x ** 3] == [-F.one, F.scalar([1, 2])]
+    assert F.raw_add(x.value, F.raw_one) == F.scalar([2, 1]).value
+    assert builds == [F]
+    G = fields.ExtensionField(3, 2, (1, 0, 1))
+    assert G == F and G.one * G.one == G.one
+    assert builds == [F, G]
 
 
 @pytest.mark.parametrize("corruption, message", [
@@ -973,6 +1069,51 @@ def test_corrupted_exp_table_fails_its_certificate_under_optimized_python(
                           env=env)
     assert proc.returncode == 1, proc.stderr
     assert message in proc.stdout
+
+
+def test_corrupted_zech_list_fails_its_certificate_under_optimized_python(
+        tmp_path):
+    """A wrong Zech entry handed to its certificate exits 1 under -O."""
+    script = tmp_path / "corrupt_zech.py"
+    script.write_text(
+        "from fcunits import errors, fields\n"
+        "original = fields.ExtensionField._certify_zech\n"
+        "def corrupt(self, powers, zech):\n"
+        "    zech[2] = zech[3]\n"
+        "    return original(self, powers, zech)\n"
+        "fields.ExtensionField._certify_zech = corrupt\n"
+        "F = fields.gf(3, 2, [1, 0, 1])\n"
+        "try:\n"
+        "    F.one + F.one\n"
+        "except errors.CertificateFailed as exc:\n"
+        "    print(exc)\n"
+        "    raise SystemExit(1)\n",
+        encoding="utf-8")
+    src = str(pathlib.Path(fields.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", str(script)],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+    assert proc.returncode == 1, proc.stderr
+    assert "the Zech list of GF(3^2) is not log(1 + g^d)" in proc.stdout
+
+
+@pytest.mark.parametrize("d, entry", [
+    (4, lambda zech, n: zech[0]),             # the zero entry moved
+    (0, lambda zech, n: 2 * n - 1),           # a second zero entry
+    (1, lambda zech, n: zech[1] + n),         # an index past the powers
+], ids=["moved-zero", "second-zero", "past-the-powers"])
+def test_misplaced_zech_zero_fails_its_certificate(monkeypatch, d, entry):
+    original = fields.ExtensionField._certify_zech
+
+    def corrupt(self, powers, zech):
+        zech[d] = entry(zech, len(powers))
+        return original(self, powers, zech)
+
+    monkeypatch.setattr(fields.ExtensionField, "_certify_zech", corrupt)
+    F = fields.ExtensionField(3, 2, (1, 0, 1))
+    with pytest.raises(CertificateFailed, match="is not log"):
+        F.one - F.one
 
 
 def test_repeated_power_fails_the_table_certificate(monkeypatch):

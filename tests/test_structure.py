@@ -310,7 +310,7 @@ def test_characteristic_polynomial_triangular():
 def test_poly_irreducible_finite():
     F3, F2 = gf(3), gf(2)
     F4 = gf(2, 2, [1, 1, 1])
-    w, one, zero = (0, 1), F4.raw_one, F4.raw_zero
+    w, one, zero = F4.scalar([0, 1]).value, F4.raw_one, F4.raw_zero
 
     def poly(field, ints):
         return tuple(field.from_int(c).value for c in ints)
