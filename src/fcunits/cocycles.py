@@ -30,6 +30,7 @@ from .errors import (
     ZeroValue,
     certify,
     int_matrix,
+    known_keys,
 )
 from .fields import Scalar
 from .groups import bilinear_exponent
@@ -128,6 +129,7 @@ def cocycle_from_json(group, field, obj):
         obj = {}
     if not isinstance(obj, dict):
         raise InstanceFormatError(f"cocycle spec must be an object: {obj!r}")
+    known_keys(obj, ("torsion_table", "bilinear"), "cocycle")
     torsion = obj.get("torsion_table", {})
     if not isinstance(torsion, dict):
         raise InstanceFormatError(
@@ -141,6 +143,9 @@ def cocycle_from_json(group, field, obj):
             i, j = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise InstanceFormatError(f"bad torsion table key {key!r}") from exc
+        if (i, j) in table:
+            raise InstanceFormatError(
+                f"torsion table pair ({i}, {j}) is given twice")
         table[(i, j)] = Scalar(field, field.value_from_json(raw))
     zeta = None
     matrix = None
@@ -148,6 +153,7 @@ def cocycle_from_json(group, field, obj):
         bil = obj["bilinear"]
         if not isinstance(bil, dict) or "matrix" not in bil:
             raise InstanceFormatError("bilinear part needs a 'matrix'")
+        known_keys(bil, ("matrix", "zeta"), "bilinear")
         matrix = bil["matrix"]
         if "zeta" in bil:
             zeta = Scalar(field, field.value_from_json(bil["zeta"]))

@@ -5,9 +5,11 @@ programming error, derives from FcunitsError.  The CLI maps these to exit
 code 1 (semantic rejection) while InstanceFormatError maps to exit code 2
 (unreadable or malformed input).
 
-Two checks shared by every module live here as well: `int_entries` and
-`int_matrix` reject input that is not made of real ints, and `certify`
-raises CertificateFailed when a certificate does not hold.
+Checks shared by every module live here as well: `int_entries` and
+`int_matrix` reject input that is not made of real ints, `known_keys`
+rejects a JSON object with a key outside its spec, so a misspelled key
+is an error rather than a silent default, and `certify` raises
+CertificateFailed when a certificate does not hold.
 """
 
 
@@ -29,6 +31,14 @@ def int_entries(values, what):
         if not isinstance(x, int) or isinstance(x, bool):
             raise InstanceFormatError(f"{what} must be ints, got {x!r}")
     return tuple(values)
+
+
+def known_keys(obj, keys, what):
+    """Reject the dict obj if it has a key outside ``keys``, naming the
+    first such key in sorted order."""
+    extra = sorted(set(obj) - set(keys), key=str)
+    if extra:
+        raise InstanceFormatError(f"unknown {what} key {extra[0]!r}")
 
 
 def int_matrix(rows, what):

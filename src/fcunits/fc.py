@@ -63,6 +63,7 @@ from .errors import (
     SubgroupTooLarge,
     TooLargeToCount,
     certify,
+    known_keys,
 )
 from .fields import (
     Scalar,
@@ -221,9 +222,7 @@ _INSTANCE_KEYS = {"field", "group", "cocycle", "caps", "name"}
 def instance_from_json(obj):
     if not isinstance(obj, dict):
         raise InstanceFormatError("instance must be a JSON object")
-    extra = set(obj) - _INSTANCE_KEYS
-    if extra:
-        raise InstanceFormatError(f"unknown instance keys {sorted(extra)}")
+    known_keys(obj, _INSTANCE_KEYS, "instance")
     for key in ("field", "group", "cocycle"):
         if key not in obj:
             raise InstanceFormatError(f"instance is missing {key!r}")

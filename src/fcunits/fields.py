@@ -10,8 +10,9 @@ Every field has one set of operators, on raw values: `raw_add`, `raw_sub`,
 `raw_one`, and `reduce`.  A computation combines raw values with the first
 four and applies `reduce` once to each value it hands back, which makes
 that value canonical again.  Over GF(p) the four are plain int operations
-and `reduce` is the one `% p`, so a long sum of products is reduced once;
-over GF(p^k) and Q they are exact and `reduce` is the identity.
+and `reduce` is the one `% p`, the C callable `p.__rmod__`, so a long sum
+of products is reduced once; over GF(p^k) and Q they are exact and
+`reduce` is the identity.
 `raw_inv`, any test against `raw_zero`, and every operator over GF(p^k)
 take canonical values.  A `Scalar` wraps one canonical value where it
 crosses the API and JSON boundary; its operators are `reduce` of the raw
@@ -35,9 +36,10 @@ a (1 + b / a) is exp[log a + zech[log b - log a]].  Rational polynomials
 are factored on the same layer, over Z by the modular route
 (`poly_factor_rational`), which splits modulo p by the distinct-degree
 splitting (`_distinct_degree`) that tests irreducibility over every
-finite field.  Roots stay a sweep over the elements (`poly_roots`): at the
-bundled field sizes it measured faster than gcd(a, x^q - x) followed by a
-degree-1 split.
+finite field.  Roots are read off one evaluation at all q elements at
+once (`poly_roots`), Horner's rule on whole vectors over the nonzero
+coefficients only: for the sparse minimal polynomials the splits make it
+measured faster than gcd(a, x^q - x) and a degree-1 split, up to q = 2^16.
 
 Every binary power in the package, of polynomials modulo m, scalars,
 algebra vectors and elements, and group elements, is one call of
@@ -66,6 +68,7 @@ from .errors import (
     UnsupportedRationalDegree,
     certify,
     int_entries,
+    known_keys,
 )
 
 MAX_FIELD_SIZE = 1 << 16
@@ -267,17 +270,20 @@ def poly_irreducible(F, m):
 
 def poly_roots(F, a):
     """The roots of a nonzero polynomial in a finite field F, in the order
-    of F.elements(), found by evaluating at every element."""
+    of F.elements(): Horner's rule over the nonzero coefficients of a, on
+    the vector of its values at every raw value at once, where a gap of g
+    degrees is one elementwise product by `F.power_vector(g)`."""
     add, mul, reduce, zero = F.raw_add, F.raw_mul, F.reduce, F.raw_zero
-    roots = []
-    for s in F.elements():
-        x = s.value
-        acc = zero
-        for c in reversed(a):
-            acc = reduce(add(mul(acc, x), c))
-        if acc == zero:
-            roots.append(x)
-    return roots
+    terms = [(i, c) for i, c in enumerate(a) if c != zero]
+    top, lead = terms.pop()
+    values = [lead] * F.size()
+    for i, c in reversed(terms):
+        values = list(map(reduce, map(add, map(
+            mul, values, F.power_vector(top - i)), itertools.repeat(c))))
+        top = i
+    if top:
+        values = list(map(reduce, map(mul, values, F.power_vector(top))))
+    return list(itertools.compress(range(F.size()), map(zero.__eq__, values)))
 
 
 # --- factoring over Q -----------------------------------------------------------
@@ -695,6 +701,7 @@ class Field:
         self.raw_one = raw_one
         self.zero = Scalar(self, raw_zero)
         self.one = Scalar(self, raw_one)
+        self._power_vectors = {}        # g -> [x^g for x in elements()]
 
     def reduce(self, a):
         return a
@@ -723,6 +730,15 @@ class Field:
             raise TypeError(f"{self.shortname()} is not finite")
         return (Scalar(self, v) for v in range(self.size()))
 
+    def power_vector(self, g):
+        """[x^g for x in elements()] as raw values, for g >= 1, kept."""
+        if g not in self._power_vectors:
+            mul, reduce = self.raw_mul, self.reduce
+            self._power_vectors[g] = power(
+                list(range(self.size())), g,
+                lambda u, v: list(map(reduce, map(mul, u, v))), None)
+        return self._power_vectors[g]
+
     def value_sort_key(self, v):
         return (v,)
 
@@ -750,10 +766,8 @@ class PrimeField(_PlainField):
                 f"field size {p} exceeds the cap {MAX_FIELD_SIZE}")
         self.p = self.characteristic = p
         self.degree = 1
+        self.reduce = p.__rmod__        # a -> a % p, with no Python frame
         super().__init__(("prime", p), 0, 1)
-
-    def reduce(self, a):
-        return a % self.p
 
     def shortname(self):
         return f"GF({self.p})"
@@ -787,6 +801,7 @@ class PrimeField(_PlainField):
 
 class ExtensionField(Field):
     kind = "extension"
+    reduce = staticmethod(operator.pos)     # the identity on codes
 
     def __init__(self, p, k, modulus):
         base = PrimeField(p)
@@ -1019,8 +1034,10 @@ def make_field(spec):
         raise InstanceFormatError(f"field spec must have a 'kind': {spec!r}")
     kind = spec["kind"]
     if kind == "rationals":
+        known_keys(spec, ("kind",), "rationals field")
         return rationals()
     if kind == "prime-power":
+        known_keys(spec, ("kind", "p", "k", "modulus"), "prime-power field")
         p, k = spec.get("p"), spec.get("k", 1)
         if not isinstance(p, int) or isinstance(p, bool):
             raise InstanceFormatError("prime-power field spec needs int 'p'")
@@ -1054,9 +1071,9 @@ def _rational_sqrt(fr):
 
 def solve_power_equation(field, n, target):
     """All x in the field with x^n = target, as a set of Scalars: over a
-    finite field the roots of x^n - target by the `poly_roots` sweep, over
-    the rationals only for n = 1 and n = 2 (larger n raises
-    UnsupportedRationalDegree)."""
+    finite field the roots of x^n - target by `poly_roots`, one product per
+    element by the vector of n-th powers; over the rationals only for
+    n = 1 and n = 2 (larger n raises UnsupportedRationalDegree)."""
     if not isinstance(n, int) or n < 1:
         raise InstanceFormatError(f"exponent must be a positive int, got {n!r}")
     if not isinstance(target, Scalar) or target.field != field:

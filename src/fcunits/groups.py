@@ -40,6 +40,7 @@ from .errors import (
     SubgroupTooLarge,
     int_entries,
     int_matrix,
+    known_keys,
 )
 
 MAX_TORSION = 64
@@ -693,11 +694,14 @@ def make_group(obj):
         raise InstanceFormatError(f"group spec must have a 'kind': {obj!r}")
     kind = obj["kind"]
     if kind == "cayley":
+        known_keys(obj, ("kind", "table"), "cayley group")
         if "table" not in obj:
             raise InstanceFormatError("cayley group spec needs a 'table'")
         return Group(0, TableTorsion(obj["table"]), json_kind="cayley")
     if kind != "central-extension":
         raise InstanceFormatError(f"unknown group kind {kind!r}")
+    known_keys(obj, ("kind", "rank", "torsion", "pairing", "prufer"),
+               "central-extension group")
     (rank,) = int_entries([obj.get("rank")], "central-extension 'rank'")
     if rank < 0:
         raise InstanceFormatError("central-extension needs int 'rank' >= 0")
@@ -707,6 +711,7 @@ def make_group(obj):
     tor_spec = obj.get("torsion")
     if not isinstance(tor_spec, dict):
         raise InstanceFormatError("central-extension needs a 'torsion' object")
+    known_keys(tor_spec, ("invariants", "table"), "torsion")
     if "invariants" in tor_spec and "table" in tor_spec:
         raise InstanceFormatError(
             "torsion must give 'invariants' or a 'table', not both")
@@ -722,6 +727,11 @@ def make_group(obj):
         pairing = obj["pairing"]
         if not isinstance(pairing, dict) or "matrix" not in pairing:
             raise InstanceFormatError("pairing needs a 'matrix'")
+        known_keys(pairing, ("matrix", "target_index", "target_vector"),
+                   "pairing")
+        if "target_index" in pairing and "target_vector" in pairing:
+            raise InstanceFormatError(
+                "pairing gives both 'target_index' and 'target_vector'")
         if torsion.kind != "invariants":
             raise GroupValidationError(
                 "pairing requires abelian invariants torsion")
@@ -744,6 +754,7 @@ def make_group(obj):
         ps = obj["prufer"]
         if not isinstance(ps, dict) or "q" not in ps or "levels" not in ps:
             raise InstanceFormatError("prufer spec needs 'q' and 'levels'")
+        known_keys(ps, ("q", "levels"), "prufer")
         prufer = (ps["q"], ps["levels"])
     return Group(rank, torsion, pairing_matrix=matrix, pairing_target=target,
                  prufer=prufer)

@@ -42,6 +42,7 @@ from .errors import (
     certify,
     int_entries,
     int_matrix,
+    known_keys,
 )
 from .fields import make_field
 
@@ -66,6 +67,7 @@ class _EnumeratedGroup:
                                       "a 'kind'")
         kind = obj["kind"]
         if kind == "cayley":
+            known_keys(obj, ("kind", "table"), "cayley group")
             table = obj.get("table")
             if not isinstance(table, list) or not table:
                 raise InstanceFormatError("cayley group needs a 'table'")
@@ -84,6 +86,18 @@ class _EnumeratedGroup:
             return cls(n, table, identity)
         if kind != "central-extension":
             raise InstanceFormatError(f"unknown group kind {kind!r}")
+        known_keys(obj, ("kind", "rank", "torsion", "pairing", "prufer"),
+                   "central-extension group")
+        targets = ("target_index", "target_vector")
+        for name, keys in (("torsion", ("invariants", "table")),
+                           ("pairing", ("matrix",) + targets),
+                           ("prufer", ("q", "levels"))):
+            if isinstance(obj.get(name), dict):
+                known_keys(obj[name], keys, name)
+        if isinstance(obj.get("pairing"), dict) and all(
+                t in obj["pairing"] for t in targets):
+            raise InstanceFormatError(
+                "pairing gives both 'target_index' and 'target_vector'")
         (rank,) = int_entries([obj.get("rank", 0)], "central-extension 'rank'")
         if rank != 0:
             raise CapExceeded("the exhaustive oracle needs a finite group "
@@ -176,16 +190,22 @@ def _cocycle_matrix(obj, group, field, tables):
     obj = {} if obj is None else obj
     if not isinstance(obj, dict):
         raise InstanceFormatError("cocycle spec must be an object")
+    known_keys(obj, ("torsion_table", "bilinear"), "cocycle")
     n = group.size
     lam = [[tables.one] * n for _ in range(n)]
     torsion = obj.get("torsion_table", {})
     if not isinstance(torsion, dict):
         raise InstanceFormatError("cocycle torsion_table must be an object")
+    given = set()
     for key, raw in torsion.items():
         i, j = _table_key(key)
         if not (0 <= i < n and 0 <= j < n):
             raise InstanceFormatError(f"torsion table index ({i}, {j}) "
                                       f"out of range")
+        if (i, j) in given:
+            raise InstanceFormatError(
+                f"torsion table pair ({i}, {j}) is given twice")
+        given.add((i, j))
         val = tables.index[field.value_from_json(raw)]
         if val == tables.zero:
             raise InvalidCocycle(f"cocycle value at ({i}, {j}) is zero")
@@ -195,6 +215,7 @@ def _cocycle_matrix(obj, group, field, tables):
     bil = obj.get("bilinear")
     if bil is not None and not isinstance(bil, dict):
         raise InstanceFormatError("cocycle bilinear part must be an object")
+    known_keys(bil or {}, ("matrix", "zeta"), "bilinear")
     matrix = int_matrix((bil or {}).get("matrix", []), "bilinear matrix")
     if any(any(row) for row in matrix):
         raise InstanceFormatError("the oracle handles finite groups only, "

@@ -38,14 +38,16 @@ count q^(dim J) prod_i (q^(d_i) - 1) over the components of A / J.  The
 report is kept on the immutable `FDAlgebra`, so a repeated request costs
 no products, and so is the certified `jacobson_radical` of any algebra,
 with its A / J.  The primitive idempotents come from one
-Chinese-remainder step and one corner recursion over every field.  Over
+Chinese-remainder step, on the powers of b its minimal polynomial was
+read off, and one corner recursion over every field.  Over
 GF(q) each step is certified by its splitter b: one product b e_r = r e_r
 per idempotent and the sum of the e_r, which together make the e_r
 orthogonal idempotents; over Q, where a step has no such relation, the
 lifted family is certified orthogonal by prefix sums, one product
 (e_1 + ... + e_(k-1)) e_k = 0 per idempotent, not one per pair.  Each
-field component is a corner A e; when there are dim primitives,
-certified nonzero, every corner is the line K e.
+field component is a corner A e, with the basis the recursion built for
+it; when there are dim primitives, certified nonzero, every corner is the
+line K e.
 
 Idempotents of a noncommutative algebra A over GF(q) are counted from its
 blocks, not by enumerating vectors (Ronyai, J. Symbolic Comput. 9, 1990;
@@ -110,16 +112,16 @@ class FDAlgebra:
     name the basis vectors in diagnostics.
 
     Table cells, `one` and every vector the methods take and return are
-    canonical raw field values (see `fields`); a vector is a list of them.
-    Over GF(p^k) the raw zero is a tuple, which is truthy, so a vector is
-    zero by `is_zero`, never by `any`.  The table is compiled on first use,
-    so it must not be mutated after construction.  The object caches what
+    canonical raw field values (see `fields`); a vector is a list of them,
+    zero by `is_zero`.  The table is compiled on first use, so it must not
+    be mutated after construction.  The object caches what
     depends only on the table: the compiled rows, the trace vector,
     `is_commutative`, the basis powers b_i^n per exponent n (which the
     Frobenius radical and the fixed space of x -> x^q share over a prime
     field with p >= dim), the candidate of `_radical_raw`, and what is
     certified: `jacobson_radical`, `block_structure`, and the results of
-    `primitive_idempotents` and `fields_decomposition` per seed.
+    `primitive_idempotents` and `fields_decomposition` per seed, with the
+    corner basis the split built at each primitive idempotent.
     """
 
     def __init__(self, field, dim, table, one, labels=None):
@@ -135,6 +137,7 @@ class FDAlgebra:
         self._raw_radical = None        # (candidate, method), read-only
         self._radical = None            # certified RadicalResult
         self._primitives = {}           # seed -> certified primitive set
+        self._corner_bases = {}         # primitive e -> basis of A e
         self._decompositions = {}       # seed -> certified report
         self._blocks = None             # certified BlockStructure
 
@@ -413,13 +416,19 @@ def _standard_basis(fd):
 def minimal_polynomial(fd, x, e=None):
     """Monic minimal polynomial of x, a polynomial of `fields` (a tuple of
     raw values, constant first); of x in the corner A e if e is given."""
+    return _krylov(fd, x, fd.one if e is None else e)[0]
+
+
+def _krylov(fd, x, e):
+    """The minimal polynomial m of x in the corner A e, and the powers e,
+    e x, ..., e x^(deg m - 1) it was read off, one product each."""
     field = fd.field
     S = linalg.SpanBasis(field, fd.dim)
-    p = fd.one if e is None else e
+    p = e
     while S.add(p):
         p = fd.mul(p, x)
     neg = [field.reduce(field.raw_neg(c)) for c in S.coordinates(p)]
-    return tuple(neg) + (field.raw_one,)
+    return tuple(neg) + (field.raw_one,), S.inserted
 
 
 def characteristic_polynomial(field, M):
@@ -597,16 +606,14 @@ def jacobson_radical(fd):
 # --- idempotents ---------------------------------------------------------------
 
 
-def _crt_idempotents(fd, e, b, m, moduli):
+def _crt_idempotents(fd, powers, m, moduli):
     """E_g(b) for pairwise coprime moduli g (factor powers allowed) whose
     product is b's minimal polynomial m in A e up to a constant:
     E_g = (m / g) ((m / g)^-1 mod g) is 1 mod g and 0 mod the others (von
     zur Gathen and Gerhard, Modern Computer Algebra, 5.4).  deg E_g < deg m,
-    so E_g(b) combines e = b^0 .. b^(deg m - 1), deg m - 1 products."""
+    so E_g(b) combines the powers e = b^0 .. b^(deg m - 1) of `_krylov`.
+    Only the rational split uses it; over GF(q) see `_lagrange_idempotents`."""
     field = fd.field
-    powers = [e]
-    for _ in range(len(m) - 2):
-        powers.append(fd.mul(powers[-1], b))
     out = []
     for g in moduli:
         h, _ = poly_divmod(field, m, g)
@@ -614,6 +621,46 @@ def _crt_idempotents(fd, e, b, m, moduli):
         certify(s is not None, "factor powers must be coprime")
         out.append(linear_combination(fd, poly_mul(field, s, h), powers))
     return out
+
+
+def _lagrange_idempotents(fd, powers, m, roots):
+    """E_r = h_r(b) / h_r(r), h_r = m / (t - r), for the distinct roots r
+    of b's minimal polynomial m in A e, in the order of `roots`, from the
+    powers e = b^0 .. b^(deg m - 1) of `_krylov`.  Lagrange interpolation
+    (von zur Gathen and Gerhard, Modern Computer Algebra, 5.2) gives
+    sum_r h_r / h_r(r) = 1 and (t - r) h_r = m, so sum_r E_r = e and
+    b E_r = r E_r; these are the CRT idempotents of the linear moduli
+    t - r, since h_r (1 / h_r(r)) is 1 mod t - r and 0 mod the others.
+
+    All h_r come from one synthetic division run across the roots at once,
+    h_(d-1) = 1 and h_(k-1) = m_k + r h_k, and every h_r(r) from Horner's
+    rule on the same coefficients.  Each power then adds its nonzero
+    entries only, times the column of its coefficients over the roots, so
+    a monomial splitter's powers cost deg m products per root."""
+    field = fd.field
+    add, mul, reduce = field.raw_add, field.raw_mul, field.reduce
+    zero = field.raw_zero
+    h = value = [field.raw_one] * len(roots)
+    columns = [h]
+    for c in reversed(m[1:-1]):
+        h = list(map(reduce, map(add, map(mul, roots, h), repeat(c))))
+        value = list(map(reduce, map(add, map(mul, roots, value), h)))
+        columns.append(h)
+    inverse = list(map(field.raw_inv, value))
+    sums = [[zero] * len(roots)] * fd.dim
+    for col, p in zip(reversed(columns), powers):
+        col = list(map(reduce, map(mul, col, inverse)))
+        for j, c in enumerate(p):
+            if c != zero:
+                sums[j] = list(map(add, sums[j], map(mul, col, repeat(c))))
+    return [list(map(reduce, row)) for row in zip(*sums)]
+
+
+def _primitive(fd, e, basis):
+    """[e] for a primitive e, whose corner A e has the `corner_basis`
+    ``basis``; its vectors are kept on fd for `fields_decomposition`."""
+    fd._corner_bases[tuple(e)] = list(basis.values())
+    return [list(e)]
 
 
 def _split_corners(fd, idempotents, basis, split):
@@ -647,12 +694,11 @@ def _primitive_idempotents_finite(fd, e, basis):
     line = span_of(fd, [e])
     b = next((x for x in fixed if not line.contains(x)), None)
     if b is None:
-        return [list(e)]
-    m = minimal_polynomial(fd, b, e)
+        return _primitive(fd, e, basis)
+    m, powers = _krylov(fd, b, e)
     roots = poly_roots(field, m)
     certify(len(roots) == len(m) - 1, "a q-fixed element splits over GF(q)")
-    linear = [(field.reduce(field.raw_neg(c)), field.raw_one) for c in roots]
-    idempotents = _crt_idempotents(fd, e, b, m, linear)
+    idempotents = _lagrange_idempotents(fd, powers, m, roots)
     for r, f in zip(roots, idempotents):
         certify(fd.mul(b, f) == fd.scale(f, r),
                 "a split idempotent is no eigenvector of its splitter")
@@ -660,6 +706,7 @@ def _primitive_idempotents_finite(fd, e, basis):
             "the split idempotents do not sum to the corner identity")
     if len(roots) == len(basis):
         # every corner is the line through its idempotent
+        fd._corner_bases.update((tuple(f), [f]) for f in idempotents)
         return idempotents
     return _split_corners(fd, idempotents, basis,
                           _primitive_idempotents_finite)
@@ -706,20 +753,20 @@ def _split_rational(fd, e, basis, rng):
     over Q, given by e and its `corner_basis`: a candidate whose minimal
     polynomial factors splits e at its first factor."""
     if len(basis) == 1:
-        return [list(e)]
+        return _primitive(fd, e, basis)
     field = fd.field
     for cand in _splitter_candidates(fd, list(basis.values()), rng):
-        m = minimal_polynomial(fd, cand, e)
+        m, powers = _krylov(fd, cand, e)
         factors = poly_factor_rational(m)
         if len(factors) < 2:
             if len(m) - 1 == len(basis):
                 # irreducible minimal polynomial of full degree: a field
-                return [list(e)]
+                return _primitive(fd, e, basis)
             continue
         # split off the first factor g against its cofactor m / g; m is
         # squarefree, as A e is semisimple
         g = tuple(map(field._canonical, factors[0][0]))
-        pair = _crt_idempotents(fd, e, cand, m,
+        pair = _crt_idempotents(fd, powers, m,
                                 [g, poly_divmod(field, m, g)[0]])
         certify(fd.is_idempotent(pair[0]), "Bezout idempotent failed")
         return _split_corners(fd, pair, basis, lambda fd, e, basis:
@@ -734,7 +781,7 @@ def primitive_idempotents(fd, seed=0):
     Finite fields split along the fixed space of x -> x^q, with or without
     a radical; the rationals factor the minimal polynomials of candidates
     over Z (`fields.poly_factor_rational`), modulo the radical.  Both take
-    one Chinese-remainder step (`_crt_idempotents`) per level of one
+    one Chinese-remainder step (Lagrange's over GF(q)) per level of one
     corner recursion (`_split_corners`).  Each split step over GF(q), and
     the whole lifted family over Q, is certified orthogonal and idempotent
     where it is made; here the family is certified complete, sum 1, before
@@ -1010,7 +1057,7 @@ def _fields_decomposition(fd, seed):
     lines = len(prims) == fd.dim
     rng = random.Random(seed)
     components = [_field_component(fd, e, [e] if lines else
-                                   list(corner_basis(fd, e).values()), rng)
+                                   fd._corner_bases[tuple(e)], rng)
                   for e in prims]
     return DecompositionReport(True, "", None, components, rad, prims)
 

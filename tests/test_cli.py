@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -9,8 +10,10 @@ from importlib import resources
 import pytest
 
 from fcunits import cli
+from fcunits.errors import InstanceFormatError
 from fcunits.fc import instance_from_json
 from fcunits.groups import MAX_RANK
+from fcunits.oracle import oracle_report
 
 INSTANCES = resources.files("fcunits") / "instances"
 
@@ -533,3 +536,65 @@ def test_cli_import_leaves_importlib_metadata_out():
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _misspell(section, old, new):
+    """Rename the key `old` of the object at `section` (a key path) to
+    `new`, keeping its value."""
+    def edit(obj):
+        for key in section:
+            obj = obj[key]
+        obj[new] = obj.pop(old)
+    return edit
+
+
+def _put(section, key, value):
+    def edit(obj):
+        for name in section:
+            obj = obj[name]
+        obj[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    # each of these ran and answered for another instance: the untwisted
+    # algebra, or a group without its Pruefer part or pairing
+    (_misspell(["cocycle"], "torsion_table", "torsion_tabel"),
+     "unknown cocycle key 'torsion_tabel'"),
+    (_put(["group"], "pufer", {"q": 2, "levels": 3}),
+     "unknown central-extension group key 'pufer'"),
+    (_put(["cocycle"], "bilinar", {"matrix": []}),
+     "unknown cocycle key 'bilinar'"),
+    (_put(["cocycle"], "bilinear", {"matrix": [], "zetta": 1}),
+     "unknown bilinear key 'zetta'"),
+    (_misspell(["field"], "p", "P"), "unknown prime-power field key 'P'"),
+    (_put(["field"], "modulos", [1, 0, 1]),
+     "unknown prime-power field key 'modulos'"),
+    (_put(["group", "torsion"], "tabel", [[0]]),
+     "unknown torsion key 'tabel'"),
+    (_put(["group"], "prufer", {"q": 2, "levels": 3, "level": 2}),
+     "unknown prufer key 'level'"),
+    (_put(["group"], "pairing", {"matrix": [], "target_idx": 0}),
+     "unknown pairing key 'target_idx'"),
+    (_put(["group"], "pairing", {"matrix": [], "target_index": 0,
+                                 "target_vector": [1]}),
+     "pairing gives both 'target_index' and 'target_vector'"),
+    # the last spelling of a pair won
+    (_put(["cocycle", "torsion_table"], "( 1,1)", 1),
+     r"torsion table pair \(1, 1\) is given twice"),
+], ids=["cocycle", "group", "cocycle-bilinear", "bilinear", "field-p",
+        "field-modulus", "torsion", "prufer", "pairing", "pairing-targets",
+        "torsion-table-pair"])
+def test_unknown_and_repeated_keys_are_rejected(tmp_path, capsys, edit,
+                                                message):
+    obj = cli.bundled_instance("gf3_c2_twisted")
+    edit(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    rc, out, err = run(["analyze", "--verdict", "--structure", str(path)],
+                       capsys)
+    assert (rc, out) == (2, "")
+    assert err.count("\n") == 1 and re.search(message, err)
+    # the oracle reads the instance on its own, and agrees
+    with pytest.raises(InstanceFormatError, match=message):
+        oracle_report(obj)

@@ -26,7 +26,7 @@ Euclidean algorithm, `ref_poly_inv_mod`, which the tables replaced.
 
 Commutativity read off the compiled table is checked against the product
 loop it replaced, `ref_is_commutative`, and the Lagrange idempotents,
-built by `_crt_idempotents` on the moduli t - c_i from the powers of b,
+built by `_lagrange_idempotents` at the roots c_i from the powers of b,
 against the n(n-1)-product chain they replaced,
 `ref_lagrange_idempotents`, on the torsion subalgebras of every valid
 bundled instance and on drawn tables and elements.  On the commutative
@@ -79,7 +79,8 @@ from fcunits.structure import (
     FDAlgebra,
     FiniteSubalgebra,
     Subquotient,
-    _crt_idempotents,
+    _krylov,
+    _lagrange_idempotents,
     corner_algebra,
     count_idempotents,
     fields_decomposition,
@@ -528,11 +529,10 @@ def assert_lagrange_matches(fd, coeffs):
     distinct c_i as the roots of its minimal polynomial."""
     F = fd.field
     b = linear_combination(fd, raw(coeffs), primitive_idempotents(fd))
-    m = minimal_polynomial(fd, b)
+    m, powers = _krylov(fd, b, fd.one)
     roots = list(dict.fromkeys(raw(coeffs)))
     assert len(m) - 1 == len(roots)
-    linear = [(F.reduce(F.raw_neg(c)), F.raw_one) for c in roots]
-    got = _crt_idempotents(fd, fd.one, b, m, linear)
+    got = _lagrange_idempotents(fd, powers, m, roots)
     assert [scalars(F, e) for e in got] == ref_lagrange_idempotents(
         fd, scalars(F, b), scalars(F, roots))
     for e in got:

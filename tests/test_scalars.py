@@ -8,7 +8,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fcunits.errors import (
     DivisionByZero,
@@ -20,6 +20,7 @@ from fcunits.errors import (
 )
 from fcunits import fields
 from fcunits.fields import (
+    Scalar,
     gf,
     make_field,
     multiplicative_order,
@@ -123,6 +124,53 @@ def test_solution_count_bounded_by_degree():
                 assert len(roots) <= max(n, 1)
                 assert roots == {x for x in field.elements()
                                  if x ** n == target}
+
+
+ROOT_FIELDS = [gf(2), gf(3), gf(257), gf(2, 2, [1, 1, 1]),
+               gf(3, 2, [1, 0, 1]), gf(3, 4, [2, 1, 0, 0, 1])]
+
+
+def ref_roots(field, a):
+    """The raw roots of a, by Horner's rule at one element at a time."""
+    roots = []
+    for x in field.elements():
+        acc = field.zero
+        for c in reversed(a):
+            acc = acc * x + Scalar(field, c)
+        if not acc:
+            roots.append(x.value)
+    return roots
+
+
+@st.composite
+def root_cases(draw):
+    """A field and a nonzero polynomial over it: dense, a binomial t^n - c,
+    sparse with a zero constant term, or a constant."""
+    field = draw(st.sampled_from(ROOT_FIELDS))
+    value = st.integers(0, field.size() - 1)
+    shape = draw(st.sampled_from(["dense", "binomial", "sparse", "constant"]))
+    if shape == "dense":
+        a = draw(st.lists(value, min_size=1, max_size=9))
+    elif shape == "binomial":
+        n = draw(st.integers(1, 20))
+        c = Scalar(field, draw(value))
+        a = [(-c).value] + [field.raw_zero] * (n - 1) + [field.raw_one]
+    elif shape == "sparse":
+        degrees = draw(st.sets(st.integers(1, 24), min_size=1, max_size=4))
+        a = [field.raw_zero] * (max(degrees) + 1)
+        for d in degrees:
+            a[d] = draw(value)
+    else:
+        a = [draw(value)]
+    a = list(fields.poly_trim(field, a)) or [field.raw_one]
+    return field, tuple(a)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(root_cases())
+def test_poly_roots_match_the_sweep_at_each_element(case):
+    field, a = case
+    assert fields.poly_roots(field, a) == ref_roots(field, a)
 
 
 def test_rational_roots():

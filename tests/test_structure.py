@@ -23,7 +23,14 @@ from fcunits.errors import (
     SupportNotInSubgroup,
     TooLargeToCount,
 )
-from fcunits.fields import gf, poly_irreducible, rationals
+from fcunits.fields import (
+    gf,
+    poly_divmod,
+    poly_inv_mod,
+    poly_irreducible,
+    poly_mul,
+    rationals,
+)
 from fcunits.groups import (
     cyclic_table,
     finite_subgroup,
@@ -351,16 +358,16 @@ SPLIT_SUM = "the split idempotents do not sum to the corner identity"
 def test_each_primitive_idempotent_certificate_fires(monkeypatch, pairs,
                                                      message):
     # (a, b) is a e_1 + b e_2 in the split e_1, e_2 of GF(3)[C2] that the
-    # Chinese-remainder step makes, e_i at the i-th root of the splitter
+    # Lagrange step makes, e_i at the i-th root of the splitter
     fd = group_algebra_fd(cayley(cyclic_table(2)), gf(3)).fd
-    crt = structure._crt_idempotents
+    lagrange = structure._lagrange_idempotents
 
-    def bad_family(fd, e, b, m, moduli):
-        split = crt(fd, e, b, m, moduli)
+    def bad_family(fd, powers, m, roots):
+        split = lagrange(fd, powers, m, roots)
         return [linear_combination(fd, [fd.field._canonical(a),
                                         fd.field._canonical(c)], split)
                 for a, c in pairs]
-    monkeypatch.setattr(structure, "_crt_idempotents", bad_family)
+    monkeypatch.setattr(structure, "_lagrange_idempotents", bad_family)
     with pytest.raises(CertificateFailed, match=message):
         primitive_idempotents(fd)
 
@@ -607,6 +614,53 @@ def test_lost_root_fails_the_splitting_certificate(monkeypatch):
         primitive_idempotents(fd)
 
 
+def ref_bezout_idempotents(fd, powers, m, roots):
+    """The CRT idempotents of the moduli t - r, one Bezout inverse each,
+    on b's powers rebuilt from e and b e: E_r = h ((h^-1) mod (t - r))
+    with h = m / (t - r)."""
+    F = fd.field
+    rebuilt = [powers[0]]
+    for _ in range(len(m) - 2):
+        rebuilt.append(fd.mul(rebuilt[-1], powers[1]))
+    out = []
+    for r in roots:
+        g = (F.reduce(F.raw_neg(r)), F.raw_one)
+        h = poly_divmod(F, m, g)[0]
+        out.append(linear_combination(
+            fd, poly_mul(F, poly_inv_mod(F, h, g), h), rebuilt))
+    return out
+
+
+def _twisted_gf9_c8():
+    # u^8 = -1 over GF(9) = GF(3)[x] / (x^2 + 1) splits at four roots
+    G, F = abelian([8]), gf(3, 2, [1, 0, 1])
+    return group_algebra_fd(G, F, carry_cocycle(G, F, 8, F.scalar([2, 0])))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: group_algebra_fd(cayley(cyclic_table(16)), gf(257)),
+    lambda: group_algebra_fd(cayley(cyclic_table(4)), gf(5)),
+    _twisted_gf9_c8,
+    # a split at four roots, then four corners split at two
+    lambda: group_algebra_fd(abelian([12]), gf(5)),
+], ids=["c16-gf257", "c4-gf5", "twisted-c8-gf9", "c12-gf5"])
+def test_lagrange_idempotents_match_bezout_crt(monkeypatch, build):
+    # every split the recursion makes, at the top and in its corners
+    splits = []
+    original = structure._lagrange_idempotents
+
+    def spy(fd, powers, m, roots):
+        got = original(fd, powers, m, roots)
+        splits.append((fd, powers, m, roots, got))
+        return got
+    monkeypatch.setattr(structure, "_lagrange_idempotents", spy)
+    primitive_idempotents(build().fd)
+    assert splits
+    for fd, powers, m, roots, got in splits:
+        assert len(roots) == len(m) - 1 == len(powers)
+        assert got == ref_bezout_idempotents(fd, powers, m, roots)
+
+
 def test_crt_idempotents_split_off_a_nilpotent_factor_power():
     # Q[t] / (t^3 - t^2) on the basis 1, t, t^2: b = t has minimal
     # polynomial t^2 (t - 1), whose factor power t^2 carries the nilpotent
@@ -616,9 +670,9 @@ def test_crt_idempotents_split_off_a_nilpotent_factor_power():
              for i in range(3) for j in range(3)}
     fd = FDAlgebra(F, 3, table, [F.raw_one, F.raw_zero, F.raw_zero])
     b = fd.basis_vec(1)
-    m = minimal_polynomial(fd, b)
+    m, powers = structure._krylov(fd, b, fd.one)
     assert m == (0, 0, -1, 1)
-    got = structure._crt_idempotents(fd, fd.one, b, m, [(0, 0, 1), (-1, 1)])
+    got = structure._crt_idempotents(fd, powers, m, [(0, 0, 1), (-1, 1)])
     assert got == [[1, 0, -1], [0, 0, 1]]
     e, f = got
     assert fd.is_idempotent(e) and fd.is_idempotent(f)
@@ -1083,7 +1137,8 @@ def _no_bezout_inverse(monkeypatch):
 
 def _bezout_returns_its_candidate(monkeypatch):
     monkeypatch.setattr(structure, "_crt_idempotents",
-                        lambda fd, e, b, m, moduli: [b, fd.sub(e, b)])
+                        lambda fd, powers, m, moduli:
+                        [powers[1], fd.sub(powers[0], powers[1])])
     primitive_idempotents(group_algebra_fd(abelian([2]), rationals()).fd)
 
 
