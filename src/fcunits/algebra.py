@@ -356,18 +356,15 @@ def _invert_by_decomposition(algebra, x, idempotents):
                            "corner inverses did not assemble to an inverse")
 
 
-def unit_commutator(algebra, x, y, x_inv=None, y_inv=None):
-    if x_inv is None:
-        res = try_invert(algebra, x)
+def unit_commutator(algebra, x, y):
+    """x^-1 y^-1 x y, with the inverses `try_invert` certifies."""
+    inverses = []
+    for name, z in (("x", x), ("y", y)):
+        res = try_invert(algebra, z)
         if not res.is_unit:
-            raise NotUnitError(f"x is not a unit: {res.certificate}")
-        x_inv = res.inverse
-    if y_inv is None:
-        res = try_invert(algebra, y)
-        if not res.is_unit:
-            raise NotUnitError(f"y is not a unit: {res.certificate}")
-        y_inv = res.inverse
-    return x_inv * y_inv * x * y
+            raise NotUnitError(f"{name} is not a unit: {res.certificate}")
+        inverses.append(res.inverse)
+    return inverses[0] * inverses[1] * x * y
 
 
 # --- subgroup-local helpers -----------------------------------------------------
@@ -390,13 +387,13 @@ def left_regular_matrix(algebra, subgroup, x):
     return [list(map(field.reduce, row)) for row in M]
 
 
-def averaging_idempotent(algebra, elements, weights=None, sub=None):
-    """(1/|H|) sum of weighted units over a finite subgroup H.
+def averaging_idempotent(algebra, elements, sub=None):
+    """(1/|H|) sum of the units over a finite subgroup H.
 
     Raises CharacteristicDividesOrder when |H| is not invertible in K and
-    ConditionsNotMet when the weighted average fails to be idempotent
-    (weights must make the twisted units multiplicative on H), squared in
-    the coordinates of ``sub`` when given, a finite subalgebra holding H.
+    ConditionsNotMet when the average fails to be idempotent (the units
+    must multiply as H does), squared in the coordinates of ``sub`` when
+    given, a finite subalgebra holding H.
     """
     n = len(elements)
     try:
@@ -405,9 +402,7 @@ def averaging_idempotent(algebra, elements, weights=None, sub=None):
         raise CharacteristicDividesOrder(
             f"|H| = {n} vanishes in characteristic "
             f"{algebra.field.characteristic}")
-    if weights is None:
-        weights = {h: algebra.field.one for h in elements}
-    x = algebra.element([(h, weights[h] * inv_n) for h in elements])
+    x = algebra.element([(h, inv_n) for h in elements])
     if not (sub.fd.is_idempotent(sub.from_ambient(x)) if sub
             else x.is_idempotent()):
         raise ConditionsNotMet(

@@ -55,7 +55,6 @@ from .errors import (
     DimensionTooLarge,
     InapplicableCharacteristic,
     InapplicableTorsion,
-    InfiniteOrder,
     InstanceFormatError,
     InvalidCocycle,
     NoSquareRoot,
@@ -75,8 +74,8 @@ from .fields import (
 from .groups import Element, finite_subgroup, group_to_json, make_group
 from .linalg import kernel_basis
 from .structure import (
+    DecompositionReport,
     FiniteSubalgebra,
-    corner_algebra,
     count_idempotents,
     fields_decomposition,
     jacobson_radical,
@@ -322,15 +321,13 @@ def _decomposition_summary(report, field):
     return out
 
 
-def _centrality_failure(algebra, key, items, to_unit=None):
-    """The witness {key: item, "conjugator": g} for the first item that
-    some basis unit u_g fails to commute with, or None.  The item is
-    tested itself, or as to_unit(item) when ``to_unit`` is given."""
-    for item in items:
-        ok, g = algebra.is_central(item if to_unit is None
-                                   else to_unit(item))
+def _centrality_failure(algebra, elements):
+    """The witness {"torsion_element": h, "conjugator": g} for the first h
+    whose basis unit some basis unit u_g fails to commute with, or None."""
+    for h in elements:
+        ok, g = algebra.is_central(algebra.basis_unit(h))
         if not ok:
-            return {key: item, "conjugator": g}
+            return {"torsion_element": h, "conjugator": g}
     return None
 
 
@@ -757,7 +754,16 @@ def build_quotient_algebra(inst, a=None, seed=0,
 
 
 def check_theorem4(inst, seed=0):
-    """Verdict for characteristic coprime to the (finite) torsion part."""
+    """Verdict for characteristic coprime to the (finite) torsion part.
+
+    T4.1, primitive idempotents of the torsion subalgebra S central, holds
+    whenever S is commutative, and is then not scanned.  The units u_a,
+    a in T, commute exactly when ab = ba and tau(a, b) = tau(b, a), so S
+    is commutative exactly when L4 passes, and then every torsion unit is
+    central (see `necessary_conditions`), and so is all of S.  The same
+    holds for T4.4, so only a noncommutative S, which a direct call can
+    bring, is scanned there, for the witness.
+    """
     algebra = inst.algebra()
     group, field = inst.group, inst.field
     p = field.characteristic
@@ -782,9 +788,7 @@ def check_theorem4(inst, seed=0):
     c3 = ConditionReport("T4.3", report.is_sum_of_fields, summary)
 
     if commutative:
-        fail = _centrality_failure(algebra, "idempotent",
-                                   map(S.to_ambient, report.primitives))
-        c1 = ConditionReport("T4.1", fail is None, fail)
+        c1 = ConditionReport("T4.1", True)
     else:
         c1 = ConditionReport(
             "T4.1", None, {"noncommuting_units": list(pair)},
@@ -802,9 +806,8 @@ def check_theorem4(inst, seed=0):
             note="K is finite, so the torsion subalgebra is finite and its "
                  "elementwise centrality is not required")
     else:
-        fail = _centrality_failure(algebra, "torsion_element",
-                                   group.torsion_elements(),
-                                   algebra.basis_unit)
+        fail = None if commutative else _centrality_failure(
+            algebra, group.torsion_elements())
         c4 = ConditionReport(
             "T4.4", fail is None, fail,
             note="K is infinite, so the torsion subalgebra must be central")
@@ -1001,6 +1004,18 @@ def check_theorem5_truncated(inst, level=None, seed=0):
     A Pruefer component makes the torsion subalgebra's idempotent count
     unbounded, so the governing conditions are intrinsically infinite.
     The checker evaluates the `_fitting_level` and returns EvidenceOnly.
+
+    The torsion subalgebra S at that level is commutative, or
+    `_primitive_counts_by_level` raises NotCommutative before any
+    condition is reported.  T is abelian, as the group accepts a Pruefer
+    part only beside an abelian T, so S is commutative exactly when tau
+    is symmetric, that is when L4 passes, and then every torsion unit is
+    central (see `necessary_conditions`): T5.1 holds without a scan.
+    p does not divide |T| q^L, so S is semisimple (Maschke; Karpilovsky,
+    Projective Representations of Finite Groups, 1985) and the sum of the
+    fields S e at its primitive idempotents e.  T5.4 reads the corner of
+    f = 1 - e_H off that split: e f is an idempotent of the field S e, so
+    e f = e or e f = 0, and f S is the sum of the S e with e f = e.
     """
     algebra = inst.algebra()
     group, field, cocycle = inst.group, inst.field, inst.cocycle
@@ -1014,26 +1029,20 @@ def check_theorem5_truncated(inst, level=None, seed=0):
     if p and _finite_torsion_has_p_element(group, p):
         raise InapplicableCharacteristic(
             f"characteristic {p} divides a finite torsion order")
-    if not group.torsion.is_abelian:
-        raise InapplicableTorsion("the finite torsion part is nonabelian")
     lvl, S = _fitting_level(inst, level)
     notes = [READING_NOTE, _fc_note(group),
              f"all evidence truncated at Pruefer level {lvl} "
              f"(subgroup of order {q}^{lvl}); the hypotheses are "
              f"intrinsically infinite, so no decision is claimed"]
-    evidence = {"orbits": None, "decompositions": {}}
+    evidence = {"orbits": None, "decompositions": {
+        "component_counts_by_level": _primitive_counts_by_level(
+            inst, lvl, seed)}}
 
-    # condition 1: torsion subalgebra central; minimal idempotent existence
-    # is governed by the root-of-unity stock
-    central_fail = _centrality_failure(algebra, "torsion_element",
-                                       group.torsion_elements(lvl),
-                                       algebra.basis_unit)
+    # condition 1: torsion subalgebra central, as S is commutative; minimal
+    # idempotent existence is governed by the root-of-unity stock
     profile = _root_of_unity_profile(field, q)
-    wit1 = {"root_of_unity_profile": profile}
-    if central_fail:
-        wit1["centrality_failure"] = central_fail
     c1 = ConditionReport(
-        "T5.1", central_fail is None, wit1,
+        "T5.1", True, {"root_of_unity_profile": profile},
         note="the root stock stops at a finite level, which is the "
              "minimal-idempotent evidence for the untruncated algebra")
 
@@ -1081,17 +1090,19 @@ def check_theorem5_truncated(inst, level=None, seed=0):
         # as H does, and e_H is idempotent.  1 - e_H != 0: its
         # coefficient at h != 1 in H is -1/|H|.
         e_H = averaging_idempotent(algebra, comm.elements, sub=S)
-        corner = corner_algebra(S.fd, S.fd.sub(S.fd.one, S.from_ambient(e_H)))
-        rep = fields_decomposition(corner.fd, seed=seed)
+        fd = S.fd
+        f = fd.sub(fd.one, S.from_ambient(e_H))
+        parts = [c for c in fields_decomposition(fd, seed=seed).components
+                 if fd.mul(c.idempotent, f) == c.idempotent]
+        certify(linear_combination(fd, itertools.repeat(field.raw_one),
+                                   [c.idempotent for c in parts]) == f,
+                "the components under 1 - e_H do not sum to it")
         c4 = ConditionReport(
-            "T5.4", rep.is_sum_of_fields,
+            "T5.4", True,
             {"averaging_idempotent": e_H,
-             "complement_decomposition":
-                 _decomposition_summary(rep, corner.fd.field)},
+             "complement_decomposition": _decomposition_summary(
+                 DecompositionReport(True, "", None, parts), field)},
             note="evaluated at the truncation level")
-
-    evidence["decompositions"]["component_counts_by_level"] = \
-        _primitive_counts_by_level(inst, lvl, seed)
 
     # the chain lies in S; delta below can leave it, so stays ambient
     chain = prufer_idempotent_chain(algebra, lvl, S)
@@ -1130,27 +1141,23 @@ class CommutatorOrderReport:
         self.scalar = scalar            # Scalar
 
 
-def commutator_order_check(inst, a, b, certified=False):
+def commutator_order_check(inst, a, b):
     """Compare the orders of the group commutator and the unit commutator.
 
     The unit commutator of two basis units is a scalar multiple of a
     basis unit, so its order is n times the multiplicative order of its
-    n-th power scalar.  With ``certified`` the orders must agree.
+    n-th power scalar.  n is finite: the free coordinates add under the
+    group law and negate under inversion, so those of a^-1 b^-1 a b sum
+    to 0, and an element with free part 0 has finite order.
     """
     group, cocycle = inst.group, inst.cocycle
     g = group.commutator(a, b)
     n = group.element_order(g)
-    if n == math.inf:
-        raise InfiniteOrder("the group commutator has infinite order")
     c = commutator_scalar(cocycle, a, b)
     gamma = c ** n * power_scalar(cocycle, g)
     m = multiplicative_order(gamma)
     unit_order = n * m if m is not None else None
-    report = CommutatorOrderReport(n, unit_order, unit_order == n, gamma)
-    if certified and not report.equal:
-        raise ConditionsNotMet(
-            f"commutator orders disagree: group {n}, unit {unit_order}")
-    return report
+    return CommutatorOrderReport(n, unit_order, unit_order == n, gamma)
 
 
 def _element_key(x):

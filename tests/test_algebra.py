@@ -32,6 +32,7 @@ from fcunits.errors import (
     FieldMismatch,
     InvalidCocycle,
     NotNormalized,
+    NotUnitError,
     SupportNotInSubgroup,
 )
 from fcunits.fields import gf, rationals
@@ -329,17 +330,13 @@ def test_averaging_idempotent_untwisted():
         averaging_idempotent(TwistedGroupAlgebra(G, gf(3)), G.elements())
 
 
-def test_averaging_idempotent_twisted_weights():
+def test_averaging_idempotent_rejects_units_twisted_on_h():
+    # u_g^2 = 2 in GF(7), so (1 + u_g) / 2 squares to (3 + 2 u_g) / 4
     G = cayley(cyclic_table(2))
     F = gf(7)
     alg = TwistedGroupAlgebra(G, F, Cocycle(G, F, {(1, 1): F.scalar(2)}))
-    els = G.elements()
     with pytest.raises(ConditionsNotMet):
-        averaging_idempotent(alg, els)
-    g = G.element(t=1)
-    weights = {G.identity: F.one, g: F.scalar(2)}  # (2 u_g)^2 = 4*2 = 1
-    e = averaging_idempotent(alg, els, weights)
-    assert e.is_idempotent()
+        averaging_idempotent(alg, G.elements())
 
 
 def test_prufer_idempotent_chain():
@@ -373,6 +370,8 @@ def test_basis_commutator_matches_unit_commutator():
         lhs = alg.basis_commutator(a, b)
         rhs = unit_commutator(alg, alg.basis_unit(a), alg.basis_unit(b))
         assert lhs == rhs
+    with pytest.raises(NotUnitError, match="^y is not a unit"):
+        unit_commutator(alg, alg.one, alg.zero)
 
 
 def test_bilinear_noncommutativity_over_abelian_group():

@@ -1,8 +1,9 @@
 """Certificate guard: every certificate in src/fcunits is named by a test.
 
 Each `certify(cond, message)` call in src/fcunits passes when some string
-literal of at least three words in tests/, read as a regular expression,
-is found in its message.  An f-string message is read with each
+literal of at least three words in tests/, docstrings excepted, read as a
+regular expression, is found in its message.  A docstring is prose, and
+read as a pattern its |H| or |T| would match any message with an H or T.  An f-string message is read with each
 replacement field as a placeholder that no word matches, so a test must
 name the message's fixed words.  `tools/mutation_sweep.py` shows that
 some test fails when a certificate is made a no-op; this guard keeps a
@@ -42,16 +43,26 @@ def certificate_messages():
                 yield f"{path.name}:{node.lineno}", _message(node.args[1])
 
 
+def _docstrings(tree):
+    """The ids of the docstring nodes of a module and its definitions."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and ast.get_docstring(node, clean=False) is not None}
+
+
 @functools.cache
 def _patterns():
     """The compiled string literals of three or more words in tests/,
-    this file's own excepted."""
+    docstrings and this file's own excepted."""
     out = set()
     for path in sorted(TESTS.glob("*.py")):
         if path.name == pathlib.Path(__file__).name:
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docstrings = _docstrings(tree)
+        for node in ast.walk(tree):
             if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in docstrings
                     and len(node.value.split()) >= 3):
                 try:
                     out.add(re.compile(node.value))

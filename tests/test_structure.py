@@ -941,6 +941,50 @@ def test_rational_c6_decomposition_dims():
     assert sorted(c.dim for c in report.components) == [1, 1, 2, 2]
 
 
+def prime_square_fd(primes):
+    """Q_tau[C2^n] with tau(x, y) = prod_i p_i^(x_i y_i), x_1 the leading
+    digit of a key: u_x^2 = prod_(x_i = 1) p_i, so the algebra is the
+    field Q(sqrt p_1, ..., sqrt p_n) of degree 2^n."""
+    n = len(primes)
+    G, Q = abelian([2] * n), rationals()
+    table = {}
+    for x, y in itertools.product(range(2 ** n), repeat=2):
+        v = 1
+        for i, p in enumerate(primes):
+            if x >> (n - 1 - i) & y >> (n - 1 - i) & 1:
+                v *= p
+        if v != 1:
+            table[(x, y)] = Q.from_int(v)
+    return group_algebra_fd(G, Q, Cocycle(G, Q, table)).fd
+
+
+@pytest.mark.parametrize("primes, drawn", [
+    # every u_x has degree 1 or 2; sqrt 3 + sqrt 2 is a pairwise sum
+    ((2, 3), 8),
+    # a sum of two square roots has degree at most 4, so no basis vector
+    # or pairwise sum generates, and the first random combination does
+    ((2, 3, 5), 8 + 28 + 1),
+])
+def test_multiquadratic_fields_draw_candidates_past_the_basis(
+        monkeypatch, primes, drawn):
+    seen = []
+    original = structure._splitter_candidates
+
+    def counted(fd, basis, rng):
+        for n, cand in enumerate(original(fd, basis, rng)):
+            seen.append(n)
+            yield cand
+    monkeypatch.setattr(structure, "_splitter_candidates", counted)
+    fd = prime_square_fd(primes)
+    report = fields_decomposition(fd)
+    assert [c.description for c in report.components] \
+        == [f"degree-{2 ** len(primes)} extension of Q"]
+    # the split finds the field, then its certificate draws the same
+    # candidates up to the same generator
+    assert seen == [*range(drawn)] * 2
+    assert len(report.components[0].min_poly) == fd.dim + 1
+
+
 def test_not_sum_of_fields_noncommutative_witness():
     sub, _ = klein_twisted_fd()
     report = fields_decomposition(sub.fd)
