@@ -728,7 +728,9 @@ class Field:
         """[x^g for x in elements()] as raw values, for g >= 1, kept."""
         if g not in self._power_vectors:
             mul, reduce = self.raw_mul, self.reduce
-            self._power_vectors[g] = power(
+            self._power_vectors[g] = [
+                pow(x, g, self.p) for x in range(self.p)
+            ] if self.kind == "prime" else power(
                 list(range(self.size())), g,
                 lambda u, v: list(map(reduce, map(mul, u, v))), None)
         return self._power_vectors[g]

@@ -280,6 +280,18 @@ class FiniteSubgroup:
     def __contains__(self, el):
         return el in self.index_of
 
+    def product_table(self):
+        """(prod, one): prod[i][j] indexes elements[i] * elements[j], one
+        the identity.  Every element has free part u = 0: u != 0 means
+        infinite order, which `finite_subgroup` rejects in a generator, and
+        u adds under the law.  So the pairing exponent is 0 and g h has key
+        table[g.t][h.t] and Pruefer numerator (g.s + h.s) mod Q."""
+        table, Q = self.group.torsion.table, self.group.prufer_modulus
+        index = {(e.t, e.s): i for i, e in enumerate(self.elements)}
+        prod = [[index[table[g.t][h.t], (g.s + h.s) % Q]
+                 for h in self.elements] for g in self.elements]
+        return prod, index[0, 0]
+
 
 def finite_subgroup(group, generators, cap=MAX_TORSION):
     """Close a generator list under multiplication (elements have finite

@@ -122,6 +122,9 @@ class FDAlgebra:
     certified: `jacobson_radical`, `block_structure`, and the results of
     `primitive_idempotents` and `fields_decomposition` per seed, with the
     corner basis the split built at each primitive idempotent.
+    A subclass may answer `_rows`, `basis_powers` and `is_commutative`
+    from a law behind its table, with the same exact values, but keeps the
+    generic `mul` and `is_idempotent` (see `GroupFDAlgebra`).
     """
 
     def __init__(self, field, dim, table, one, labels=None):
@@ -232,13 +235,6 @@ class FDAlgebra:
             self._trace_vector = list(map(field.reduce, tr))
         return self._trace_vector
 
-    def trace_of_left_mult(self, x):
-        field = self.field
-        acc = field.raw_zero
-        for c, t in zip(x, self.trace_vector()):
-            acc = field.raw_add(acc, field.raw_mul(c, t))
-        return field.reduce(acc)
-
     def is_commutative(self):
         """(True, None), or False and the labels of the first basis pair
         i < j whose compiled cells e_i e_j and e_j e_i differ."""
@@ -255,24 +251,68 @@ class FDAlgebra:
         return self._commutative
 
 
+class GroupFDAlgebra(FDAlgebra):
+    """A twisted group algebra K_lambda W of a finite group W by its
+    monomial law b_i b_j = lam[i][j] b_prod[i][j], lam[i][j] != 0, b_one
+    the identity (Passman, The Algebraic Structure of Group Rings, 1977):
+    b_i^n is the monomial power of the pair (i, 1), and b_i, b_j commute
+    exactly when prod and lam agree at (i, j) and (j, i).  The generator
+    units of W generate the algebra."""
+
+    def __init__(self, field, prod, lam, one, labels):
+        rows = [[(j, [kc]) for j, kc in enumerate(zip(ks, cs))]
+                for ks, cs in zip(prod, lam)]
+        super().__init__(field, len(prod), {
+            (i, j): dict(terms) for i, row in enumerate(rows)
+            for j, terms in row}, [field.raw_zero] * len(prod), labels)
+        self.one[one] = field.raw_one
+        self.prod, self.lam, self.one_index, self._rows = prod, lam, one, rows
+
+    def basis_powers(self, n):
+        if n not in self._basis_powers:
+            field, prod, lam = self.field, self.prod, self.lam
+            mul, reduce = field.raw_mul, field.reduce
+
+            def monomial_mul(x, y):
+                (i, a), (j, b) = x, y
+                return prod[i][j], reduce(mul(mul(a, b), lam[i][j]))
+            powers = []
+            for i in range(self.dim):
+                k, c = power((i, field.raw_one), n, monomial_mul,
+                             (self.one_index, field.raw_one))
+                powers.append(self.zero_vec())
+                powers[-1][k] = c
+            self._basis_powers[n] = powers
+        return self._basis_powers[n]
+
+    def is_commutative(self):
+        if self._commutative is None:
+            prod, lam = self.prod, self.lam
+            pair = next(((i, j) for i, j in
+                         itertools.combinations(range(self.dim), 2)
+                         if prod[i][j] != prod[j][i]
+                         or lam[i][j] != lam[j][i]), None)
+            self._commutative = (True, None) if pair is None else \
+                (False, (self.labels[pair[0]], self.labels[pair[1]]))
+        return self._commutative
+
+
 class FiniteSubalgebra:
-    """The span of the basis units of a finite subgroup, as an FDAlgebra
-    plus maps between its raw vectors and the ambient algebra's elements."""
+    """The span of the basis units of a finite subgroup, as a
+    `GroupFDAlgebra` plus maps between its raw vectors and the ambient
+    algebra's elements.  The subgroup's elements have finite order, so
+    free part u = 0, and their products and lambda(g, h) are read off keys
+    (`FiniteSubgroup.product_table` has the proof)."""
 
     def __init__(self, algebra, subgroup):
         self.algebra = algebra
         self.subgroup = subgroup
-        n = len(subgroup)
-        field = algebra.field
-        table = {}
-        lam, gmul = algebra.cocycle.raw, algebra.group.mul
-        for i, g in enumerate(subgroup.elements):
-            for j, h in enumerate(subgroup.elements):
-                table[(i, j)] = {subgroup.index_of[gmul(g, h)]: lam(g, h)}
-        one = [field.raw_zero] * n
-        one[subgroup.index_of[algebra.group.identity]] = field.raw_one
-        labels = [f"u[{g!r}]" for g in subgroup.elements]
-        self.fd = FDAlgebra(field, n, table, one, labels)
+        prod, one = subgroup.product_table()
+        lam, elements = algebra.cocycle.raw, subgroup.elements
+        self.fd = GroupFDAlgebra(
+            algebra.field, prod,
+            [[lam(g, h) for h in elements] for g in elements], one,
+            [f"u[{g!r}]" for g in elements])
 
     def to_ambient(self, vec):
         return AlgebraElement(self.algebra, dict(zip(self.subgroup.elements,
@@ -522,13 +562,18 @@ def _semilinear_kernel(field, images, twist_power):
 
 
 def _trace_form_kernel(fd):
-    """The kernel of the trace form (x, y) -> Tr(L_{xy})."""
-    rows = []
-    for i in range(fd.dim):
-        bi = fd.basis_vec(i)
-        rows.append([fd.trace_of_left_mult(fd.mul(bi, fd.basis_vec(j)))
-                     for j in range(fd.dim)])
-    return linalg.kernel_basis(fd.field, rows, fd.dim)
+    """The kernel of the trace form (x, y) -> Tr(L_{xy}), with Gram entry
+    Tr(L_{b_i b_j}) = sum_k c_ijk tr_k off the compiled cells."""
+    field, tr = fd.field, fd.trace_vector()
+    add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
+    rows = [[zero] * fd.dim for _ in range(fd.dim)]
+    for row, cells in zip(rows, fd._compiled()):
+        for j, terms in cells:
+            acc = zero
+            for k, c in terms:
+                acc = add(acc, mul(c, tr[k]))
+            row[j] = field.reduce(acc)
+    return linalg.kernel_basis(field, rows, fd.dim)
 
 
 def _radical_commutative_char_p(fd):

@@ -70,6 +70,8 @@ from fcunits.fields import (
     rationals,
 )
 from fcunits.groups import (
+    Element,
+    Group,
     cyclic_table,
     finite_subgroup,
     make_group,
@@ -78,9 +80,11 @@ from fcunits.groups import (
 from fcunits.structure import (
     FDAlgebra,
     FiniteSubalgebra,
+    GroupFDAlgebra,
     Subquotient,
     _krylov,
     _lagrange_idempotents,
+    _trace_form_kernel,
     corner_algebra,
     count_idempotents,
     fields_decomposition,
@@ -392,10 +396,10 @@ def test_products_match_the_scalar_loop(data):
         [[col[i] for col in columns] for i in range(fd.dim)]
     for row in M:
         assert_canonical(F, row)
-    trace = fd.trace_of_left_mult(raw(x))
-    assert Scalar(F, trace) == sum((Scalar(F, M[i][i]) for i in range(fd.dim)),
-                                   F.zero)
-    assert_canonical(F, [trace])
+    # Tr(L_x) is linear in x: its dot product with the trace vector
+    trace = sum(map(operator.mul, x, scalars(F, fd.trace_vector())), F.zero)
+    assert trace == sum((Scalar(F, M[i][i]) for i in range(fd.dim)), F.zero)
+    assert_canonical(F, fd.trace_vector())
 
 
 EXTENSION_SUBALGEBRAS = [
@@ -469,15 +473,19 @@ def ref_lagrange_idempotents(fd, b, roots):
     return out
 
 
-def bundled_torsion_algebra(name):
+def bundled_torsion_subalgebra(name):
     """The torsion subalgebra a structure report of the bundled instance
     reads, Pruefer part truncated at the instance's truncation level."""
     inst = instance_from_json(cli.bundled_instance(name))
     level = inst.caps.truncation_level if inst.group.prufer else 0
-    return inst.torsion_subalgebra(level).fd
+    return inst.torsion_subalgebra(level)
 
 
-def klein_twisted_fd():
+def bundled_torsion_algebra(name):
+    return bundled_torsion_subalgebra(name).fd
+
+
+def klein_twisted_sub():
     """C2 x C2 over GF(3) twisted into the 2 x 2 matrix algebra."""
     return instance_from_json({
         "field": {"kind": "prime-power", "p": 3},
@@ -485,7 +493,11 @@ def klein_twisted_fd():
                   "torsion": {"invariants": [2, 2]}},
         "cocycle": {"torsion_table": {"(1,2)": 2, "(1,3)": 2, "(3,2)": 2,
                                       "(3,3)": 2}},
-    }).torsion_subalgebra().fd
+    }).torsion_subalgebra()
+
+
+def klein_twisted_fd():
+    return klein_twisted_sub().fd
 
 
 BUNDLED_NAMES = [n for n in cli.bundled_names() if n != "broken_cocycle"] \
@@ -522,6 +534,170 @@ def test_table_commutativity_matches_on_drawn_tables(data):
         table[(j, i)] = data.draw(st.one_of(st.just(mirror), cell))
     fd = FDAlgebra(field, dim, table, [field.raw_zero] * dim)
     assert fd.is_commutative() == ref_is_commutative(fd)
+
+
+# --- the monomial law of the torsion subalgebra ------------------------------------
+
+
+def closure_table(identity, generators, mul):
+    """The Cayley table of the group the generators close to under mul,
+    the identity first."""
+    els = [identity]
+    for a in els:
+        for g in generators:
+            c = mul(a, g)
+            if c not in els:
+                els.append(c)
+    index = {e: i for i, e in enumerate(els)}
+    return [[index[mul(a, b)] for b in els] for a in els]
+
+
+def quaternion_table():
+    """Q8 as the 2 x 2 matrices over GF(3) that i and j generate."""
+    def mul(a, b):
+        return tuple(sum(a[2 * r + k] * b[2 * k + c] for k in range(2)) % 3
+                     for r in range(2) for c in range(2))
+    return closure_table((1, 0, 0, 1), [(0, 1, 2, 0), (1, 1, 1, 2)], mul)
+
+
+def heisenberg_table():
+    """The Heisenberg group of order 27, (a, b, c)(x, y, z) =
+    (a + x, b + y, c + z + a y) mod 3."""
+    def mul(g, h):
+        (a, b, c), (x, y, z) = g, h
+        return (a + x) % 3, (b + y) % 3, (c + z + a * y) % 3
+    return closure_table((0, 0, 0), [(1, 0, 0), (0, 1, 0)], mul)
+
+
+def plain_twin(sub):
+    """The plain FDAlgebra of a FiniteSubalgebra, its table built from
+    Element products and the subgroup's index, the loop the key table
+    replaced, and answered by the generic code."""
+    algebra, W, field = sub.algebra, sub.subgroup, sub.algebra.field
+    lam, gmul = algebra.cocycle.raw, algebra.group.mul
+    table = {(i, j): {W.index_of[gmul(g, h)]: lam(g, h)}
+             for i, g in enumerate(W.elements)
+             for j, h in enumerate(W.elements)}
+    one = [field.raw_zero] * len(W)
+    one[W.index_of[algebra.group.identity]] = field.raw_one
+    return FDAlgebra(field, len(W), table, one, sub.fd.labels)
+
+
+def ref_trace_form_kernel(fd):
+    """Tr(L_{b_i b_j}) as the trace vector's dot product with the full
+    product b_i b_j, the loop the table read replaced."""
+    F, tr = fd.field, scalars(fd.field, fd.trace_vector())
+    rows = [[sum(map(operator.mul, tr, scalars(F, fd.mul(fd.basis_vec(i),
+                                                          fd.basis_vec(j)))),
+                 F.zero).value for j in range(fd.dim)]
+            for i in range(fd.dim)]
+    return linalg.kernel_basis(F, rows, fd.dim)
+
+
+def assert_same_algebra(fd, ref):
+    """A GroupFDAlgebra against a plain FDAlgebra of the same table: table,
+    compiled rows, basis powers at 0, 2, p, q and the least p^m >= dim,
+    commutativity with its witness, traces and the trace-form kernel."""
+    assert type(fd) is GroupFDAlgebra
+    assert fd.table == ref.table and fd.one == ref.one
+    assert fd._compiled() == ref._compiled()
+    p = fd.field.characteristic
+    exponents = {0, 2, 3, 5}
+    if p:
+        pm = 1
+        while pm < fd.dim:
+            pm *= p
+        exponents = {0, 2, p, fd.field.size(), pm}
+    for n in sorted(exponents):
+        assert fd.basis_powers(n) == ref.basis_powers(n), n
+    assert fd.is_commutative() == ref.is_commutative()
+    assert fd.trace_vector() == ref.trace_vector()
+    assert _trace_form_kernel(fd) == _trace_form_kernel(ref) \
+        == ref_trace_form_kernel(ref)
+
+
+def assert_monomial_law_matches(sub):
+    """A fresh GroupFDAlgebra of sub against its plain twin."""
+    assert_same_algebra(FiniteSubalgebra(sub.algebra, sub.subgroup).fd,
+                        plain_twin(sub))
+
+
+def twisted_whole(group, field, mu=None):
+    """The FiniteSubalgebra over all of group's torsion, with the
+    coboundary of mu when given."""
+    cocycle = None if mu is None else coboundary(group, field, mu)
+    alg = TwistedGroupAlgebra(group, field, cocycle)
+    return FiniteSubalgebra(
+        alg, finite_subgroup(group, list(group.torsion_elements())))
+
+
+def test_monomial_law_matches_the_generic_algebra():
+    inst = instance_from_json(cli.bundled_instance("prufer2_gf257"))
+    subs = [bundled_torsion_subalgebra(name) for name in BUNDLED_NAMES]
+    # every Pruefer level whose 2^level units fit MAX_TORSION = 64
+    subs += [inst.torsion_subalgebra(level) for level in range(7)]
+    noncommutative = [
+        twisted_whole(cayley(symmetric_group_3_table()), gf(7)),
+        twisted_whole(cayley(symmetric_group_3_table()), gf(2)),
+        twisted_whole(cayley(quaternion_table()), gf(3)),
+        twisted_whole(cayley(quaternion_table()), GF9),
+        twisted_whole(cayley(heisenberg_table()), gf(2)),
+        twisted_whole(cayley(heisenberg_table()), gf(3)),
+        klein_twisted_sub(),
+    ]
+    assert not any(sub.fd.is_commutative()[0] for sub in noncommutative)
+    for sub in subs + noncommutative:
+        assert_monomial_law_matches(sub)
+
+
+def test_monomial_law_matches_with_the_identity_last():
+    # the basis of the twisted Klein algebra reversed, so the identity is
+    # the last basis vector; the group is abelian, and the other units
+    # anticommute by the cocycle alone
+    sub = klein_twisted_sub()
+    fd = sub.fd
+    n = fd.dim
+    rev = [n - 1 - i for i in range(n)]
+    moved = GroupFDAlgebra(
+        fd.field, [[rev[fd.prod[a][b]] for b in rev] for a in rev],
+        [[fd.lam[a][b] for b in rev] for a in rev], rev[fd.one_index],
+        fd.labels[::-1])
+    table = dict(sorted(
+        ((rev[i], rev[j]), {rev[k]: c for k, c in cell.items()})
+        for (i, j), cell in plain_twin(sub).table.items()))
+    assert moved.one_index == n - 1 and not moved.is_commutative()[0]
+    assert_same_algebra(moved, FDAlgebra(fd.field, n, table, moved.one,
+                                         moved.labels))
+
+
+MONOMIAL_GROUPS = [cayley(cyclic_table(4)), cayley(symmetric_group_3_table()),
+                   cayley(quaternion_table())]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_monomial_law_matches_on_drawn_coboundaries(data):
+    group = data.draw(st.sampled_from(MONOMIAL_GROUPS))
+    field = data.draw(st.sampled_from(TABLE_FIELDS))
+    nonzero = raw_values(field).filter(lambda c: c != field.raw_zero)
+    mu = [Scalar(field, data.draw(nonzero))
+          for _ in range(group.torsion.size)]
+    assert_monomial_law_matches(twisted_whole(group, field, mu))
+
+
+def test_the_key_table_makes_no_group_product(monkeypatch):
+    sub = bundled_torsion_subalgebra("prufer2_gf257")
+
+    def refuse(*args):
+        raise AssertionError("the subalgebra's law is read off keys")
+    monkeypatch.setattr(Group, "mul", refuse)
+    monkeypatch.setattr(Element, "__hash__", refuse)
+    assert FiniteSubalgebra(sub.algebra, sub.subgroup).fd.table \
+        == sub.fd.table
+    # bench/tracer.py counts these two on FDAlgebra, so the subclass keeps
+    # the generic ones
+    assert GroupFDAlgebra.mul is FDAlgebra.mul
+    assert GroupFDAlgebra.is_idempotent is FDAlgebra.is_idempotent
 
 
 def assert_lagrange_matches(fd, coeffs):

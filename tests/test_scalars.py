@@ -173,6 +173,15 @@ def test_poly_roots_match_the_sweep_at_each_element(case):
     assert fields.poly_roots(field, a) == ref_roots(field, a)
 
 
+@pytest.mark.parametrize("p, g", [(2, 1), (3, 2), (7, 6), (257, 16),
+                                  (65521, 16)])
+def test_prime_power_vectors_match_the_square_and_multiply_loop(p, g):
+    # the elementwise square-and-multiply that three-argument pow replaced
+    ref = fields.power(list(range(p)), g,
+                       lambda u, v: [a * b % p for a, b in zip(u, v)], None)
+    assert gf(p).power_vector(g) == ref
+
+
 def test_rational_roots():
     q = rationals()
     assert solve_power_equation(q, 1, q.scalar(Fraction(3, 7))) == {
