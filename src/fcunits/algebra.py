@@ -346,14 +346,17 @@ def _invert_by_decomposition(algebra, x, idempotents):
                 "unknown", None, "decomposition",
                 "a component of x is not a scaled unit in its corner")
         pieces.append(z)
+    # The pieces always assemble, orthogonal entries or not, so no result
+    # here is unknown.  `_corner_inverse` returns z = w e with y z = z y
+    # = e, so z = z e = z (y z) = (z y) z = e z.  As y = e x = x e, that
+    # gives x z = x e z = y z = e and z x = z e x = z y = e; the sum Z of
+    # the pieces has x Z = Z x = (sum of the e) = 1.  The certificate of
+    # `_verified_unit` still checks it.
     z = algebra.zero
     for p in pieces:
         z = z + p
-    if x * z == algebra.one and z * x == algebra.one:
-        return InversionResult("unit", z, "decomposition",
-                               "componentwise corner inverses, verified")
-    return InversionResult("unknown", None, "decomposition",
-                           "corner inverses did not assemble to an inverse")
+    return _verified_unit(algebra, x, z, "decomposition",
+                          "componentwise corner inverses, verified")
 
 
 def unit_commutator(algebra, x, y):

@@ -258,10 +258,7 @@ def main(argv=None):
         if args.command == "validate":
             return cmd_validate(args)
         return cmd_analyze(args)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InstanceFormatError as exc:
+    except (OSError, json.JSONDecodeError, InstanceFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FcunitsError as exc:

@@ -566,8 +566,8 @@ class Group:
     # --- coset systems ---------------------------------------------------------
 
     def coset_system(self, sub):
-        """Cosets modulo sub = ("torsion",) or ("cyclic", a) for torsion a."""
-        if sub == ("torsion",) or sub == "torsion":
+        """Cosets modulo sub = "torsion" or ("cyclic", a) for torsion a."""
+        if sub == "torsion":
             return _TorsionCosets(self)
         if isinstance(sub, tuple) and len(sub) == 2 and sub[0] == "cyclic":
             a = sub[1]

@@ -107,34 +107,34 @@ SPLITTER_ATTEMPTS = 500
 class FDAlgebra:
     """Associative unital algebra by sparse structure constants.
 
-    `table[(i, j)]` maps basis index pairs to {k: c} dictionaries with
-    e_i e_j = sum_k c * e_k; absent pairs multiply to zero.  `labels`
-    name the basis vectors in diagnostics.
+    `rows[i]` lists the nonzero products of basis vector e_i as pairs
+    (j, [(k, c), ...]) with e_i e_j = sum_k c * e_k, c nonzero; absent
+    pairs multiply to zero, and `dim` is len(rows).  `label(i)` names
+    basis vector i in a witness, and is called only when one is made.
 
-    Table cells, `one` and every vector the methods take and return are
+    Row entries, `one` and every vector the methods take and return are
     canonical raw field values (see `fields`); a vector is a list of them,
-    zero by `is_zero`.  The table is compiled on first use, so it must not
-    be mutated after construction.  The object caches what
-    depends only on the table: the compiled rows, the trace vector,
-    `is_commutative`, the basis powers b_i^n per exponent n (which the
-    Frobenius radical and the fixed space of x -> x^q share over a prime
-    field with p >= dim), the candidate of `_radical_raw`, and what is
-    certified: `jacobson_radical`, `block_structure`, and the results of
-    `primitive_idempotents` and `fields_decomposition` per seed, with the
-    corner basis the split built at each primitive idempotent.
-    A subclass may answer `_rows`, `basis_powers` and `is_commutative`
-    from a law behind its table, with the same exact values, but keeps the
-    generic `mul` and `is_idempotent` (see `GroupFDAlgebra`).
+    zero by `is_zero`.  The rows must not be mutated after construction,
+    because the object caches what depends only on them: the trace
+    vector, `is_commutative`, the basis powers b_i^n per exponent n
+    (which the Frobenius radical and the fixed space of x -> x^q share
+    over a prime field with p >= dim), the candidate of `_radical_raw`,
+    and what is certified: `jacobson_radical`, `block_structure`, and the
+    results of `primitive_idempotents` and `fields_decomposition` per
+    seed, with the corner basis the split built at each primitive
+    idempotent.  A subclass may answer `basis_powers` and
+    `is_commutative` from a law behind its rows, with the same exact
+    values, but keeps the generic `mul` and `is_idempotent` (see
+    `GroupFDAlgebra`).
     """
 
-    def __init__(self, field, dim, table, one, labels=None):
+    def __init__(self, field, rows, one, label=None):
         self.field = field
-        self.dim = dim
-        self.table = table
+        self.rows = rows
+        self.dim = len(rows)
         self.one = list(one)
-        self.labels = labels or [f"b{i}" for i in range(dim)]
+        self.label = label or "b{}".format
         self._trace_vector = None
-        self._rows = None
         self._commutative = None
         self._basis_powers = {}         # n -> [b_i^n]
         self._raw_radical = None        # (candidate, method), read-only
@@ -144,23 +144,11 @@ class FDAlgebra:
         self._decompositions = {}       # seed -> certified report
         self._blocks = None             # certified BlockStructure
 
-    def _compiled(self):
-        """The table as, per left index i, a list of (j, [(k, c), ...])."""
-        if self._rows is None:
-            zero = self.field.raw_zero
-            rows = [[] for _ in range(self.dim)]
-            for (i, j), cell in self.table.items():
-                terms = [(k, c) for k, c in cell.items() if c != zero]
-                if terms:
-                    rows[i].append((j, terms))
-            self._rows = rows
-        return self._rows
-
     def mul(self, x, y):
         field = self.field
         add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
         out = [zero] * self.dim
-        for xi, row in zip(x, self._compiled()):
+        for xi, row in zip(x, self.rows):
             if xi == zero:
                 continue
             for j, terms in row:
@@ -212,9 +200,9 @@ class FDAlgebra:
     def left_mult_matrix(self, x):
         field = self.field
         add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
-        # column j is x e_j, so entry (k, j) collects x_i * table[(i, j)][k]
+        # column j is x e_j, so entry (k, j) collects x_i * c_ijk
         M = [[zero] * self.dim for _ in range(self.dim)]
-        for xi, row in zip(x, self._compiled()):
+        for xi, row in zip(x, self.rows):
             if xi == zero:
                 continue
             for j, terms in row:
@@ -227,7 +215,7 @@ class FDAlgebra:
         if self._trace_vector is None:
             field = self.field
             tr = [field.raw_zero] * self.dim
-            for i, row in enumerate(self._compiled()):
+            for i, row in enumerate(self.rows):
                 for j, terms in row:
                     for k, s in terms:
                         if k == j:
@@ -236,18 +224,18 @@ class FDAlgebra:
         return self._trace_vector
 
     def is_commutative(self):
-        """(True, None), or False and the labels of the first basis pair
-        i < j whose compiled cells e_i e_j and e_j e_i differ."""
+        """(True, None), or False and the names `label` gives the first
+        basis pair i < j whose cells e_i e_j and e_j e_i differ."""
         if self._commutative is None:
             cells = {(i, j): set(terms)
-                     for i, row in enumerate(self._compiled())
+                     for i, row in enumerate(self.rows)
                      for j, terms in row}
             pair = next(((i, j) for i, j in
                          itertools.combinations(range(self.dim), 2)
                          if cells.get((i, j), set())
                          != cells.get((j, i), set())), None)
             self._commutative = (True, None) if pair is None else \
-                (False, (self.labels[pair[0]], self.labels[pair[1]]))
+                (False, (self.label(pair[0]), self.label(pair[1])))
         return self._commutative
 
 
@@ -259,14 +247,12 @@ class GroupFDAlgebra(FDAlgebra):
     exactly when prod and lam agree at (i, j) and (j, i).  The generator
     units of W generate the algebra."""
 
-    def __init__(self, field, prod, lam, one, labels):
+    def __init__(self, field, prod, lam, one, label):
         rows = [[(j, [kc]) for j, kc in enumerate(zip(ks, cs))]
                 for ks, cs in zip(prod, lam)]
-        super().__init__(field, len(prod), {
-            (i, j): dict(terms) for i, row in enumerate(rows)
-            for j, terms in row}, [field.raw_zero] * len(prod), labels)
+        super().__init__(field, rows, [field.raw_zero] * len(rows), label)
         self.one[one] = field.raw_one
-        self.prod, self.lam, self.one_index, self._rows = prod, lam, one, rows
+        self.prod, self.lam, self.one_index = prod, lam, one
 
     def basis_powers(self, n):
         if n not in self._basis_powers:
@@ -293,7 +279,7 @@ class GroupFDAlgebra(FDAlgebra):
                          if prod[i][j] != prod[j][i]
                          or lam[i][j] != lam[j][i]), None)
             self._commutative = (True, None) if pair is None else \
-                (False, (self.labels[pair[0]], self.labels[pair[1]]))
+                (False, (self.label(pair[0]), self.label(pair[1])))
         return self._commutative
 
 
@@ -312,7 +298,7 @@ class FiniteSubalgebra:
         self.fd = GroupFDAlgebra(
             algebra.field, prod,
             [[lam(g, h) for h in elements] for g in elements], one,
-            [f"u[{g!r}]" for g in elements])
+            lambda i: f"u[{elements[i]!r}]")
 
     def to_ambient(self, vec):
         return AlgebraElement(self.algebra, dict(zip(self.subgroup.elements,
@@ -397,15 +383,15 @@ class Subquotient:
         self.ideal_basis = [list(v) for v in ideal_span if S.add(v)]
         self.basis = [v for v in candidates if S.add(v)]
         zero = parent.field.raw_zero
-        table = {}
-        for i, bi in enumerate(self.basis):
+        rows = []
+        for bi in self.basis:
+            rows.append([])
             for j, bj in enumerate(self.basis):
                 prod = self.project(parent.mul(bi, bj))
-                cell = {k: c for k, c in enumerate(prod) if c != zero}
-                if cell:
-                    table[(i, j)] = cell
-        self.fd = FDAlgebra(parent.field, len(self.basis), table,
-                            self.project(one))
+                terms = [(k, c) for k, c in enumerate(prod) if c != zero]
+                if terms:
+                    rows[-1].append((j, terms))
+        self.fd = FDAlgebra(parent.field, rows, self.project(one))
 
     def project(self, vec):
         coords = self._span.coordinates(vec)
@@ -563,11 +549,11 @@ def _semilinear_kernel(field, images, twist_power):
 
 def _trace_form_kernel(fd):
     """The kernel of the trace form (x, y) -> Tr(L_{xy}), with Gram entry
-    Tr(L_{b_i b_j}) = sum_k c_ijk tr_k off the compiled cells."""
+    Tr(L_{b_i b_j}) = sum_k c_ijk tr_k off the rows."""
     field, tr = fd.field, fd.trace_vector()
     add, mul, zero = field.raw_add, field.raw_mul, field.raw_zero
     rows = [[zero] * fd.dim for _ in range(fd.dim)]
-    for row, cells in zip(rows, fd._compiled()):
+    for row, cells in zip(rows, fd.rows):
         for j, terms in cells:
             acc = zero
             for k, c in terms:
@@ -989,17 +975,23 @@ def _block_structure(fd):
         return BlockStructure(None, rad)
     Q = rad.quotient
     bar = Q.fd if Q else fd
-    # the center of A / J: the kernel of x -> ([x, b_j])_j, read off the
-    # structure constants, one row per (j, k) coordinate of a commutator
-    zero, sub, reduce = field.raw_zero, field.raw_sub, field.reduce
-    rows = []
-    for j in range(bar.dim):
-        for k in range(bar.dim):
-            row = [reduce(sub(bar.table.get((i, j), {}).get(k, zero),
-                              bar.table.get((j, i), {}).get(k, zero)))
-                   for i in range(bar.dim)]
-            if any(c != zero for c in row):
-                rows.append(row)
+    # the center of A / J: the kernel of x -> ([x, b_j])_j, one row per
+    # (j, k) coordinate of a commutator, entry i = c_ijk - c_jik, read off
+    # the nonzero cells in one pass; the kernel comes from the unique
+    # reduced echelon form, so neither the order of the rows nor a zero
+    # row can change it
+    zero, add, sub = field.raw_zero, field.raw_add, field.raw_sub
+    commutators = {}
+    for i, row in enumerate(bar.rows):
+        for j, terms in row:
+            for k, c in terms:
+                # c_ijk adds to entry i of row (j, k), subtracts from
+                # entry j of row (i, k)
+                r = commutators.setdefault((j, k), [zero] * bar.dim)
+                r[i] = add(r[i], c)
+                r = commutators.setdefault((i, k), [zero] * bar.dim)
+                r[j] = sub(r[j], c)
+    rows = [list(map(field.reduce, r)) for r in commutators.values()]
     center = linalg.kernel_basis(field, rows, bar.dim)
     Z = Subquotient(bar, [], center, bar.one)
     blocks, central = [], []

@@ -7,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from fcunits import algebra
+from fcunits import algebra, cli
 from fcunits.algebra import (
     AlgebraElement,
     TwistedGroupAlgebra,
@@ -35,6 +35,7 @@ from fcunits.errors import (
     NotUnitError,
     SupportNotInSubgroup,
 )
+from fcunits.fc import instance_from_json
 from fcunits.fields import gf, rationals
 from fcunits.groups import cyclic_table, finite_subgroup, make_group
 
@@ -297,6 +298,45 @@ def test_try_invert_decomposition_unknown_on_mixed_corner():
     x = e_plus * f + e_minus * (alg.one + f)
     res = try_invert(alg, x, decomposition=[e_plus, e_minus])
     assert res.status == "unknown"
+
+
+def s3_z_decomposition():
+    """S3 x Z over GF(5) with e1 = (1 + u_s) / 2 for the involution s, its
+    complement e2 = 1 - e1, and x = u_f + u_f u_r for the free generator f
+    and r of order 3."""
+    alg = instance_from_json(cli.bundled_instance("s3_z_gf5")).algebra()
+    G = alg.group
+    s, r, f = G.element(t=1), G.element(t=4), G.element(u=(1,))
+    assert G.mul(s, s) == G.identity and G.element_order(r) == 3
+    u_s, u_r, u_f = map(alg.basis_unit, (s, r, f))
+    e1 = (alg.one + u_s).scale(alg.field.scalar(2).inv())
+    return alg, e1, alg.one - e1, u_f + u_f * u_r, u_r
+
+
+def test_try_invert_decomposition_unknown_when_x_does_not_commute():
+    alg, e1, e2, x, _ = s3_z_decomposition()
+    assert e1.is_idempotent() and e2.is_idempotent()
+    assert e1 * x != x * e1
+    res = try_invert(alg, x, decomposition=[e1, e2])
+    assert (res.status, res.inverse, res.strategy) == \
+        ("unknown", None, "decomposition")
+    assert res.certificate == "x does not commute with the decomposition"
+
+
+def test_try_invert_decomposition_rejects_a_non_idempotent_entry():
+    alg, e1, _, x, u_r = s3_z_decomposition()
+    # e1 u_r and its complement sum to 1, but e1 u_r is no idempotent
+    e = e1 * u_r
+    assert e and not e.is_idempotent()
+    with pytest.raises(ConditionsNotMet, match="must be idempotent"):
+        try_invert(alg, x, decomposition=[e, alg.one - e])
+
+
+def test_element_repr_lists_the_support_in_order():
+    alg, e1, _, x, _ = s3_z_decomposition()
+    assert repr(alg.zero) == "0"
+    assert repr(x) == "1*u[El(u=[1], t=0, s=0)] + 1*u[El(u=[1], t=4, s=0)]"
+    assert repr(e1) == "3*u[El(u=[0], t=0, s=0)] + 3*u[El(u=[0], t=1, s=0)]"
 
 
 def test_decomposition_validation():

@@ -162,6 +162,13 @@ def test_torsion_coset_system():
     assert H.mul(h, h2) == H.element((3,), ())
 
 
+def test_coset_system_names_the_torsion_subgroup_by_string():
+    g = Group(1, InvariantsTorsion((3,)))
+    assert g.coset_system("torsion").quotient.rank == 1
+    with pytest.raises(InfiniteIndexUnsupported):
+        g.coset_system(("torsion",))
+
+
 def test_cyclic_coset_system_collapses_heisenberg():
     g = heisenberg_mod2()
     z = g.element((0, 0), (1,))

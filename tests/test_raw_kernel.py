@@ -2,7 +2,7 @@
 against the implementations it replaced.
 
 The reference functions below are the plain Scalar implementations the
-kernel replaced: the product loop over the structure table, the Scalar
+kernel replaced: the product loop over the structure constants, the Scalar
 echelon reduction and the Scalar whole-matrix elimination behind `rref`.
 The kernel takes and returns canonical raw field values; only the
 harness converts, drawing Scalar vectors for the references, handing
@@ -24,7 +24,7 @@ every pair of elements of each bundled extension field, against products
 on the polynomial layer and against inverses by the half-extended
 Euclidean algorithm, `ref_poly_inv_mod`, which the tables replaced.
 
-Commutativity read off the compiled table is checked against the product
+Commutativity read off the rows is checked against the product
 loop it replaced, `ref_is_commutative`, and the Lagrange idempotents,
 built by `_lagrange_idempotents` at the roots c_i from the powers of b,
 against the n(n-1)-product chain they replaced,
@@ -107,9 +107,26 @@ def scalars(field, vec):
 # --- Scalar references ---------------------------------------------------------
 
 
+def cells(fd):
+    """The structure constants as {(i, j): {k: c}}, read off the rows."""
+    return {(i, j): dict(terms) for i, row in enumerate(fd.rows)
+            for j, terms in row}
+
+
+def rows_of(table, dim, zero):
+    """The rows of a {(i, j): {k: c}} table, zero terms and cells
+    dropped, in the order of the table's pairs."""
+    rows = [[] for _ in range(dim)]
+    for (i, j), cell in table.items():
+        terms = [(k, c) for k, c in cell.items() if c != zero]
+        if terms:
+            rows[i].append((j, terms))
+    return rows
+
+
 def ref_mul(fd, x, y):
-    """The product loop on Scalars, reading the raw table cells."""
-    field = fd.field
+    """The product loop on Scalars, reading the raw cells."""
+    field, table = fd.field, cells(fd)
     out = [field.zero] * fd.dim
     for i, xi in enumerate(x):
         if not xi:
@@ -117,7 +134,7 @@ def ref_mul(fd, x, y):
         for j, yj in enumerate(y):
             if not yj:
                 continue
-            cell = fd.table.get((i, j))
+            cell = table.get((i, j))
             if not cell:
                 continue
             c = xi * yj
@@ -453,7 +470,7 @@ def ref_is_commutative(fd):
     for i in range(fd.dim):
         for j in range(i + 1, fd.dim):
             if fd.mul(e[i], e[j]) != fd.mul(e[j], e[i]):
-                return False, (fd.labels[i], fd.labels[j])
+                return False, (fd.label(i), fd.label(j))
     return True, None
 
 
@@ -520,9 +537,10 @@ TABLE_FIELDS = [gf(2), gf(7), GF4, GF9, Q]
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_table_commutativity_matches_on_drawn_tables(data):
-    # cells may be empty or hold explicit zeros, and each mirrored cell is
-    # mostly a copy in reverse insertion order, so both verdicts and every
-    # witness position occur, and equal cells need not list terms alike
+    # cells may be empty, a drawn zero term is dropped from the rows, and
+    # each mirrored cell is mostly a copy in reverse insertion order, so
+    # both verdicts and every witness position occur, and equal cells need
+    # not list terms alike
     field = data.draw(st.sampled_from(TABLE_FIELDS))
     dim = data.draw(st.integers(1, 4))
     cell = st.dictionaries(st.integers(0, dim - 1), raw_values(field),
@@ -532,7 +550,8 @@ def test_table_commutativity_matches_on_drawn_tables(data):
         table[(i, j)] = data.draw(cell)
         mirror = dict(reversed(table[(i, j)].items()))
         table[(j, i)] = data.draw(st.one_of(st.just(mirror), cell))
-    fd = FDAlgebra(field, dim, table, [field.raw_zero] * dim)
+    fd = FDAlgebra(field, rows_of(table, dim, field.raw_zero),
+                   [field.raw_zero] * dim)
     assert fd.is_commutative() == ref_is_commutative(fd)
 
 
@@ -570,17 +589,16 @@ def heisenberg_table():
 
 
 def plain_twin(sub):
-    """The plain FDAlgebra of a FiniteSubalgebra, its table built from
+    """The plain FDAlgebra of a FiniteSubalgebra, its rows built from
     Element products and the subgroup's index, the loop the key table
     replaced, and answered by the generic code."""
     algebra, W, field = sub.algebra, sub.subgroup, sub.algebra.field
     lam, gmul = algebra.cocycle.raw, algebra.group.mul
-    table = {(i, j): {W.index_of[gmul(g, h)]: lam(g, h)}
-             for i, g in enumerate(W.elements)
-             for j, h in enumerate(W.elements)}
+    rows = [[(j, [(W.index_of[gmul(g, h)], lam(g, h))])
+             for j, h in enumerate(W.elements)] for g in W.elements]
     one = [field.raw_zero] * len(W)
     one[W.index_of[algebra.group.identity]] = field.raw_one
-    return FDAlgebra(field, len(W), table, one, sub.fd.labels)
+    return FDAlgebra(field, rows, one, sub.fd.label)
 
 
 def ref_trace_form_kernel(fd):
@@ -595,12 +613,11 @@ def ref_trace_form_kernel(fd):
 
 
 def assert_same_algebra(fd, ref):
-    """A GroupFDAlgebra against a plain FDAlgebra of the same table: table,
-    compiled rows, basis powers at 0, 2, p, q and the least p^m >= dim,
-    commutativity with its witness, traces and the trace-form kernel."""
+    """A GroupFDAlgebra against a plain FDAlgebra of the same rows: rows,
+    basis powers at 0, 2, p, q and the least p^m >= dim, commutativity
+    with its witness, traces and the trace-form kernel."""
     assert type(fd) is GroupFDAlgebra
-    assert fd.table == ref.table and fd.one == ref.one
-    assert fd._compiled() == ref._compiled()
+    assert fd.rows == ref.rows and fd.one == ref.one
     p = fd.field.characteristic
     exponents = {0, 2, 3, 5}
     if p:
@@ -661,13 +678,14 @@ def test_monomial_law_matches_with_the_identity_last():
     moved = GroupFDAlgebra(
         fd.field, [[rev[fd.prod[a][b]] for b in rev] for a in rev],
         [[fd.lam[a][b] for b in rev] for a in rev], rev[fd.one_index],
-        fd.labels[::-1])
+        lambda i: fd.label(rev[i]))
     table = dict(sorted(
         ((rev[i], rev[j]), {rev[k]: c for k, c in cell.items()})
-        for (i, j), cell in plain_twin(sub).table.items()))
+        for (i, j), cell in cells(plain_twin(sub)).items()))
     assert moved.one_index == n - 1 and not moved.is_commutative()[0]
-    assert_same_algebra(moved, FDAlgebra(fd.field, n, table, moved.one,
-                                         moved.labels))
+    assert_same_algebra(moved, FDAlgebra(
+        fd.field, rows_of(table, n, fd.field.raw_zero), moved.one,
+        moved.label))
 
 
 MONOMIAL_GROUPS = [cayley(cyclic_table(4)), cayley(symmetric_group_3_table()),
@@ -689,11 +707,14 @@ def test_the_key_table_makes_no_group_product(monkeypatch):
     sub = bundled_torsion_subalgebra("prufer2_gf257")
 
     def refuse(*args):
-        raise AssertionError("the subalgebra's law is read off keys")
+        raise AssertionError("the subalgebra's law is read off keys, and "
+                             "a basis label is rendered only in a witness")
     monkeypatch.setattr(Group, "mul", refuse)
     monkeypatch.setattr(Element, "__hash__", refuse)
-    assert FiniteSubalgebra(sub.algebra, sub.subgroup).fd.table \
-        == sub.fd.table
+    monkeypatch.setattr(Element, "__repr__", refuse)
+    fd = FiniteSubalgebra(sub.algebra, sub.subgroup).fd
+    assert fd.rows == sub.fd.rows
+    assert fd.is_commutative() == (True, None)
     # bench/tracer.py counts these two on FDAlgebra, so the subclass keeps
     # the generic ones
     assert GroupFDAlgebra.mul is FDAlgebra.mul
@@ -746,7 +767,7 @@ def test_commutative_corners_match_the_two_sided_corner():
         for e in primitive_idempotents(fd):
             corner, ref = corner_algebra(fd, e), ref_corner(fd, e)
             assert corner.basis == ref.basis, name
-            assert corner.fd.table == ref.fd.table, name
+            assert corner.fd.rows == ref.fd.rows, name
             assert corner.fd.one == ref.fd.one, name
 
 

@@ -19,6 +19,7 @@ from fcunits.errors import (
     UnsupportedRationalDegree,
 )
 from fcunits import fields
+from fcunits.algebra import TwistedGroupAlgebra
 from fcunits.fields import (
     Scalar,
     gf,
@@ -27,6 +28,7 @@ from fcunits.fields import (
     rationals,
     solve_power_equation,
 )
+from fcunits.groups import cyclic_table, make_group
 
 
 def test_non_prime_characteristic_rejected():
@@ -200,6 +202,28 @@ def test_field_mismatch():
         gf(3).one + gf(5).one
     # equal specs give interoperable fields even as distinct objects
     assert gf(3).one + gf(3).scalar(2) == gf(3).zero
+
+
+def test_scalar_operators_take_ints_and_defer_to_the_other_operand():
+    F = gf(5)
+    s = F.scalar(3)
+    assert s + 1 == F.scalar(4) and 1 + s == F.scalar(4)
+    assert s - 4 == F.scalar(4) and s * 2 == F.one and s / 3 == F.one
+    assert s == 3 and s == 8 and s != 2 and not (s == "3")
+    # Scalar.__mul__ declines an algebra element, and Python hands the
+    # product to AlgebraElement.__rmul__
+    G = make_group({"kind": "cayley", "table": cyclic_table(3)})
+    alg = TwistedGroupAlgebra(G, F)
+    x = alg.one + alg.basis_unit(G.element(t=1))
+    assert s.__mul__(x) is NotImplemented
+    assert s * x == x.scale(s) != x
+    for op in (lambda: s + "a", lambda: s - "a", lambda: s * "a",
+               lambda: s / "a", lambda: s ** 1.5):
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(AttributeError, match="immutable"):
+        s.value = 1
+    assert s.value == 3
 
 
 def test_json_round_trip():

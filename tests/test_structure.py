@@ -667,9 +667,9 @@ def test_crt_idempotents_split_off_a_nilpotent_factor_power():
     # polynomial t^2 (t - 1), whose factor power t^2 carries the nilpotent
     # part; E_(t^2) = 1 - t^2 and E_(t - 1) = t^2
     F = rationals()
-    table = {(i, j): {min(i + j, 2): F.raw_one}
-             for i in range(3) for j in range(3)}
-    fd = FDAlgebra(F, 3, table, [F.raw_one, F.raw_zero, F.raw_zero])
+    rows = [[(j, [(min(i + j, 2), F.raw_one)]) for j in range(3)]
+            for i in range(3)]
+    fd = FDAlgebra(F, rows, [F.raw_one, F.raw_zero, F.raw_zero])
     b = fd.basis_vec(1)
     m, powers = structure._krylov(fd, b, fd.one)
     assert m == (0, 0, -1, 1)
@@ -1099,8 +1099,8 @@ def test_lift_idempotent_char0_newton():
     Q = rationals()
     # Q[t]/(t^2): basis (1, t)
     one, zero = Q.raw_one, Q.raw_zero
-    table = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}}
-    fd = FDAlgebra(Q, 2, table, [one, zero])
+    rows = [[(0, [(0, one)]), (1, [(1, one)])], [(0, [(1, one)])]]
+    fd = FDAlgebra(Q, rows, [one, zero])
     rad = jacobson_radical(fd)
     assert rad.basis == [[zero, one]]
     assert lift_idempotents(fd, rad, [[one, one]]) == [fd.one]
@@ -1131,10 +1131,10 @@ def test_rational_split_reads_the_certified_radical(monkeypatch):
     Q = rationals()
     one = Q.raw_one
     monomials = [(a, b) for a in (0, 1) for b in (0, 1)]
-    table = {(i, j): {monomials.index(((a + c) % 2, b + d)): one}
-             for i, (a, b) in enumerate(monomials)
-             for j, (c, d) in enumerate(monomials) if b + d < 2}
-    fd = FDAlgebra(Q, 4, table, [one] + [Q.raw_zero] * 3)
+    rows = [[(j, [(monomials.index(((a + c) % 2, b + d)), one)])
+             for j, (c, d) in enumerate(monomials) if b + d < 2]
+            for a, b in monomials]
+    fd = FDAlgebra(Q, rows, [one] + [Q.raw_zero] * 3)
     quotients, proofs = [], []
     for name, seen in (("quotient_algebra", quotients),
                        ("ideal_nilpotency_index", proofs)):
