@@ -37,14 +37,13 @@ idempotent count 2^(number of primitives), and `count_units` the unit
 count q^(dim J) prod_i (q^(d_i) - 1) over the components of A / J.  The
 report is kept on the immutable `FDAlgebra`, so a repeated request costs
 no products, and so is the certified `jacobson_radical` of any algebra,
-with its A / J.  The primitive idempotents come from one
-Chinese-remainder step, on the powers of b its minimal polynomial was
-read off, and one corner recursion over every field.  Over
-GF(q) each step is certified by its splitter b: one product b e_r = r e_r
-per idempotent and the sum of the e_r, which together make the e_r
-orthogonal idempotents; over Q, where a step has no such relation, the
-lifted family is certified orthogonal by prefix sums, one product
-(e_1 + ... + e_(k-1)) e_k = 0 per idempotent, not one per pair.  Each
+with its A / J.  The primitive idempotents come from one corner
+recursion, `_split`, over every field: a splitter b splits a corner's
+identity e along every factor g of its minimal polynomial at once, by one
+Chinese-remainder step on the powers of b the polynomial was read off.
+Each step is certified by its splitter, g(b) e_g = 0 for every factor g
+and the sum of the e_g, which together make the e_g orthogonal
+idempotents; for a linear g that is one product b e_r = r e_r.  Each
 field component is a corner A e, with the basis the recursion built for
 it; when there are dim primitives, certified nonzero, every corner is the
 line K e.
@@ -643,7 +642,9 @@ def _crt_idempotents(fd, powers, m, moduli):
     E_g = (m / g) ((m / g)^-1 mod g) is 1 mod g and 0 mod the others (von
     zur Gathen and Gerhard, Modern Computer Algebra, 5.4).  deg E_g < deg m,
     so E_g(b) combines the powers e = b^0 .. b^(deg m - 1) of `_krylov`.
-    Only the rational split uses it; over GF(q) see `_lagrange_idempotents`."""
+    `_split` hands it every irreducible factor of m over Q at once; over
+    GF(q), where the factors are linear, `_lagrange_idempotents` makes the
+    same idempotents in one pass."""
     field = fd.field
     out = []
     for g in moduli:
@@ -694,26 +695,10 @@ def _primitive(fd, e, basis):
     return [list(e)]
 
 
-def _split_corners(fd, idempotents, basis, split):
-    """The primitive idempotents under orthogonal idempotents summing to a
-    corner's identity: split(fd, e, corner_basis(fd, e, basis)) per
-    nonzero e, ``basis`` the corner's own."""
-    return [prim for e in idempotents if not fd.is_zero(e)
-            for prim in split(fd, e, corner_basis(fd, e, basis))]
-
-
-def _primitive_idempotents_finite(fd, e, basis):
-    """The primitive idempotents of the corner A e over GF(q), given by e
-    and its `corner_basis`: a q-fixed element b of A e outside K e splits e
-    along the roots of b's minimal polynomial.
-
-    Each split is certified by its splitter: b e_r = r e_r for every root r
-    and sum_r e_r = e.  That makes the e_r orthogonal idempotents.  The
-    roots are distinct, so for r != s, (r - s) e_r e_s = b e_r e_s -
-    e_r b e_s = 0.  Next, e_r e = e_r: for r != 0 because e_r = r^-1 b e_r
-    and b lies in A e; for r = 0 because e_0 = e - sum_(s != 0) e_s.  So
-    e_r = e_r e = sum_s e_r e_s = e_r^2.  The check costs one product per
-    idempotent, with the often sparse b on the left."""
+def _fixed_splitter(fd, e, basis):
+    """[b] for a q-fixed element b of the corner A e outside K e, given by
+    e and its `corner_basis`; [] when every q-fixed element of A e lies in
+    K e."""
     field = fd.field
     powers = fd.basis_powers(field.size())
     # (b_i e)^q - b_i e = b_i^q e - b_i e, with no product when e = 1
@@ -724,23 +709,7 @@ def _primitive_idempotents_finite(fd, e, basis):
              for xi in _semilinear_kernel(field, images, 0))
     line = span_of(fd, [e])
     b = next((x for x in fixed if not line.contains(x)), None)
-    if b is None:
-        return _primitive(fd, e, basis)
-    m, powers = _krylov(fd, b, e)
-    roots = poly_roots(field, m)
-    certify(len(roots) == len(m) - 1, "a q-fixed element splits over GF(q)")
-    idempotents = _lagrange_idempotents(fd, powers, m, roots)
-    for r, f in zip(roots, idempotents):
-        certify(fd.mul(b, f) == fd.scale(f, r),
-                "a split idempotent is no eigenvector of its splitter")
-    certify(linear_combination(fd, repeat(field.raw_one), idempotents) == e,
-            "the split idempotents do not sum to the corner identity")
-    if len(roots) == len(basis):
-        # every corner is the line through its idempotent
-        fd._corner_bases.update((tuple(f), [f]) for f in idempotents)
-        return idempotents
-    return _split_corners(fd, idempotents, basis,
-                          _primitive_idempotents_finite)
+    return [] if b is None else [b]
 
 
 def _splitter_candidates(fd, basis, rng):
@@ -753,71 +722,100 @@ def _splitter_candidates(fd, basis, rng):
         yield linear_combination(fd, coeffs, basis)
 
 
-def _primitive_idempotents_rational(fd, rng):
-    """Over Q the radical is the certified one of the whole algebra: a
-    corner of a semisimple algebra is semisimple, so `_split_rational`
-    needs none.  Idempotents lift uniquely along a nil ideal in a
-    commutative algebra, so the primitive set of A / J pulls back.
+def _split(fd, e, basis, rng):
+    """The primitive idempotents of the corner A e of a commutative
+    algebra, given by e and its `corner_basis`, by one recursion for every
+    field.  A splitter b in A e splits e along every factor g of its
+    minimal polynomial m in A e at once, into the Chinese-remainder
+    idempotents E_g(b) of those factors, and each corner A E_g is split in
+    turn.  The fields differ in two places:
 
-    The family is certified idempotent and orthogonal after the lift, by
-    prefix sums with one product per idempotent after the first: if
-    e_1 .. e_(k-1) are orthogonal idempotents, their sum s has e_i s = e_i
-    for i < k, so s e_k = 0 gives e_i e_k = e_i (s e_k) = 0, and e_k e_i =
-    e_i e_k because fd is commutative."""
-    rad = jacobson_radical(fd)
-    Q = rad.quotient
-    A = Q.fd if Q else fd
-    prims = _split_rational(A, A.one, _standard_basis(A), rng)
-    if Q:
-        prims = lift_idempotents(fd, rad, list(map(Q.lift, prims)))
-    total = fd.zero_vec()
-    for k, e in enumerate(prims):
-        certify(fd.is_idempotent(e), "primitive idempotent is not idempotent")
-        certify(k == 0 or fd.is_zero(fd.mul(total, e)),
-                "primitive idempotents are not orthogonal")
-        total = fd.add(total, e)
-    return prims
+    * where b comes from.  Over GF(q) it is a q-fixed element of A e
+      outside K e, and there is at most one try: every idempotent is
+      q-fixed, so with no such element e is primitive.  Over Q, where A e
+      is semisimple, b runs over `_splitter_candidates` until m factors,
+      or is irreducible of degree dim A e, when A e is a field;
+    * how m is split.  Over GF(q), m has distinct roots r in GF(q)
+      (`poly_roots`), and `_lagrange_idempotents` makes every E_r in one
+      pass.  Over Q, m is squarefree, and every factor of
+      `poly_factor_rational(m)` goes to `_crt_idempotents` in one step.
 
-
-def _split_rational(fd, e, basis, rng):
-    """The primitive idempotents of the corner A e of a semisimple algebra
-    over Q, given by e and its `corner_basis`: a candidate whose minimal
-    polynomial factors splits e at its first factor."""
+    Each split is certified by its splitter: g(b) E_g = 0 for every factor
+    g, evaluated by Horner's rule with the often sparse b on the left, and
+    sum_g E_g = e.  That makes the E_g orthogonal idempotents.  For
+    coprime g != h, Bezout gives u g + v h = 1, so any x with g(b) x =
+    h(b) x = 0 is x = u(b) g(b) x + v(b) h(b) x = 0; E_g E_h is such an x,
+    so E_g E_h = 0.  Next, E_g e = E_g: when g(0) != 0, E_g = g(0)^-1
+    (g(0) - g(b)) E_g is a multiple of b, which lies in A e; the one
+    factor with g(0) = 0, t up to a constant, has E_g = e - sum_(h != g)
+    E_h.  So E_g = E_g e = sum_h E_g E_h = E_g^2.  For g = t - r the check
+    is one product, b E_r = r E_r; a factor of degree d costs d."""
     if len(basis) == 1:
         return _primitive(fd, e, basis)
     field = fd.field
-    for cand in _splitter_candidates(fd, list(basis.values()), rng):
-        m, powers = _krylov(fd, cand, e)
-        factors = poly_factor_rational(m)
-        if len(factors) < 2:
-            if len(m) - 1 == len(basis):
-                # irreducible minimal polynomial of full degree: a field
-                return _primitive(fd, e, basis)
-            continue
-        # split off the first factor g against its cofactor m / g; m is
-        # squarefree, as A e is semisimple
-        g = tuple(map(field._canonical, factors[0][0]))
-        pair = _crt_idempotents(fd, powers, m,
-                                [g, poly_divmod(field, m, g)[0]])
-        certify(fd.is_idempotent(pair[0]), "Bezout idempotent failed")
-        return _split_corners(fd, pair, basis, lambda fd, e, basis:
-                              _split_rational(fd, e, basis, rng))
+    finite = field.is_finite()
+    splitters = (_fixed_splitter(fd, e, basis) if finite else
+                 _splitter_candidates(fd, list(basis.values()), rng))
+    for b in splitters:
+        m, powers = _krylov(fd, b, e)
+        if finite:
+            roots = poly_roots(field, m)
+            certify(len(roots) == len(m) - 1,
+                    "a q-fixed element splits over GF(q)")
+            factors = [(field.reduce(field.raw_neg(r)), field.raw_one)
+                       for r in roots]
+            family = _lagrange_idempotents(fd, powers, m, roots)
+        else:
+            factors = [tuple(map(field._canonical, g))
+                       for g, _ in poly_factor_rational(m)]
+            if len(factors) < 2:
+                if len(m) - 1 == len(basis):
+                    # irreducible minimal polynomial of full degree: a field
+                    return _primitive(fd, e, basis)
+                continue
+            family = _crt_idempotents(fd, powers, m, factors)
+        for g, f in zip(factors, family):
+            # g(b) f = 0 as b v = -g(0) f, v = (g_d b^(d-1) + ... + g_1) f
+            v = fd.scale(f, g[-1])
+            for c in g[-2:0:-1]:
+                v = fd.add(fd.mul(b, v), fd.scale(f, c))
+            certify(fd.mul(b, v) == fd.scale(f, field.reduce(
+                field.raw_neg(g[0]))),
+                "a split idempotent is not annihilated by its factor at b")
+        certify(linear_combination(fd, repeat(field.raw_one), family) == e,
+                "the split idempotents do not sum to the corner identity")
+        if len(family) == len(basis):
+            # every corner is the line through its idempotent
+            fd._corner_bases.update((tuple(f), [f]) for f in family)
+            return family
+        return [prim for f in family if not fd.is_zero(f)
+                for prim in _split(fd, f, corner_basis(fd, f, basis), rng)]
+    if finite:
+        return _primitive(fd, e, basis)
     raise ConditionsNotMet(
         "no splitting element found; the algebra resisted decomposition")
 
 
 def primitive_idempotents(fd, seed=0):
-    """The complete set of primitive idempotents of a commutative algebra.
+    """The complete set of primitive idempotents of a commutative algebra
+    A, in the order `_split` hands them out.
 
-    Finite fields split along the fixed space of x -> x^q, with or without
-    a radical; the rationals factor the minimal polynomials of candidates
-    over Z (`fields.poly_factor_rational`), modulo the radical.  Both take
-    one Chinese-remainder step (Lagrange's over GF(q)) per level of one
-    corner recursion (`_split_corners`).  Each split step over GF(q), and
-    the whole lifted family over Q, is certified orthogonal and idempotent
-    where it is made; here the family is certified complete, sum 1, before
-    being handed back, and kept on `fd` per seed, so a later call returns
-    the same certified tuple.
+    Over GF(q), `_split` splits A itself, radical or not, along q-fixed
+    elements.  Over Q it splits A / J for the certified radical J, where
+    every corner is semisimple, and the primitives of A / J lift to A by
+    `lift_idempotents`: an idempotent lifts uniquely along a nil ideal of
+    a commutative algebra.  The lifts e_i stay orthogonal, and each premise
+    of that is a certificate that has run: J is certified nilpotent by
+    `jacobson_radical`; `lift_idempotents` certifies each e_i idempotent
+    and congruent to its image in A / J; and the split certifies those
+    images orthogonal.  So for i != j, e_i e_j lies in J and is idempotent,
+    (e_i e_j)^2 = e_i^2 e_j^2, and an idempotent f of a nilpotent ideal is
+    f = f^n = 0.  The set is complete, sum 1, without a check of its own:
+    each split sums to the identity of the corner it splits, so the
+    primitives of A / J sum to 1; then sum_i e_i is idempotent and
+    congruent to 1, and 1 - sum_i e_i, an idempotent in J, is 0.  The set
+    is kept on `fd` per seed, so a later call returns the same certified
+    tuple.
     """
     if seed in fd._primitives:
         return fd._primitives[seed]
@@ -826,12 +824,12 @@ def primitive_idempotents(fd, seed=0):
         raise NotCommutative(
             f"primitive idempotents need a commutative algebra; "
             f"{witness[0]} and {witness[1]} do not commute", witness)
-    if fd.field.is_finite():
-        prims = _primitive_idempotents_finite(fd, fd.one, _standard_basis(fd))
-    else:
-        prims = _primitive_idempotents_rational(fd, random.Random(seed))
-    certify(linear_combination(fd, repeat(fd.field.raw_one), prims)
-            == fd.one, "primitive idempotents do not sum to 1")
+    Q = None if fd.field.is_finite() else jacobson_radical(fd).quotient
+    A = Q.fd if Q else fd
+    prims = _split(A, A.one, _standard_basis(A), random.Random(seed))
+    if Q:
+        prims = lift_idempotents(fd, jacobson_radical(fd),
+                                 list(map(Q.lift, prims)))
     fd._primitives[seed] = prims = tuple(prims)
     return prims
 

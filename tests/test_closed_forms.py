@@ -94,7 +94,7 @@ def test_finite_group_algebra_matches_the_cyclotomic_count(invariants, q):
     assert count_idempotents(fd) == 2 ** primitives
 
 
-@pytest.mark.parametrize("n", [12])
+@pytest.mark.parametrize("n", [12, 24, 36])
 def test_rational_cyclic_group_algebra_matches_perlis_walker(n):
     fd = group_algebra_fd([n], rationals())
     report = fields_decomposition(fd)

@@ -791,17 +791,21 @@ def test_one_subalgebra_and_one_split_per_fact(monkeypatch, capsys):
     # T5 reads its truncation levels off the split of C16, which the
     # structure section shares; nothing else is built or split
     builds = _calls(monkeypatch, structure.FiniteSubalgebra, "__init__")
-    splits = _calls(monkeypatch, structure, "_primitive_idempotents_finite")
+    splits = []
+    original = structure._split
+    monkeypatch.setattr(structure, "_split", lambda fd, e, *args:
+                        splits.append((fd.dim, e == fd.one))
+                        or original(fd, e, *args))
     _analyze_bundled("prufer2_gf257", "--verdict", "--structure")
     assert len(builds) == 1
-    assert len(splits) == 1
-    # T4 splits its 3-dimensional algebra once
+    assert splits == [(16, True)]
+    # T4 splits its 3-dimensional algebra once: one split of the whole
+    # algebra, then its corners Q and Q(w)
     builds.clear()
-    rational = _calls(monkeypatch, structure,
-                      "_primitive_idempotents_rational")
+    splits.clear()
     _analyze_bundled("c3_z_rationals", "--verdict")
     assert len(builds) == 1
-    assert [fd.dim for fd in rational].count(3) == 1
+    assert splits.count((3, True)) == 1
     capsys.readouterr()
 
 
@@ -894,7 +898,7 @@ def test_t4_splits_with_the_run_seed(monkeypatch, capsys):
     # seed; a split under seed 0 would double the calls under seed 1 (the
     # corner recursion splits Q[C3] = Q + Q(w) in three calls)
     monkeypatch.setenv("FC_UNITS_SEED", "1")
-    rational = _calls(monkeypatch, structure, "_split_rational")
+    rational = _calls(monkeypatch, structure, "_split")
     _analyze_bundled("c3_z_rationals", "--verdict", "--structure")
     assert len(rational) == 3
     capsys.readouterr()

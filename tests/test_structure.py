@@ -343,17 +343,17 @@ def test_primitive_idempotents_gf3_c2_frozen():
     assert got == {(2, 2), (2, 1)}
 
 
-EIGEN = "a split idempotent is no eigenvector of its splitter"
+ANNIHILATED = "a split idempotent is not annihilated by its factor at b"
 SPLIT_SUM = "the split idempotents do not sum to the corner identity"
 
 
 @pytest.mark.parametrize("pairs, message", [
     # 2 e_1 is no idempotent, and the family still sums to 1, so the
-    # second, e_2 - e_1, is no eigenvector
-    ([(2, 0), (-1, 1)], EIGEN),
+    # second, e_2 - e_1, is not annihilated by b - r_2
+    ([(2, 0), (-1, 1)], ANNIHILATED),
     # idempotents with 3 e_1 + e_2 = 1 in GF(3), but the first two
     # multiply to e_1, not 0; the second sits at the other root
-    ([(1, 0), (1, 0), (1, 0), (1, 1)], EIGEN),
+    ([(1, 0), (1, 0), (1, 0), (1, 1)], ANNIHILATED),
     ([(1, 0)], SPLIT_SUM),
 ], ids=["idempotent", "orthogonal", "sum-to-one"])
 def test_each_primitive_idempotent_certificate_fires(monkeypatch, pairs,
@@ -374,20 +374,25 @@ def test_each_primitive_idempotent_certificate_fires(monkeypatch, pairs,
 
 
 @pytest.mark.parametrize("pairs, message", [
-    ([(2, 0), (0, 1)], "primitive idempotent is not idempotent"),
-    ([(1, 0), (1, 0)], "primitive idempotents are not orthogonal"),
-    ([(1, 0)], "primitive idempotents do not sum to 1"),
+    # the family sums to 1, but 2 e_1 is no idempotent and e_2 - e_1 is
+    # not annihilated by u + 1
+    ([(2, 0), (-1, 1)], ANNIHILATED),
+    # idempotents that are not orthogonal: u + 1 does not annihilate e_1
+    ([(1, 0), (1, 0)], ANNIHILATED),
+    ([(1, 0)], SPLIT_SUM),
 ], ids=["idempotent", "orthogonal", "sum-to-one"])
 def test_each_rational_family_certificate_fires(monkeypatch, pairs, message):
-    # (a, b) is a e_1 + b e_2 in the split e_1, e_2 of Q[C2]
+    # (a, b) is a e_1 + b e_2 in the split e_1, e_2 of Q[C2] that the
+    # Chinese-remainder step makes at the factors u - 1 and u + 1
     F = rationals()
-    split = primitive_idempotents(
-        group_algebra_fd(cayley(cyclic_table(2)), F).fd)
     fd = group_algebra_fd(cayley(cyclic_table(2)), F).fd
-    family = [linear_combination(fd, [F._canonical(a), F._canonical(b)],
-                                 split) for a, b in pairs]
-    monkeypatch.setattr(structure, "_split_rational",
-                        lambda fd, e, basis, rng: family)
+    crt = structure._crt_idempotents
+
+    def bad_family(fd, powers, m, moduli):
+        split = crt(fd, powers, m, moduli)
+        return [linear_combination(fd, [F._canonical(a), F._canonical(b)],
+                                   split) for a, b in pairs]
+    monkeypatch.setattr(structure, "_crt_idempotents", bad_family)
     with pytest.raises(CertificateFailed, match=message):
         primitive_idempotents(fd)
 
@@ -681,6 +686,21 @@ def test_crt_idempotents_split_off_a_nilpotent_factor_power():
     assert fd.add(e, f) == fd.one
 
 
+def test_rational_split_takes_every_factor_at_once(monkeypatch):
+    # u has minimal polynomial t^12 - 1 in Q[C12], the product of the six
+    # cyclotomic polynomials of the divisors of 12: one Chinese-remainder
+    # step makes all six idempotents, and every corner is then a field
+    calls = []
+    original = structure._crt_idempotents
+    monkeypatch.setattr(structure, "_crt_idempotents",
+                        lambda fd, powers, m, moduli:
+                        calls.append(len(moduli))
+                        or original(fd, powers, m, moduli))
+    fd = group_algebra_fd(abelian([12]), rationals()).fd
+    assert len(primitive_idempotents(fd)) == 6
+    assert calls == [6]
+
+
 # The order in which the corner recursion hands out primitives, and so the
 # order of the field components, on algebras that do not split into
 # lines.  Finite primitives are written as the digits of their
@@ -716,12 +736,34 @@ ORDER_PINS = [
       "1/6 0 -1/6 0 1/6 0 -1/6 0 1/6 0 -1/6 0",
       "1/6 -1/12 -1/12 1/6 -1/12 -1/12 1/6 -1/12 -1/12 1/6 -1/12 -1/12",
       "1/3 0 1/6 0 -1/6 0 -1/3 0 -1/6 0 1/6 0"]),
+    ([24], rationals(), [1, 1, 2, 2, 2, 4, 4, 8],
+     [" ".join(["1/24"] * 24), " ".join(["1/24 -1/24"] * 12),
+      " ".join(["1/12 1/24 -1/24 -1/12 -1/24 1/24"] * 4),
+      " ".join(["1/12 0 -1/12 0"] * 6),
+      " ".join(["1/12 -1/24 -1/24"] * 8),
+      " ".join(["1/6 0 1/12 0 -1/12 0 -1/6 0 -1/12 0 1/12 0"] * 2),
+      " ".join(["1/6 0 0 0 -1/6 0 0 0"] * 3),
+      " ".join(["1/3 0 0 0 1/6 0 0 0 -1/6 0 0 0 -1/3 0 0 0 -1/6 0 0 0"
+                " 1/6 0 0 0"])]),
+    # u splits Q[C4 x C4] at its three factors, then v each corner
+    ([4, 4], rationals(), [1, 1, 2, 1, 1, 2, 2, 2, 2, 2],
+     [" ".join(["1/16"] * 16),
+      " ".join(["1/16"] * 4 + ["-1/16"] * 4 + ["1/16"] * 4 + ["-1/16"] * 4),
+      " ".join(["1/8"] * 4 + ["0"] * 4 + ["-1/8"] * 4 + ["0"] * 4),
+      " ".join(["1/16 -1/16"] * 8),
+      " ".join(["1/16 -1/16 1/16 -1/16 -1/16 1/16 -1/16 1/16"] * 2),
+      " ".join(["1/8 -1/8 1/8 -1/8 0 0 0 0 -1/8 1/8 -1/8 1/8 0 0 0 0"]),
+      " ".join(["1/8 0 -1/8 0"] * 4),
+      " ".join(["1/8 0 -1/8 0 -1/8 0 1/8 0"] * 2),
+      " ".join(["1/8 0 -1/8 0 0 1/8 0 -1/8 -1/8 0 1/8 0 0 -1/8 0 1/8"]),
+      " ".join(["1/8 0 -1/8 0 0 -1/8 0 1/8 -1/8 0 1/8 0 0 1/8 0 -1/8"])]),
 ]
 
 
 @pytest.mark.parametrize("invariants, field, dims, prims", ORDER_PINS,
                          ids=["gf2-c7", "gf3-c8", "gf2-c21", "q-c6",
-                              "gf2-c15", "gf2-c45", "q-c12"])
+                              "gf2-c15", "gf2-c45", "q-c12", "q-c24",
+                              "q-c4xc4"])
 def test_components_and_primitives_keep_their_order(invariants, field, dims,
                                                     prims):
     fd = group_algebra_fd(abelian(invariants), field).fd
@@ -859,15 +901,15 @@ def test_rational_split_runs_the_trace_form_once(monkeypatch):
 
 
 def test_zero_idempotent_in_a_full_primitive_set_fails(monkeypatch):
-    # [e1 + e2, 0, e3, e4] in GF(5)[C4] passes the idempotent, orthogonal
-    # and sum-to-1 certificates and has dim entries, but e1 + e2 is no line
-    original = structure._primitive_idempotents_finite
+    # [e1 + e2, 0, e3, e4] in GF(5)[C4] is a set of orthogonal idempotents
+    # that sums to 1 and has dim entries, but e1 + e2 is no line
+    original = structure._split
 
-    def merged(fd, one, basis):
-        e = original(fd, one, basis)
+    def merged(fd, one, basis, rng):
+        e = original(fd, one, basis, rng)
         return [fd.add(e[0], e[1]), fd.zero_vec()] + e[2:]
 
-    monkeypatch.setattr(structure, "_primitive_idempotents_finite", merged)
+    monkeypatch.setattr(structure, "_split", merged)
     fd = group_algebra_fd(cayley(cyclic_table(4)), gf(5)).fd
     with pytest.raises(CertificateFailed,
                        match="primitive idempotents are nonzero"):
@@ -1206,7 +1248,7 @@ def _lift_to_zero(monkeypatch):
 
 @pytest.mark.parametrize("corrupt, message", [
     (_no_bezout_inverse, "factor powers must be coprime"),
-    (_bezout_returns_its_candidate, "Bezout idempotent failed"),
+    (_bezout_returns_its_candidate, ANNIHILATED),
     (_lift_never_idempotent, "idempotent lifting failed to converge"),
     (_lift_to_zero, "lift drifted from x modulo the ideal"),
 ], ids=["coprime", "bezout", "converge", "drift"])
