@@ -855,6 +855,14 @@ class CrossedProduct:
 
 
 def _identify_automorphism(field, gen, image, component_dim):
+    """The label of sigma on the field component F = A e, read off the
+    image sigma(gen) of a generator: "identity", "frobenius^j" when sigma
+    is x -> x^(q^j) on F, else "nontrivial" over Q or "unidentified".
+    No label depends on the generator.  e is a polynomial in any
+    generator g with no constant term, so sigma(F) lies in F exactly when
+    sigma(g) does; if not, sigma(g) equals no power g^(q^j), which lies in
+    F.  If so, sigma is an automorphism of F, fixed by its value at any
+    one generator: sigma(g) = g^(q^j) for one g exactly when for all."""
     if not field.is_finite():
         return "identity" if image == gen else "nontrivial"
     q = field.size()

@@ -252,17 +252,11 @@ def _distinct_degree(F, f):
 
 
 def poly_irreducible(F, m):
-    """Whether m is irreducible over F: over a finite field, when splitting
-    m made monic by distinct degrees finds one factor of full degree (a
+    """Whether m is irreducible over the finite field F: when splitting m
+    made monic by distinct degrees finds one factor of full degree (a
     reducible m, squarefree or not, has a factor of degree <= deg m / 2,
-    found at that step); over Q, when `poly_factor_rational` finds one
-    factor, of multiplicity 1."""
+    found at that step)."""
     n = len(m) - 1
-    if n < 1:
-        return False
-    if not F.is_finite():
-        factors = poly_factor_rational(m)
-        return len(factors) == 1 and factors[0][1] == 1
     c = F.raw_inv(m[-1])
     m = tuple(F.reduce(F.raw_mul(x, c)) for x in m)
     return _distinct_degree(F, m) == [(n, m)]

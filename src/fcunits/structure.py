@@ -43,10 +43,9 @@ identity e along every factor g of its minimal polynomial at once, by one
 Chinese-remainder step on the powers of b the polynomial was read off.
 Each step is certified by its splitter, g(b) e_g = 0 for every factor g
 and the sum of the e_g, which together make the e_g orthogonal
-idempotents; for a linear g that is one product b e_r = r e_r.  Each
-field component is a corner A e, with the basis the recursion built for
-it; when there are dim primitives, certified nonzero, every corner is the
-line K e.
+idempotents; for a linear g that is one product b e_r = r e_r.  The
+split's leaves are the field components: a primitive e, a basis of its
+corner A e, and over Q the splitter that certified A e a field.
 
 Idempotents of a noncommutative algebra A over GF(q) are counted from its
 blocks, not by enumerating vectors (Ronyai, J. Symbolic Comput. 9, 1990;
@@ -119,10 +118,9 @@ class FDAlgebra:
     (which the Frobenius radical and the fixed space of x -> x^q share
     over a prime field with p >= dim), the candidate of `_radical_raw`,
     and what is certified: `jacobson_radical`, `block_structure`, and the
-    results of `primitive_idempotents` and `fields_decomposition` per
-    seed, with the corner basis the split built at each primitive
-    idempotent.  A subclass may answer `basis_powers` and
-    `is_commutative` from a law behind its rows, with the same exact
+    results of `primitive_idempotents`, with the split's leaves, and of
+    `fields_decomposition` per seed.  A subclass may answer `basis_powers`
+    and `is_commutative` from a law behind its rows, with the same exact
     values, but keeps the generic `mul` and `is_idempotent` (see
     `GroupFDAlgebra`).
     """
@@ -138,8 +136,7 @@ class FDAlgebra:
         self._basis_powers = {}         # n -> [b_i^n]
         self._raw_radical = None        # (candidate, method), read-only
         self._radical = None            # certified RadicalResult
-        self._primitives = {}           # seed -> certified primitive set
-        self._corner_bases = {}         # primitive e -> basis of A e
+        self._primitives = {}           # seed -> (primitives, leaves)
         self._decompositions = {}       # seed -> certified report
         self._blocks = None             # certified BlockStructure
 
@@ -430,11 +427,6 @@ def corner_basis(fd, e, indices=None):
     return {i: v for i, v in products if S.add(v)}
 
 
-def _standard_basis(fd):
-    """`corner_basis(fd, fd.one)` without its products."""
-    return {i: fd.basis_vec(i) for i in range(fd.dim)}
-
-
 # --- minimal and characteristic polynomials ----------------------------------
 
 
@@ -574,12 +566,14 @@ def _radical_commutative_char_p(fd):
 
 
 def _radical_noncommutative_char_p(fd):
-    if fd.dim > RADICAL_NONCOMMUTATIVE_DIM_CAP:
+    # J makes every L_(xy) nilpotent, so it lies in the trace-form kernel;
+    # a zero kernel (Maschke: p does not divide |T|) runs no chain, no cap
+    chain = _trace_form_kernel(fd)
+    if chain and fd.dim > RADICAL_NONCOMMUTATIVE_DIM_CAP:
         raise DimensionTooLarge(
             f"noncommutative radical capped at dimension "
             f"{RADICAL_NONCOMMUTATIVE_DIM_CAP}, got {fd.dim}")
     p = fd.field.characteristic
-    chain = _trace_form_kernel(fd)
     i = 1
     while p ** i <= fd.dim and chain:
         col = fd.dim - p ** i
@@ -688,13 +682,6 @@ def _lagrange_idempotents(fd, powers, m, roots):
     return [list(map(reduce, row)) for row in zip(*sums)]
 
 
-def _primitive(fd, e, basis):
-    """[e] for a primitive e, whose corner A e has the `corner_basis`
-    ``basis``; its vectors are kept on fd for `fields_decomposition`."""
-    fd._corner_bases[tuple(e)] = list(basis.values())
-    return [list(e)]
-
-
 def _fixed_splitter(fd, e, basis):
     """[b] for a q-fixed element b of the corner A e outside K e, given by
     e and its `corner_basis`; [] when every q-fixed element of A e lies in
@@ -723,12 +710,17 @@ def _splitter_candidates(fd, basis, rng):
 
 
 def _split(fd, e, basis, rng):
-    """The primitive idempotents of the corner A e of a commutative
-    algebra, given by e and its `corner_basis`, by one recursion for every
-    field.  A splitter b in A e splits e along every factor g of its
-    minimal polynomial m in A e at once, into the Chinese-remainder
-    idempotents E_g(b) of those factors, and each corner A E_g is split in
-    turn.  The fields differ in two places:
+    """The leaves (e_i, basis of A e_i, generator), one per primitive
+    idempotent e_i of the corner A e of a commutative algebra, given by e
+    and its `corner_basis`, by one recursion for every field.  Over Q the
+    generator (b, m) certifies A e_i a field: b has the minimal polynomial
+    m in A e_i of degree dim A e_i, one factor of multiplicity 1 by
+    `poly_factor_rational`.  It is None for a line and a GF(q) corner.
+
+    A splitter b in A e splits e along every factor g of its minimal
+    polynomial m in A e at once, into the Chinese-remainder idempotents
+    E_g(b) of those factors, and each corner A E_g is split in turn.  The
+    fields differ in two places:
 
     * where b comes from.  Over GF(q) it is a q-fixed element of A e
       outside K e, and there is at most one try: every idempotent is
@@ -750,12 +742,13 @@ def _split(fd, e, basis, rng):
     factor with g(0) = 0, t up to a constant, has E_g = e - sum_(h != g)
     E_h.  So E_g = E_g e = sum_h E_g E_h = E_g^2.  For g = t - r the check
     is one product, b E_r = r E_r; a factor of degree d costs d."""
-    if len(basis) == 1:
-        return _primitive(fd, e, basis)
+    vectors = list(basis.values())
+    if len(vectors) == 1:
+        return [(e, vectors, None)]
     field = fd.field
     finite = field.is_finite()
     splitters = (_fixed_splitter(fd, e, basis) if finite else
-                 _splitter_candidates(fd, list(basis.values()), rng))
+                 _splitter_candidates(fd, vectors, rng))
     for b in splitters:
         m, powers = _krylov(fd, b, e)
         if finite:
@@ -766,13 +759,15 @@ def _split(fd, e, basis, rng):
                        for r in roots]
             family = _lagrange_idempotents(fd, powers, m, roots)
         else:
-            factors = [tuple(map(field._canonical, g))
-                       for g, _ in poly_factor_rational(m)]
+            factors = poly_factor_rational(m)
             if len(factors) < 2:
                 if len(m) - 1 == len(basis):
                     # irreducible minimal polynomial of full degree: a field
-                    return _primitive(fd, e, basis)
+                    certify(factors[0][1] == 1, "the minimal polynomial of "
+                            "a field generator has a repeated factor")
+                    return [(e, vectors, (b, m))]
                 continue
+            factors = [tuple(map(field._canonical, g)) for g, _ in factors]
             family = _crt_idempotents(fd, powers, m, factors)
         for g, f in zip(factors, family):
             # g(b) f = 0 as b v = -g(0) f, v = (g_d b^(d-1) + ... + g_1) f
@@ -786,12 +781,11 @@ def _split(fd, e, basis, rng):
                 "the split idempotents do not sum to the corner identity")
         if len(family) == len(basis):
             # every corner is the line through its idempotent
-            fd._corner_bases.update((tuple(f), [f]) for f in family)
-            return family
-        return [prim for f in family if not fd.is_zero(f)
-                for prim in _split(fd, f, corner_basis(fd, f, basis), rng)]
+            return [(f, [f], None) for f in family]
+        return [leaf for f in family if not fd.is_zero(f)
+                for leaf in _split(fd, f, corner_basis(fd, f, basis), rng)]
     if finite:
-        return _primitive(fd, e, basis)
+        return [(e, vectors, None)]
     raise ConditionsNotMet(
         "no splitting element found; the algebra resisted decomposition")
 
@@ -815,10 +809,10 @@ def primitive_idempotents(fd, seed=0):
     primitives of A / J sum to 1; then sum_i e_i is idempotent and
     congruent to 1, and 1 - sum_i e_i, an idempotent in J, is 0.  The set
     is kept on `fd` per seed, so a later call returns the same certified
-    tuple.
+    tuple, with the split's leaves for `fields_decomposition`.
     """
     if seed in fd._primitives:
-        return fd._primitives[seed]
+        return fd._primitives[seed][0]
     comm, witness = fd.is_commutative()
     if not comm:
         raise NotCommutative(
@@ -826,12 +820,15 @@ def primitive_idempotents(fd, seed=0):
             f"{witness[0]} and {witness[1]} do not commute", witness)
     Q = None if fd.field.is_finite() else jacobson_radical(fd).quotient
     A = Q.fd if Q else fd
-    prims = _split(A, A.one, _standard_basis(A), random.Random(seed))
+    # the standard basis is corner_basis(A, A.one) without its products
+    leaves = _split(A, A.one, {i: A.basis_vec(i) for i in range(A.dim)},
+                    random.Random(seed))
+    prims = [e for e, _, _ in leaves]
     if Q:
         prims = lift_idempotents(fd, jacobson_radical(fd),
                                  list(map(Q.lift, prims)))
-    fd._primitives[seed] = prims = tuple(prims)
-    return prims
+    fd._primitives[seed] = tuple(prims), leaves
+    return fd._primitives[seed][0]
 
 
 def count_idempotents(fd, seed=0):
@@ -1052,9 +1049,8 @@ class DecompositionReport:
 
 
 def _field_certificate(fd, e, basis, rng):
-    """A generator of the corner A e spanned by `basis` whose minimal
-    polynomial is irreducible of full degree, certifying the corner is a
-    field."""
+    """A generator of the corner A e over GF(q) spanned by `basis`, its
+    minimal polynomial irreducible of full degree: A e is a field."""
     target = len(basis)
     for cand in _splitter_candidates(fd, basis, rng):
         m = minimal_polynomial(fd, cand, e)
@@ -1087,30 +1083,29 @@ def _fields_decomposition(fd, seed):
     if rad.basis:
         return DecompositionReport(False, "nonzero radical",
                                    rad.basis[0], [], rad, prims)
-    # nonzero orthogonal idempotents are linearly independent, so dim of
-    # them are a basis and every corner is the line through its idempotent
-    lines = len(prims) == fd.dim
+    # with no radical the split ran on fd itself, over Q as over GF(q)
     rng = random.Random(seed)
-    components = [_field_component(fd, e, [e] if lines else
-                                   fd._corner_bases[tuple(e)], rng)
-                  for e in prims]
+    components = [_field_component(fd, leaf, rng)
+                  for leaf in fd._primitives[seed][1]]
     return DecompositionReport(True, "", None, components, rad, prims)
 
 
-def _field_component(fd, e, basis, rng):
-    """The field component at a primitive idempotent e: the corner A e
-    spanned by `basis`.  A line K e has generator e and minimal polynomial
-    t - 1; a larger corner is certified a field by `_field_certificate`."""
+def _field_component(fd, leaf, rng):
+    """The field component A e at a leaf (e, basis, generator) of
+    `_split`.  A line K e has generator e and minimal polynomial t - 1; a
+    larger corner keeps the leaf's generator over Q, and over GF(q) is
+    certified a field by `_field_certificate`."""
+    e, basis, generator = leaf
     certify(not fd.is_zero(e), "primitive idempotents are nonzero")
     field = fd.field
     d = len(basis)
     if d == 1:
-        gen, m = e, (field.reduce(field.raw_neg(field.raw_one)), field.raw_one)
-    else:
-        gen, m = _field_certificate(fd, e, basis, rng)
+        generator = e, (field.from_int(-1).value, field.raw_one)
+    elif generator is None:
+        generator = _field_certificate(fd, e, basis, rng)
     desc = (f"GF({field.size()}^{d})" if field.is_finite()
             else f"degree-{d} extension of Q")
-    return FieldComponent(d, desc, gen, m, e)
+    return FieldComponent(d, desc, *generator, e)
 
 
 # --- idempotent lifting ----------------------------------------------------------

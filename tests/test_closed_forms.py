@@ -16,6 +16,12 @@ roots of x^n - mu are w^j for j in {1 + t r mod n r : t < n}, and the
 component degrees are the orbit sizes of j -> q j on that set.  When p
 divides n, x^n - mu has a repeated root and the radical is nonzero.
 
+For a finite group H whose order q is prime to, GF(q)[H x C_n] is
+semisimple by Maschke, and with GF(q)[H] = sum_i M_(n_i)(GF(q)) and the
+components GF(q^o) of GF(q)[C_n] it is the sum of the blocks
+M_(n_i)(GF(q^o)).  M_1(GF(Q)) has 2 idempotents and M_2(GF(Q)) has
+2 + Q (Q + 1): 0, 1 and one per pair of distinct lines in GF(Q)^2.
+
 The expected values are computed here from the group's invariants with
 the standard library alone, never by calling `structure`.
 """
@@ -31,17 +37,19 @@ from fcunits.cli import bundled_instance, bundled_names
 from fcunits.cocycles import power_scalar
 from fcunits.fc import instance_from_json
 from fcunits.fields import gf, rationals
-from fcunits.groups import finite_subgroup, make_group
+from fcunits.groups import finite_subgroup, make_group, symmetric_group_3_table
 from fcunits.structure import (
     FiniteSubalgebra,
     count_idempotents,
     fields_decomposition,
+    jacobson_radical,
 )
 
 
-def group_algebra_fd(invariants, field):
+def group_algebra_fd(invariants, field, table=None):
+    torsion = {"invariants": list(invariants)}
     G = make_group({"kind": "central-extension", "rank": 0,
-                    "torsion": {"invariants": list(invariants)}})
+                    "torsion": {"table": table} if table else torsion})
     sub = finite_subgroup(G, list(G.torsion_elements()))
     return FiniteSubalgebra(TwistedGroupAlgebra(G, field), sub).fd
 
@@ -140,3 +148,45 @@ def test_twisted_cyclic_algebra_matches_the_root_orbits(name):
     assert Counter(c.dim for c in report.components) == expected
     assert {c.description for c in report.components} == \
         {f"GF({q}^{o})" for o in expected}
+
+
+def dihedral_times_cyclic(m, n):
+    """The Cayley table of D_2m x C_n on r^i s^j c^k, keyed
+    (i + m j) n + k: s r = r^-1 s."""
+    def key(i, j, k):
+        return (i % m + m * (j % 2)) * n + k % n
+    elements = [(i, j, k) for j in range(2) for i in range(m)
+                for k in range(n)]
+    return [[key(i + (-1) ** j * a, j + b, k + c) for a, b, c in elements]
+            for i, j, k in elements]
+
+
+def symmetric3_times_cyclic(n):
+    s3 = symmetric_group_3_table()
+    return [[s3[x // n][y // n] * n + (x + y) % n for y in range(6 * n)]
+            for x in range(6 * n)]
+
+
+def matrix_idempotents(n, Q):
+    assert n in (1, 2)
+    return 2 if n == 1 else 2 + Q * (Q + 1)
+
+
+@pytest.mark.parametrize("table, blocks, q, count", [
+    (symmetric3_times_cyclic(8), [1, 1, 2], 7, 50_782_881_677_836_288),
+    (dihedral_times_cyclic(4, 8), [1, 1, 1, 1, 2], 5,
+     7_478_508_656_225_419_264),
+], ids=["gf7-s3xc8", "gf5-d8xc8"])
+def test_maschke_algebra_above_the_radical_cap_counts_by_blocks(
+        table, blocks, q, count):
+    # 48 and 64 dimensions, above the noncommutative radical's cap of 32:
+    # the trace form has a zero kernel, so no coefficient chain runs
+    assert sum(n * n for n in blocks) == len(table) // 8
+    expected = 1
+    for o, k in finite_degrees([8], q).items():
+        for n in blocks:
+            expected *= matrix_idempotents(n, q ** o) ** k
+    assert expected == count
+    fd = group_algebra_fd([], gf(q), table)
+    assert jacobson_radical(fd).basis == []
+    assert count_idempotents(fd) == count

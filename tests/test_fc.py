@@ -481,6 +481,37 @@ def test_identify_automorphism_frobenius_branch():
         == "frobenius^1"
 
 
+@pytest.mark.parametrize("field_spec, moved", [
+    ({"kind": "rationals"}, "nontrivial"),
+    ({"kind": "prime-power", "p": 2}, "frobenius^1"),
+], ids=["q", "gf2"])
+def test_identify_automorphism_gives_every_generator_one_label(field_spec,
+                                                                moved):
+    # the component F of K[C3] that holds a primitive cube root of 1,
+    # Q(zeta3) over Q and GF(4) over GF(2), is generated by the split's
+    # generator and by u^2 e alike; sigma = 1 fixes both, and the
+    # inversion u_g -> u_(g^-1) of the commutative K[C3] is conjugation
+    # on Q(zeta3) and the Frobenius on GF(4)
+    inst = mk({"field": field_spec,
+               "group": {"kind": "central-extension", "rank": 1,
+                         "torsion": {"invariants": [3]}},
+               "cocycle": {}})
+    algebra, group = inst.algebra(), inst.group
+    S, report, _ = fc.torsion_field_components(inst)
+    comp = next(c for c in report.components if c.dim == 2)
+    e = S.to_ambient(comp.idempotent)
+    u2 = algebra.basis_unit(group.element(t=(2,)))
+
+    def inversion(x):
+        return type(x)(algebra, {group.inv(g): c for g, c in x.terms.items()})
+
+    gens = [S.to_ambient(comp.generator), u2 * e]
+    assert gens[0] != gens[1]
+    for sigma, label in ((lambda x: x, "identity"), (inversion, moved)):
+        assert [fc._identify_automorphism(inst.field, g, sigma(g), 2)
+                for g in gens] == [label, label]
+
+
 def test_sampled_units_invert_by_decomposition():
     inst = c3_z_rationals()
     units, idems = fc.sample_decomposed_units(inst, 8, seed=11)

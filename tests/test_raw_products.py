@@ -269,6 +269,25 @@ def test_validation_matches_the_scalar_loop(data):
         assert (ce.g, ce.h, ce.k, ce.lhs, ce.rhs) == triple
 
 
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_an_all_ones_table_counts_the_identities_of_the_scalar_loop(name):
+    # no torsion triple is multiplied out, yet every one is counted, with
+    # a bilinear twist on the free part where the rank allows one
+    group, field = GROUPS[name], gf(7)
+    zeta, matrix = field.one, None
+    if group.rank == 2:
+        zeta, matrix = field.scalar(3), [[0, 1], [0, 0]]
+    coc = Cocycle(group, field, {}, zeta, matrix)
+
+    def lam(g, h):
+        return ref_lambda({}, zeta, matrix, field, g, h)
+
+    for radius in (1, 2):
+        res = validate_cocycle(group, coc, box_radius=radius)
+        assert (res.valid, res.checked_identities) == ref_validate(
+            group, lambda a, b: field.one, lam, radius)[:2]
+
+
 def test_the_table_round_trips_through_scalars():
     field = gf(7)
     group = Group(0, TableTorsion(cyclic_table(3)))

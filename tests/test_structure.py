@@ -27,6 +27,7 @@ from fcunits.errors import (
 from fcunits.fields import (
     gf,
     poly_divmod,
+    poly_factor_rational,
     poly_inv_mod,
     poly_irreducible,
     poly_mul,
@@ -853,9 +854,12 @@ def test_line_components_match_the_corner_path(monkeypatch, n, q):
                         lambda fd, e: bases.append(e) or original(fd, e))
     report = fields_decomposition(fd)
     assert bases == []
+    leaves = fd._primitives[0][1]
+    assert [e for e, _, _ in leaves] == list(report.primitives)
+    assert all(basis == [e] and gen is None for e, basis, gen in leaves)
     rng = random.Random(0)
     corners = [structure._field_component(
-        fd, e, list(original(fd, e).values()), rng)
+        fd, (e, list(original(fd, e).values()), None), rng)
         for e in report.primitives]
     assert len(corners) == n
 
@@ -901,13 +905,14 @@ def test_rational_split_runs_the_trace_form_once(monkeypatch):
 
 
 def test_zero_idempotent_in_a_full_primitive_set_fails(monkeypatch):
-    # [e1 + e2, 0, e3, e4] in GF(5)[C4] is a set of orthogonal idempotents
-    # that sums to 1 and has dim entries, but e1 + e2 is no line
+    # leaves at [e1 + e2, 0, e3, e4] in GF(5)[C4] are orthogonal
+    # idempotents that sum to 1, one per dimension, but 0 is no primitive
     original = structure._split
 
     def merged(fd, one, basis, rng):
-        e = original(fd, one, basis, rng)
-        return [fd.add(e[0], e[1]), fd.zero_vec()] + e[2:]
+        leaves = original(fd, one, basis, rng)
+        e = [fd.add(leaves[0][0], leaves[1][0]), fd.zero_vec()]
+        return [(f, [f], None) for f in e] + leaves[2:]
 
     monkeypatch.setattr(structure, "_split", merged)
     fd = group_algebra_fd(cayley(cyclic_table(4)), gf(5)).fd
@@ -1022,10 +1027,48 @@ def test_multiquadratic_fields_draw_candidates_past_the_basis(
     report = fields_decomposition(fd)
     assert [c.description for c in report.components] \
         == [f"degree-{2 ** len(primes)} extension of Q"]
-    # the split finds the field, then its certificate draws the same
-    # candidates up to the same generator
-    assert seen == [*range(drawn)] * 2
+    # the split finds the field, and its leaf keeps the generator, so no
+    # candidate is drawn twice
+    assert seen == [*range(drawn)]
     assert len(report.components[0].min_poly) == fd.dim + 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: group_algebra_fd(abelian([12]), rationals()).fd,
+    lambda: prime_square_fd((2, 3, 5)),
+], ids=["q-c12", "q-sqrt2-sqrt3-sqrt5"])
+def test_rational_components_run_no_field_certificate(monkeypatch, build):
+    # a corner over Q keeps the generator its leaf was certified a field
+    # with: its minimal polynomial in the corner, of full degree
+    calls = []
+    original = structure._field_certificate
+    monkeypatch.setattr(structure, "_field_certificate",
+                        lambda *args: calls.append(args) or original(*args))
+    fd = build()
+    report = fields_decomposition(fd)
+    assert report.is_sum_of_fields
+    assert any(c.dim > 1 for c in report.components)
+    assert calls == []
+    for c in report.components:
+        assert c.min_poly == minimal_polynomial(fd, c.generator, c.idempotent)
+        assert len(c.min_poly) == c.dim + 1
+
+
+def test_a_field_leaf_needs_one_factor_of_multiplicity_one(monkeypatch):
+    # the leaf reads irreducibility off poly_factor_rational: x^2 - 2 is
+    # one factor, of multiplicity 1; x^2 - 1 is two, a constant none, and
+    # (x^2 + 1)^2 one of multiplicity 2, which makes no field
+    assert poly_factor_rational((-2, 0, 1)) == [((-2, 0, 1), 1)]
+    assert poly_factor_rational((3, 2)) == [((3, 2), 1)]
+    assert poly_factor_rational((-1, 0, 1)) == [((-1, 1), 1), ((1, 1), 1)]
+    assert poly_factor_rational((5,)) == []
+    assert poly_factor_rational((1, 0, 2, 0, 1)) == [((1, 0, 1), 2)]
+    original = structure.poly_factor_rational
+    monkeypatch.setattr(structure, "poly_factor_rational",
+                        lambda m: [(g, 2) for g, _ in original(m)])
+    with pytest.raises(CertificateFailed,
+                       match="field generator has a repeated factor"):
+        fields_decomposition(prime_square_fd((2,)))
 
 
 def test_not_sum_of_fields_noncommutative_witness():

@@ -14,6 +14,7 @@ sweep prints one table row:
   `fc.structure_report` on a fresh instance;
 * the radical: its dimension and method, or the status of a refusal;
 * the number of primitive idempotents, "-" when there are none to count;
+* the idempotent count, or "above-cap" when it is refused;
 * the function of src/fcunits/ with the most self time when the same
   work runs again under cProfile, on another fresh instance, with its
   share of all profiled time (the rest is in the standard library, such
@@ -140,8 +141,8 @@ def slowest(obj):
 
 def main(names):
     print("| torsion, field | dim | wall | radical | primitives "
-          "| most self time in fcunits |")
-    print("|---|---|---|---|---|---|")
+          "| idempotents | most self time in fcunits |")
+    print("|---|---|---|---|---|---|---|")
     for name, torsion, field in SPECS:
         if names and not any(n in name for n in names):
             continue
@@ -151,7 +152,8 @@ def main(names):
         wall = time.perf_counter() - start
         prims = rep.get("primitive_idempotents", "-")
         print(f"| {name} | {rep['torsion_dimension']} | {wall:.2f} s "
-              f"| {radical(rep)} | {prims} | {slowest(obj)} |", flush=True)
+              f"| {radical(rep)} | {prims} | {rep['idempotent_count']} "
+              f"| {slowest(obj)} |", flush=True)
 
 
 if __name__ == "__main__":
