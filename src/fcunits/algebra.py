@@ -287,35 +287,29 @@ def try_invert(algebra, x, decomposition=None):
 
 
 def _corner_inverse(algebra, e, y):
-    """z with y z = z y = e, for y of the shape (scalar) * u_c * e.
+    """z with y z = z y = e, for y = e x of the shape w u_c with w a unit
+    of the corner of e in the torsion subalgebra and c = (u, 0, 0), or
+    None.
 
-    The coset representative c is not handed to us, so every quotient of a
-    support element of y by a support element of e is tried; the winning
-    candidate is verified, everything else rejected.
+    Every support element of y must have the one free part u, so w =
+    y u_c^-1 has free part 0 on its support and lies in the torsion
+    subalgebra.  The inverse v of w + 1 - e is read off the regular
+    representation there, and z = u_c^-1 v e.  As y = e y, w = e w, so
+    w v = e (w + 1 - e) v = e and y z = w u_c u_c^-1 v e = e.  Both
+    y z = e and z y = e are checked, and None is returned unless they
+    hold.
     """
-    g0 = y.support()[0]
-    tried = set()
-    for w in e.support():
-        c = algebra.group.mul(g0, algebra.group.inv(w))
-        if c in tried:
-            continue
-        tried.add(c)
-        u_c_inv = algebra.basis_unit_inverse(c)
-        w_test = y * u_c_inv
-        ref = w_test.support()
-        if not ref:
-            continue
-        gamma = w_test.coeff(ref[0])
-        base = e.coeff(ref[0])
-        if not base:
-            continue
-        gamma = gamma / base
-        if w_test != e.scale(gamma):
-            continue
-        z = (u_c_inv * e).scale(gamma.inv())
-        if y * z == e and z * y == e:
-            return z
-    return None
+    free = {g.u for g in y.terms}
+    if len(free) != 1:
+        return None
+    (u,) = free
+    u_c_inv = algebra.basis_unit_inverse(algebra.group.from_key(0, u))
+    w = y * u_c_inv
+    res = try_invert(algebra, w + algebra.one - e)
+    if not res.is_unit:
+        return None
+    z = u_c_inv * res.inverse * e
+    return z if y * z == e and z * y == e else None
 
 
 def _invert_by_decomposition(algebra, x, idempotents):
@@ -344,14 +338,15 @@ def _invert_by_decomposition(algebra, x, idempotents):
         if z is None:
             return InversionResult(
                 "unknown", None, "decomposition",
-                "a component of x is not a scaled unit in its corner")
+                "a component of x is not a unit of its corner times one "
+                "coset unit u_c")
         pieces.append(z)
     # The pieces always assemble, orthogonal entries or not, so no result
-    # here is unknown.  `_corner_inverse` returns z = w e with y z = z y
-    # = e, so z = z e = z (y z) = (z y) z = e z.  As y = e x = x e, that
-    # gives x z = x e z = y z = e and z x = z e x = z y = e; the sum Z of
-    # the pieces has x Z = Z x = (sum of the e) = 1.  The certificate of
-    # `_verified_unit` still checks it.
+    # here is unknown.  `_corner_inverse` returns z = u_c^-1 v e with
+    # y z = z y = e, so z = z e = z (y z) = (z y) z = e z.  As y = e x
+    # = x e, that gives x z = x e z = y z = e and z x = z e x = z y = e;
+    # the sum Z of the pieces has x Z = Z x = (sum of the e) = 1.  The
+    # certificate of `_verified_unit` still checks it.
     z = algebra.zero
     for p in pieces:
         z = z + p

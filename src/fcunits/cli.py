@@ -9,6 +9,7 @@ semantic rejection (invalid cocycle, failed precondition, exceeded cap),
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -215,7 +216,10 @@ def _render_human(report):
 # --- entry point ------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process; parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog=TOOL_NAME,
         description="exact analysis of twisted group algebras over the "

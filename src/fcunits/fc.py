@@ -23,9 +23,14 @@ central, has no code: on this family it holds whenever L4 does (see
 `necessary_conditions`).  NotFC verdicts always carry a concrete
 witness.  The constructions the positive criteria rest on (the quotient
 by a central involution and the component-wise crossed product) are
-exposed as operations and verify themselves before returning.
+exposed as operations and verify themselves before returning.  The
+crossed product is read off the monomial law u_g u_h = lambda(g, h) u_gh:
+once T4 passes, the torsion part is central (see `necessary_conditions`),
+so every coefficient automorphism is the identity and every factor-set
+value is one monomial v u_t.
 """
 
+import functools
 import hashlib
 import itertools
 import json
@@ -683,7 +688,7 @@ def build_quotient_algebra(inst, a=None, seed=0,
             "lambda(a, a) has no square root in the coefficient field")
     mu_root = min(roots, key=lambda s: s.sort_key())
 
-    cosets = group.coset_system(("cyclic", a))
+    cosets = group.cyclic_cosets(a)
     H = cosets.quotient
     rep_keys = cosets.rep_keys
     tor = group.torsion
@@ -821,6 +826,17 @@ def check_theorem4(inst, seed=0):
 
 
 class CrossedProduct:
+    """The crossed product F * H = sum_h F u_rep(h) of one field component
+    F = K_lambda T e with H = G/t(G).
+
+    Every coefficient automorphism sigma_h, conjugation by u_rep(h), is
+    the identity on F, and `sigma_labels` says so for each generator of H.
+    `build_crossed_product` certifies the reason: the component's
+    generator g is central in K_lambda G.  F = K[g] e, and e = g g^-1 is
+    a polynomial in g, as the inverse g^-1 in the field F is one, so every
+    element of F is a polynomial in g and commutes with every u_c.
+    """
+
     def __init__(self, algebra, torsion, component, idempotent, quotient,
                  cosets, sigma_labels, checked_radius, checked_triples):
         self.algebra = algebra          # TwistedGroupAlgebra
@@ -836,53 +852,33 @@ class CrossedProduct:
     def rep(self, h):
         return self.cosets.rep(h)
 
-    def sigma(self, h, alpha):
-        """The coefficient automorphism: conjugation by the coset rep."""
-        c = self.rep(h)
-        out = self.algebra.basis_unit_inverse(c) * alpha \
-            * self.algebra.basis_unit(c)
-        return out
-
     def factor_value(self, h1, h2):
-        """The factor-set scalar mu_{h1,h2} as an element of the component."""
-        group = self.algebra.group
+        """The factor-set value mu(h1, h2) as the monomial v u_t of the
+        torsion subalgebra; its value in the component is v u_t e.
+
+        With c1, c2 the representatives of h1, h2, c1 c2 = c_k t for the
+        representative c_k of h1 h2 and a torsion t, so u_c1 u_c2 =
+        lambda(c1, c2) u_(c_k t) = v u_c_k u_t with v = lambda(c1, c2) /
+        lambda(c_k, t)."""
         c1, c2 = self.rep(h1), self.rep(h2)
-        prod = group.mul(c1, c2)
-        hk, t = self.cosets.factor(prod)
-        ck = self.rep(hk)
-        val = self.algebra.cocycle(c1, c2) * self.algebra.cocycle(ck, t).inv()
-        return (self.algebra.basis_unit(t) * self.idempotent).scale(val)
-
-
-def _identify_automorphism(field, gen, image, component_dim):
-    """The label of sigma on the field component F = A e, read off the
-    image sigma(gen) of a generator: "identity", "frobenius^j" when sigma
-    is x -> x^(q^j) on F, else "nontrivial" over Q or "unidentified".
-    No label depends on the generator.  e is a polynomial in any
-    generator g with no constant term, so sigma(F) lies in F exactly when
-    sigma(g) does; if not, sigma(g) equals no power g^(q^j), which lies in
-    F.  If so, sigma is an automorphism of F, fixed by its value at any
-    one generator: sigma(g) = g^(q^j) for one g exactly when for all."""
-    if not field.is_finite():
-        return "identity" if image == gen else "nontrivial"
-    q = field.size()
-    power = gen
-    for j in range(component_dim):
-        if image == power:
-            return "identity" if j == 0 else f"frobenius^{j}"
-        power = power ** q
-    return "unidentified"
+        hk, t = self.cosets.factor(self.algebra.group.mul(c1, c2))
+        lam = self.algebra.cocycle
+        return self.algebra.basis_unit(t).scale(
+            lam(c1, c2) * lam(self.rep(hk), t).inv())
 
 
 def build_crossed_product(inst, component_index=0, seed=0):
-    """The crossed product F*H carried by one field component.
+    """The crossed product F * H carried by one field component (see
+    `CrossedProduct`), verified before it is returned.
 
     F is a component of the torsion subalgebra cut by its central
-    primitive idempotent, H = G/t(G) is free abelian, the coefficient
-    automorphisms are conjugation by coset representatives, and the
-    factor set comes from the cocycle values along representative
-    products.  The factor-set identity is verified on the generator box
-    before the construction is returned.
+    primitive idempotent e, and H = G/t(G) is free abelian.  One
+    certificate shows every coefficient automorphism trivial: the
+    component's generator is central.  With sigma trivial, the
+    factor-set identity mu(a, bc) mu(b, c) = mu(ab, c) mu(a, b) is
+    compared on the monomials v u_t, before the factor e, on every
+    triple of the generator box, whose radius is cut down from
+    `caps.box_radius` until at most FACTOR_SET_TRIPLE_CAP triples remain.
     """
     v = check_theorem4(inst, seed=seed)
     if v.result != "FC":
@@ -891,7 +887,7 @@ def build_crossed_product(inst, component_index=0, seed=0):
             "the coprime-characteristic conditions fail"
             + (f" at {fail.cid}" if fail else ""))
     algebra = inst.algebra()
-    group, field = inst.group, inst.field
+    group = inst.group
     S = inst.torsion_subalgebra()
     report = fields_decomposition(S.fd, seed=seed)
     if not 0 <= component_index < len(report.components):
@@ -899,39 +895,34 @@ def build_crossed_product(inst, component_index=0, seed=0):
             f"component index {component_index} is out of range "
             f"(0..{len(report.components) - 1})")
     comp = report.components[component_index]
-    e = S.to_ambient(comp.idempotent)
-    cosets = group.coset_system("torsion")
+    certify(algebra.is_central(S.to_ambient(comp.generator))[0],
+            "the generator of a field component must be central, so that "
+            "every coefficient automorphism is the identity")
+    cosets = group.torsion_cosets()
     H = cosets.quotient
-
     cp = CrossedProduct(
-        algebra=algebra, torsion=S, component=comp, idempotent=e,
-        quotient=H, cosets=cosets, sigma_labels={}, checked_radius=0,
-        checked_triples=0)
+        algebra=algebra, torsion=S, component=comp,
+        idempotent=S.to_ambient(comp.idempotent), quotient=H, cosets=cosets,
+        sigma_labels={label: "identity" for label, _ in H.generators()},
+        checked_radius=0, checked_triples=0)
 
     radius = inst.caps.box_radius
     while radius > 1 and (2 * radius + 1) ** (3 * H.rank) \
             > FACTOR_SET_TRIPLE_CAP:
         radius -= 1
     box = generator_box(H, radius)
+    mu = functools.cache(cp.factor_value)
     triples = 0
     for a in box:
         for b in box:
             for c in box:
-                lhs = cp.factor_value(a, H.mul(b, c)) * cp.factor_value(b, c)
-                rhs = cp.factor_value(H.mul(a, b), c) \
-                    * cp.sigma(c, cp.factor_value(a, b))
-                if lhs != rhs:
+                if mu(a, H.mul(b, c)) * mu(b, c) \
+                        != mu(H.mul(a, b), c) * mu(a, b):
                     raise ConditionsNotMet(
                         f"factor-set identity fails at {a!r}, {b!r}, {c!r}")
                 triples += 1
     cp.checked_radius = radius
     cp.checked_triples = triples
-
-    gen_el = S.to_ambient(comp.generator)
-    for label, h in H.generators():
-        image = cp.sigma(h, gen_el)
-        cp.sigma_labels[label] = _identify_automorphism(
-            field, gen_el, image, comp.dim)
     return cp
 
 
@@ -961,11 +952,12 @@ def sample_decomposed_units(inst, count, seed=0):
 
     Each summand lives in one field-component summand of the algebra: a
     nonzero scalar times the component idempotent times a coset
-    representative unit of G/t(G).  Sums of that shape are exactly what
-    the component-decomposition inversion strategy targets, and the coset
-    representative is drawn with a nonzero free part so the support
-    generates an infinite subgroup (keeping the regular-representation
-    strategy out of the picture).
+    representative unit of G/t(G).  The decomposition strategy of
+    `try_invert` inverts every sum of a unit of F_i times one u_c per
+    component F_i; these samples are the ones whose unit is a scalar
+    multiple of e_i.  The coset representative is drawn with a nonzero
+    free part so the support generates an infinite subgroup (keeping the
+    regular-representation strategy out of the picture).
     """
     rng = random.Random(seed)
     algebra = inst.algebra()
@@ -974,7 +966,7 @@ def sample_decomposed_units(inst, count, seed=0):
         raise ConditionsNotMet(
             "decomposed-unit sampling needs an infinite free part")
     S, report, idems = torsion_field_components(inst, seed=seed)
-    cosets = group.coset_system("torsion")
+    cosets = group.torsion_cosets()
     H = cosets.quotient
     units = []
     for _ in range(count):

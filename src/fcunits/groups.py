@@ -565,24 +565,22 @@ class Group:
 
     # --- coset systems ---------------------------------------------------------
 
-    def coset_system(self, sub):
-        """Cosets modulo sub = "torsion" or ("cyclic", a) for torsion a."""
-        if sub == "torsion":
-            return _TorsionCosets(self)
-        if isinstance(sub, tuple) and len(sub) == 2 and sub[0] == "cyclic":
-            a = sub[1]
-            self._check(a)
-            if self.element_order(a) == math.inf:
-                raise InfiniteIndexUnsupported(
-                    "cyclic coset system needs a torsion element")
-            if a.s != 0:
-                raise InfiniteIndexUnsupported(
-                    "cyclic coset system over a Pruefer coordinate "
-                    "is not supported")
-            return _CyclicCosets(self, a)
-        raise InfiniteIndexUnsupported(
-            "only the torsion subgroup and torsion cyclic subgroups "
-            "support coset systems")
+    def torsion_cosets(self):
+        """Cosets of t(G); the quotient is the free abelian part Z^rank."""
+        return _TorsionCosets(self)
+
+    def cyclic_cosets(self, a):
+        """Cosets of the normal cyclic subgroup <a>, for a torsion element
+        a with Pruefer coordinate 0."""
+        self._check(a)
+        if self.element_order(a) == math.inf:
+            raise InfiniteIndexUnsupported(
+                "cyclic coset system needs a torsion element")
+        if a.s != 0:
+            raise InfiniteIndexUnsupported(
+                "cyclic coset system over a Pruefer coordinate "
+                "is not supported")
+        return _CyclicCosets(self, a)
 
     # --- JSON ---------------------------------------------------------------
 
@@ -603,7 +601,6 @@ class _TorsionCosets:
 
     def __init__(self, group):
         self.group = group
-        self.subgroup_kind = "torsion"
         self.quotient = Group(group.rank, InvariantsTorsion(()),
                               json_kind="central-extension")
 
@@ -634,7 +631,6 @@ class _CyclicCosets:
     def __init__(self, group, a):
         self.group = group
         self.a = a
-        self.subgroup_kind = "cyclic"
         self.sub_order = group.element_order(a)
         self.a_powers = [group.power(a, k) for k in range(self.sub_order)]
         tor = group.torsion

@@ -91,6 +91,19 @@ def test_analyze_is_deterministic(capsys):
     assert first == second
 
 
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process, and a parse, a failed one
+    # included, leaves it as it was
+    parser = cli._build_parser()
+    with pytest.raises(SystemExit):
+        run(["analyze", path_of("c3_z_rationals"), "--depth", "x"], capsys)
+    rc, out, _ = run(["analyze", path_of("c3_z_rationals")], capsys)
+    assert rc == 0
+    assert json.loads(out)["sections"]["verdict"]["result"] == "FC"
+    assert cli._build_parser() is parser
+    assert parser.parse_args(["validate", "f.json"]).instance == "f.json"
+
+
 def test_analyze_out_writes_file_and_mutes_stdout(tmp_path, capsys):
     target = tmp_path / "report.json"
     rc, out, _ = run(["analyze", path_of("gf3_c2_twisted"),

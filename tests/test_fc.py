@@ -1,13 +1,16 @@
 """Verdict assembly, quotient and crossed-product constructions, probes."""
 
+import itertools
 import json
 import math
 import random
+import time
 
 import pytest
 
 import fcunits.fc as fc
 from fcunits.algebra import try_invert
+from fcunits.cocycles import Cocycle
 from fcunits.errors import (
     CapExceeded,
     CertificateFailed,
@@ -442,8 +445,11 @@ def test_crossed_product_factor_set_values_gf7():
         seen.add(int(eigen.to_json()))
         h1 = cp.quotient.element((1, 0))
         h2 = cp.quotient.element((0, 1))
-        assert cp.factor_value(h1, h2) == e.scale(eigen)
-        assert cp.factor_value(h2, h1) == e
+        # mu(h1, h2) is the monomial u_z of the torsion subalgebra, which
+        # the component reads as the cube root eigen times e
+        assert cp.factor_value(h1, h2) == uz
+        assert cp.factor_value(h1, h2) * e == e.scale(eigen)
+        assert cp.factor_value(h2, h1) == algebra.one
         assert cp.sigma_labels == {"f1": "identity", "f2": "identity"}
     assert seen == {1, 2, 4}
 
@@ -469,47 +475,109 @@ def test_crossed_product_needs_fc_conditions():
         fc.build_crossed_product(c3_z_rationals(), component_index=5)
 
 
-def test_identify_automorphism_frobenius_branch():
-    from fcunits.fields import gf
-    F4 = gf(2, 2, [1, 1, 1])
-    omega = F4.scalar((0, 1))
-    base = gf(2)
-    assert fc._identify_automorphism(base, omega, omega, 2) == "identity"
-    assert fc._identify_automorphism(base, omega, omega ** 2, 2) \
-        == "frobenius^1"
-    assert fc._identify_automorphism(base, omega, omega + F4.one, 2) \
-        == "frobenius^1"
+def _dense_factor_set_sides(cp, a, b, c):
+    """Both sides of mu(a, bc) mu(b, c) = mu(ab, c) sigma_c(mu(a, b)) as
+    dense products of component elements v u_t e, with sigma_c conjugation
+    by the coset representative unit."""
+    algebra, e, H = cp.algebra, cp.idempotent, cp.quotient
+    rep = algebra.basis_unit(cp.rep(c))
+    rep_inv = algebra.basis_unit_inverse(cp.rep(c))
+
+    def dense(h1, h2):
+        return cp.factor_value(h1, h2) * e
+    lhs = dense(a, H.mul(b, c)) * dense(b, c)
+    rhs = dense(H.mul(a, b), c) * (rep_inv * dense(a, b) * rep)
+    return lhs, rhs
 
 
-@pytest.mark.parametrize("field_spec, moved", [
-    ({"kind": "rationals"}, "nontrivial"),
-    ({"kind": "prime-power", "p": 2}, "frobenius^1"),
-], ids=["q", "gf2"])
-def test_identify_automorphism_gives_every_generator_one_label(field_spec,
-                                                                moved):
-    # the component F of K[C3] that holds a primitive cube root of 1,
-    # Q(zeta3) over Q and GF(4) over GF(2), is generated by the split's
-    # generator and by u^2 e alike; sigma = 1 fixes both, and the
-    # inversion u_g -> u_(g^-1) of the commutative K[C3] is conjugation
-    # on Q(zeta3) and the Frobenius on GF(4)
-    inst = mk({"field": field_spec,
+@pytest.mark.parametrize("name", [
+    "c2_z_gf3_twisted", "c3_z_rationals", "z2_to_c3_gf7", "q_c12_z"])
+def test_monomial_factor_set_agrees_with_the_dense_identity(name):
+    from fcunits import cli
+    from fcunits.cocycles import generator_box
+    if name == "q_c12_z":
+        inst = mk({"field": {"kind": "rationals"},
+                   "group": {"kind": "central-extension", "rank": 1,
+                             "torsion": {"invariants": [12]}},
+                   "cocycle": {}})
+    else:
+        inst = mk(cli.bundled_instance(name))
+    _, report, _ = fc.torsion_field_components(inst)
+    for index in range(len(report.components)):
+        cp = fc.build_crossed_product(inst, component_index=index)
+        e, H = cp.idempotent, cp.quotient
+        mu = cp.factor_value
+        for a, b, c in itertools.product(generator_box(H, 1), repeat=3):
+            lhs, rhs = _dense_factor_set_sides(cp, a, b, c)
+            mono_lhs = mu(a, H.mul(b, c)) * mu(b, c)
+            mono_rhs = mu(H.mul(a, b), c) * mu(a, b)
+            assert mono_lhs == mono_rhs and len(mono_lhs.terms) == 1
+            assert lhs == rhs == mono_lhs * e
+
+
+def test_crossed_products_of_q_c36_z_are_quick():
+    # the monomial check costs one group product and one lambda per side,
+    # where dense products of e u_t took seconds per component
+    inst = mk({"field": {"kind": "rationals"},
                "group": {"kind": "central-extension", "rank": 1,
-                         "torsion": {"invariants": [3]}},
+                         "torsion": {"invariants": [36]}},
                "cocycle": {}})
+    _, report, _ = fc.torsion_field_components(inst)
+    assert len(report.components) == 9
+    t0 = time.process_time()
+    for index in range(9):
+        cp = fc.build_crossed_product(inst, component_index=index)
+        assert cp.checked_triples == 343
+    assert time.process_time() - t0 < 2
+
+
+class _CrossTermCocycle(Cocycle):
+    """lambda(g, h) = (-1)^(t_g u_h) on Z x C2: a bilinear cocycle with a
+    cross term, outside the family, under which u_t anticommutes with
+    u_f, so no torsion unit but 1 is central."""
+
+    def raw(self, g, h):
+        return self.field.from_int(-1 if g.t * h.u[0] % 2 else 1).value
+
+
+def test_noncentral_component_generator_fails():
+    # T4 reads centrality off the family's shape, which this cocycle
+    # leaves; the crossed product's own certificate catches it
+    from fcunits.fields import gf
+    from fcunits.groups import make_group
+    group = make_group({"kind": "central-extension", "rank": 1,
+                        "torsion": {"invariants": [2]}})
+    field = gf(3)
+    inst = fc.Instance(field, group, _CrossTermCocycle(group, field))
+    assert fc.check_theorem4(inst).result == "FC"
+    with pytest.raises(CertificateFailed,
+                       match="the generator of a field component must be "
+                             "central"):
+        fc.build_crossed_product(inst)
+
+
+def test_decomposition_inverts_a_field_unit_times_a_coset_unit():
+    # on the Q(zeta3) component the corner part (u_t + 2) e2 u_f is a
+    # unit of the field times u_f, not a scalar multiple of e2 u_f
+    inst = c3_z_rationals()
     algebra, group = inst.algebra(), inst.group
-    S, report, _ = fc.torsion_field_components(inst)
-    comp = next(c for c in report.components if c.dim == 2)
-    e = S.to_ambient(comp.idempotent)
-    u2 = algebra.basis_unit(group.element(t=(2,)))
-
-    def inversion(x):
-        return type(x)(algebra, {group.inv(g): c for g, c in x.terms.items()})
-
-    gens = [S.to_ambient(comp.generator), u2 * e]
-    assert gens[0] != gens[1]
-    for sigma, label in ((lambda x: x, "identity"), (inversion, moved)):
-        assert [fc._identify_automorphism(inst.field, g, sigma(g), 2)
-                for g in gens] == [label, label]
+    _, report, idems = fc.torsion_field_components(inst)
+    dims = [c.dim for c in report.components]
+    e1, e2 = idems[dims.index(1)], idems[dims.index(2)]
+    uf = algebra.basis_unit(group.element(u=(1,)))
+    ut = algebra.basis_unit(group.element(t=(1,)))
+    x = e1 * uf + (ut + algebra.scalar(2)) * e2 * uf
+    res = try_invert(algebra, x, decomposition=idems)
+    assert res.status == "unit" and res.strategy == "decomposition"
+    assert x * res.inverse == res.inverse * x == algebra.one
+    # two free parts in one corner, and a corner part that is a zero
+    # divisor times u_f, are left unknown
+    for y, decomposition in ((e1 * (uf + uf * uf) + e2 * uf, idems),
+                             ((algebra.one - ut) * uf, [algebra.one])):
+        res = try_invert(algebra, y, decomposition=decomposition)
+        assert res.status == "unknown"
+        assert res.certificate == ("a component of x is not a unit of its "
+                                   "corner times one coset unit u_c")
 
 
 def test_sampled_units_invert_by_decomposition():

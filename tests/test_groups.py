@@ -150,7 +150,7 @@ def test_is_fc_certificates():
 def test_torsion_coset_system():
     # spec example: Z x C3 mod t(G), reps (u, 0)
     g = Group(1, InvariantsTorsion((3,)))
-    cosets = g.coset_system("torsion")
+    cosets = g.torsion_cosets()
     el = g.element((5,), (2,))
     h, t = cosets.factor(el)
     assert cosets.rep(h) == g.element((5,), (0,))
@@ -162,17 +162,10 @@ def test_torsion_coset_system():
     assert H.mul(h, h2) == H.element((3,), ())
 
 
-def test_coset_system_names_the_torsion_subgroup_by_string():
-    g = Group(1, InvariantsTorsion((3,)))
-    assert g.coset_system("torsion").quotient.rank == 1
-    with pytest.raises(InfiniteIndexUnsupported):
-        g.coset_system(("torsion",))
-
-
 def test_cyclic_coset_system_collapses_heisenberg():
     g = heisenberg_mod2()
     z = g.element((0, 0), (1,))
-    cosets = g.coset_system(("cyclic", z))
+    cosets = g.cyclic_cosets(z)
     H = cosets.quotient
     assert H.rank == 2 and H.torsion.size == 1 and H.pairing_matrix is None
     assert H.is_abelian
@@ -192,7 +185,7 @@ def test_cyclic_coset_system_in_finite_abelian():
     g = make_group({"kind": "central-extension", "rank": 0,
                     "torsion": {"invariants": [2, 4]}})
     a = g.element((), (1, 1))  # order 4, quotient of order 2
-    cosets = g.coset_system(("cyclic", a))
+    cosets = g.cyclic_cosets(a)
     assert cosets.quotient.torsion.size == 2
     reps = [cosets.rep(h) for h in cosets.quotient.elements()]
     assert len(reps) == 2
@@ -203,17 +196,24 @@ def test_cyclic_coset_system_in_finite_abelian():
 def test_cyclic_cosets_table_mode():
     g = s3_group()
     rot = g.element((), 4)  # a 3-cycle; <rot> = A3 is normal
-    cosets = g.coset_system(("cyclic", rot))
+    cosets = g.cyclic_cosets(rot)
     assert cosets.quotient.torsion.size == 2
     refl = g.element((), 1)
     with pytest.raises(InfiniteIndexUnsupported):
-        g.coset_system(("cyclic", refl))  # <(12)> is not normal in S3
+        g.cyclic_cosets(refl)  # <(12)> is not normal in S3
 
 
 def test_coset_system_rejects_free_generators():
     g = Group(1, InvariantsTorsion((3,)))
-    with pytest.raises(InfiniteIndexUnsupported):
-        g.coset_system(("cyclic", g.element((1,), (0,))))
+    with pytest.raises(InfiniteIndexUnsupported,
+                       match="needs a torsion element"):
+        g.cyclic_cosets(g.element((1,), (0,)))
+    p = make_group({"kind": "central-extension", "rank": 1,
+                    "torsion": {"invariants": [3]},
+                    "prufer": {"q": 2, "levels": 2}})
+    with pytest.raises(InfiniteIndexUnsupported,
+                       match="over a Pruefer coordinate"):
+        p.cyclic_cosets(p.element(t=(1,), s=Fraction(1, 2)))
 
 
 def test_finite_subgroup_closure():

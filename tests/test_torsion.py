@@ -143,7 +143,7 @@ def box_of(group):
 @pytest.mark.parametrize("group, a_coords, survives", CASES)
 def test_cyclic_quotient_properties(group, a_coords, survives):
     a = group.element(t=a_coords)
-    cosets = group.coset_system(("cyclic", a))
+    cosets = group.cyclic_cosets(a)
     H = cosets.quotient
     assert H.torsion.size == group.torsion.size // a.order()
     assert H.rank == group.rank and H.prufer == group.prufer
