@@ -339,33 +339,51 @@ def coboundary(group, field, mu_torsion, mu_free=None):
 
 def power_scalar(cocycle, g):
     """The scalar lambda_g with u_g^n = lambda_g * u_{g^n} for n = order(g)."""
-    group = cocycle.group
+    group, F, raw = cocycle.group, cocycle.field, cocycle.raw
     n = group.element_order(g)
     if n == math.inf:
         raise InfiniteOrder("power scalar needs a torsion element")
-    acc = cocycle.field.one
-    p = g
+    acc, p = F.raw_one, g
     for _ in range(n - 1):
-        acc = acc * cocycle(g, p)
+        acc = F.reduce(F.raw_mul(acc, raw(g, p)))
         p = group.mul(g, p)
-    return acc
+    return Scalar(F, acc)
 
 
 def commutator_scalar(cocycle, a, b):
     """Scalar c with [u_a, u_b] = c * u_{[a,b]} (basis unit commutator).
 
-    Five cocycle factors: the two inverse normalizations and the three
-    products in a^-1 b^-1 a b.
+    Five raw cocycle values: the three products in a^-1 b^-1 a b over the
+    two inverse normalizations.
     """
-    group = cocycle.group
-    ai = group.inv(a)
-    bi = group.inv(b)
-    val = cocycle(ai, a).inv() * cocycle(bi, b).inv()
-    val = val * cocycle(ai, bi)
+    group, F, raw = cocycle.group, cocycle.field, cocycle.raw
+    mul, reduce = F.raw_mul, F.reduce
+    ai, bi = group.inv(a), group.inv(b)
     ab = group.mul(ai, bi)
-    val = val * cocycle(ab, a)
-    val = val * cocycle(group.mul(ab, a), b)
-    return val
+    c = mul(mul(raw(ai, bi), raw(ab, a)), raw(group.mul(ab, a), b))
+    return Scalar(F, reduce(mul(c, F.raw_inv(
+        reduce(mul(raw(ai, a), raw(bi, b)))))))
+
+
+def conjugation_map(cocycle, a):
+    """Conjugation y -> u_a^-1 y u_a on raw terms {h: c}: each term c u_h
+    maps to the one term c s lambda(a^-1, h) lambda(a^-1 h, a) u_(a^-1 h a)
+    with s = lambda(a^-1, a)^-1; the image of each h is kept."""
+    group, F, lam = cocycle.group, cocycle.field, cocycle.raw
+    ai, seen = group.inv(a), {}
+    s = F.raw_inv(lam(ai, a))
+
+    def conjugate(terms):
+        out = {}
+        for h, c in terms.items():
+            if h not in seen:
+                g = group.mul(ai, h)
+                seen[h] = group.mul(g, a), F.raw_mul(s, F.raw_mul(
+                    lam(ai, h), lam(g, a)))
+            g, v = seen[h]
+            out[g] = F.reduce(F.raw_mul(c, v))
+        return out
+    return conjugate
 
 
 class ScalarOrbit:
@@ -380,12 +398,14 @@ class ScalarOrbit:
 
 
 def condition4_set(cocycle, g, prufer_level=None):
-    group = cocycle.group
+    """The `ScalarOrbit` of g: c with u_h^-1 u_g u_h = c u_(h^-1 g h), from
+    three raw cocycle values per torsion h; one Scalar per distinct c."""
+    group, F, raw = cocycle.group, cocycle.field, cocycle.raw
+    mul, inv = F.raw_mul, F.raw_inv
     values = set()
     for h in group.torsion_elements(prufer_level):
         hi = group.inv(h)
-        val = cocycle(h, hi).inv() * cocycle(hi, g)
-        val = val * cocycle(group.mul(hi, g), h)
-        values.add(val)
-    return ScalarOrbit(g, frozenset(values), len(values),
-                       truncated=group.prufer is not None)
+        values.add(F.reduce(mul(mul(raw(hi, g), raw(group.mul(hi, g), h)),
+                                inv(raw(h, hi)))))
+    return ScalarOrbit(g, frozenset(Scalar(F, v) for v in values),
+                       len(values), truncated=group.prufer is not None)

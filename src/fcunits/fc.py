@@ -24,10 +24,11 @@ central, has no code: on this family it holds whenever L4 does (see
 witness.  The constructions the positive criteria rest on (the quotient
 by a central involution and the component-wise crossed product) are
 exposed as operations and verify themselves before returning.  The
-crossed product is read off the monomial law u_g u_h = lambda(g, h) u_gh:
-once T4 passes, the torsion part is central (see `necessary_conditions`),
-so every coefficient automorphism is the identity and every factor-set
-value is one monomial v u_t.
+crossed product and the orbit probes are read off the monomial law
+u_g u_h = lambda(g, h) u_gh: once T4 passes, the torsion part is central
+(see `necessary_conditions`), so every coefficient automorphism is the
+identity and every factor-set value is one monomial v u_t; conjugation
+by a generator unit maps each term to one term.
 """
 
 import functools
@@ -50,6 +51,7 @@ from .cocycles import (
     cocycle_from_json,
     commutator_scalar,
     condition4_set,
+    conjugation_map,
     generator_box,
     power_scalar,
     validate_cocycle,
@@ -502,17 +504,17 @@ def _is_two_power(n):
     return n & (n - 1) == 0
 
 
-def _condition4_reports(inst):
-    group, cocycle = inst.group, inst.cocycle
+def _condition4_report(inst, cid, note="value sets over t(G) are finite by "
+                       "construction; cardinalities reported"):
+    """The condition-4 report: each generator's value-set cardinality."""
     level = inst.prufer_level
     details = {}
-    for label, g in group.generators():
-        orbit = condition4_set(cocycle, g, prufer_level=level)
-        entry = {"cardinality": orbit.cardinality}
+    for label, g in inst.group.generators():
+        orbit = condition4_set(inst.cocycle, g, prufer_level=level)
+        entry = details[label] = {"cardinality": orbit.cardinality}
         if orbit.truncated:
             entry["truncated_at_level"] = level
-        details[label] = entry
-    return details
+    return ConditionReport(cid, True, details, note)
 
 
 def check_theorem3(inst, seed=0):
@@ -576,10 +578,7 @@ def check_theorem3(inst, seed=0):
         c3 = ConditionReport("T3.3", report.is_sum_of_fields, summary)
         evidence["decompositions"] = summary
 
-    c4 = ConditionReport(
-        "T3.4", True, _condition4_reports(inst),
-        note="value sets over t(G) are finite by construction; "
-             "cardinalities reported")
+    c4 = _condition4_report(inst, "T3.4")
 
     conditions = [c1, c2, c3, c4]
     result = "FC" if all(c.passed for c in conditions) else "NotFC"
@@ -800,10 +799,7 @@ def check_theorem4(inst, seed=0):
             note="idempotents not enumerated: the torsion subalgebra is "
                  "noncommutative")
 
-    c2 = ConditionReport(
-        "T4.2", True, _condition4_reports(inst),
-        note="value sets over t(G) are finite by construction; "
-             "cardinalities reported")
+    c2 = _condition4_report(inst, "T4.2")
 
     if field.is_finite():
         c4 = ConditionReport(
@@ -872,13 +868,12 @@ def build_crossed_product(inst, component_index=0, seed=0):
     `CrossedProduct`), verified before it is returned.
 
     F is a component of the torsion subalgebra cut by its central
-    primitive idempotent e, and H = G/t(G) is free abelian.  One
-    certificate shows every coefficient automorphism trivial: the
-    component's generator is central.  With sigma trivial, the
-    factor-set identity mu(a, bc) mu(b, c) = mu(ab, c) mu(a, b) is
-    compared on the monomials v u_t, before the factor e, on every
-    triple of the generator box, whose radius is cut down from
-    `caps.box_radius` until at most FACTOR_SET_TRIPLE_CAP triples remain.
+    primitive idempotent e, and H = G/t(G) is free abelian.  With sigma
+    trivial (certified), the factor-set identity mu(a, bc) mu(b, c) =
+    mu(ab, c) mu(a, b) is compared on the monomials v u_t, before the
+    factor e, on every triple of the generator box, whose radius is cut
+    down from `caps.box_radius` until at most FACTOR_SET_TRIPLE_CAP
+    triples remain; if radius 1 leaves more, CapExceeded is raised first.
     """
     v = check_theorem4(inst, seed=seed)
     if v.result != "FC":
@@ -907,12 +902,14 @@ def build_crossed_product(inst, component_index=0, seed=0):
         checked_radius=0, checked_triples=0)
 
     radius = inst.caps.box_radius
-    while radius > 1 and (2 * radius + 1) ** (3 * H.rank) \
+    while (triples := (2 * radius + 1) ** (3 * H.rank)) \
             > FACTOR_SET_TRIPLE_CAP:
+        if radius == 1:
+            raise CapExceeded(f"{triples} triples at radius 1 exceed "
+                              f"the cap of {FACTOR_SET_TRIPLE_CAP}")
         radius -= 1
     box = generator_box(H, radius)
     mu = functools.cache(cp.factor_value)
-    triples = 0
     for a in box:
         for b in box:
             for c in box:
@@ -920,7 +917,6 @@ def build_crossed_product(inst, component_index=0, seed=0):
                         != mu(H.mul(a, b), c) * mu(a, b):
                     raise ConditionsNotMet(
                         f"factor-set identity fails at {a!r}, {b!r}, {c!r}")
-                triples += 1
     cp.checked_radius = radius
     cp.checked_triples = triples
     return cp
@@ -1046,9 +1042,8 @@ def check_theorem5_truncated(inst, level=None, seed=0):
         note="the root stock stops at a finite level, which is the "
              "minimal-idempotent evidence for the untruncated algebra")
 
-    c2 = ConditionReport(
-        "T5.2", True, _condition4_reports(inst),
-        note="value sets computed at the truncation level")
+    c2 = _condition4_report(inst, "T5.2",
+                            "value sets computed at the truncation level")
 
     comm = group.commutator_subgroup()
     box = generator_box(group, 1)
@@ -1056,16 +1051,14 @@ def check_theorem5_truncated(inst, level=None, seed=0):
     order_mismatches = []
     for a in box:
         for b in box:
-            g = group.commutator(a, b)
-            c = commutator_scalar(cocycle, a, b)
-            if g == group.identity and c != field.one:
-                scalar_viols.append({"pair": [a, b], "scalar": c})
-            elif g != group.identity:
+            if group.commutator(a, b) != group.identity:
                 rep = commutator_order_check(inst, a, b)
                 if not rep.equal:
                     order_mismatches.append({"pair": [a, b],
                                              "orders": [rep.group_order,
                                                         rep.unit_order]})
+            elif (c := commutator_scalar(cocycle, a, b)) != field.one:
+                scalar_viols.append({"pair": [a, b], "scalar": c})
     c3 = ConditionReport(
         "T5.3", not scalar_viols and not order_mismatches,
         {"commutator_subgroup_order": len(comm.elements),
@@ -1109,7 +1102,7 @@ def check_theorem5_truncated(inst, level=None, seed=0):
     vecs = list(map(S.from_ambient, chain))
     chain_ok = all(S.fd.mul(a, b) == b == S.fd.mul(b, a)
                    for a, b in zip(vecs, vecs[1:]))
-    distinct = len({_element_key(e) for e in chain}) == len(chain)
+    distinct = len({frozenset(e.terms.items()) for e in chain}) == len(chain)
     evidence["decompositions"]["idempotent_chain"] = {
         "length": len(chain), "absorbing": chain_ok, "distinct": distinct}
 
@@ -1160,10 +1153,6 @@ def commutator_order_check(inst, a, b):
     return CommutatorOrderReport(n, unit_order, unit_order == n, gamma)
 
 
-def _element_key(x):
-    return frozenset(x.terms.items())
-
-
 class OrbitProbe:
     def __init__(self, sizes, stabilized, capped):
         self.sizes = sizes
@@ -1182,6 +1171,13 @@ def probe_conjugates(inst, x, depth=None):
     Evidence, never proof: stabilization within the depth is consistent
     with finitely many conjugates; growth to the cap is consistent with
     infinitely many.
+
+    Conjugation is a term map (`conjugation_map`): lambda is normalized,
+    so u_a^-1 = s u_(a^-1) with s = lambda(a^-1, a)^-1, and the monomial
+    law gives u_a^-1 u_h u_a = s lambda(a^-1, h) lambda(a^-1 h, a)
+    u_(a^-1 h a).  u_a u_h u_a^-1 is conjugation by u_(a^-1), which is
+    u_a^-1 times a scalar.  h -> a^-1 h a permutes G, so no terms merge
+    and none vanishes: each conjugate is the dense product's.
     """
     algebra = inst.algebra()
     if depth is None:
@@ -1192,31 +1188,28 @@ def probe_conjugates(inst, x, depth=None):
     res = try_invert(algebra, x)
     if not res.is_unit:
         raise NotUnitError(f"orbit probing needs a unit: {res.certificate}")
-    pairs = []
-    for _, g in inst.group.generators():
-        pairs.append((algebra.basis_unit(g), algebra.basis_unit_inverse(g)))
-    orbit = {_element_key(x)}
-    frontier = [x]
-    sizes = [1]
-    stabilized = False
-    capped = False
+    group, maps = inst.group, []
+    for _, a in group.generators():
+        maps += [conjugation_map(inst.cocycle, a),
+                 conjugation_map(inst.cocycle, group.inv(a))]
+    orbit = {frozenset(x.terms.items())}
+    frontier, sizes, stabilized, capped = [x.terms], [1], False, False
     for _ in range(depth):
         new = []
         for y in frontier:
-            for u, uinv in pairs:
-                for z in (uinv * y * u, u * y * uinv):
-                    k = _element_key(z)
-                    if k not in orbit:
-                        orbit.add(k)
-                        new.append(z)
+            for conjugate in maps:
+                z = conjugate(y)
+                k = frozenset(z.items())
+                if k not in orbit:
+                    orbit.add(k)
+                    new.append(z)
             if len(orbit) > ORBIT_SIZE_CAP:
                 capped = True
                 break
+        sizes.append(len(orbit))
         if capped:
-            sizes.append(len(orbit))
             break
         frontier = new
-        sizes.append(len(orbit))
         if not new:
             stabilized = True
             break

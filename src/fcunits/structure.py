@@ -283,18 +283,21 @@ class FiniteSubalgebra:
     """The span of the basis units of a finite subgroup, as a
     `GroupFDAlgebra` plus maps between its raw vectors and the ambient
     algebra's elements.  The subgroup's elements have finite order, so
-    free part u = 0, and their products and lambda(g, h) are read off keys
-    (`FiniteSubgroup.product_table` has the proof)."""
+    free part u = 0, and their products are read off keys
+    (`FiniteSubgroup.product_table` has the proof).  So is lambda(g, h):
+    with u = 0 the bilinear factor is 1, and lambda(g, h) is the torsion
+    value raw_table[g.t * |T| + h.t]."""
 
     def __init__(self, algebra, subgroup):
         self.algebra = algebra
         self.subgroup = subgroup
         prod, one = subgroup.product_table()
-        lam, elements = algebra.cocycle.raw, subgroup.elements
+        table, elements = algebra.cocycle.raw_table, subgroup.elements
+        n = algebra.group.torsion.size
         self.fd = GroupFDAlgebra(
             algebra.field, prod,
-            [[lam(g, h) for h in elements] for g in elements], one,
-            lambda i: f"u[{elements[i]!r}]")
+            [[table[g.t * n + h.t] for h in elements] for g in elements],
+            one, lambda i: f"u[{elements[i]!r}]")
 
     def to_ambient(self, vec):
         return AlgebraElement(self.algebra, dict(zip(self.subgroup.elements,
