@@ -101,6 +101,13 @@ class Cocycle:
         self.group._check(g, h)
         return Scalar(self.field, self.raw(g, h))
 
+    def asymmetric_pair(self):
+        """The first torsion key pair (a, b), a then b in key order, with
+        tau(a, b) != tau(b, a), or None when the table is symmetric."""
+        n, raw = self._size, self.raw_table
+        return next(((a, b) for a in range(n) for b in range(n)
+                     if raw[a * n + b] != raw[b * n + a]), None)
+
     @property
     def is_normalized(self):
         """lambda(1, g) = lambda(g, 1) = 1, i.e. identity row/column trivial."""
@@ -199,6 +206,50 @@ def generator_box(group, radius):
             for t in group.torsion.keys()]
 
 
+def offset_pairs(group, box_radius):
+    """{(c1, c2): (u, v, w)}: every pair of pairing offsets c1 = beta(u, v)
+    and c2 = beta(v, w) achieved on the free box, each with the first
+    witnesses (u, v, w) the box order gives it, the middle coordinate
+    shared so that joint achievability is exact.  With no pairing, the
+    one pair (0, 0) at the origin.
+
+    Each scan stops once nothing can change: a form's witnesses once all
+    L residues have one, and the pairs once all L^2 have one.  setdefault
+    keeps a first witness, so the dict, its order and every witness are
+    those of the scan of the whole box."""
+    zero_u = (0,) * group.rank
+    if group.rank == 0 or group.pairing_matrix is None:
+        return {(0, 0): (zero_u, zero_u, zero_u)}
+    L = group.pairing_order
+    M = group.pairing_matrix
+    box = free_box(group, box_radius)
+    firsts = {}
+
+    def witnesses(form):
+        # beta(u, v) = u . (M v) and beta(v, u) = (v^T M) . u: the first
+        # u of the box for each residue of the linear form mod L
+        form = tuple(x % L for x in form)
+        if form not in firsts:
+            wit = firsts[form] = {}
+            for u in box:
+                wit.setdefault(sum(map(operator.mul, u, form)) % L, u)
+                if len(wit) == L:
+                    break
+        return firsts[form]
+
+    pairs = {}
+    for v in box:
+        c1_wit = witnesses([sum(map(operator.mul, row, v)) for row in M])
+        c2_wit = witnesses([sum(map(operator.mul, col, v))
+                            for col in zip(*M)])
+        for c1, uw in c1_wit.items():
+            for c2, ww in c2_wit.items():
+                pairs.setdefault((c1, c2), (uw, v, ww))
+        if len(pairs) == L * L:
+            break
+    return pairs
+
+
 def validate_cocycle(group, cocycle, box_radius=3):
     """Check the cocycle identity over the generator box.
 
@@ -208,43 +259,15 @@ def validate_cocycle(group, cocycle, box_radius=3):
     bilinear part cancels identically: B(u,v) + B(u+v,w) - B(v,w) - B(u,v+w)
     expands by linearity in each argument into terms that cancel in pairs,
     for every bilinear form B and every witness.  The validator therefore
-    enumerates the achievable offset pairs with free-coordinate witnesses,
-    sharing the middle coordinate so joint achievability is exact, and then
-    checks every torsion triple against every achievable pair.  This checks
-    exactly the same set of identities as brute-force enumeration of the
-    box, at a fraction of the cost; counterexamples are reconstructed from
-    the stored witnesses and re-verified by direct evaluation before being
-    returned.
+    enumerates the achievable offset pairs with free-coordinate witnesses
+    (`offset_pairs`), and then checks every torsion triple against every
+    achievable pair.  This checks exactly the same set of identities as
+    brute-force enumeration of the box, at a fraction of the cost;
+    counterexamples are reconstructed from the stored witnesses and
+    re-verified by direct evaluation before being returned.
     """
     tor = group.torsion
-    zero_u = (0,) * group.rank
-    if group.rank == 0 or group.pairing_matrix is None:
-        pairs = {(0, 0): (zero_u, zero_u, zero_u)}
-    else:
-        L = group.pairing_order
-        M = group.pairing_matrix
-        box = free_box(group, box_radius)
-        firsts = {}
-
-        def witnesses(form):
-            # beta(u, v) = u . (M v) and beta(v, u) = (v^T M) . u: the first
-            # u of the box for each residue of the linear form mod L
-            form = tuple(x % L for x in form)
-            if form not in firsts:
-                wit = firsts[form] = {}
-                for u in box:
-                    wit.setdefault(sum(map(operator.mul, u, form)) % L, u)
-            return firsts[form]
-
-        pairs = {}
-        for v in box:
-            c1_wit = witnesses([sum(map(operator.mul, row, v)) for row in M])
-            c2_wit = witnesses([sum(map(operator.mul, col, v))
-                                for col in zip(*M)])
-            for c1, uw in c1_wit.items():
-                for c2, ww in c2_wit.items():
-                    pairs.setdefault((c1, c2), (uw, v, ww))
-
+    pairs = offset_pairs(group, box_radius)
     n, table = tor.size, tor.table
     mul, reduce = cocycle.field.raw_mul, cocycle.field.reduce
     raw = cocycle.raw_table

@@ -401,7 +401,9 @@ def _primitive_counts_by_level(inst, levels, seed, keys=None):
 
 
 def _torsion_commutativity_witness(inst):
-    """None, or a witness that the torsion subalgebra is noncommutative."""
+    """None, or a witness that the torsion subalgebra is noncommutative.
+    A torsion element has u = 0, so lambda(g, h) = tau(t_g, t_h), and the
+    table is read by torsion keys; Scalars are made for the witness only."""
     group, cocycle = inst.group, inst.cocycle
     tor = group.torsion
     if not tor.is_abelian:
@@ -413,17 +415,15 @@ def _torsion_commutativity_witness(inst):
                         {"pair": [group.from_key(a), group.from_key(b)]},
                         "t(G) is nonabelian")
         raise AssertionError("nonabelian table without a witness pair")
-    torsion = group.torsion_elements(prufer_level=0)
-    for h1 in torsion:
-        for h2 in torsion:
-            v12, v21 = cocycle(h1, h2), cocycle(h2, h1)
-            if v12 != v21:
-                return ConditionReport(
-                    "L4.torsion-commutative", False,
-                    {"pair": [h1, h2], "values": [v12, v21]},
-                    "the cocycle is asymmetric on a torsion pair, so the "
-                    "torsion subalgebra is noncommutative")
-    return None
+    pair = cocycle.asymmetric_pair()
+    if pair is None:
+        return None
+    h1, h2 = map(group.from_key, pair)
+    return ConditionReport(
+        "L4.torsion-commutative", False,
+        {"pair": [h1, h2], "values": [cocycle(h1, h2), cocycle(h2, h1)]},
+        "the cocycle is asymmetric on a torsion pair, so the "
+        "torsion subalgebra is noncommutative")
 
 
 def necessary_conditions(inst):
@@ -454,9 +454,11 @@ def necessary_conditions(inst):
                 "a torsion element is noncentral while K is infinite"))
         else:
             torsion = group.torsion_elements(prufer_level=0)
+            raw, n = inst.cocycle.raw_table, group.torsion.size
             for g in generator_box(group, 1):
+                # u_h = 0, so lambda(g, h) = tau(t_g, t_h)
                 hit = next((h for h in torsion
-                            if inst.cocycle(g, h) != inst.cocycle(h, g)), None)
+                            if raw[g.t * n + h.t] != raw[h.t * n + g.t]), None)
                 if hit is not None:
                     violations.append(ConditionReport(
                         "L6.torsion-central", False,
@@ -492,9 +494,7 @@ def algebra_is_commutative(inst):
     group, cocycle, field = inst.group, inst.cocycle, inst.field
     if not group.is_abelian:
         return False
-    tor = group.torsion
-    if any(cocycle.tau(a, b) != cocycle.tau(b, a)
-           for a in tor.keys() for b in tor.keys()):
+    if cocycle.asymmetric_pair() is not None:
         return False
     return all(cocycle.zeta ** e == field.one
                for row in cocycle.matrix for e in row if e)

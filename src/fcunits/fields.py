@@ -30,10 +30,10 @@ coefficient lists.  The operators read logarithm tables and Zech's
 logarithms log(1 + g^d) (K. Huber, "Some comments on Zech's logarithms",
 IEEE Trans. IT 36, 1990): the first one a field object is asked for walks
 the powers of a generator g of its multiplicative group, certifies the
-walk and the Zech list on the polynomial layer, and installs all five on
-the object; then a product is exp[log a + log b] and a sum a + b =
-a (1 + b / a) is exp[log a + zech[log b - log a]].  Rational polynomials
-are factored on the same layer, over Z by the modular route
+walk by the linear map of g and the Zech list by its orbits, and installs
+all five on the object; then a product is exp[log a + log b] and a sum
+a + b = a (1 + b / a) is exp[log a + zech[log b - log a]].  Rational
+polynomials are factored on the same layer, over Z by the modular route
 (`poly_factor_rational`), which splits modulo p by the distinct-degree
 splitting (`_distinct_degree`) that tests irreducibility over every
 finite field.  Roots are read off one evaluation at all q elements at
@@ -76,16 +76,7 @@ MAX_EXTENSION_DEGREE = 8
 
 
 def is_prime(n):
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
 def prime_factors(n):
@@ -185,12 +176,17 @@ def poly_powmod(F, a, n, m):
                  (F.raw_one,))
 
 
+def poly_monic(F, a):
+    """A nonzero a over its leading coefficient."""
+    c = F.raw_inv(a[-1])
+    return tuple(F.reduce(F.raw_mul(x, c)) for x in a)
+
+
 def poly_gcd(F, a, b):
     """The monic greatest common divisor of a and b, not both zero."""
     while b:
         a, b = b, poly_divmod(F, a, b)[1]
-    c = F.raw_inv(a[-1])
-    return tuple(F.reduce(F.raw_mul(x, c)) for x in a)
+    return poly_monic(F, a)
 
 
 def poly_inv_mod(F, a, m):
@@ -256,10 +252,8 @@ def poly_irreducible(F, m):
     made monic by distinct degrees finds one factor of full degree (a
     reducible m, squarefree or not, has a factor of degree <= deg m / 2,
     found at that step)."""
-    n = len(m) - 1
-    c = F.raw_inv(m[-1])
-    m = tuple(F.reduce(F.raw_mul(x, c)) for x in m)
-    return _distinct_degree(F, m) == [(n, m)]
+    m = poly_monic(F, m)
+    return _distinct_degree(F, m) == [(len(m) - 1, m)]
 
 
 def poly_roots(F, a):
@@ -295,13 +289,20 @@ def poly_roots(F, a):
 _FACTOR_PRIMES = 5      # good primes whose modular factor counts are compared
 
 
-class _Residues:
-    """Z/m with the raw ops the poly_* routines read.  m need not be prime
-    as long as only unit leading coefficients are divided by."""
+class _PlainOps:
+    # on ints (over GF(p) and Z/m they may leave [0, m) until `reduce`) and
+    # on Fractions
 
     raw_add = staticmethod(operator.add)
     raw_sub = staticmethod(operator.sub)
     raw_mul = staticmethod(operator.mul)
+    raw_neg = staticmethod(operator.neg)
+
+
+class _Residues(_PlainOps):
+    """Z/m with the raw ops the poly_* routines read.  m need not be prime
+    as long as only unit leading coefficients are divided by."""
+
     raw_zero = 0
     raw_one = 1
 
@@ -315,17 +316,8 @@ class _Residues:
         return pow(a, -1, self.m)
 
 
-class _Integers(_Residues):
-    """Z itself, for sums, products and trims; it has no division."""
-
-    def __init__(self):
-        super().__init__(0)
-
-    def reduce(self, a):
-        return a
-
-
-_ZZ = _Integers()
+_ZZ = _Residues(0)
+_ZZ.reduce = operator.pos       # Z itself, for sums, products and trims
 
 
 def _zz_primitive(a):
@@ -451,8 +443,7 @@ def _hensel_lift(p, k, f, factors):
     on, so every level costs k steps."""
     M = p ** (2 ** k)
     if len(factors) == 1:
-        c = pow(f[-1], -1, M)
-        return [tuple(x * c % M for x in f)]
+        return [poly_monic(_Residues(M), f)]
     P = _Residues(p)
     half = len(factors) // 2
     g = (f[-1] % p,)
@@ -540,8 +531,7 @@ def _zz_factor_squarefree(f):
         if not is_prime(p) or f[-1] % p == 0:
             continue
         F = PrimeField(p)
-        c = pow(f[-1], -1, p)
-        fp = tuple(x * c % p for x in f)
+        fp = poly_monic(F, f)
         if len(poly_gcd(F, fp, poly_trim(F, [x % p for x in
                                              _zz_derivative(fp)]))) > 1:
             continue
@@ -622,10 +612,7 @@ class Scalar:
         return Scalar(F, F.reduce(F.raw_neg(self.value)))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -648,9 +635,8 @@ class Scalar:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return power(self.inv(), -n, operator.mul, self.field.one)
-        return power(self, n, operator.mul, self.field.one)
+        return power(self.inv() if n < 0 else self, abs(n), operator.mul,
+                     self.field.one)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -703,8 +689,7 @@ class Field:
     def scalar(self, raw):
         return Scalar(self, self._canonical(raw))
 
-    def from_int(self, n):
-        return Scalar(self, self._canonical(n))
+    from_int = scalar
 
     def size(self):
         return None
@@ -732,20 +717,13 @@ class Field:
     def value_sort_key(self, v):
         return (v,)
 
+    value_repr = staticmethod(str)
+
     def __repr__(self):
         return self.shortname()
 
 
-class _PlainField(Field):
-    # ints (over GF(p) they may leave [0, p) until `reduce`) and Fractions
-
-    raw_add = staticmethod(operator.add)
-    raw_sub = staticmethod(operator.sub)
-    raw_mul = staticmethod(operator.mul)
-    raw_neg = staticmethod(operator.neg)
-
-
-class PrimeField(_PlainField):
+class PrimeField(_PlainOps, Field):
     kind = "prime"
 
     def __init__(self, p):
@@ -782,11 +760,7 @@ class PrimeField(_PlainField):
     def value_to_json(self, v):
         return v
 
-    def value_from_json(self, obj):
-        return self._canonical(obj)
-
-    def value_repr(self, v):
-        return str(v)
+    value_from_json = _canonical
 
 
 class ExtensionField(Field):
@@ -810,8 +784,7 @@ class ExtensionField(Field):
                 f"(constant first), got {len(modulus)}")
         if modulus[-1] == 0:
             raise InstanceFormatError("modulus leading coefficient vanishes")
-        lead_inv = base.raw_inv(modulus[-1])
-        modulus = tuple(c * lead_inv % p for c in modulus)
+        modulus = poly_monic(base, modulus)
         if not poly_irreducible(base, modulus):
             raise ReducibleModulus(
                 f"modulus {list(modulus)} is reducible over GF({p})")
@@ -838,8 +811,8 @@ class ExtensionField(Field):
     def _canonical(self, raw):
         if isinstance(raw, int) and not isinstance(raw, bool):
             return raw % self.p * self.raw_one
-        raw = poly_trim(self.base, [c % self.p for c in int_entries(
-            raw, "extension field scalar coefficients")])
+        raw = [c % self.p for c in int_entries(
+            raw, "extension field scalar coefficients")]
         return self._code(poly_divmod(self.base, raw, self.modulus)[1])
 
     def __getattr__(self, name):
@@ -849,11 +822,6 @@ class ExtensionField(Field):
         self._build_tables()
         return vars(self)[name]
 
-    def _poly_product(self, a, b):
-        """a * b on the polynomial layer, for trimmed a and b."""
-        return poly_divmod(self.base, poly_mul(self.base, a, b),
-                           self.modulus)[1]
-
     def _build_tables(self):
         """Install the five raw operators on this object, as closures over
         the tables of a generator g of order n = q - 1: `log[v]`, Z = 2n - 1
@@ -862,32 +830,31 @@ class ExtensionField(Field):
         log(1 + g^d), Z where 1 + g^d = 0, stored twice over so that a
         difference of two logs indexes it as it stands.  g is the first
         element whose order the prime factors r of n show (g^(n/r) != 1).
-        Times g is the k x k map over GF(p) whose column j is x^j g on the
-        polynomial layer; the powers of g are walked with it."""
-        base, m, k, n = self.base, self.modulus, self.k, self.size() - 1
-        primes = prime_factors(n)
+        Times g is the k x k map over GF(p) whose column j is x^j g mod m
+        on the polynomial layer; the powers of g are walked with it as
+        digit lists and kept as codes."""
+        base, k, n, p = self.base, self.k, self.size() - 1, self.p
         g = next(x for x in (poly_trim(base, self._digits(v))
                              for v in range(1, n + 1))
-                 if all(poly_powmod(base, x, n // r, m) != (1,)
-                        for r in primes))
-        rows = list(zip(*(self._digits(self._code(self._poly_product(
-            (0,) * j + (1,), g))) for j in range(k))))
-        powers, v = [], [1] + [0] * (k - 1)
+                 if all(poly_powmod(base, x, n // r, self.modulus) != (1,)
+                        for r in prime_factors(n)))
+        rows = list(zip(*(self._digits(self._code(poly_divmod(
+            base, (0,) * j + g, self.modulus)[1])) for j in range(k))))
+        exp, v, mul = [], self._digits(self.raw_one), operator.mul
         for _ in range(n):
-            powers.append(poly_trim(base, v))
-            v = [sum(map(operator.mul, row, v)) % self.p for row in rows]
-        self._certify_tables(g, powers)
-        codes = list(map(self._code, powers))
+            exp.append(sum(map(mul, v, self._places)))
+            v = [sum(map(mul, row, v)) % p for row in rows]
+        self._certify_tables(g, exp)
         Z = 2 * n - 1
         log = [Z] * (n + 1)
-        for i, c in enumerate(codes):
+        for i, c in enumerate(exp):
             log[c] = i
-        exp = (codes + codes)[:Z] + [0] * (Z + 1)
         # 1 + v adds 1 to the most significant digit of v, modulo p
-        zech = [log[(c + self.raw_one) % (n + 1)] for c in codes]
-        self._certify_zech(powers, zech)
+        zech = [log[(c + self.raw_one) % (n + 1)] for c in exp]
+        self._certify_zech(exp, zech)
+        exp = (exp + exp)[:Z] + [0] * (Z + 1)
         zech += zech
-        minus = n // 2 if self.p > 2 else 0        # log(-1)
+        minus = n // 2 if p > 2 else 0        # log(-1)
 
         def raw_add(a, b):
             if a and b:
@@ -916,28 +883,65 @@ class ExtensionField(Field):
         vars(self).update(raw_add=raw_add, raw_sub=raw_sub, raw_neg=raw_neg,
                           raw_mul=raw_mul, raw_inv=raw_inv)
 
-    def _certify_tables(self, g, powers):
-        """powers[i] = g^i for i < q - 1, as trimmed polynomials, are q - 1
-        distinct nonzero elements, each the previous one times g."""
-        n = self.size() - 1
-        certify(len(powers) == n and () not in powers
-                and len(set(powers)) == n,
+    def _certify_tables(self, g, exp):
+        """exp[i] = g^i for every i < n = q - 1, as codes, by k
+        reductions on the polynomial layer and int checks.  exp must hold
+        each of the n nonzero codes 1 .. n once.  Column j of the matrix M
+        over GF(p) of a -> g a is x^j g mod m, which this check reaches by
+        a route of its own: column 0 is g and column j + 1 is x times
+        column j, mod m.  So M a = sum_j a_j x^j g = g a for every a, by
+        linearity.  Then exp[0] = 1 and exp[i + 1] = M exp[i] for every i,
+        exp[0] = M exp[n - 1] included, give exp[i] = g^i by induction on
+        i, and g^n = 1; the n distinct powers make n the order of g.  M is
+        applied to the digit lists of all the codes at once, column by
+        column, not by the walk's loop; a code below q is its k digits, so
+        equal digits are equal elements."""
+        n, p, a = self.size() - 1, self.p, g
+        certify(len(exp) == n and set(exp) == set(range(1, n + 1)),
                 f"the powers of the generator of {self.shortname()} are "
                 f"not q - 1 distinct nonzero elements")
-        certify(all(self._poly_product(x, g) == y for x, y
-                    in zip(powers, powers[1:] + powers[:1])),
+        digits = [[c // place % p for c in exp] for place in self._places]
+        image = [[0] * n] * self.k      # digit r of g exp[i]: image[r][i] % p
+        for d in digits:
+            image = [list(map(operator.add, u, map(c.__mul__, d)))
+                     for u, c in zip(image, a + (0,) * self.k)]
+            a = poly_divmod(self.base, (0,) + a, self.modulus)[1]
+        certify(exp[0] == self.raw_one and all(
+            list(map(p.__rmod__, u)) == d[1:] + d[:1]
+            for u, d in zip(image, digits)),
                 f"the exp table of {self.shortname()} is not the walk of "
                 f"its generator")
 
-    def _certify_zech(self, powers, zech):
+    def _certify_zech(self, exp, zech):
         """zech[d] is the log of 1 + g^d for every d < n = q - 1, by the
-        certified powers, and reads 2n - 1, the log of 0, at d = n / 2 for
-        odd q and d = 0 for p = 2 only: there g^d = -1, as g has order n."""
-        n, one = len(powers), powers[0]
-        certify([d for d, z in enumerate(zech) if z == 2 * n - 1]
-                == [n // 2 if self.p > 2 else 0] and all(
-                    z == 2 * n - 1 or 0 <= z < n and powers[z] == poly_add(
-                        self.base, one, x) for z, x in zip(zech, powers)),
+        certified exp list, and reads 2n - 1, the log of 0, at d = s only,
+        s = n / 2 for odd q and 0 for p = 2: there g^d = -1, as g has order
+        n.  The true Zech function Z has Z(pd) = p Z(d), as 1 + g^(pd) =
+        (1 + g^d)^p, and Z(-d) = Z(d) - d, as 1 + g^(-d) = g^(-d)(1 + g^d),
+        both mod n (Huber).  Both are checked on ints at every d != s, and
+        `poly_add` at the first d of each orbit of <d -> pd, d -> -d> mod
+        n, the set of the +-p^i d, i < k, as p^k = q = 1 mod n.  Each map
+        carries a right entry to a right one, so by induction along its
+        orbit every entry is right.  s is fixed by both maps, g^(ps) =
+        (-1)^p = -1 = g^(-s), so it is an orbit of its own, checked by
+        itself, and no other orbit meets it.  No other entry reads 2n - 1
+        either: p is a unit mod n, so every d != s is p d' for a d' != s,
+        and the identity at d' puts zech[d] in [0, n)."""
+        n, p = len(exp), self.p
+        s = n // 2 if p > 2 else 0
+        seen, first = bytearray(n), []
+        for d in range(n):
+            if not seen[d]:
+                first.append(d)
+                for i in range(self.k):
+                    seen[d * p ** i % n] = seen[-d * p ** i % n] = 1
+        certify(zech[s] == 2 * n - 1
+                and all(zech[p * d % n] == p * z % n
+                        and zech[-d % n] == (z - d) % n
+                        for d, z in enumerate(zech) if d != s)
+                and all(exp[zech[d]] == self._code(poly_add(
+                    self.base, (1,), self._digits(exp[d])))
+                    for d in first if d != s),
                 f"the Zech list of {self.shortname()} is not log(1 + g^d)")
 
     def value_to_json(self, v):
@@ -954,7 +958,7 @@ class ExtensionField(Field):
         return str(self._digits(v))
 
 
-class RationalField(_PlainField):
+class RationalField(_PlainOps, Field):
     kind = "rationals"
 
     def __init__(self):
@@ -993,9 +997,6 @@ class RationalField(_PlainField):
                     f"bad rational literal {obj!r}") from exc
         raise InstanceFormatError(
             f"rational scalar must be an int or 'a/b' string, got {obj!r}")
-
-    def value_repr(self, v):
-        return str(v)
 
 
 @functools.cache
@@ -1076,9 +1077,8 @@ def solve_power_equation(field, n, target):
         return {target}
     if n == 2:
         root = _rational_sqrt(target.value)
-        if root is None:
-            return set()
-        return {field.scalar(root), field.scalar(-root)}
+        return set() if root is None else {field.scalar(root),
+                                           field.scalar(-root)}
     raise UnsupportedRationalDegree(
         f"rational root extraction supports n <= 2, got n = {n}")
 
@@ -1089,11 +1089,7 @@ def multiplicative_order(s):
         raise DivisionByZero("0 has no multiplicative order")
     field = s.field
     if not field.is_finite():
-        if s == field.one:
-            return 1
-        if s == -field.one:
-            return 2
-        return None
+        return {1: 1, -1: 2}.get(s.value)
     order = field.size() - 1
     for q in prime_factors(order):
         while order % q == 0 and s ** (order // q) == field.one:

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fcunits import cli, fc
 from fcunits.cocycles import (
     Cocycle,
     cocycle_from_json,
@@ -9,6 +10,7 @@ from fcunits.cocycles import (
     condition4_set,
     free_box,
     generator_box,
+    offset_pairs,
     power_scalar,
     trivial_cocycle,
     validate_cocycle,
@@ -21,6 +23,8 @@ from fcunits.errors import (
 )
 from fcunits.fields import gf, rationals
 from fcunits.groups import (
+    Group,
+    InvariantsTorsion,
     bilinear_exponent,
     cyclic_table,
     make_group,
@@ -446,3 +450,56 @@ def test_free_box_shapes():
     H = cayley_group(cyclic_table(3))
     assert free_box(H, 5) == [()]
     assert len(generator_box(H, 5)) == 3
+
+
+def full_box_pairs(group, radius):
+    """Reference for `offset_pairs`: every witness form and every pair
+    scanned over the whole box, first witnesses kept."""
+    if group.rank == 0 or group.pairing_matrix is None:
+        zero = (0,) * group.rank
+        return {(0, 0): (zero, zero, zero)}
+    L, M = group.pairing_order, group.pairing_matrix
+    box = free_box(group, radius)
+
+    def witnesses(form):
+        wit = {}
+        for u in box:
+            wit.setdefault(sum(a * b for a, b in zip(u, form)) % L, u)
+        return wit
+
+    pairs = {}
+    for v in box:
+        firsts = witnesses([sum(a * b for a, b in zip(row, v)) for row in M])
+        seconds = witnesses([sum(a * b for a, b in zip(col, v))
+                             for col in zip(*M)])
+        for c1, u in firsts.items():
+            for c2, w in seconds.items():
+                pairs.setdefault((c1, c2), (u, v, w))
+    return pairs
+
+
+def test_offset_pairs_match_the_full_box_on_bundled_pairings():
+    names = cli.bundled_names() + [f"lemma3/{n}"
+                                   for n in cli.bundled_names("lemma3")]
+    groups = [fc.instance_from_json(cli.bundled_instance(n)).group
+              for n in names]
+    paired = [G for G in groups if G.pairing_matrix is not None]
+    assert len(paired) == 4
+    for G in paired:
+        for radius in (1, 2, 3):
+            got = offset_pairs(G, radius)
+            assert list(got.items()) == list(full_box_pairs(G, radius).items())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_offset_pairs_match_the_full_box_on_drawn_pairings(data):
+    rank = data.draw(st.integers(2, 3))
+    order = data.draw(st.integers(2, 6))
+    M = [[data.draw(st.integers(-3, 3)) if j > i else 0
+          for j in range(rank)] for i in range(rank)]
+    G = Group(rank, InvariantsTorsion((order,)), pairing_matrix=M,
+              pairing_target=(data.draw(st.integers(0, order - 1)),))
+    radius = data.draw(st.integers(1, 3))
+    got = offset_pairs(G, radius)
+    assert list(got.items()) == list(full_box_pairs(G, radius).items())

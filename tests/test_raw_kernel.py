@@ -1326,3 +1326,99 @@ def test_repeated_power_fails_the_table_certificate(monkeypatch):
                        match="are not q - 1 distinct nonzero elements") as exc:
         F.one * F.one
     assert "the generator of GF(3^2) are" in str(exc.value)
+
+
+def captured_tables(monkeypatch, spec):
+    """The generator, exp list and Zech list one table build hands to its
+    two certificates, on a fresh field object."""
+    seen = {}
+    tables = fields.ExtensionField._certify_tables
+    zech = fields.ExtensionField._certify_zech
+
+    def capture_tables(self, g, exp):
+        seen["g"], seen["exp"] = g, list(exp)
+        return tables(self, g, exp)
+
+    def capture_zech(self, exp, z):
+        seen["zech"] = list(z)
+        return zech(self, exp, z)
+
+    monkeypatch.setattr(fields.ExtensionField, "_certify_tables",
+                        capture_tables)
+    monkeypatch.setattr(fields.ExtensionField, "_certify_zech", capture_zech)
+    F = fields.ExtensionField(*spec)
+    F.one * F.one
+    monkeypatch.undo()
+    return F, seen["g"], seen["exp"], seen["zech"]
+
+
+@pytest.mark.parametrize("spec", [(2, 2, (1, 1, 1)), (2, 3, (1, 1, 0, 1)),
+                                  (3, 2, (1, 0, 1)), (5, 2, (2, 0, 1)),
+                                  (3, 3, (1, 2, 0, 1))],
+                         ids=["gf4", "gf8", "gf9", "gf25", "gf27"])
+def test_every_swapped_power_and_shifted_zech_entry_fails(monkeypatch, spec):
+    """Each exp entry swapped with its successor (the list stays q - 1
+    distinct nonzero codes) fails the walk certificate, and each Zech entry
+    but the sentinel, moved by one mod n, fails the Zech certificate."""
+    F, g, exp, zech = captured_tables(monkeypatch, spec)
+    n = F.size() - 1
+    sentinel = n // 2 if F.p > 2 else 0
+    assert [d for d, z in enumerate(zech) if z == 2 * n - 1] == [sentinel]
+    F._certify_tables(g, list(exp))
+    F._certify_zech(exp, list(zech))
+    for i in range(n):
+        swapped = list(exp)
+        swapped[i], swapped[(i + 1) % n] = swapped[(i + 1) % n], swapped[i]
+        with pytest.raises(CertificateFailed, match="not the walk"):
+            F._certify_tables(g, swapped)
+    for d in set(range(n)) - {sentinel}:
+        for step in (1, -1):
+            shifted = list(zech)
+            shifted[d] = (shifted[d] + step) % n
+            with pytest.raises(CertificateFailed, match="is not log"):
+                F._certify_zech(exp, shifted)
+
+
+def test_every_irreducible_modulus_passes_both_certificates():
+    """The certificates reject no true table: every monic irreducible
+    modulus of every extension field of size at most 256 builds, and its
+    generator's powers give the product on the polynomial layer."""
+    built = 0
+    for p, k in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8),
+                 (3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2),
+                 (11, 2), (13, 2)]:
+        base = gf(p)
+        for tail in itertools.product(range(p), repeat=k):
+            m = tail + (1,)
+            if not poly_irreducible(base, m):
+                continue
+            F = fields.ExtensionField(p, k, m)
+            a, b = F.size() - 1, F.size() // 2
+            product = poly_divmod(base, poly_mul(base, poly_of(F, a),
+                                                 poly_of(F, b)), m)[1]
+            assert F.raw_mul(a, b) == encode(F, product)
+            built += 1
+    assert built == 350     # the counts of Gauss's formula, degree by degree
+
+
+def test_a_large_table_build_sums_and_multiplies_few_polynomials(
+        monkeypatch):
+    """GF(251^2) builds its tables with fewer than (q - 1) / 2 calls each
+    of poly_add and poly_mul: one sum per Zech orbit, and products only in
+    the generator search and the k columns of times g."""
+    calls = {"poly_add": 0, "poly_mul": 0}
+
+    def counted(name):
+        original = getattr(fields, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    F = fields.ExtensionField(251, 2, (1, 0, 1))
+    for name in calls:
+        monkeypatch.setattr(fields, name, counted(name))
+    F.one * F.one
+    assert 0 < calls["poly_add"] < (F.size() - 1) // 2
+    assert 0 < calls["poly_mul"] < (F.size() - 1) // 2

@@ -10,8 +10,11 @@ names, only the instances whose names contain one of them run, so
 `python3 tools/cap_sweep.py ", Q"` runs the rational rows.  Per instance the
 sweep prints one table row:
 
+* the table build: the wall time of the first product on a fresh field
+  object, built before the analysis, which builds and certifies the log
+  and Zech tables of GF(p^k), "-" over GF(p) and Q, which have none;
 * the in-process wall time of `fc.instance_from_json` and
-  `fc.structure_report` on a fresh instance;
+  `fc.structure_report` on a fresh instance, its own table build included;
 * the radical: its dimension and method, or the status of a refusal;
 * the number of primitive idempotents, "-" when there are none to count;
 * the idempotent count, or "above-cap" when it is refused;
@@ -33,7 +36,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "fcunits"
 sys.path.insert(0, str(ROOT / "src"))
 
-from fcunits import fc  # noqa: E402
+from fcunits import fc, fields  # noqa: E402
 
 
 def cyclic(n):
@@ -117,6 +120,17 @@ def report(obj):
     return fc.structure_report(fc.instance_from_json(obj))
 
 
+def table_build(field):
+    """The wall time of the first product on a fresh field object, which
+    builds its tables, or "-" for a field without tables."""
+    F = fields.make_field(field)
+    if F.kind != "extension":
+        return "-"
+    start = time.perf_counter()
+    F.one * F.one
+    return f"{time.perf_counter() - start:.2f} s"
+
+
 def radical(rep):
     rad = rep["radical"]
     if "status" in rad:
@@ -140,18 +154,20 @@ def slowest(obj):
 
 
 def main(names):
-    print("| torsion, field | dim | wall | radical | primitives "
+    print("| torsion, field | dim | tables | wall | radical | primitives "
           "| idempotents | most self time in fcunits |")
-    print("|---|---|---|---|---|---|---|")
+    print("|---|---|---|---|---|---|---|---|")
     for name, torsion, field in SPECS:
         if names and not any(n in name for n in names):
             continue
         obj = spec(torsion, field)
+        tables = table_build(field)
         start = time.perf_counter()
         rep = report(obj)
         wall = time.perf_counter() - start
         prims = rep.get("primitive_idempotents", "-")
-        print(f"| {name} | {rep['torsion_dimension']} | {wall:.2f} s "
+        print(f"| {name} | {rep['torsion_dimension']} | {tables} "
+              f"| {wall:.2f} s "
               f"| {radical(rep)} | {prims} | {rep['idempotent_count']} "
               f"| {slowest(obj)} |", flush=True)
 
